@@ -59,22 +59,6 @@ struct ArmResult {
   std::vector<birp::sim::SlotDecision> decisions;  ///< for bit-compare
 };
 
-bool decisions_equal(const birp::sim::SlotDecision& a,
-                     const birp::sim::SlotDecision& b) {
-  if (a.served.raw() != b.served.raw()) return false;
-  if (a.kernel.raw() != b.kernel.raw()) return false;
-  if (a.drops.raw() != b.drops.raw()) return false;
-  if (a.pad_partial_launches != b.pad_partial_launches) return false;
-  if (a.flows.size() != b.flows.size()) return false;
-  for (std::size_t f = 0; f < a.flows.size(); ++f) {
-    if (a.flows[f].app != b.flows[f].app || a.flows[f].from != b.flows[f].from ||
-        a.flows[f].to != b.flows[f].to || a.flows[f].count != b.flows[f].count) {
-      return false;
-    }
-  }
-  return true;
-}
-
 birp::cluster::ControlPlaneConfig control_plane_config(int cells,
                                                        int threads) {
   birp::cluster::ControlPlaneConfig config;
@@ -298,7 +282,8 @@ int main(int argc, char** argv) {
   bool bit_identical =
       heal_t1.decisions.size() == heal_tn.decisions.size();
   for (std::size_t t = 0; bit_identical && t < heal_t1.decisions.size(); ++t) {
-    bit_identical = decisions_equal(heal_t1.decisions[t], heal_tn.decisions[t]);
+    bit_identical = birp::bench::decisions_equal(heal_t1.decisions[t],
+                                                 heal_tn.decisions[t]);
   }
 
   // Recovery-time objective: once every outage has ended, the healed cluster

@@ -53,22 +53,6 @@ struct ArmResult {
   std::vector<birp::sim::SlotDecision> decisions;  ///< for bit-compare
 };
 
-bool decisions_equal(const birp::sim::SlotDecision& a,
-                     const birp::sim::SlotDecision& b) {
-  if (a.served.raw() != b.served.raw()) return false;
-  if (a.kernel.raw() != b.kernel.raw()) return false;
-  if (a.drops.raw() != b.drops.raw()) return false;
-  if (a.pad_partial_launches != b.pad_partial_launches) return false;
-  if (a.flows.size() != b.flows.size()) return false;
-  for (std::size_t f = 0; f < a.flows.size(); ++f) {
-    if (a.flows[f].app != b.flows[f].app || a.flows[f].from != b.flows[f].from ||
-        a.flows[f].to != b.flows[f].to || a.flows[f].count != b.flows[f].count) {
-      return false;
-    }
-  }
-  return true;
-}
-
 ArmResult run_arm(const std::string& name, const birp::bench::Scenario& scenario,
                   const birp::workload::Topology& topology, long budget,
                   int cells, int threads) {
@@ -222,8 +206,8 @@ int main(int argc, char** argv) {
   const auto& sharded = results.back();
   bool bit_identical = sharded_t1.decisions.size() == sharded.decisions.size();
   for (std::size_t t = 0; bit_identical && t < sharded.decisions.size(); ++t) {
-    bit_identical = decisions_equal(sharded_t1.decisions[t],
-                                    sharded.decisions[t]);
+    bit_identical = birp::bench::decisions_equal(sharded_t1.decisions[t],
+                                                 sharded.decisions[t]);
   }
   const double speedup = sharded.decide_ms_total > 0.0
                              ? mono.decide_ms_total / sharded.decide_ms_total

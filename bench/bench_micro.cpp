@@ -97,34 +97,6 @@ void BM_SlotProblemLpWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotProblemLpWarm)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_MilpWaveThreads(benchmark::State& state) {
-  // Wave-parallel branch-and-bound on the paper_large slot MILP. Arg is the
-  // pool size (0 = no pool). Results are bit-identical across args; only
-  // wall time changes.
-  const int threads = static_cast<int>(state.range(0));
-  const auto cluster = birp::device::ClusterSpec::paper_large();
-  birp::util::Grid2<std::int64_t> demand(cluster.num_apps(),
-                                         cluster.num_devices(), 14);
-  const birp::core::TirLookup lookup = [&](int k, int i, int j) {
-    return cluster.oracle_tir(k, i, j);
-  };
-  const auto built =
-      birp::core::build_slot_problem(cluster, demand, nullptr, lookup, {});
-  std::unique_ptr<birp::runtime::ThreadPool> pool;
-  if (threads > 0) {
-    pool = std::make_unique<birp::runtime::ThreadPool>(
-        static_cast<std::size_t>(threads));
-  }
-  birp::solver::BranchAndBoundOptions options;
-  options.max_nodes = 48;
-  options.pool = pool.get();
-  for (auto _ : state) {
-    auto solution = birp::solver::solve_milp(built.model, options);
-    benchmark::DoNotOptimize(solution.objective);
-  }
-}
-BENCHMARK(BM_MilpWaveThreads)->Arg(0)->Arg(2)->Arg(8)->Unit(benchmark::kMillisecond);
-
 void BM_BirpFullDecide(benchmark::State& state) {
   const auto cluster = birp::device::ClusterSpec::paper_large();
   birp::workload::GeneratorConfig config;

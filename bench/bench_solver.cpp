@@ -1,17 +1,16 @@
 // Solver perf sweep: the tracked baseline for per-slot MILP solving.
 //
-// Replays slot sequences through BirpScheduler::decide under five solver
+// Replays slot sequences through BirpScheduler::decide under four solver
 // arms —
-//   cold-serial        warm starts off, one node LP at a time (the
-//                      pre-warm-start solver, kept as the comparison baseline)
-//   warm-serial        parent-basis + cross-slot warm starts, serial waves
-//   warm-parallel      warm starts plus wave-parallel node LPs on a pool
+//   cold-serial        warm starts off (the pre-warm-start solver, kept as
+//                      the comparison baseline)
+//   warm-serial        parent-basis + cross-slot warm starts
 //   dense-warm-serial  warm-serial on the dense-tableau reference engine
 //                      (the regression baseline for the sparse rewrite)
 //   sparse-large       a synthetic 100-edge x 20-app cluster scheduled the
 //                      way the repo schedules large clusters: CellScheduler
-//                      sharding (10 cells), warm-started sparse node LPs per
-//                      cell, cells solved on a pool. The dense engine cannot
+//                      sharding (48 cells), warm-started sparse node LPs per
+//                      cell, cells solved on a pool of --threads workers. The dense engine cannot
 //                      touch this scale (the monolithic tableau alone would
 //                      be ~1 GB per node LP)
 // — and emits BENCH_solver.json with per-arm node/pivot totals and
@@ -20,7 +19,7 @@
 // the committed BENCH_solver.json at the repo root is the current baseline.
 //
 // Decisions are bit-identical across thread counts by construction (see
-// branch_and_bound.hpp). The sparse and dense engines are additionally
+// cluster/cell_scheduler.hpp). The sparse and dense engines are additionally
 // asserted bit-identical on paper_large: the bench compares the full
 // SlotDecision stream (served/kernel/drops grids and flow lists) between
 // warm-serial and dense-warm-serial and `--check` fails on any divergence.
@@ -60,31 +59,12 @@ struct ConfigResult {
   std::vector<birp::sim::SlotDecision> decisions;  ///< for bit-compare
 };
 
-bool decisions_equal(const birp::sim::SlotDecision& a,
-                     const birp::sim::SlotDecision& b) {
-  if (a.served.raw() != b.served.raw()) return false;
-  if (a.kernel.raw() != b.kernel.raw()) return false;
-  if (a.drops.raw() != b.drops.raw()) return false;
-  if (a.pad_partial_launches != b.pad_partial_launches) return false;
-  if (a.flows.size() != b.flows.size()) return false;
-  for (std::size_t f = 0; f < a.flows.size(); ++f) {
-    if (a.flows[f].app != b.flows[f].app || a.flows[f].from != b.flows[f].from ||
-        a.flows[f].to != b.flows[f].to || a.flows[f].count != b.flows[f].count) {
-      return false;
-    }
-  }
-  return true;
-}
-
 ConfigResult run_config(const std::string& name, const std::string& cluster,
                         const birp::bench::Scenario& scenario, bool warm,
-                        int threads,
                         birp::solver::SimplexAlgorithm algorithm =
                             birp::solver::SimplexAlgorithm::SparseRevised) {
   birp::core::BirpConfig config;
   config.solver.warm_start = warm;
-  if (!warm) config.solver.wave_size = 1;  // the classic serial loop
-  config.solver_threads = threads;
   config.solver.lp.algorithm = algorithm;
   // Offline beliefs keep the arms on identical problems (no online
   // estimator state drifting with feedback ordering).
@@ -286,32 +266,29 @@ int main(int argc, char** argv) {
 
   using birp::solver::SimplexAlgorithm;
   std::vector<ConfigResult> results;
-  results.push_back(
-      run_config("cold-serial", "paper_large", scenario, false, 0));
-  results.push_back(
-      run_config("warm-serial", "paper_large", scenario, true, 0));
-  results.push_back(
-      run_config("warm-parallel", "paper_large", scenario, true, threads));
+  results.push_back(run_config("cold-serial", "paper_large", scenario, false));
+  results.push_back(run_config("warm-serial", "paper_large", scenario, true));
   results.push_back(run_config("dense-warm-serial", "paper_large", scenario,
-                               true, 0, SimplexAlgorithm::DenseTableau));
+                               true, SimplexAlgorithm::DenseTableau));
 
   // Engine bit-identity: the sparse rewrite must not change scheduling
   // policy, only speed. Compare the full decision stream.
   bool bit_identical = true;
   const auto& sparse_warm = results[1];
-  const auto& dense_warm = results[3];
+  const auto& dense_warm = results[2];
   for (std::size_t t = 0; t < sparse_warm.decisions.size(); ++t) {
-    if (!decisions_equal(sparse_warm.decisions[t], dense_warm.decisions[t])) {
+    if (!birp::bench::decisions_equal(sparse_warm.decisions[t],
+                                      dense_warm.decisions[t])) {
       bit_identical = false;
       break;
     }
   }
 
   // The arm the dense engine cannot run: a synthetic 100-edge x 20-app
-  // cluster, scheduled through CellScheduler sharding (10 cells of ~10
+  // cluster, scheduled through CellScheduler sharding (48 cells of ~2
   // edges) the way ROADMAP's large-cluster path prescribes. Each cell's
   // node LPs run the sparse engine with per-cell warm starts. Fewer slots
-  // than paper_large — each decide still spans ten MILPs.
+  // than paper_large — each decide still spans 48 MILPs.
   birp::workload::TopologyConfig topo_config;
   topo_config.edges = 100;
   topo_config.apps = 20;

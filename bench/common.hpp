@@ -1,5 +1,6 @@
 // Shared helpers for the benchmark/experiment harnesses: scenario assembly,
-// algorithm runs, CDF/series printing, and minimal CLI parsing.
+// algorithm runs, decision comparison, CDF/series printing, and minimal CLI
+// parsing.
 #pragma once
 
 #include <cstdlib>
@@ -70,6 +71,25 @@ inline metrics::RunMetrics run_algorithm(const Scenario& scenario,
                                          int max_slots = -1) {
   sim::Simulator simulator(scenario.cluster, scenario.trace);
   return simulator.run(scheduler, max_slots);
+}
+
+/// Bit-for-bit equality of two slot decisions: served/kernel/drops grids,
+/// the padding flag, and the flow list in order. The determinism gates
+/// (thread counts, LP engines) compare whole decision streams with it.
+inline bool decisions_equal(const sim::SlotDecision& a,
+                            const sim::SlotDecision& b) {
+  if (a.served.raw() != b.served.raw()) return false;
+  if (a.kernel.raw() != b.kernel.raw()) return false;
+  if (a.drops.raw() != b.drops.raw()) return false;
+  if (a.pad_partial_launches != b.pad_partial_launches) return false;
+  if (a.flows.size() != b.flows.size()) return false;
+  for (std::size_t f = 0; f < a.flows.size(); ++f) {
+    if (a.flows[f].app != b.flows[f].app || a.flows[f].from != b.flows[f].from ||
+        a.flows[f].to != b.flows[f].to || a.flows[f].count != b.flows[f].count) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Prints a completion-time CDF table (one column per algorithm), in units

@@ -16,19 +16,10 @@
 //      conservation and network accounting stay exact under
 //      sim::validate_and_repair.
 //
-// Determinism: cells are independent given their slices and the merge order
-// is fixed, so decisions are bit-identical at any cell_threads (and any
-// solver_threads — the inner solver is already wave-deterministic). With
-// k = 1 and the balancer idle the wrapper is a byte-identical pass-through
-// of the wrapped BirpScheduler.
-//
-// Thread sizing: cell_threads workers each drive a solver that may own
-// birp.solver_threads more workers. Keep
-//   cell_threads * (1 + birp.solver_threads) <~ hardware concurrency,
-// or leave birp.solver_threads = 0 (the default) and parallelize across
-// cells only — with many cells that is where the speedup is. Nested pools
-// cannot deadlock (each pool owns dedicated workers); oversubscription only
-// costs latency.
+// Determinism: cells are independent given their slices, the inner solver
+// is deterministic, and the merge order is fixed, so decisions are
+// bit-identical at any cell_threads. With k = 1 and the balancer idle the
+// wrapper is a byte-identical pass-through of the wrapped BirpScheduler.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +40,7 @@ namespace birp::cluster {
 /// Per-cell solve watchdog: degraded operation for cells whose MILP stops
 /// being real-time. A cell "overruns" a slot when its solve spends more than
 /// pivot_budget simplex pivots (the deterministic proxy for wall-clock: the
-/// solver is wave-deterministic, so the pivot count is a pure function of the
+/// solver is deterministic, so the pivot count is a pure function of the
 /// inputs and never of thread timing) or lands in the greedy fallback.
 /// strike_threshold consecutive overruns trip the breaker: the cell serves
 /// its next degraded_slots slots with GreedyLocal (serve locally, most
@@ -68,8 +59,7 @@ struct CellWatchdogConfig {
 };
 
 struct CellSchedulerConfig {
-  /// Per-cell scheduler configuration (shared by every cell). See the
-  /// header comment for the cell_threads x solver_threads sizing rule.
+  /// Per-cell scheduler configuration (shared by every cell).
   core::BirpConfig birp;
   BalancerConfig balancer;
   /// Worker threads for solving cells concurrently; 0 solves every cell on

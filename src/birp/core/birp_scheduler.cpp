@@ -10,10 +10,6 @@ namespace birp::core {
 BirpScheduler::BirpScheduler(const device::ClusterSpec& cluster,
                              BirpConfig config)
     : cluster_(cluster), config_(config) {
-  if (config_.solver_threads > 0) {
-    pool_ = std::make_unique<runtime::ThreadPool>(
-        static_cast<std::size_t>(config_.solver_threads));
-  }
   if (config_.online) {
     const std::size_t total =
         static_cast<std::size_t>(cluster.num_devices()) *
@@ -107,7 +103,6 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
         return heuristic_incumbent(problem, lp_values, cluster_, state.demand,
                                    state.previous, lookup, options);
       };
-  solver_options.pool = pool_.get();
   if (solver_options.warm_start) {
     // Cross-slot warm start: seed the root relaxation with the previous
     // slot's optimal basis, and the incumbent with the previous decision

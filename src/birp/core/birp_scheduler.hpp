@@ -9,14 +9,12 @@
 // system live (serve locally, smallest models first, drop the overflow).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "birp/core/problem.hpp"
 #include "birp/core/tir_estimator.hpp"
 #include "birp/device/cluster.hpp"
-#include "birp/runtime/thread_pool.hpp"
 #include "birp/sim/scheduler.hpp"
 #include "birp/solver/branch_and_bound.hpp"
 #include "birp/util/stats.hpp"
@@ -30,17 +28,6 @@ struct BirpConfig {
   /// Online mode tunes TIR hyperparameters from feedback; offline mode
   /// (BIRP-OFF) reads the cluster's oracle curves and ignores feedback.
   bool online = true;
-  /// Worker threads for wave-parallel branch-and-bound node evaluation;
-  /// 0 solves on the calling thread. Decisions are bit-identical either way
-  /// (the solver's wave merge is deterministic), so this is purely a
-  /// latency knob.
-  ///
-  /// Nesting note (cluster::CellScheduler runs one BirpScheduler per cell):
-  /// every pool owns dedicated workers, so nested pools cannot deadlock —
-  /// but thread counts multiply. Keep
-  ///   cell_threads * (1 + solver_threads) <~ hardware concurrency,
-  /// or leave this 0 when sharding and parallelize across cells only.
-  int solver_threads = 0;
   /// Optional display-name override (used by ablation variants).
   std::string name_override;
 
@@ -128,8 +115,6 @@ class BirpScheduler : public sim::Scheduler {
   const device::ClusterSpec& cluster_;
   BirpConfig config_;
   std::vector<TirEstimator> estimators_;  ///< [device][app][variant], online
-  /// Pool for wave-parallel node LPs (null when solver_threads == 0).
-  std::unique_ptr<runtime::ThreadPool> pool_;
   /// Cross-slot warm-start state: the previous slot's root-relaxation basis
   /// and usable decision. Slot problems are structurally identical (masking
   /// is done via bounds), so the shapes always line up.

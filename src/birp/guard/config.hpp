@@ -18,11 +18,6 @@ struct AdmissionConfig {
   /// Budget multiplier: admit while predicted sojourn <= slack * slo.
   /// > 1 is permissive (tolerates prediction error), < 1 is aggressive.
   double slack = 1.0;
-  /// Believed marginal cost of a follower request inside a batch, as a
-  /// fraction of the serial latency gamma: batch latency is modeled as
-  /// gamma * (1 + marginal_batch_cost * (b - 1)). Mirrors the TIR curve's
-  /// diminishing per-request cost without needing the full eta/beta belief.
-  double marginal_batch_cost = 0.4;
 };
 
 /// Per-(app, edge) circuit breaker over the observed SLO-failure rate of the

@@ -10,8 +10,6 @@ namespace birp::guard {
 void validate(const GuardConfig& config) {
   util::check(config.admission.slack > 0.0,
               "guard config: admission slack must be > 0");
-  util::check(config.admission.marginal_batch_cost >= 0.0,
-              "guard config: marginal batch cost must be >= 0");
   util::check(config.breaker.window_slots >= 1,
               "guard config: breaker window must be >= 1 slot");
   util::check(config.breaker.min_samples >= 1,
@@ -100,8 +98,7 @@ bool GuardController::admit(int edge, int app, int variant, int kernel,
                             double accel_free_s, std::int64_t buffered) const {
   if (!config_.admission.enabled) return true;
   const double gamma = gamma_s_[gamma_index(edge, app, variant)];
-  const double batch_latency = batch_latency_s(
-      gamma, config_.admission.marginal_batch_cost, kernel);
+  const double batch_latency = batch_latency_s(gamma, kernel);
   const double predicted_sojourn = predicted_sojourn_s(
       arrival_s, available_s, accel_free_s, buffered, kernel, batch_latency);
   return predicted_sojourn <=

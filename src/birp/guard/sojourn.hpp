@@ -5,8 +5,8 @@
 // the SLO-aware adaptive batcher (serve::AdaptiveBatcher) need the same two
 // estimates:
 //   * how long a launch of b members takes under the believed latency curve
-//     gamma * (1 + c * (b - 1)) — the marginal-cost stand-in for the full
-//     TIR belief, and
+//     gamma * (1 + kMarginalBatchCost * (b - 1)) — the marginal-cost
+//     stand-in for the full TIR belief, and
 //   * how long a request will have been in the system when its launch
 //     completes, given the accelerator backlog and the batches queued ahead.
 // Keeping the formulas in one place means the gate's shed decisions and the
@@ -18,14 +18,16 @@
 
 namespace birp::guard {
 
+/// Believed marginal cost of a follower request inside a batch, as a
+/// fraction of the serial latency gamma. Mirrors the TIR curve's diminishing
+/// per-request cost without needing the full eta/beta belief.
+inline constexpr double kMarginalBatchCost = 0.4;
+
 /// Believed execution latency of one launch of `b` members whose serial
-/// latency is `gamma_s`: gamma * (1 + marginal_cost * (b - 1)). A follower
-/// request costs `marginal_cost` of a serial run, mirroring the TIR curve's
-/// diminishing per-request cost without the full eta/beta belief.
-[[nodiscard]] inline double batch_latency_s(double gamma_s,
-                                            double marginal_cost, int b) {
+/// latency is `gamma_s`: gamma * (1 + kMarginalBatchCost * (b - 1)).
+[[nodiscard]] inline double batch_latency_s(double gamma_s, int b) {
   const auto members = static_cast<double>(std::max(1, b));
-  return gamma_s * (1.0 + marginal_cost * (members - 1.0));
+  return gamma_s * (1.0 + kMarginalBatchCost * (members - 1.0));
 }
 
 /// Predicted end-to-end sojourn of a request that entered the system at

@@ -12,8 +12,6 @@ namespace birp::serve {
 void validate(const AdaptiveBatcherConfig& config) {
   util::check(config.slack > 0.0, "adaptive config: slack must be > 0");
   util::check(config.max_batch >= 1, "adaptive config: max_batch must be >= 1");
-  util::check(config.marginal_batch_cost >= 0.0,
-              "adaptive config: marginal batch cost must be >= 0");
 }
 
 AdaptiveBatcher::AdaptiveBatcher(
@@ -50,8 +48,7 @@ AdaptiveBatcher::AdaptiveBatcher(
 
 double AdaptiveBatcher::predicted_latency_s(int edge, int app, int variant,
                                             int b) const {
-  return guard::batch_latency_s(gamma_s_[gamma_index(edge, app, variant)],
-                                config_.marginal_batch_cost, b);
+  return guard::batch_latency_s(gamma_s_[gamma_index(edge, app, variant)], b);
 }
 
 int AdaptiveBatcher::effective_target(int prior,

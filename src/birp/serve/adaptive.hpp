@@ -63,13 +63,10 @@ struct AdaptiveBatcherConfig {
   /// Hard cap on any launch; growth never exceeds it and the engine clamps
   /// it to sim::kMaxKernelBatch (the validator's kernel cap).
   int max_batch = sim::kMaxKernelBatch;
-  /// Believed marginal cost of a follower request inside a batch, as a
-  /// fraction of the serial latency gamma (guard/sojourn.hpp's curve).
-  double marginal_batch_cost = 0.4;
 };
 
 /// Fails fast (util::check) on out-of-range values: non-positive slack or
-/// cap, negative marginal cost. Called by the batcher and by ServeEngine's
+/// cap. Called by the batcher and by ServeEngine's
 /// config validation.
 void validate(const AdaptiveBatcherConfig& config);
 
@@ -100,7 +97,7 @@ class AdaptiveBatcher {
   [[nodiscard]] bool enabled() const noexcept { return config_.enabled; }
 
   /// Believed latency of a launch of `b` members of (app, variant) on
-  /// `edge`: gamma * (1 + marginal_batch_cost * (b - 1)).
+  /// `edge`: gamma * (1 + guard::kMarginalBatchCost * (b - 1)).
   [[nodiscard]] double predicted_latency_s(int edge, int app, int variant,
                                            int b) const;
 

@@ -5,14 +5,12 @@
 #ifdef BIRP_LP_TRACE
 #include <cstdio>
 #endif
-#include <future>
 #include <limits>
 #include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
 
-#include "birp/runtime/thread_pool.hpp"
 #include "birp/util/check.hpp"
 
 namespace birp::solver {
@@ -204,13 +202,10 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
   // A node's `bound` is its parent's LP objective, which bounds the whole
   // subtree, so it stays valid even when the node's own LP never finished.
   double unresolved_bound = std::numeric_limits<double>::infinity();
+  std::vector<double> lower;
+  std::vector<double> upper;
   std::vector<double> rounded;
   Basis root_basis_out;
-
-  const int wave_size = std::max(options.wave_size, 1);
-  std::vector<NodePtr> wave;
-  std::vector<Solution> lps;
-  wave.reserve(static_cast<std::size_t>(wave_size));
 
   const auto prune_threshold = [&] {
     return incumbent_objective -
@@ -218,137 +213,105 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
   };
 
   while (!open.empty() && nodes < options.max_nodes) {
-    // ---- Pop a wave of frontier nodes (fixed size: the tree shape must not
-    // depend on how many threads evaluate it). Pruned pops still count
-    // toward the node budget, exactly as in the serial loop.
-    wave.clear();
-    while (static_cast<int>(wave.size()) < wave_size && !open.empty() &&
-           nodes < options.max_nodes) {
-      NodePtr node = open.top();
-      open.pop();
-      ++nodes;
-      if (node->bound >= prune_threshold()) continue;
-      wave.push_back(std::move(node));
-    }
-    if (wave.empty()) continue;
+    // Pop the best frontier node and prune it against the incumbent as it
+    // stands now, so an incumbent found by the previous node already cuts.
+    // Pruned pops count toward the node budget.
+    const NodePtr node = open.top();
+    open.pop();
+    ++nodes;
+    if (node->bound >= prune_threshold()) continue;
 
-    // ---- Evaluate the wave's LPs. Each solve is a pure function of the
-    // node, so concurrent execution cannot perturb results.
-    const auto solve_node = [&](const Node& node) {
-      std::vector<double> lower;
-      std::vector<double> upper;
-      materialize_bounds(node, root_lower, root_upper, lower, upper);
-      const Basis* warm = options.warm_start ? node.warm.get() : nullptr;
-      const bool emit = options.warm_start || node.id == 0;
-      return solve_lp(model, lower, upper, options.lp, warm, emit);
-    };
-    lps.assign(wave.size(), Solution{});
-    if (options.pool != nullptr && wave.size() > 1) {
-      std::vector<std::future<Solution>> futures;
-      futures.reserve(wave.size());
-      for (const NodePtr& node : wave) {
-        futures.push_back(
-            options.pool->submit([&solve_node, &node] { return solve_node(*node); }));
-      }
-      for (std::size_t i = 0; i < futures.size(); ++i) lps[i] = futures[i].get();
+    materialize_bounds(*node, root_lower, root_upper, lower, upper);
+    const Basis* start = options.warm_start ? node->warm.get() : nullptr;
+    const bool emit = options.warm_start || node->id == 0;
+    Solution lp = solve_lp(model, lower, upper, options.lp, start, emit);
+    total_pivots += lp.simplex_iterations;
+    total_factor_pivots += lp.factor_pivots;
+    if (lp.warm_started) {
+      ++warm_solves;
     } else {
-      for (std::size_t i = 0; i < wave.size(); ++i) lps[i] = solve_node(*wave[i]);
+      ++cold_solves;
     }
 
-    // ---- Merge sequentially in pop order: incumbent updates, pruning, and
-    // branching happen in a fixed order regardless of which thread finished
-    // first, so the search is bit-identical at any thread count.
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      const NodePtr& node = wave[i];
-      Solution& lp = lps[i];
-      total_pivots += lp.simplex_iterations;
-      total_factor_pivots += lp.factor_pivots;
-      if (lp.warm_started) {
-        ++warm_solves;
-      } else {
-        ++cold_solves;
-      }
+    if (lp.status == SolveStatus::Infeasible) continue;
+    if (lp.status == SolveStatus::Unbounded) {
+      // An unbounded relaxation at the root means the MILP is unbounded or
+      // ill-posed; deeper nodes inherit the verdict.
+      Solution result;
+      result.status = SolveStatus::Unbounded;
+      result.nodes_explored = nodes;
+      result.simplex_iterations = total_pivots;
+      result.factor_pivots = total_factor_pivots;
+      return result;
+    }
+    if (lp.status == SolveStatus::IterationLimit) {
+      any_lp_budget_hit = true;
+      unresolved_bound = std::min(unresolved_bound, node->bound);
+      continue;  // cannot trust this subtree's bound; drop it
+    }
 
-      if (lp.status == SolveStatus::Infeasible) continue;
-      if (lp.status == SolveStatus::Unbounded) {
-        // An unbounded relaxation at the root means the MILP is unbounded or
-        // ill-posed; deeper nodes inherit the verdict.
-        Solution result;
-        result.status = SolveStatus::Unbounded;
-        result.nodes_explored = nodes;
-        result.simplex_iterations = total_pivots;
-        result.factor_pivots = total_factor_pivots;
-        return result;
-      }
-      if (lp.status == SolveStatus::IterationLimit) {
-        any_lp_budget_hit = true;
-        unresolved_bound = std::min(unresolved_bound, node->bound);
-        continue;  // cannot trust this subtree's bound; drop it
-      }
+    if (node->id == 0) root_basis_out = lp.basis;
 
-      if (node->id == 0) root_basis_out = lp.basis;
+    if (lp.objective >= prune_threshold()) continue;
 
-      if (lp.objective >= prune_threshold()) continue;
-
-      const int branch_var =
-          most_fractional(model, lp.values, options.integrality_tolerance);
+    const int branch_var =
+        most_fractional(model, lp.values, options.integrality_tolerance);
 #ifdef BIRP_LP_TRACE
-      std::fprintf(stderr,
-                   "  node id=%lld obj=%.17g branch_var=%d v=%.17g warm=%d\n",
-                   (long long)node->id, lp.objective, branch_var,
-                   branch_var >= 0
-                       ? lp.values[static_cast<std::size_t>(branch_var)]
-                       : 0.0,
-                   lp.warm_started ? 1 : 0);
+    std::fprintf(stderr,
+                 "  node id=%lld obj=%.17g branch_var=%d v=%.17g warm=%d\n",
+                 (long long)node->id, lp.objective, branch_var,
+                 branch_var >= 0
+                     ? lp.values[static_cast<std::size_t>(branch_var)]
+                     : 0.0,
+                 lp.warm_started ? 1 : 0);
 #endif
-      if (branch_var < 0) {
-        // Integral LP optimum: new incumbent.
-        if (lp.objective < incumbent_objective) {
-          incumbent_objective = lp.objective;
-          incumbent.values = lp.values;
-          incumbent.objective = lp.objective;
-          incumbent.status = SolveStatus::Feasible;
-        }
-        continue;
+    if (branch_var < 0) {
+      // Integral LP optimum: new incumbent.
+      if (lp.objective < incumbent_objective) {
+        incumbent_objective = lp.objective;
+        incumbent.values = lp.values;
+        incumbent.objective = lp.objective;
+        incumbent.status = SolveStatus::Feasible;
       }
-
-      if (try_rounding(model, lp.values, rounded, options.lp.tolerance * 10)) {
-        consider(rounded);
-      }
-      if (options.incumbent_heuristic) {
-        consider(options.incumbent_heuristic(lp.values));
-      }
-
-      // Branch: both children share the parent pointer (one delta each) and
-      // the parent's basis for warm-started re-solves.
-      std::shared_ptr<const Basis> warm;
-      if (options.warm_start && !lp.basis.empty()) {
-        warm = std::make_shared<Basis>(std::move(lp.basis));
-      }
-      const double v = lp.values[static_cast<std::size_t>(branch_var)];
-      auto down = std::make_shared<Node>();
-      down->parent = node;
-      down->warm = warm;
-      down->branch_var = branch_var;
-      down->bound_value = std::floor(v);
-      down->tighten_upper = true;
-      down->bound = lp.objective;
-      down->bound_q = quantize_bound(lp.objective);
-      down->depth = node->depth + 1;
-      down->id = next_id++;
-      auto up = std::make_shared<Node>();
-      up->parent = node;
-      up->warm = std::move(warm);
-      up->branch_var = branch_var;
-      up->bound_value = std::ceil(v);
-      up->tighten_upper = false;
-      up->bound = lp.objective;
-      up->bound_q = quantize_bound(lp.objective);
-      up->depth = node->depth + 1;
-      up->id = next_id++;
-      open.push(std::move(down));
-      open.push(std::move(up));
+      continue;
     }
+
+    if (try_rounding(model, lp.values, rounded, options.lp.tolerance * 10)) {
+      consider(rounded);
+    }
+    if (options.incumbent_heuristic) {
+      consider(options.incumbent_heuristic(lp.values));
+    }
+
+    // Branch: both children share the parent pointer (one delta each) and
+    // the parent's basis for warm-started re-solves.
+    std::shared_ptr<const Basis> warm;
+    if (options.warm_start && !lp.basis.empty()) {
+      warm = std::make_shared<Basis>(std::move(lp.basis));
+    }
+    const double v = lp.values[static_cast<std::size_t>(branch_var)];
+    auto down = std::make_shared<Node>();
+    down->parent = node;
+    down->warm = warm;
+    down->branch_var = branch_var;
+    down->bound_value = std::floor(v);
+    down->tighten_upper = true;
+    down->bound = lp.objective;
+    down->bound_q = quantize_bound(lp.objective);
+    down->depth = node->depth + 1;
+    down->id = next_id++;
+    auto up = std::make_shared<Node>();
+    up->parent = node;
+    up->warm = std::move(warm);
+    up->branch_var = branch_var;
+    up->bound_value = std::ceil(v);
+    up->tighten_upper = false;
+    up->bound = lp.objective;
+    up->bound_q = quantize_bound(lp.objective);
+    up->depth = node->depth + 1;
+    up->id = next_id++;
+    open.push(std::move(down));
+    open.push(std::move(up));
   }
 
   incumbent.nodes_explored = nodes;

@@ -7,15 +7,13 @@
 // optimality on the instance sizes BIRP produces; when the budget is hit it
 // returns the best incumbent with status Feasible plus the proven bound.
 //
-// Performance machinery (all optional, all bit-deterministic):
-//  - Nodes store a parent pointer plus one bound delta instead of full
-//    lower/upper vectors; bounds are materialized on demand.
-//  - Each node LP warm-starts from its parent's optimal basis (see
-//    simplex.hpp); cold fallback keeps results identical.
-//  - Frontier nodes are evaluated in fixed-size waves, concurrently when a
-//    ThreadPool is supplied. Wave composition and the sequential merge order
-//    depend only on the node numbering, never on thread count, so results
-//    are bit-identical serial vs parallel.
+// The search is the classic serial loop: pop the best frontier node, prune
+// it against the current incumbent, solve its LP, then round, branch or
+// accept. Nodes store a parent pointer plus one bound delta instead of full
+// lower/upper vectors (bounds are materialized on demand), and each node LP
+// warm-starts from its parent's optimal basis (see simplex.hpp), falling
+// back to a cold solve transparently. Parallelism lives one level up, in
+// cluster::CellScheduler, which solves independent cells concurrently.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +24,6 @@
 #include "birp/solver/model.hpp"
 #include "birp/solver/simplex.hpp"
 #include "birp/solver/solution.hpp"
-
-namespace birp::runtime {
-class ThreadPool;
-}  // namespace birp::runtime
 
 namespace birp::solver {
 
@@ -55,15 +49,6 @@ struct BranchAndBoundOptions {
   /// root LP from `root_basis`). Falls back to cold solves transparently;
   /// disable only for A/B measurement.
   bool warm_start = true;
-  /// Evaluate node LPs of a wave concurrently on this pool (not owned).
-  /// Null runs the waves on the calling thread. Results are bit-identical
-  /// either way.
-  runtime::ThreadPool* pool = nullptr;
-  /// Frontier nodes popped (and solved) per wave. Fixed independently of
-  /// thread count — this, not the pool size, shapes the search tree, which
-  /// is what makes parallel results reproducible. 1 recovers the classic
-  /// one-node-at-a-time best-first loop.
-  int wave_size = 8;
   /// Optional basis seeding the root relaxation (cross-slot warm start).
   /// Not owned; must outlive the solve. Ignored unless warm_start is set.
   const Basis* root_basis = nullptr;

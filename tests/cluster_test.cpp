@@ -466,23 +466,6 @@ TEST_F(ShardedFixture, DecisionsBitIdenticalAcrossCellThreadCounts) {
   EXPECT_DOUBLE_EQ(m1.total_energy_j(), m2.total_energy_j());
 }
 
-TEST_F(ShardedFixture, NestedSolverPoolsCompleteAndStayDeterministic) {
-  // Nested pools (cells on one pool, each cell's solver on its own) must
-  // neither deadlock nor perturb decisions. ctest's per-test timeout turns
-  // a deadlock into a loud failure.
-  CellSchedulerConfig nested;
-  nested.cell_threads = 4;
-  nested.birp.solver_threads = 2;
-  CellSchedulerConfig flat;
-  flat.cell_threads = 0;
-  flat.birp.solver_threads = 0;
-  const auto m1 = run(nested);
-  const auto m2 = run(flat);
-  EXPECT_DOUBLE_EQ(m1.total_loss(), m2.total_loss());
-  EXPECT_EQ(m1.slo_failures(), m2.slo_failures());
-  EXPECT_DOUBLE_EQ(m1.latency_quantile(0.95), m2.latency_quantile(0.95));
-}
-
 TEST_F(ShardedFixture, FirstDecisionBitIdenticalAcrossThreads) {
   // Decision-level (not just metric-level) equality for one slot.
   CellSchedulerConfig serial;

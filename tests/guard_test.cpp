@@ -188,7 +188,6 @@ TEST(Admission, OracleFormulaAdmitsAndSheds) {
   GuardConfig config;
   config.admission.enabled = true;
   config.admission.slack = 1.0;
-  config.admission.marginal_batch_cost = 0.4;
   GuardController guard(cluster, config);
 
   const double tau = cluster.tau_s();
@@ -444,10 +443,6 @@ TEST(GuardValidation, RejectsOutOfRangeValues) {
   GuardConfig slack;
   slack.admission.slack = 0.0;
   EXPECT_THROW(validate(slack), std::logic_error);
-
-  GuardConfig cost;
-  cost.admission.marginal_batch_cost = -0.1;
-  EXPECT_THROW(validate(cost), std::logic_error);
 
   GuardConfig window;
   window.breaker.window_slots = 0;

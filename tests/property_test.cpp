@@ -355,7 +355,6 @@ TEST_P(AdaptiveBatcherFuzz, SealMeetsOldestDeadlineWheneverAnySealCould) {
   serve::AdaptiveBatcherConfig config;
   config.enabled = true;
   config.slack = rng.uniform(0.3, 1.5);
-  config.marginal_batch_cost = rng.uniform(0.0, 1.0);
   serve::AdaptiveBatcher batcher(cluster, config);
   for (int trial = 0; trial < 200; ++trial) {
     const auto app = static_cast<int>(rng.uniform_int(0, cluster.num_apps() - 1));

@@ -557,9 +557,6 @@ TEST_F(AdaptiveBatcherFixture, ConfigValidationRejectsGarbage) {
   AdaptiveBatcherConfig bad_cap;
   bad_cap.max_batch = 0;
   EXPECT_THROW(validate(bad_cap), std::logic_error);
-  AdaptiveBatcherConfig bad_cost;
-  bad_cost.marginal_batch_cost = -0.1;
-  EXPECT_THROW(validate(bad_cost), std::logic_error);
   // The ctor clamps oversized caps to the validator's kernel limit.
   AdaptiveBatcherConfig oversized;
   oversized.max_batch = 10 * sim::kMaxKernelBatch;

@@ -1,6 +1,6 @@
-// Warm-start and parallel branch-and-bound coverage: warm-vs-cold result
-// identity on randomized LPs and slot-problem sequences, singular-basis
-// fallback, thread-count determinism, and the reported-gap bracket.
+// Warm-start and branch-and-bound coverage: warm-vs-cold result identity on
+// randomized LPs and slot-problem sequences, singular-basis fallback,
+// incumbent pruning, and the reported-gap bracket.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -9,10 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include "birp/core/birp_scheduler.hpp"
 #include "birp/core/problem.hpp"
 #include "birp/device/cluster.hpp"
-#include "birp/runtime/thread_pool.hpp"
 #include "birp/solver/branch_and_bound.hpp"
 #include "birp/solver/model.hpp"
 #include "birp/solver/simplex.hpp"
@@ -265,7 +263,6 @@ TEST_P(WarmRandomMilp, WarmEqualsColdBitIdentical) {
 
   BranchAndBoundOptions cold_options;
   cold_options.warm_start = false;
-  cold_options.wave_size = 1;  // the classic serial loop
   const Solution cold = solve_milp(model, cold_options);
 
   BranchAndBoundOptions warm_options;
@@ -282,29 +279,6 @@ TEST_P(WarmRandomMilp, WarmEqualsColdBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WarmRandomMilp, ::testing::Range(1, 21));
-
-TEST(BranchAndBound, DeterministicAcrossThreadCounts) {
-  for (const int seed : {2, 9, 14}) {
-    const Model model = random_milp(static_cast<std::uint64_t>(seed));
-    BranchAndBoundOptions options;  // warm starts + wave search on
-
-    const Solution serial = solve_milp(model, options);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      runtime::ThreadPool pool(threads);
-      BranchAndBoundOptions parallel = options;
-      parallel.pool = &pool;
-      const Solution sol = solve_milp(model, parallel);
-      ASSERT_EQ(sol.status, serial.status) << threads << " threads";
-      EXPECT_EQ(sol.objective, serial.objective) << threads << " threads";
-      EXPECT_EQ(sol.values, serial.values) << threads << " threads";
-      EXPECT_EQ(sol.nodes_explored, serial.nodes_explored)
-          << threads << " threads";
-      EXPECT_EQ(sol.simplex_iterations, serial.simplex_iterations)
-          << threads << " threads";
-      EXPECT_EQ(sol.best_bound, serial.best_bound) << threads << " threads";
-    }
-  }
-}
 
 TEST(BranchAndBound, ReportedGapAlwaysBracketsOptimum) {
   for (int seed = 1; seed <= 12; ++seed) {
@@ -327,6 +301,27 @@ TEST(BranchAndBound, ReportedGapAlwaysBracketsOptimum) {
           << "seed " << seed << " budget " << budget;
     }
   }
+}
+
+TEST(BranchAndBound, IncumbentPrunesSiblingBeforeItsLpIsSolved) {
+  // max x + y s.t. 2x + 2y <= 3 over binaries. The root LP sits at -1.5 with
+  // one variable at 0.5 (and rounding overshoots the row), so it branches.
+  // The first child returns the integral -1; with a 50% gap that incumbent
+  // prunes the sibling (bound -1.5) when it is popped, before its LP runs.
+  Model model;
+  const int x = model.add_binary("x");
+  const int y = model.add_binary("y");
+  model.set_objective(x, -1.0);
+  model.set_objective(y, -1.0);
+  model.add_constraint({{x, 2.0}, {y, 2.0}}, Relation::LessEqual, 3.0);
+
+  BranchAndBoundOptions options;
+  options.relative_gap = 0.5;
+  const Solution sol = solve_milp(model, options);
+  ASSERT_TRUE(sol.usable());
+  EXPECT_NEAR(sol.objective, -1.0, kTol);
+  EXPECT_EQ(sol.nodes_explored, 3);
+  EXPECT_EQ(sol.warm_lp_solves + sol.cold_lp_solves, 2);
 }
 
 TEST(BranchAndBound, SeedCandidateBecomesInitialIncumbent) {
@@ -357,13 +352,11 @@ TEST(BranchAndBound, SeedCandidateBecomesInitialIncumbent) {
 
 // --------------------------------------------------- slot-problem parity ----
 
-TEST(SlotSequence, WarmParallelMatchesColdSerial) {
+TEST(SlotSequence, WarmMatchesCold) {
   const auto cluster = device::ClusterSpec::paper_small();
   const core::TirLookup lookup = [&](int k, int i, int j) {
     return cluster.oracle_tir(k, i, j);
   };
-  runtime::ThreadPool pool(4);
-
   util::Xoshiro256StarStar rng(99);
   Basis prev_basis;
   std::int64_t warm_total_pivots = 0;
@@ -382,11 +375,9 @@ TEST(SlotSequence, WarmParallelMatchesColdSerial) {
 
     BranchAndBoundOptions cold_options;
     cold_options.warm_start = false;
-    cold_options.wave_size = 1;
     const Solution cold = solve_milp(problem.model, cold_options);
 
     BranchAndBoundOptions warm_options;
-    warm_options.pool = &pool;
     if (prev_basis.matches(problem.model.num_variables(),
                            problem.model.num_constraints())) {
       warm_options.root_basis = &prev_basis;
@@ -398,9 +389,7 @@ TEST(SlotSequence, WarmParallelMatchesColdSerial) {
       // Slot problems have heavily degenerate alternate optima (several
       // serving plans tie at the optimal cost), so warm and cold may pick
       // different — equally optimal — incumbents. The optimal value itself
-      // must agree to ULP scale; bit-identity of decisions is guaranteed
-      // (and tested) across thread counts, where the search is literally
-      // the same.
+      // must agree to ULP scale.
       EXPECT_NEAR(warm.objective, cold.objective,
                   1e-9 * (1.0 + std::abs(cold.objective)))
           << "slot " << slot;
@@ -411,54 +400,6 @@ TEST(SlotSequence, WarmParallelMatchesColdSerial) {
   }
   // Cross-slot + parent-basis reuse must cut pricing pivots over the run.
   EXPECT_LT(warm_total_pivots, cold_total_pivots);
-}
-
-TEST(SlotSequence, SchedulerDecisionsUnchangedBySolverThreads) {
-  // End-to-end: the scheduler with a solver pool must produce the same
-  // decisions as the single-threaded scheduler, slot for slot.
-  const auto cluster = device::ClusterSpec::paper_small();
-  util::Xoshiro256StarStar rng(7);
-  std::vector<util::Grid2<std::int64_t>> demands;
-  for (int slot = 0; slot < 4; ++slot) {
-    util::Grid2<std::int64_t> demand(cluster.num_apps(), cluster.num_devices(),
-                                     0);
-    for (int i = 0; i < cluster.num_apps(); ++i) {
-      for (int k = 0; k < cluster.num_devices(); ++k) {
-        demand(i, k) = 4 + static_cast<std::int64_t>(rng.uniform_int(0, 4));
-      }
-    }
-    demands.push_back(demand);
-  }
-
-  const auto run = [&](int threads) {
-    core::BirpConfig config;
-    config.solver_threads = threads;
-    auto scheduler = core::BirpScheduler::offline(cluster, config);
-    std::vector<sim::SlotDecision> decisions;
-    sim::SlotDecision previous(cluster.num_apps(),
-                               cluster.zoo().max_variants(),
-                               cluster.num_devices());
-    for (int slot = 0; slot < static_cast<int>(demands.size()); ++slot) {
-      sim::SlotState state;
-      state.slot = slot;
-      state.demand = demands[static_cast<std::size_t>(slot)];
-      state.previous = slot == 0 ? nullptr : &previous;
-      decisions.push_back(scheduler.decide(state));
-      previous = decisions.back();
-    }
-    return decisions;
-  };
-
-  const auto serial = run(0);
-  const auto parallel = run(4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t t = 0; t < serial.size(); ++t) {
-    EXPECT_EQ(serial[t].served.raw(), parallel[t].served.raw())
-        << "slot " << t;
-    EXPECT_EQ(serial[t].kernel.raw(), parallel[t].kernel.raw())
-        << "slot " << t;
-    EXPECT_EQ(serial[t].drops.raw(), parallel[t].drops.raw()) << "slot " << t;
-  }
 }
 
 // ---------------------------------------------- sparse/dense equivalence ----
@@ -577,14 +518,12 @@ TEST(WarmAccounting, WarmAndColdPartitionNodeSolves) {
 
   BranchAndBoundOptions cold_options;
   cold_options.warm_start = false;
-  cold_options.wave_size = 1;
   const Solution cold = solve_milp(model, cold_options);
   ASSERT_TRUE(cold.usable());
   EXPECT_EQ(cold.warm_lp_solves, 0);
 
   BranchAndBoundOptions warm_options;
   warm_options.warm_start = true;
-  warm_options.wave_size = 1;
   const Solution warm = solve_milp(model, warm_options);
   ASSERT_TRUE(warm.usable());
   EXPECT_GT(warm.warm_lp_solves, 0);
