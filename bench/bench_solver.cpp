@@ -4,7 +4,8 @@
 // arms —
 //   cold-serial        warm starts off (the pre-warm-start solver, kept as
 //                      the comparison baseline)
-//   warm-serial        parent-basis + cross-slot warm starts
+//   warm-serial        node LPs resume their parent's live LP state
+//                      (factorization included) + cross-slot warm starts
 //   dense-warm-serial  warm-serial on the dense-tableau reference engine
 //                      (the regression baseline for the sparse rewrite)
 //   sparse-large       a synthetic 100-edge x 20-app cluster scheduled the
@@ -23,6 +24,9 @@
 // asserted bit-identical on paper_large: the bench compares the full
 // SlotDecision stream (served/kernel/drops grids and flow lists) between
 // warm-serial and dense-warm-serial and `--check` fails on any divergence.
+// `--check` also gates warm-serial's refactorization work: under 11 factor
+// pivots per simplex pivot (about 9 when children inherit their parent's
+// LU, about 12.5 when every child refactorizes from its Basis).
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -188,6 +192,15 @@ ConfigResult run_large_config(const std::string& name,
   return result;
 }
 
+/// Refactorization eliminations per simplex pivot: how much LU work each
+/// pivot drags along (children resuming their parent's factorization keep
+/// this low).
+double factor_pivots_per_pivot(const ConfigResult& r) {
+  return r.simplex_pivots > 0 ? static_cast<double>(r.factor_pivots) /
+                                    static_cast<double>(r.simplex_pivots)
+                              : 0.0;
+}
+
 void write_json(const std::string& path, const birp::bench::Cli& cli,
                 int threads, int large_slots,
                 const std::vector<ConfigResult>& results,
@@ -234,7 +247,9 @@ void write_json(const std::string& path, const birp::bench::Cli& cli,
         << "\": " << (mine > 0.0 ? cold / mine : 0.0);
     first = false;
   }
-  out << "}\n";
+  out << "},\n";
+  out << "  \"warm_factor_pivots_per_pivot\": "
+      << factor_pivots_per_pivot(results[1]) << "\n";
   out << "}\n";
 }
 
@@ -331,6 +346,9 @@ int main(int argc, char** argv) {
   const double reduction = warm > 0.0 ? cold / warm : 0.0;
   std::cout << "warm-path pivot reduction vs cold: "
             << birp::util::fixed(reduction, 2) << "x\n";
+  const double factor_ratio = factor_pivots_per_pivot(results[1]);
+  std::cout << "warm-serial factor pivots per simplex pivot: "
+            << birp::util::fixed(factor_ratio, 2) << "\n";
   std::cout << "sparse vs dense decisions on paper_large: "
             << (bit_identical ? "bit-identical" : "DIVERGED") << "\n";
   const auto& large = results.back();
@@ -346,6 +364,14 @@ int main(int argc, char** argv) {
     }
     if (!bit_identical) {
       std::cerr << "FAIL: sparse and dense engines diverged on paper_large\n";
+      ok = false;
+    }
+    // Branch-and-bound children resume their parent's LU; refactorizing
+    // every child instead costs ~12.5 eliminations per simplex pivot.
+    if (factor_ratio >= 11.0) {
+      std::cerr << "FAIL: warm-serial spends "
+                << birp::util::fixed(factor_ratio, 2)
+                << " factor pivots per simplex pivot (>= 11)\n";
       ok = false;
     }
     // Regression gates for the sparse engine against the in-run dense

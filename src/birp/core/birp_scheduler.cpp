@@ -76,8 +76,21 @@ void BirpScheduler::invalidate_warm_start() {
 
 sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
   slot_ = state.slot;
+  // Beliefs are fixed for the slot, but build, heuristic and extract look
+  // them up thousands of times (each online lookup computes three LCB
+  // paddings), so tabulate them once in [device][app][variant] order.
+  believed_.resize(static_cast<std::size_t>(cluster_.num_devices()) *
+                   static_cast<std::size_t>(cluster_.num_apps()) *
+                   static_cast<std::size_t>(cluster_.zoo().max_variants()));
+  for (int k = 0; k < cluster_.num_devices(); ++k) {
+    for (int i = 0; i < cluster_.num_apps(); ++i) {
+      for (int j = 0; j < cluster_.zoo().num_variants(i); ++j) {
+        believed_[estimator_index(k, i, j)] = believed_tir(k, i, j);
+      }
+    }
+  }
   const TirLookup lookup = [this](int k, int i, int j) {
-    return believed_tir(k, i, j);
+    return believed_[estimator_index(k, i, j)];
   };
 
   // Graceful degradation: when the heartbeat view reports down edges, the

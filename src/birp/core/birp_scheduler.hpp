@@ -115,6 +115,8 @@ class BirpScheduler : public sim::Scheduler {
   const device::ClusterSpec& cluster_;
   BirpConfig config_;
   std::vector<TirEstimator> estimators_;  ///< [device][app][variant], online
+  /// This slot's believed_tir() table, same layout; refilled by decide.
+  std::vector<device::TirParams> believed_;
   /// Cross-slot warm-start state: the previous slot's root-relaxation basis
   /// and usable decision. Slot problems are structurally identical (masking
   /// is done via bounds), so the shapes always line up.

@@ -19,6 +19,10 @@
 // grown past the point where a fresh factorization is cheaper than dragging
 // the file through every solve — eta growth is also where numerical drift
 // accumulates, so the trigger doubles as the drift bound.
+//
+// A BasisLu is a plain value: copying it copies the eta file, update count
+// included, which is how a branch-and-bound child inherits its parent's
+// factorization instead of rebuilding it (see lp_engine.hpp).
 #pragma once
 
 #include <cstdint>
@@ -76,6 +80,11 @@ class BasisLu {
     return factor_pivots_;
   }
   [[nodiscard]] std::size_t eta_count() const noexcept { return etas_.size(); }
+
+  /// Zeroes the elimination counter, keeping the eta file and its update
+  /// count. A copy inherited from a parent LP starts its own tally here, so
+  /// its factor_pivots() reports only the eliminations it spends itself.
+  void clear_factor_pivots() noexcept { factor_pivots_ = 0; }
 
  private:
   struct Eta {

@@ -11,10 +11,17 @@
 #include <utility>
 #include <vector>
 
+#include "birp/solver/lp_engine.hpp"
 #include "birp/util/check.hpp"
 
 namespace birp::solver {
 namespace {
+
+/// Most parent LP states (lp_engine.hpp) one search holds at once. Each is
+/// a copy of the form's mutable arrays plus an LU; beyond the cap, children
+/// start from their parent's Basis instead, so a deep generic search cannot
+/// pile up thousands of factorizations.
+constexpr int kMaxLiveStates = 64;
 
 /// One branch-and-bound node. Bounds are not stored: each node records a
 /// single bound delta against its parent and the chain is materialized on
@@ -23,6 +30,10 @@ struct Node {
   std::shared_ptr<const Node> parent;
   std::shared_ptr<const Basis> warm;  ///< parent LP's optimal basis (shared
                                       ///< by both children; may be null)
+  /// Parent LP's live state, shared by both children and released when the
+  /// node is popped, so it dies once both children have been. Null past
+  /// kMaxLiveStates or on the dense engine; the child then uses `warm`.
+  std::shared_ptr<const LpState> live;
   int branch_var = -1;                ///< -1 only at the root
   double bound_value = 0.0;           ///< new bound for branch_var
   bool tighten_upper = false;  ///< true: upper := value, false: lower := value
@@ -127,9 +138,9 @@ bool try_rounding(const Model& model, std::span<const double> lp_values,
   return model.max_violation(out) <= feasibility_tol;
 }
 
-}  // namespace
-
-Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
+Solution branch_and_bound(const Model& model,
+                          const BranchAndBoundOptions& options,
+                          int& peak_live_states) {
   if (!model.has_integers()) {
     return solve_lp(model, {}, {}, options.lp,
                     options.warm_start ? options.root_basis : nullptr,
@@ -182,6 +193,18 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
     }
   }
 
+  // Parent LP states held for resuming children, counted by their deleter
+  // (declared before the frontier, which may still hold some at exit).
+  int live_states = 0;
+  const auto hold = [&](LpState&& state) {
+    peak_live_states = std::max(peak_live_states, ++live_states);
+    return std::shared_ptr<const LpState>(
+        new LpState(std::move(state)), [&live_states](const LpState* held) {
+          --live_states;
+          delete held;
+        });
+  };
+
   auto root = std::make_shared<Node>();
   if (options.warm_start && options.root_basis != nullptr &&
       !options.root_basis->empty()) {
@@ -219,12 +242,16 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
     const NodePtr node = open.top();
     open.pop();
     ++nodes;
+    const std::shared_ptr<const LpState> resume = std::move(node->live);
     if (node->bound >= prune_threshold()) continue;
 
     materialize_bounds(*node, root_lower, root_upper, lower, upper);
     const Basis* start = options.warm_start ? node->warm.get() : nullptr;
     const bool emit = options.warm_start || node->id == 0;
-    Solution lp = solve_lp(model, lower, upper, options.lp, start, emit);
+    LpState live;
+    Solution lp = solve_lp_live(model, lower, upper, options.lp, start, emit,
+                                resume.get(),
+                                options.warm_start ? &live : nullptr);
     total_pivots += lp.simplex_iterations;
     total_factor_pivots += lp.factor_pivots;
     if (lp.warm_started) {
@@ -283,16 +310,21 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
       consider(options.incumbent_heuristic(lp.values));
     }
 
-    // Branch: both children share the parent pointer (one delta each) and
-    // the parent's basis for warm-started re-solves.
+    // Branch: both children share the parent pointer (one delta each), the
+    // parent's live state to resume from, and its basis as the fallback.
     std::shared_ptr<const Basis> warm;
     if (options.warm_start && !lp.basis.empty()) {
       warm = std::make_shared<Basis>(std::move(lp.basis));
+    }
+    std::shared_ptr<const LpState> state;
+    if (live.form != nullptr && live_states < kMaxLiveStates) {
+      state = hold(std::move(live));
     }
     const double v = lp.values[static_cast<std::size_t>(branch_var)];
     auto down = std::make_shared<Node>();
     down->parent = node;
     down->warm = warm;
+    down->live = state;
     down->branch_var = branch_var;
     down->bound_value = std::floor(v);
     down->tighten_upper = true;
@@ -303,6 +335,7 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
     auto up = std::make_shared<Node>();
     up->parent = node;
     up->warm = std::move(warm);
+    up->live = std::move(state);
     up->branch_var = branch_var;
     up->bound_value = std::ceil(v);
     up->tighten_upper = false;
@@ -346,6 +379,22 @@ Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
     incumbent.best_bound = std::min(frontier, incumbent.objective);
   }
   return incumbent;
+}
+
+}  // namespace
+
+Solution solve_milp(const Model& model, const BranchAndBoundOptions& options) {
+  int peak_live_states = 0;
+  return branch_and_bound(model, options, peak_live_states);
+}
+
+int BranchAndBoundTestPeer::live_state_cap() noexcept { return kMaxLiveStates; }
+
+Solution BranchAndBoundTestPeer::solve_milp(const Model& model,
+                                            const BranchAndBoundOptions& options,
+                                            int& peak_live_states) {
+  peak_live_states = 0;
+  return branch_and_bound(model, options, peak_live_states);
 }
 
 }  // namespace birp::solver

@@ -10,10 +10,16 @@
 // The search is the classic serial loop: pop the best frontier node, prune
 // it against the current incumbent, solve its LP, then round, branch or
 // accept. Nodes store a parent pointer plus one bound delta instead of full
-// lower/upper vectors (bounds are materialized on demand), and each node LP
-// warm-starts from its parent's optimal basis (see simplex.hpp), falling
-// back to a cold solve transparently. Parallelism lives one level up, in
-// cluster::CellScheduler, which solves independent cells concurrently.
+// lower/upper vectors (bounds are materialized on demand). A node that
+// branches hands its LP's live state — standard form, point and factorized
+// basis (lp_engine.hpp) — to both children, which resume from it with their
+// one new bound instead of rebuilding and refactorizing; the state is freed
+// once both children have been popped, and at most a fixed number (64) are
+// held at once. Children beyond that cap, and every child on the dense
+// engine, warm-start from the parent's optimal Basis (see simplex.hpp);
+// any failed warm attempt falls back to a cold solve transparently.
+// Parallelism lives one level up, in cluster::CellScheduler, which solves
+// independent cells concurrently.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +51,9 @@ struct BranchAndBoundOptions {
   /// always tried as well.
   IncumbentHeuristic incumbent_heuristic;
 
-  /// Warm-start child node LPs from their parent's optimal basis (and the
-  /// root LP from `root_basis`). Falls back to cold solves transparently;
-  /// disable only for A/B measurement.
+  /// Warm-start child node LPs from their parent's live LP state or optimal
+  /// basis (and the root LP from `root_basis`). Falls back to cold solves
+  /// transparently; disable only for A/B measurement.
   bool warm_start = true;
   /// Optional basis seeding the root relaxation (cross-slot warm start).
   /// Not owned; must outlive the solve. Ignored unless warm_start is set.
@@ -63,5 +69,15 @@ struct BranchAndBoundOptions {
 /// branching on bounds.
 [[nodiscard]] Solution solve_milp(const Model& model,
                                   const BranchAndBoundOptions& options = {});
+
+/// Test access to the search's internals; not part of the solver API.
+struct BranchAndBoundTestPeer {
+  /// Most parent LP states one search holds at once.
+  [[nodiscard]] static int live_state_cap() noexcept;
+  /// solve_milp that also reports the most parent LP states held at once.
+  [[nodiscard]] static Solution solve_milp(const Model& model,
+                                           const BranchAndBoundOptions& options,
+                                           int& peak_live_states);
+};
 
 }  // namespace birp::solver

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "birp/solver/basis_lu.hpp"
@@ -43,11 +45,10 @@ class RevisedSimplex {
   RevisedSimplex(const Model& model, std::span<const double> lower_override,
                  std::span<const double> upper_override,
                  SimplexOptions options)
-      : model_(model),
-        options_(options),
-        form_(build_standard_form(model, lower_override, upper_override)) {
+      : model_(model), options_(options) {
+    adopt(build_standard_form(model, lower_override, upper_override));
     init();
-    lu_.reset_identity(form_.rows);
+    lu_.reset_identity(form_->rows);
     // Cold start: every initial basic column is a unit vector after the
     // row flips, so the basis is the identity and needs no factorization.
   }
@@ -56,15 +57,52 @@ class RevisedSimplex {
   RevisedSimplex(const Model& model, std::span<const double> lower_override,
                  std::span<const double> upper_override, SimplexOptions options,
                  const Basis& warm)
+      : model_(model), options_(options) {
+    StandardForm form =
+        build_standard_form(model, lower_override, upper_override, warm);
+    if (!form.ok) return;
+    const std::vector<int> basic_cols = std::move(form.basic_cols);
+    adopt(std::move(form));
+    init();
+    if (!lu_.factorize(*form_, basic_cols, options_.pivot_tolerance,
+                       options_.lu_pivot_threshold, basis_)) {
+      return;  // singular: cold fallback
+    }
+    recompute_basic_values();
+    warm_ok_ = true;
+  }
+
+  /// Resumed construction from a parent solve's live state (same model):
+  /// the parent's form, point and factorization with this LP's structural
+  /// bounds applied. Always warm_ok(); nothing is refactorized.
+  RevisedSimplex(const Model& model, std::span<const double> lower_override,
+                 std::span<const double> upper_override, SimplexOptions options,
+                 const LpState& parent)
       : model_(model),
         options_(options),
-        form_(build_standard_form(model, lower_override, upper_override,
-                                  warm)) {
-    if (!form_.ok) return;
+        form_(parent.form),
+        lower_(parent.lower),
+        upper_(parent.upper),
+        state_(parent.state),
+        value_(parent.value),
+        basis_(parent.basis),
+        lu_(parent.lu) {
+    lu_.clear_factor_pivots();
     init();
-    if (!lu_.factorize(form_, form_.basic_cols, options_.pivot_tolerance,
-                       options_.lu_pivot_threshold, form_.basis)) {
-      return;  // singular: cold fallback
+    // Park every nonbasic structural at its (new) bound; a column recorded
+    // AtUpper whose upper bound is now infinite rests at its lower bound,
+    // as in the warm build. Slack and artificial bounds never change.
+    for (int j = 0; j < form_->structural; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      const double lo = lower_override.empty() ? model.variable(j).lower
+                                               : lower_override[jj];
+      util::check(std::isfinite(lo), "simplex requires finite lower bounds");
+      lower_[jj] = lo;
+      upper_[jj] = upper_override.empty() ? model.variable(j).upper
+                                          : upper_override[jj];
+      if (state_[jj] == VarState::Basic) continue;
+      if (!std::isfinite(upper_[jj])) state_[jj] = VarState::AtLower;
+      value_[jj] = state_[jj] == VarState::AtUpper ? upper_[jj] : lower_[jj];
     }
     recompute_basic_values();
     warm_ok_ = true;
@@ -81,31 +119,48 @@ class RevisedSimplex {
   [[nodiscard]] std::int64_t factor_pivots() const noexcept {
     return lu_.factor_pivots();
   }
+  /// Moves the live state out (for a later resume); the engine is spent.
+  [[nodiscard]] LpState release_state() && {
+    return LpState{std::move(form_), std::move(lower_), std::move(upper_),
+                   std::move(state_), std::move(value_), std::move(basis_),
+                   std::move(lu_)};
+  }
 
  private:
   enum class Repair { Done, Infeasible, GiveUp };
+
+  /// Takes a freshly built form: the mutable point moves into the engine,
+  /// the rest becomes the shared immutable part.
+  void adopt(StandardForm form) {
+    lower_ = std::move(form.lower);
+    upper_ = std::move(form.upper);
+    state_ = std::move(form.state);
+    value_ = std::move(form.value);
+    basis_ = std::move(form.basis);
+    form_ = std::make_shared<const StandardForm>(std::move(form));
+  }
 
   void init() {
     iteration_limit_ =
         options_.max_iterations > 0
             ? options_.max_iterations
-            : 200 + 30ll * (form_.rows + form_.cols);
-    y_.assign(static_cast<std::size_t>(form_.rows), 0.0);
-    cb_.assign(static_cast<std::size_t>(form_.rows), 0.0);
-    alpha_.assign(static_cast<std::size_t>(form_.rows), 0.0);
-    work_.assign(static_cast<std::size_t>(form_.rows), 0.0);
-    row_alpha_.assign(static_cast<std::size_t>(form_.cols), 0.0);
-    row_ratio_.assign(static_cast<std::size_t>(form_.cols), 0.0);
+            : 200 + 30ll * (form_->rows + form_->cols);
+    y_.assign(static_cast<std::size_t>(form_->rows), 0.0);
+    cb_.assign(static_cast<std::size_t>(form_->rows), 0.0);
+    alpha_.assign(static_cast<std::size_t>(form_->rows), 0.0);
+    work_.assign(static_cast<std::size_t>(form_->rows), 0.0);
+    row_alpha_.assign(static_cast<std::size_t>(form_->cols), 0.0);
+    row_ratio_.assign(static_cast<std::size_t>(form_->cols), 0.0);
   }
 
   [[nodiscard]] double column_dot(int col,
                                   const std::vector<double>& vec) const {
     double sum = 0.0;
-    for (int p = form_.col_start[static_cast<std::size_t>(col)];
-         p < form_.col_start[static_cast<std::size_t>(col) + 1]; ++p) {
-      sum += form_.values[static_cast<std::size_t>(p)] *
+    for (int p = form_->col_start[static_cast<std::size_t>(col)];
+         p < form_->col_start[static_cast<std::size_t>(col) + 1]; ++p) {
+      sum += form_->values[static_cast<std::size_t>(p)] *
              vec[static_cast<std::size_t>(
-                 form_.row_index[static_cast<std::size_t>(p)])];
+                 form_->row_index[static_cast<std::size_t>(p)])];
     }
     return sum;
   }
@@ -113,9 +168,9 @@ class RevisedSimplex {
   /// y_ := B^{-T} c_B for the given costs (zero shortcut included).
   void compute_duals(const std::vector<double>& costs) {
     bool any_nonzero = false;
-    for (int i = 0; i < form_.rows; ++i) {
+    for (int i = 0; i < form_->rows; ++i) {
       const double cb =
-          costs[static_cast<std::size_t>(form_.basis[static_cast<std::size_t>(i)])];
+          costs[static_cast<std::size_t>(basis_[static_cast<std::size_t>(i)])];
       cb_[static_cast<std::size_t>(i)] = cb;
       any_nonzero = any_nonzero || cb != 0.0;
     }
@@ -130,11 +185,11 @@ class RevisedSimplex {
   /// alpha_ := B^{-1} A(:, col).
   void ftran_column(int col) {
     std::fill(alpha_.begin(), alpha_.end(), 0.0);
-    for (int p = form_.col_start[static_cast<std::size_t>(col)];
-         p < form_.col_start[static_cast<std::size_t>(col) + 1]; ++p) {
+    for (int p = form_->col_start[static_cast<std::size_t>(col)];
+         p < form_->col_start[static_cast<std::size_t>(col) + 1]; ++p) {
       alpha_[static_cast<std::size_t>(
-          form_.row_index[static_cast<std::size_t>(p)])] =
-          form_.values[static_cast<std::size_t>(p)];
+          form_->row_index[static_cast<std::size_t>(p)])] =
+          form_->values[static_cast<std::size_t>(p)];
     }
     lu_.ftran(alpha_);
   }
@@ -143,9 +198,9 @@ class RevisedSimplex {
   /// values from scratch (clearing accumulated drift). False when the
   /// basis has become numerically singular.
   [[nodiscard]] bool refactorize() {
-    basic_cols_scratch_.assign(form_.basis.begin(), form_.basis.end());
-    if (!lu_.factorize(form_, basic_cols_scratch_, options_.pivot_tolerance,
-                       options_.lu_pivot_threshold, form_.basis)) {
+    basic_cols_scratch_.assign(basis_.begin(), basis_.end());
+    if (!lu_.factorize(*form_, basic_cols_scratch_, options_.pivot_tolerance,
+                       options_.lu_pivot_threshold, basis_)) {
       return false;
     }
     recompute_basic_values();
@@ -154,29 +209,29 @@ class RevisedSimplex {
 
   void recompute_basic_values() {
     // xB = B^{-1} (b - sum over nonbasic j with nonzero value of A(:,j) x_j).
-    std::copy(form_.rhs.begin(), form_.rhs.end(), work_.begin());
-    for (int j = 0; j < form_.cols; ++j) {
-      if (form_.state[static_cast<std::size_t>(j)] == VarState::Basic) continue;
-      const double v = form_.value[static_cast<std::size_t>(j)];
+    std::copy(form_->rhs.begin(), form_->rhs.end(), work_.begin());
+    for (int j = 0; j < form_->cols; ++j) {
+      if (state_[static_cast<std::size_t>(j)] == VarState::Basic) continue;
+      const double v = value_[static_cast<std::size_t>(j)];
       if (v == 0.0) continue;
-      for (int p = form_.col_start[static_cast<std::size_t>(j)];
-           p < form_.col_start[static_cast<std::size_t>(j) + 1]; ++p) {
+      for (int p = form_->col_start[static_cast<std::size_t>(j)];
+           p < form_->col_start[static_cast<std::size_t>(j) + 1]; ++p) {
         work_[static_cast<std::size_t>(
-            form_.row_index[static_cast<std::size_t>(p)])] -=
-            form_.values[static_cast<std::size_t>(p)] * v;
+            form_->row_index[static_cast<std::size_t>(p)])] -=
+            form_->values[static_cast<std::size_t>(p)] * v;
       }
     }
     lu_.ftran(work_);
-    for (int i = 0; i < form_.rows; ++i) {
-      form_.value[static_cast<std::size_t>(
-          form_.basis[static_cast<std::size_t>(i)])] =
+    for (int i = 0; i < form_->rows; ++i) {
+      value_[static_cast<std::size_t>(
+          basis_[static_cast<std::size_t>(i)])] =
           work_[static_cast<std::size_t>(i)];
     }
   }
 
   [[nodiscard]] std::vector<double> phase2_costs() const {
-    std::vector<double> costs(static_cast<std::size_t>(form_.cols), 0.0);
-    for (int j = 0; j < form_.structural; ++j) {
+    std::vector<double> costs(static_cast<std::size_t>(form_->cols), 0.0);
+    for (int j = 0; j < form_->structural; ++j) {
       costs[static_cast<std::size_t>(j)] = model_.variable(j).objective;
     }
     return costs;
@@ -188,25 +243,25 @@ class RevisedSimplex {
   /// the update pivot is unusable). False on numerical failure.
   [[nodiscard]] bool change_basis(int leave_row, int enter, double enter_dir,
                                   double step, bool leave_to_upper) {
-    for (int i = 0; i < form_.rows; ++i) {
+    for (int i = 0; i < form_->rows; ++i) {
       if (i == leave_row) continue;
       const double a = alpha_[static_cast<std::size_t>(i)];
       if (a == 0.0) continue;
-      const int bvar = form_.basis[static_cast<std::size_t>(i)];
-      form_.value[static_cast<std::size_t>(bvar)] -= enter_dir * step * a;
+      const int bvar = basis_[static_cast<std::size_t>(i)];
+      value_[static_cast<std::size_t>(bvar)] -= enter_dir * step * a;
     }
-    const int leaving = form_.basis[static_cast<std::size_t>(leave_row)];
-    form_.state[static_cast<std::size_t>(leaving)] =
+    const int leaving = basis_[static_cast<std::size_t>(leave_row)];
+    state_[static_cast<std::size_t>(leaving)] =
         leave_to_upper ? VarState::AtUpper : VarState::AtLower;
-    form_.value[static_cast<std::size_t>(leaving)] =
-        leave_to_upper ? form_.upper[static_cast<std::size_t>(leaving)]
-                       : form_.lower[static_cast<std::size_t>(leaving)];
+    value_[static_cast<std::size_t>(leaving)] =
+        leave_to_upper ? upper_[static_cast<std::size_t>(leaving)]
+                       : lower_[static_cast<std::size_t>(leaving)];
 
     const double enter_value =
-        form_.value[static_cast<std::size_t>(enter)] + enter_dir * step;
-    form_.basis[static_cast<std::size_t>(leave_row)] = enter;
-    form_.state[static_cast<std::size_t>(enter)] = VarState::Basic;
-    form_.value[static_cast<std::size_t>(enter)] = enter_value;
+        value_[static_cast<std::size_t>(enter)] + enter_dir * step;
+    basis_[static_cast<std::size_t>(leave_row)] = enter;
+    state_[static_cast<std::size_t>(enter)] = VarState::Basic;
+    value_[static_cast<std::size_t>(enter)] = enter_value;
     if (!lu_.update(alpha_, leave_row, options_.pivot_tolerance)) {
       return refactorize();
     }
@@ -216,21 +271,21 @@ class RevisedSimplex {
   /// Flips the entering variable to its opposite bound without a basis
   /// change, shifting the basic values along alpha_.
   void bound_flip(int enter, double enter_dir, double step) {
-    for (int i = 0; i < form_.rows; ++i) {
+    for (int i = 0; i < form_->rows; ++i) {
       const double a = alpha_[static_cast<std::size_t>(i)];
       if (a == 0.0) continue;
-      const int bvar = form_.basis[static_cast<std::size_t>(i)];
-      form_.value[static_cast<std::size_t>(bvar)] -= enter_dir * step * a;
+      const int bvar = basis_[static_cast<std::size_t>(i)];
+      value_[static_cast<std::size_t>(bvar)] -= enter_dir * step * a;
     }
-    auto& state = form_.state[static_cast<std::size_t>(enter)];
+    auto& state = state_[static_cast<std::size_t>(enter)];
     if (enter_dir > 0.0) {
       state = VarState::AtUpper;
-      form_.value[static_cast<std::size_t>(enter)] =
-          form_.upper[static_cast<std::size_t>(enter)];
+      value_[static_cast<std::size_t>(enter)] =
+          upper_[static_cast<std::size_t>(enter)];
     } else {
       state = VarState::AtLower;
-      form_.value[static_cast<std::size_t>(enter)] =
-          form_.lower[static_cast<std::size_t>(enter)];
+      value_[static_cast<std::size_t>(enter)] =
+          lower_[static_cast<std::size_t>(enter)];
     }
   }
 
@@ -240,7 +295,12 @@ class RevisedSimplex {
 
   const Model& model_;
   SimplexOptions options_;
-  StandardForm form_;
+  std::shared_ptr<const StandardForm> form_;  ///< immutable part (shared)
+  std::vector<double> lower_;    // per column
+  std::vector<double> upper_;    // per column
+  std::vector<VarState> state_;  // per column
+  std::vector<double> value_;    // per column
+  std::vector<int> basis_;       // basic column per row
   BasisLu lu_;
 
   std::vector<double> y_;          // duals scratch (rows)
@@ -271,11 +331,11 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
     int enter = -1;
     double enter_dir = 0.0;
     double best_score = options_.tolerance;
-    for (int j = 0; j < form_.cols; ++j) {
-      const auto sj = form_.state[static_cast<std::size_t>(j)];
+    for (int j = 0; j < form_->cols; ++j) {
+      const auto sj = state_[static_cast<std::size_t>(j)];
       if (sj == VarState::Basic) continue;
-      const double lo = form_.lower[static_cast<std::size_t>(j)];
-      const double hi = form_.upper[static_cast<std::size_t>(j)];
+      const double lo = lower_[static_cast<std::size_t>(j)];
+      const double hi = upper_[static_cast<std::size_t>(j)];
       if (lo == hi) continue;  // fixed (includes retired artificials)
       const double d = costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
       double dir = 0.0;
@@ -302,7 +362,7 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
     // --- Ratio test on the FTRANed column: how far can it move? ---
     ftran_column(enter);
     double alpha_scale = 0.0;
-    for (int i = 0; i < form_.rows; ++i) {
+    for (int i = 0; i < form_->rows; ++i) {
       alpha_scale =
           std::max(alpha_scale, std::abs(alpha_[static_cast<std::size_t>(i)]));
     }
@@ -312,21 +372,21 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
     // entirely (eligible == 0 with a <= comparison).
     const double eligible = options_.pivot_tolerance * alpha_scale;
 
-    double t_best = form_.upper[static_cast<std::size_t>(enter)] -
-                    form_.lower[static_cast<std::size_t>(enter)];
+    double t_best = upper_[static_cast<std::size_t>(enter)] -
+                    lower_[static_cast<std::size_t>(enter)];
     int leave_row = -1;
     bool leave_to_upper = false;
-    for (int i = 0; i < form_.rows; ++i) {
+    for (int i = 0; i < form_->rows; ++i) {
       const double alpha = enter_dir * alpha_[static_cast<std::size_t>(i)];
       if (std::abs(alpha) <= eligible) continue;
-      const int bvar = form_.basis[static_cast<std::size_t>(i)];
-      const double xv = form_.value[static_cast<std::size_t>(bvar)];
+      const int bvar = basis_[static_cast<std::size_t>(i)];
+      const double xv = value_[static_cast<std::size_t>(bvar)];
       double t = kInfinity;
       bool to_upper = false;
       if (alpha > 0.0) {  // basic variable decreases toward its lower bound
-        t = (xv - form_.lower[static_cast<std::size_t>(bvar)]) / alpha;
+        t = (xv - lower_[static_cast<std::size_t>(bvar)]) / alpha;
       } else {  // basic variable increases toward its upper bound
-        const double hi = form_.upper[static_cast<std::size_t>(bvar)];
+        const double hi = upper_[static_cast<std::size_t>(bvar)];
         if (!std::isfinite(hi)) continue;
         t = (hi - xv) / (-alpha);
         to_upper = true;
@@ -340,7 +400,7 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
           std::isfinite(t_best) ? kRatioTie * (1.0 + std::abs(t_best)) : 0.0;
       if (t < t_best - tie ||
           (bland && leave_row >= 0 && t <= t_best + tie &&
-           bvar < form_.basis[static_cast<std::size_t>(leave_row)])) {
+           bvar < basis_[static_cast<std::size_t>(leave_row)])) {
         t_best = t;
         leave_row = i;
         leave_to_upper = to_upper;
@@ -367,7 +427,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
   // repair rivals a cold solve's cost (or cycles on degeneracy) it is
   // cheaper to give up early and fall back than to grind to the full limit.
   const std::int64_t repair_limit =
-      std::min(iteration_limit_, iterations_ + form_.rows + 100);
+      std::min(iteration_limit_, iterations_ + form_->rows + 100);
   while (true) {
     if (++iterations_ > repair_limit) return Repair::GiveUp;
     if (lu_.should_refactorize(options_.refactor_interval) && !refactorize()) {
@@ -382,11 +442,11 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     int leave_row = -1;
     double best_viol = options_.tolerance;
     double sigma = 0.0;
-    for (int i = 0; i < form_.rows; ++i) {
-      const int bvar = form_.basis[static_cast<std::size_t>(i)];
-      const double v = form_.value[static_cast<std::size_t>(bvar)];
-      const double above = v - form_.upper[static_cast<std::size_t>(bvar)];
-      const double below = form_.lower[static_cast<std::size_t>(bvar)] - v;
+    for (int i = 0; i < form_->rows; ++i) {
+      const int bvar = basis_[static_cast<std::size_t>(i)];
+      const double v = value_[static_cast<std::size_t>(bvar)];
+      const double above = v - upper_[static_cast<std::size_t>(bvar)];
+      const double below = lower_[static_cast<std::size_t>(bvar)] - v;
       const double tie = kDualPickTie * (1.0 + best_viol);
       if (above > best_viol + tie) {
         best_viol = above;
@@ -408,8 +468,8 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     work_[static_cast<std::size_t>(leave_row)] = 1.0;
     lu_.btran(work_);
     double row_scale = 0.0;
-    for (int j = 0; j < form_.cols; ++j) {
-      if (form_.state[static_cast<std::size_t>(j)] == VarState::Basic) {
+    for (int j = 0; j < form_->cols; ++j) {
+      if (state_[static_cast<std::size_t>(j)] == VarState::Basic) {
         continue;
       }
       const double alpha = column_dot(j, work_);
@@ -427,12 +487,12 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     // microscopic pivots). Ties in the |alpha| pick break to the smallest
     // column index (deterministic).
     bool any_candidate = false;
-    for (int j = 0; j < form_.cols; ++j) {
+    for (int j = 0; j < form_->cols; ++j) {
       row_ratio_[static_cast<std::size_t>(j)] = kInfinity;
-      const auto sj = form_.state[static_cast<std::size_t>(j)];
+      const auto sj = state_[static_cast<std::size_t>(j)];
       if (sj == VarState::Basic) continue;
-      if (form_.lower[static_cast<std::size_t>(j)] ==
-          form_.upper[static_cast<std::size_t>(j)]) {
+      if (lower_[static_cast<std::size_t>(j)] ==
+          upper_[static_cast<std::size_t>(j)]) {
         continue;  // fixed (artificials)
       }
       const double alpha = row_alpha_[static_cast<std::size_t>(j)];
@@ -465,7 +525,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     double remaining = best_viol;
     while (true) {
       double cur_best = kInfinity;
-      for (int j = 0; j < form_.cols; ++j) {
+      for (int j = 0; j < form_->cols; ++j) {
         cur_best = std::min(cur_best, row_ratio_[static_cast<std::size_t>(j)]);
       }
       if (cur_best == kInfinity) return Repair::Infeasible;
@@ -473,14 +533,14 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       int enter = -1;
       double enter_dir = 0.0;
       double enter_alpha = 0.0;
-      for (int j = 0; j < form_.cols; ++j) {
+      for (int j = 0; j < form_->cols; ++j) {
         if (row_ratio_[static_cast<std::size_t>(j)] > ratio_window) continue;
         const double a = std::abs(row_alpha_[static_cast<std::size_t>(j)]);
         if (a > enter_alpha * (1.0 + kDualPickTie)) {
           enter_alpha = a;
           enter = j;
           enter_dir =
-              form_.state[static_cast<std::size_t>(j)] == VarState::AtLower
+              state_[static_cast<std::size_t>(j)] == VarState::AtLower
                   ? 1.0
                   : -1.0;
         }
@@ -497,8 +557,8 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
         continue;
       }
       const double step = remaining / gain;  // > 0
-      const double range = form_.upper[static_cast<std::size_t>(enter)] -
-                           form_.lower[static_cast<std::size_t>(enter)];
+      const double range = upper_[static_cast<std::size_t>(enter)] -
+                           lower_[static_cast<std::size_t>(enter)];
       if (step <= range) {
         // --- Basis change: the violating variable leaves exactly at the
         // bound it violated; the entering variable absorbs the step.
@@ -535,22 +595,22 @@ void RevisedSimplex::finish(Solution& result,
   // reduced cost is -y_i; undo the row flips to express the dual against
   // the model's orientation. (Equivalently: duals[i] = dual_sign_i * y_i.)
   compute_duals(costs);
-  result.duals.resize(static_cast<std::size_t>(form_.rows));
-  for (int i = 0; i < form_.rows; ++i) {
-    const int anchor = form_.dual_col[static_cast<std::size_t>(i)];
+  result.duals.resize(static_cast<std::size_t>(form_->rows));
+  for (int i = 0; i < form_->rows; ++i) {
+    const int anchor = form_->dual_col[static_cast<std::size_t>(i)];
     const double d = costs[static_cast<std::size_t>(anchor)] -
                      column_dot(anchor, y_);
     result.duals[static_cast<std::size_t>(i)] =
-        form_.dual_sign[static_cast<std::size_t>(i)] * -d;
+        form_->dual_sign[static_cast<std::size_t>(i)] * -d;
   }
 
-  result.values.resize(static_cast<std::size_t>(form_.structural));
-  for (int j = 0; j < form_.structural; ++j) {
-    double v = form_.value[static_cast<std::size_t>(j)];
+  result.values.resize(static_cast<std::size_t>(form_->structural));
+  for (int j = 0; j < form_->structural; ++j) {
+    double v = value_[static_cast<std::size_t>(j)];
     // Clean tiny drift against the (possibly overridden) bounds.
-    v = std::max(v, form_.lower[static_cast<std::size_t>(j)]);
-    if (std::isfinite(form_.upper[static_cast<std::size_t>(j)])) {
-      v = std::min(v, form_.upper[static_cast<std::size_t>(j)]);
+    v = std::max(v, lower_[static_cast<std::size_t>(j)]);
+    if (std::isfinite(upper_[static_cast<std::size_t>(j)])) {
+      v = std::min(v, upper_[static_cast<std::size_t>(j)]);
     }
     result.values[static_cast<std::size_t>(j)] = v;
   }
@@ -561,15 +621,15 @@ Solution RevisedSimplex::solve() {
   Solution result;
 
   // ---- Phase I: minimize the sum of artificial variables. ----
-  std::vector<double> phase1(static_cast<std::size_t>(form_.cols), 0.0);
-  for (int j = form_.artificial_begin; j < form_.cols; ++j) {
+  std::vector<double> phase1(static_cast<std::size_t>(form_->cols), 0.0);
+  for (int j = form_->artificial_begin; j < form_->cols; ++j) {
     phase1[static_cast<std::size_t>(j)] = 1.0;
   }
 
   bool need_phase1 = false;
-  for (int i = 0; i < form_.rows; ++i) {
-    if (form_.value[static_cast<std::size_t>(
-            form_.basis[static_cast<std::size_t>(i)])] > options_.tolerance) {
+  for (int i = 0; i < form_->rows; ++i) {
+    if (value_[static_cast<std::size_t>(
+            basis_[static_cast<std::size_t>(i)])] > options_.tolerance) {
       need_phase1 = true;
       break;
     }
@@ -587,10 +647,10 @@ Solution RevisedSimplex::solve() {
     }
     recompute_basic_values();
     double infeasibility = 0.0;
-    for (int j = form_.artificial_begin; j < form_.cols; ++j) {
-      if (form_.state[static_cast<std::size_t>(j)] == VarState::Basic ||
-          form_.value[static_cast<std::size_t>(j)] != 0.0) {
-        infeasibility += form_.value[static_cast<std::size_t>(j)];
+    for (int j = form_->artificial_begin; j < form_->cols; ++j) {
+      if (state_[static_cast<std::size_t>(j)] == VarState::Basic ||
+          value_[static_cast<std::size_t>(j)] != 0.0) {
+        infeasibility += value_[static_cast<std::size_t>(j)];
       }
     }
     // Scale-relative verdict (with the tolerance itself as the absolute
@@ -598,7 +658,7 @@ Solution RevisedSimplex::solve() {
     // spurious Infeasible results once |b| is large, and matches the
     // historical 1e-6 cutoff for O(1)-scaled problems.
     if (infeasibility >
-        10.0 * options_.tolerance * (1.0 + form_.rhs_scale)) {
+        10.0 * options_.tolerance * (1.0 + form_->rhs_scale)) {
       result.status = SolveStatus::Infeasible;
       result.simplex_iterations = iterations_;
       result.factor_pivots = lu_.factor_pivots();
@@ -608,12 +668,12 @@ Solution RevisedSimplex::solve() {
 
   // Retire artificials: they may remain basic at value zero (degenerate /
   // redundant rows) but are fixed so they can never re-enter or move.
-  for (int j = form_.artificial_begin; j < form_.cols; ++j) {
-    form_.lower[static_cast<std::size_t>(j)] = 0.0;
-    form_.upper[static_cast<std::size_t>(j)] = 0.0;
-    if (form_.state[static_cast<std::size_t>(j)] != VarState::Basic) {
-      form_.value[static_cast<std::size_t>(j)] = 0.0;
-      form_.state[static_cast<std::size_t>(j)] = VarState::AtLower;
+  for (int j = form_->artificial_begin; j < form_->cols; ++j) {
+    lower_[static_cast<std::size_t>(j)] = 0.0;
+    upper_[static_cast<std::size_t>(j)] = 0.0;
+    if (state_[static_cast<std::size_t>(j)] != VarState::Basic) {
+      value_[static_cast<std::size_t>(j)] = 0.0;
+      state_[static_cast<std::size_t>(j)] = VarState::AtLower;
     }
   }
 
@@ -641,13 +701,13 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
 
   // Primal feasibility of the refactorized basis under the current bounds.
   double primal_viol = 0.0;
-  for (int i = 0; i < form_.rows; ++i) {
-    const int bvar = form_.basis[static_cast<std::size_t>(i)];
-    const double v = form_.value[static_cast<std::size_t>(bvar)];
+  for (int i = 0; i < form_->rows; ++i) {
+    const int bvar = basis_[static_cast<std::size_t>(i)];
+    const double v = value_[static_cast<std::size_t>(bvar)];
     primal_viol =
-        std::max(primal_viol, v - form_.upper[static_cast<std::size_t>(bvar)]);
+        std::max(primal_viol, v - upper_[static_cast<std::size_t>(bvar)]);
     primal_viol =
-        std::max(primal_viol, form_.lower[static_cast<std::size_t>(bvar)] - v);
+        std::max(primal_viol, lower_[static_cast<std::size_t>(bvar)] - v);
   }
 
   if (primal_viol > options_.tolerance) {
@@ -661,35 +721,35 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
     // start goes back to the cold path.
     compute_duals(costs);
     bool flipped = false;
-    for (int j = 0; j < form_.cols; ++j) {
-      const auto sj = form_.state[static_cast<std::size_t>(j)];
+    for (int j = 0; j < form_->cols; ++j) {
+      const auto sj = state_[static_cast<std::size_t>(j)];
       if (sj == VarState::Basic) continue;
-      if (form_.lower[static_cast<std::size_t>(j)] ==
-          form_.upper[static_cast<std::size_t>(j)]) {
+      if (lower_[static_cast<std::size_t>(j)] ==
+          upper_[static_cast<std::size_t>(j)]) {
         continue;
       }
       const double d = costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
       if (sj == VarState::AtLower && d < -options_.tolerance) {
-        if (!std::isfinite(form_.upper[static_cast<std::size_t>(j)])) {
+        if (!std::isfinite(upper_[static_cast<std::size_t>(j)])) {
 #ifdef BIRP_LP_TRACE
           std::fprintf(stderr, "warmfail dual-infeasible d=%.3g\n", d);
 #endif
           return std::nullopt;
         }
-        form_.state[static_cast<std::size_t>(j)] = VarState::AtUpper;
-        form_.value[static_cast<std::size_t>(j)] =
-            form_.upper[static_cast<std::size_t>(j)];
+        state_[static_cast<std::size_t>(j)] = VarState::AtUpper;
+        value_[static_cast<std::size_t>(j)] =
+            upper_[static_cast<std::size_t>(j)];
         flipped = true;
       } else if (sj == VarState::AtUpper && d > options_.tolerance) {
-        if (!std::isfinite(form_.lower[static_cast<std::size_t>(j)])) {
+        if (!std::isfinite(lower_[static_cast<std::size_t>(j)])) {
 #ifdef BIRP_LP_TRACE
           std::fprintf(stderr, "warmfail dual-infeasible d=%.3g\n", d);
 #endif
           return std::nullopt;
         }
-        form_.state[static_cast<std::size_t>(j)] = VarState::AtLower;
-        form_.value[static_cast<std::size_t>(j)] =
-            form_.lower[static_cast<std::size_t>(j)];
+        state_[static_cast<std::size_t>(j)] = VarState::AtLower;
+        value_[static_cast<std::size_t>(j)] =
+            lower_[static_cast<std::size_t>(j)];
         flipped = true;
       }
     }
@@ -740,20 +800,20 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
 
 Basis RevisedSimplex::extract_basis() const {
   Basis basis;
-  basis.structural.assign(static_cast<std::size_t>(form_.structural),
+  basis.structural.assign(static_cast<std::size_t>(form_->structural),
                           VarState::AtLower);
-  for (int j = 0; j < form_.structural; ++j) {
+  for (int j = 0; j < form_->structural; ++j) {
     basis.structural[static_cast<std::size_t>(j)] =
-        form_.state[static_cast<std::size_t>(j)];
+        state_[static_cast<std::size_t>(j)];
   }
-  basis.basic.assign(static_cast<std::size_t>(form_.rows), -1);
-  for (int i = 0; i < form_.rows; ++i) {
-    const int col = form_.basis[static_cast<std::size_t>(i)];
-    if (col < form_.structural) {
+  basis.basic.assign(static_cast<std::size_t>(form_->rows), -1);
+  for (int i = 0; i < form_->rows; ++i) {
+    const int col = basis_[static_cast<std::size_t>(i)];
+    if (col < form_->structural) {
       basis.basic[static_cast<std::size_t>(i)] = col;
-    } else if (col < form_.artificial_begin) {
+    } else if (col < form_->artificial_begin) {
       basis.basic[static_cast<std::size_t>(i)] =
-          form_.structural + form_.slack_row[static_cast<std::size_t>(col)];
+          form_->structural + form_->slack_row[static_cast<std::size_t>(col)];
     }
     // Artificial columns stay encoded as -1.
   }
@@ -762,14 +822,6 @@ Basis RevisedSimplex::extract_basis() const {
 
 }  // namespace
 
-Solution solve_lp_revised(const Model& model, std::span<const double> lower,
-                          std::span<const double> upper,
-                          const SimplexOptions& options,
-                          const Basis* warm_start, bool emit_basis) {
-  return solve_lp_with<RevisedSimplex>(model, lower, upper, options,
-                                       warm_start, emit_basis);
-}
-
 Solution solve_lp(const Model& model, const SimplexOptions& options) {
   return solve_lp(model, {}, {}, options);
 }
@@ -777,6 +829,14 @@ Solution solve_lp(const Model& model, const SimplexOptions& options) {
 Solution solve_lp(const Model& model, std::span<const double> lower,
                   std::span<const double> upper, const SimplexOptions& options,
                   const Basis* warm_start, bool emit_basis) {
+  return solve_lp_live(model, lower, upper, options, warm_start, emit_basis,
+                       nullptr, nullptr);
+}
+
+Solution solve_lp_live(const Model& model, std::span<const double> lower,
+                       std::span<const double> upper,
+                       const SimplexOptions& options, const Basis* warm_start,
+                       bool emit_basis, const LpState* resume, LpState* keep) {
   util::check(lower.empty() ||
                   lower.size() == static_cast<std::size_t>(model.num_variables()),
               "solve_lp: lower override size mismatch");
@@ -786,7 +846,8 @@ Solution solve_lp(const Model& model, std::span<const double> lower,
   if (options.algorithm == SimplexAlgorithm::DenseTableau) {
     return solve_lp_dense(model, lower, upper, options, warm_start, emit_basis);
   }
-  return solve_lp_revised(model, lower, upper, options, warm_start, emit_basis);
+  return solve_lp_with<RevisedSimplex>(model, lower, upper, options,
+                                       warm_start, emit_basis, resume, keep);
 }
 
 }  // namespace birp::solver

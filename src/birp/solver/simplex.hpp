@@ -36,15 +36,21 @@
 // branch without rebuilding the model.
 //
 // Warm starts: solve_lp can resume from a Basis snapshot of a previous
-// optimal solve of the same model shape (B&B parent node, previous slot).
-// The basis is refactorized against the current bounds; primal
-// infeasibilities introduced by tightened bounds are repaired with a
+// optimal solve of the same model shape (previous slot, or a B&B parent on
+// the dense engine). The basis is refactorized against the current bounds;
+// primal infeasibilities introduced by tightened bounds are repaired with a
 // bounded-variable dual simplex before Phase II polishes — Phase I never
 // runs on the warm path. A singular or unrepairable basis falls back to the
 // cold two-phase path, so warm starts are a pure optimization: statuses and
 // objectives match the cold solver. The Basis encoding and the
 // warm-attempt accounting are engine-independent (lp_engine.hpp), so a
 // basis emitted by one engine warm-starts the other.
+//
+// Branch-and-bound children on the sparse engine go one step further: they
+// resume their parent's live engine state (shared standard form, point and
+// LU with its eta updates; lp_engine.hpp) and skip both the form rebuild
+// and the refactorization, falling back to the cold path if the resumed
+// repair gives up.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,8 @@
 // Warm-start and branch-and-bound coverage: warm-vs-cold result identity on
 // randomized LPs and slot-problem sequences, singular-basis fallback,
-// incumbent pruning, and the reported-gap bracket.
+// incumbent pruning, the reported-gap bracket, and children resuming their
+// parent's live LP state (no refactorization, fallback accounting, the
+// retained-state cap).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include "birp/core/problem.hpp"
 #include "birp/device/cluster.hpp"
 #include "birp/solver/branch_and_bound.hpp"
+#include "birp/solver/lp_engine.hpp"
 #include "birp/solver/model.hpp"
 #include "birp/solver/simplex.hpp"
 #include "birp/util/grid.hpp"
@@ -529,6 +532,136 @@ TEST(WarmAccounting, WarmAndColdPartitionNodeSolves) {
   EXPECT_GT(warm.warm_lp_solves, 0);
   EXPECT_EQ(warm.warm_lp_solves + warm.cold_lp_solves,
             cold.warm_lp_solves + cold.cold_lp_solves);
+}
+
+
+// ------------------------------------------------- live-state resume ----
+
+TEST(LiveState, ChildrenResumeWithoutRefactorizing) {
+  // max 3x + 2y s.t. 2x + y <= 2.5, x binary, y in [0, 1]. The root LP puts
+  // y at 1 and x at 0.75, so it branches once; both children are integral
+  // (x = 0: -2, x = 1: -4) and the tree is exactly root + two children.
+  Model model;
+  const int x = model.add_binary("x");
+  const int y = model.add_continuous("y", 0.0, 1.0);
+  model.set_objective(x, -3.0);
+  model.set_objective(y, -2.0);
+  model.add_constraint({{x, 2.0}, {y, 1.0}}, Relation::LessEqual, 2.5);
+
+  const Solution root = solve_lp(model);
+  ASSERT_EQ(root.status, SolveStatus::Optimal);
+  ASSERT_NEAR(root.values[0], 0.75, kTol);
+
+  const Solution sol = solve_milp(model);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_NEAR(sol.objective, -4.0, kTol);
+  EXPECT_EQ(sol.nodes_explored, 3);
+  EXPECT_EQ(sol.cold_lp_solves, 1);
+  EXPECT_EQ(sol.warm_lp_solves, 2);
+  // The children repair the parent's live factorization in place: the only
+  // eliminations in the whole search are the root's own.
+  EXPECT_EQ(sol.factor_pivots, root.factor_pivots);
+}
+
+class LiveStateRandomMilp : public ::testing::TestWithParam<int> {};
+
+TEST_P(LiveStateRandomMilp, MatchesColdSearch) {
+  const Model model = random_milp(static_cast<std::uint64_t>(GetParam()));
+  BranchAndBoundOptions cold_options;
+  cold_options.warm_start = false;
+  const Solution cold = solve_milp(model, cold_options);
+  const Solution warm = solve_milp(model);
+  ASSERT_EQ(warm.status, cold.status);
+  if (cold.usable()) {
+    EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LiveStateRandomMilp, ::testing::Range(1, 21));
+
+TEST(LiveState, InfeasibleChildReturnsThroughResume) {
+  Model model;
+  const int x = model.add_continuous("x", 0.0, 10.0);
+  const int y = model.add_continuous("y", 0.0, 10.0);
+  model.set_objective(x, 1.0);
+  model.set_objective(y, 2.0);
+  model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 8.0);
+  LpState parent;
+  const Solution root =
+      solve_lp_live(model, {}, {}, {}, nullptr, false, nullptr, &parent);
+  ASSERT_EQ(root.status, SolveStatus::Optimal);
+  ASSERT_NE(parent.form, nullptr);
+
+  // Child bounds leave at most 3 + 4 = 7 < 8 of mass. With no Basis to fall
+  // back on, warm_started can only come from the resumed state, and zero
+  // eliminations show nothing was refactorized.
+  const std::vector<double> lower{0.0, 0.0};
+  const std::vector<double> upper{3.0, 4.0};
+  LpState child;
+  const Solution sol =
+      solve_lp_live(model, lower, upper, {}, nullptr, false, &parent, &child);
+  EXPECT_EQ(sol.status, SolveStatus::Infeasible);
+  EXPECT_TRUE(sol.warm_started);
+  EXPECT_EQ(sol.factor_pivots, 0);
+  EXPECT_EQ(child.form, nullptr);  // only optimal solves hand out state
+}
+
+TEST(LiveState, GivenUpResumeFallsBackToColdAndChargesOnce) {
+  const Model model = random_lp(11);
+  const auto n = static_cast<std::size_t>(model.num_variables());
+  LpState parent;
+  const Solution root =
+      solve_lp_live(model, {}, {}, {}, nullptr, true, nullptr, &parent);
+  ASSERT_EQ(root.status, SolveStatus::Optimal);
+
+  // Pin the largest flow to zero, so its row must be repaired, and allow one
+  // pivot: the resumed attempt gives up on its second iteration, having
+  // spent exactly 2 and no eliminations.
+  std::vector<double> lower(n, 0.0);
+  std::vector<double> upper(n);
+  std::size_t fat = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    upper[j] = model.variable(static_cast<int>(j)).upper;
+    if (root.values[j] > root.values[fat]) fat = j;
+  }
+  upper[fat] = 0.0;
+  SimplexOptions options;
+  options.max_iterations = 1;
+
+  const Solution cold = solve_lp(model, lower, upper, options);
+  const Solution basis_cold =
+      solve_lp(model, lower, upper, options, &root.basis, false);
+  ASSERT_GT(basis_cold.factor_pivots, cold.factor_pivots);  // rebuild ran
+  const Solution sol = solve_lp_live(model, lower, upper, options,
+                                     &root.basis, false, &parent, nullptr);
+  EXPECT_FALSE(sol.warm_started);
+  EXPECT_EQ(sol.status, cold.status);
+  // Straight to cold (no Basis rebuild), the resumed work charged once.
+  EXPECT_EQ(sol.simplex_iterations, cold.simplex_iterations + 2);
+  EXPECT_EQ(sol.factor_pivots, cold.factor_pivots);
+}
+
+TEST(LiveState, DeepSearchHoldsAtMostTheCap) {
+  // sum 2 x_j = 21 over binaries has LP solutions at every node but no
+  // integral one, and random costs keep the best-first frontier wide, so
+  // the search runs its whole node budget.
+  util::Xoshiro256StarStar rng(5);
+  Model model;
+  std::vector<Term> terms;
+  for (int j = 0; j < 24; ++j) {
+    const int v = model.add_binary("x" + std::to_string(j));
+    model.set_objective(v, rng.uniform(1.0, 10.0));
+    terms.push_back({v, 2.0});
+  }
+  model.add_constraint(terms, Relation::Equal, 21.0);
+
+  BranchAndBoundOptions options;
+  options.max_nodes = 20000;
+  int peak = 0;
+  const Solution sol = BranchAndBoundTestPeer::solve_milp(model, options, peak);
+  EXPECT_EQ(sol.status, SolveStatus::IterationLimit);
+  EXPECT_EQ(sol.nodes_explored, options.max_nodes);
+  EXPECT_EQ(peak, BranchAndBoundTestPeer::live_state_cap());
 }
 
 }  // namespace
