@@ -4,8 +4,7 @@
 // sequence through CellScheduler::decide at 1 / 4 / 16 cells under ONE shared
 // per-LP pivot budget. The budget is sized so every arm solves its MILPs to
 // completion (the sparse revised-simplex engine makes that feasible even for
-// the monolithic tableau; under the old dense engine the monolithic arm could
-// only burn the budget and fall back to greedy). What remains is the
+// the monolithic LP). What remains is the
 // superlinear-simplex gap measured directly in wall time: one cluster-sized
 // LP costs far more than 16 cell-sized ones even run serially. That gap, not
 // thread parallelism, is the headline: the speedup holds even on one core,

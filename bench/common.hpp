@@ -75,7 +75,7 @@ inline metrics::RunMetrics run_algorithm(const Scenario& scenario,
 
 /// Bit-for-bit equality of two slot decisions: served/kernel/drops grids,
 /// the padding flag, and the flow list in order. The determinism gates
-/// (thread counts, LP engines) compare whole decision streams with it.
+/// (thread counts) compare whole decision streams with it.
 inline bool decisions_equal(const sim::SlotDecision& a,
                             const sim::SlotDecision& b) {
   if (a.served.raw() != b.served.raw()) return false;

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#ifdef BIRP_LP_TRACE
-#include <cstdio>
-#endif
 #include <limits>
 #include <memory>
 #include <queue>
@@ -32,7 +29,7 @@ struct Node {
                                       ///< by both children; may be null)
   /// Parent LP's live state, shared by both children and released when the
   /// node is popped, so it dies once both children have been. Null past
-  /// kMaxLiveStates or on the dense engine; the child then uses `warm`.
+  /// kMaxLiveStates; the child then uses `warm`.
   std::shared_ptr<const LpState> live;
   int branch_var = -1;                ///< -1 only at the root
   double bound_value = 0.0;           ///< new bound for branch_var
@@ -45,14 +42,10 @@ struct Node {
 
 using NodePtr = std::shared_ptr<Node>;
 
-/// Snaps a subtree bound to a coarse grid for frontier ordering. Under
-/// degeneracy sibling subtrees carry mathematically equal bounds that the
-/// two LP engines (or different platforms) compute with sub-1e-12 noise;
-/// ordering on the raw doubles would let that noise reorder the frontier
-/// and send the search down different trees. The grid (1e-8 absolute) is
-/// far above arithmetic noise and far below any meaningful bound gap, and
-/// quantizing once keeps the comparator an exact — hence strict-weak —
-/// ordering.
+/// Snaps a subtree bound to a 1e-8 absolute grid for frontier ordering, so
+/// bounds that differ only by arithmetic noise compare equal and fall
+/// through to the depth and push-order tiebreaks. Quantizing once keeps the
+/// comparator an exact — hence strict-weak — ordering.
 double quantize_bound(double bound) {
   return std::isfinite(bound) ? std::nearbyint(bound * 1e8) / 1e8 : bound;
 }
@@ -92,10 +85,10 @@ void materialize_bounds(const Node& node, std::span<const double> root_lower,
 /// distance to the nearest integer is largest (maximal at 0.5). Scores
 /// within kBranchTieWidth of the maximum count as tied and break to the
 /// smallest variable index: in a degenerate slot LP several binaries sit at
-/// exactly 0.5 up to rounding noise, and a strict comparison would let
-/// sub-1e-13 arithmetic differences (between LP engines, or across
-/// platforms) pick different branch variables and send the whole search
-/// down different trees.
+/// 0.5 up to rounding noise, and that noise differs between a child that
+/// resumes its parent's LU and one that refactorizes from the Basis. With a
+/// strict comparison the two paths pick different branch variables and
+/// reach different decisions on paper_large; with the width they agree.
 constexpr double kBranchTieWidth = 1e-9;
 
 int most_fractional(const Model& model, std::span<const double> values,
@@ -124,9 +117,8 @@ bool try_rounding(const Model& model, std::span<const double> lp_values,
   for (int j = 0; j < model.num_variables(); ++j) {
     if (model.variable(j).type == VarType::Continuous) continue;
     auto& v = out[static_cast<std::size_t>(j)];
-    // Degenerate LPs leave integer variables at 0.5 up to arithmetic noise;
-    // raw round() would flip such entries between engines/platforms. Snap
-    // the tie zone to the round-half-up side deterministically.
+    // Degenerate LPs leave integer variables at 0.5 up to arithmetic noise:
+    // snap the tie zone to the round-half-up side.
     const double frac = v - std::floor(v);
     v = std::abs(frac - 0.5) <= kBranchTieWidth ? std::floor(v) + 1.0
                                                 : std::round(v);
@@ -163,10 +155,6 @@ Solution branch_and_bound(const Model& model,
       return;
     }
     const double obj = model.objective_value(candidate);
-#ifdef BIRP_LP_TRACE
-    std::fprintf(stderr, "  consider obj=%.17g vs inc=%.17g\n", obj,
-                 incumbent_objective);
-#endif
     if (obj < incumbent_objective) {
       incumbent_objective = obj;
       incumbent.values = candidate;
@@ -283,15 +271,6 @@ Solution branch_and_bound(const Model& model,
 
     const int branch_var =
         most_fractional(model, lp.values, options.integrality_tolerance);
-#ifdef BIRP_LP_TRACE
-    std::fprintf(stderr,
-                 "  node id=%lld obj=%.17g branch_var=%d v=%.17g warm=%d\n",
-                 (long long)node->id, lp.objective, branch_var,
-                 branch_var >= 0
-                     ? lp.values[static_cast<std::size_t>(branch_var)]
-                     : 0.0,
-                 lp.warm_started ? 1 : 0);
-#endif
     if (branch_var < 0) {
       // Integral LP optimum: new incumbent.
       if (lp.objective < incumbent_objective) {

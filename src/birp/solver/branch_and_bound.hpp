@@ -15,9 +15,9 @@
 // basis (lp_engine.hpp) — to both children, which resume from it with their
 // one new bound instead of rebuilding and refactorizing; the state is freed
 // once both children have been popped, and at most a fixed number (64) are
-// held at once. Children beyond that cap, and every child on the dense
-// engine, warm-start from the parent's optimal Basis (see simplex.hpp);
-// any failed warm attempt falls back to a cold solve transparently.
+// held at once. Children beyond that cap warm-start from the parent's
+// optimal Basis (see simplex.hpp); any failed warm attempt falls back to a
+// cold solve transparently.
 // Parallelism lives one level up, in cluster::CellScheduler, which solves
 // independent cells concurrently.
 #pragma once

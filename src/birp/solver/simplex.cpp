@@ -1,6 +1,5 @@
-// Sparse revised simplex engine (the default LP backend) and the public
-// solve_lp dispatcher. See simplex.hpp for the contract and
-// dense_tableau.cpp for the dense reference engine.
+// Sparse revised simplex engine and the solve_lp entry points. See
+// simplex.hpp for the contract.
 #include "birp/solver/simplex.hpp"
 
 #include <algorithm>
@@ -25,21 +24,23 @@ namespace {
 /// left the O(1) range.
 constexpr double kRatioTie = 1e-11;
 
-/// Tie margin for the dual-repair picks (leaving row, ratio window, pivot
-/// magnitude). Wider than kRatioTie on purpose: the two LP engines compute
-/// these quantities through different linear algebra (eta-file solves vs
-/// in-place tableau updates), so near-ties carry ~1e-12 cross-engine noise.
-/// A first-within-margin-wins pick keeps both engines on the same pivot
-/// path, which is what keeps scheduler decisions bit-identical across
-/// engines when alternate optima exist.
+/// Tie margin for the pricing and dual-repair picks (entering column,
+/// leaving row, ratio window, pivot magnitude): a later candidate must beat
+/// the current pick by this margin, so near-ties resolve to the first one.
+/// Wider than kRatioTie because the same basis is reached through different
+/// factorizations — a resumed LU with its parent's eta file, or one rebuilt
+/// from a Basis — which round these quantities differently by about 1e-12.
+/// With a zero margin the two paths pick different pivots and reach
+/// different scheduling decisions on paper_large traces; with this one they
+/// agree.
 constexpr double kDualPickTie = 1e-9;
 
-/// Revised simplex over the shared standard form. The basis inverse lives
-/// in a BasisLu eta file; pricing recomputes duals/reduced costs from
+/// Revised simplex over the standard form (standard_form.hpp), whose
+/// immutable part a resumed child shares with its parent. The basis inverse
+/// lives in a BasisLu eta file; pricing recomputes duals/reduced costs from
 /// BTRAN each iteration (self-correcting, O(nnz)), the ratio test FTRANs
 /// the entering column, and every pivot appends one product-form eta with
-/// scheduled refactorization. The solve drivers (Phase I/II, warm repair)
-/// mirror the dense engine step for step so statuses and objectives match.
+/// scheduled refactorization.
 class RevisedSimplex {
  public:
   RevisedSimplex(const Model& model, std::span<const double> lower_override,
@@ -348,9 +349,8 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
         break;
       }
       // Dantzig pricing with a first-wins margin: a later column must beat
-      // the pick by kDualPickTie so near-tied reduced costs (symmetric apps
-      // produce many) resolve to the same column in both engines despite
-      // ~1e-12 cross-engine noise in d.
+      // the pick by kDualPickTie, so near-tied reduced costs (symmetric apps
+      // produce many) resolve to the smallest index.
       if (std::abs(d) > best_score + kDualPickTie * (1.0 + best_score)) {
         best_score = std::abs(d);
         enter = j;
@@ -437,8 +437,8 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     // --- Leaving row: the basic variable with the largest bound violation.
     // sigma = +1 when it must decrease (above upper), -1 when it must
     // increase (below lower). A later row must beat the pick by the
-    // kDualPickTie margin so that near-tied violations resolve to the same
-    // (smallest) row in both engines.
+    // kDualPickTie margin, so near-tied violations resolve to the smallest
+    // row.
     int leave_row = -1;
     double best_viol = options_.tolerance;
     double sigma = 0.0;
@@ -562,10 +562,6 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       if (step <= range) {
         // --- Basis change: the violating variable leaves exactly at the
         // bound it violated; the entering variable absorbs the step.
-#ifdef BIRP_LP_TRACE
-        std::fprintf(stderr, "rp pivot r=%d e=%d step=%.12g\n", leave_row,
-                     enter, step);
-#endif
         if (!change_basis(leave_row, enter, enter_dir, step, sigma > 0.0)) {
           return Repair::GiveUp;  // numerically singular basis
         }
@@ -574,9 +570,6 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       // Box step: the entering variable hits its opposite bound before the
       // violation is fully resolved. Flip it, consume it, keep cascading;
       // the violation shrank strictly by range * |alpha|.
-#ifdef BIRP_LP_TRACE
-      std::fprintf(stderr, "rp flip e=%d range=%.12g\n", enter, range);
-#endif
       bound_flip(enter, enter_dir > 0.0 ? 1.0 : -1.0, range);
       row_ratio_[static_cast<std::size_t>(enter)] = kInfinity;
       remaining -= range * gain;
@@ -731,9 +724,6 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
       const double d = costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
       if (sj == VarState::AtLower && d < -options_.tolerance) {
         if (!std::isfinite(upper_[static_cast<std::size_t>(j)])) {
-#ifdef BIRP_LP_TRACE
-          std::fprintf(stderr, "warmfail dual-infeasible d=%.3g\n", d);
-#endif
           return std::nullopt;
         }
         state_[static_cast<std::size_t>(j)] = VarState::AtUpper;
@@ -742,9 +732,6 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
         flipped = true;
       } else if (sj == VarState::AtUpper && d > options_.tolerance) {
         if (!std::isfinite(lower_[static_cast<std::size_t>(j)])) {
-#ifdef BIRP_LP_TRACE
-          std::fprintf(stderr, "warmfail dual-infeasible d=%.3g\n", d);
-#endif
           return std::nullopt;
         }
         state_[static_cast<std::size_t>(j)] = VarState::AtLower;
@@ -756,10 +743,6 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
     if (flipped) recompute_basic_values();
     switch (dual_repair(costs)) {
       case Repair::GiveUp:
-#ifdef BIRP_LP_TRACE
-        std::fprintf(stderr, "warmfail repair-giveup iters=%lld\n",
-                     (long long)iterations_);
-#endif
         return std::nullopt;  // stalled: distrust the basis, cold retry
       case Repair::Infeasible: {
         Solution result;
@@ -778,10 +761,6 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
   // every iteration, so any drift accumulated during repair is corrected).
   const SolveStatus status = iterate(costs);
   if (status == SolveStatus::IterationLimit) {
-#ifdef BIRP_LP_TRACE
-    std::fprintf(stderr, "warmfail phase2-limit iters=%lld\n",
-                 (long long)iterations_);
-#endif
     return std::nullopt;
   }
 
@@ -843,11 +822,66 @@ Solution solve_lp_live(const Model& model, std::span<const double> lower,
   util::check(upper.empty() ||
                   upper.size() == static_cast<std::size_t>(model.num_variables()),
               "solve_lp: upper override size mismatch");
-  if (options.algorithm == SimplexAlgorithm::DenseTableau) {
-    return solve_lp_dense(model, lower, upper, options, warm_start, emit_basis);
+  for (std::size_t j = 0; j < lower.size(); ++j) {
+    if (lower[j] > upper[j]) {
+      Solution infeasible;
+      infeasible.status = SolveStatus::Infeasible;
+      return infeasible;
+    }
   }
-  return solve_lp_with<RevisedSimplex>(model, lower, upper, options,
-                                       warm_start, emit_basis, resume, keep);
+
+  // Hands an optimal engine's basis and live state to the caller.
+  const auto release = [&](RevisedSimplex& engine, Solution& solution) {
+    if (solution.status != SolveStatus::Optimal) return;
+    if (emit_basis) solution.basis = engine.extract_basis();
+    if (keep != nullptr) *keep = std::move(engine).release_state();
+  };
+
+  // Warm attempt first: the resumed parent state, else the Basis rebuild.
+  // Any rejection (shape mismatch, singular basis, dual-infeasible start,
+  // stalled repair) falls through to the cold two-phase solve. Accounting:
+  //  - exactly one of {warm, cold} serves each call: warm_started is true
+  //    iff a warm engine (resumed or rebuilt) produced the Solution, and
+  //    branch-and-bound counts warm_lp_solves/cold_lp_solves off that flag,
+  //    so a rejected seed counts one cold solve and no warm one;
+  //  - an abandoned attempt's work (iterations, factorization pivots) is
+  //    read once, after it gives up, and charged to the Solution that
+  //    finally serves the call, so no elimination is counted twice.
+  std::int64_t wasted_iterations = 0;
+  std::int64_t wasted_factor_pivots = 0;
+  const auto attempt = [&](RevisedSimplex& engine) -> std::optional<Solution> {
+    if (engine.warm_ok()) {
+      if (auto solution = engine.solve_warm()) {
+        solution->simplex_iterations += wasted_iterations;
+        solution->factor_pivots += wasted_factor_pivots;
+        release(engine, *solution);
+        return solution;
+      }
+    }
+    wasted_iterations += engine.iterations();
+    wasted_factor_pivots += engine.factor_pivots();
+    return std::nullopt;
+  };
+  if (resume != nullptr) {
+    RevisedSimplex engine(model, lower, upper, options, *resume);
+    if (auto solution = attempt(engine)) return *std::move(solution);
+    // A Basis rebuild would restart from the basis this attempt started
+    // from and almost always stall in the same dual repair that made it
+    // give up, so go straight to the cold solve.
+    warm_start = nullptr;
+  }
+  if (warm_start != nullptr && !warm_start->empty() &&
+      warm_start->matches(model.num_variables(), model.num_constraints())) {
+    RevisedSimplex engine(model, lower, upper, options, *warm_start);
+    if (auto solution = attempt(engine)) return *std::move(solution);
+  }
+
+  RevisedSimplex engine(model, lower, upper, options);
+  Solution solution = engine.solve();
+  solution.simplex_iterations += wasted_iterations;
+  solution.factor_pivots += wasted_factor_pivots;
+  release(engine, solution);
+  return solution;
 }
 
 }  // namespace birp::solver

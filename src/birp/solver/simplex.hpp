@@ -7,21 +7,14 @@
 // bound; bound flips are handled without basis changes. Dantzig pricing with
 // a Bland's-rule fallback guards against cycling under degeneracy.
 //
-// Two interchangeable engines solve the same standard form (see
-// standard_form.hpp):
-//
-//  - SparseRevised (default): revised simplex on a compressed-sparse-column
-//    snapshot. The basis is held as a product-form LU factorization
-//    (basis_lu.hpp) built with threshold partial pivoting; each pivot
-//    appends one eta, and the file is rebuilt when it outgrows the
-//    refactorization trigger. Pricing, the ratio test, and the dual-repair
-//    path work off BTRAN/FTRAN solves, so a pivot costs O(nnz) instead of
-//    the dense tableau's O(rows * cols) — this is what lets the slot
-//    problem scale to hundred-edge clusters.
-//  - DenseTableau: the dense Gauss–Jordan tableau kept as the bit-exact
-//    reference implementation (dense_tableau.cpp) for tests and the
-//    bench_solver regression arm. Memory is O(rows * cols); do not use it
-//    beyond paper-scale instances.
+// The engine is a revised simplex over a compressed-sparse-column snapshot
+// of the standard form (standard_form.hpp). The basis is held as a
+// product-form LU factorization (basis_lu.hpp) built with threshold partial
+// pivoting; each pivot appends one eta, and the file is rebuilt when it
+// outgrows the refactorization trigger. Pricing, the ratio test, and the
+// dual-repair path work off BTRAN/FTRAN solves, so a pivot costs O(nnz)
+// rather than O(rows * cols) — this is what lets the slot problem scale to
+// hundred-edge clusters.
 //
 // All feasibility and pivot comparisons are scale-relative: pivot
 // eligibility is measured against the transformed column's (or row's)
@@ -36,21 +29,19 @@
 // branch without rebuilding the model.
 //
 // Warm starts: solve_lp can resume from a Basis snapshot of a previous
-// optimal solve of the same model shape (previous slot, or a B&B parent on
-// the dense engine). The basis is refactorized against the current bounds;
-// primal infeasibilities introduced by tightened bounds are repaired with a
-// bounded-variable dual simplex before Phase II polishes — Phase I never
-// runs on the warm path. A singular or unrepairable basis falls back to the
-// cold two-phase path, so warm starts are a pure optimization: statuses and
-// objectives match the cold solver. The Basis encoding and the
-// warm-attempt accounting are engine-independent (lp_engine.hpp), so a
-// basis emitted by one engine warm-starts the other.
+// optimal solve of the same model shape (previous slot, or a B&B parent
+// past the live-state cap). The basis is refactorized against the current
+// bounds; primal infeasibilities introduced by tightened bounds are
+// repaired with a bounded-variable dual simplex before Phase II polishes —
+// Phase I never runs on the warm path. A singular or unrepairable basis
+// falls back to the cold two-phase path, so warm starts are a pure
+// optimization: statuses and objectives match the cold solver.
 //
-// Branch-and-bound children on the sparse engine go one step further: they
-// resume their parent's live engine state (shared standard form, point and
-// LU with its eta updates; lp_engine.hpp) and skip both the form rebuild
-// and the refactorization, falling back to the cold path if the resumed
-// repair gives up.
+// Branch-and-bound children go one step further: they resume their
+// parent's live engine state (shared standard form, point and LU with its
+// eta updates; lp_engine.hpp) and skip both the form rebuild and the
+// refactorization, falling back to the cold path if the resumed repair
+// gives up.
 #pragma once
 
 #include <cstdint>
@@ -63,12 +54,6 @@
 
 namespace birp::solver {
 
-/// LP engine selection; see the header comment.
-enum class SimplexAlgorithm : std::uint8_t {
-  SparseRevised,  ///< revised simplex + product-form LU (default)
-  DenseTableau,   ///< dense Gauss–Jordan tableau (reference / A-B baseline)
-};
-
 struct SimplexOptions {
   /// Pivot budget; <= 0 means automatic (scales with problem size).
   std::int64_t max_iterations = 0;
@@ -79,16 +64,13 @@ struct SimplexOptions {
   double pivot_tolerance = 1e-9;
   /// Consecutive degenerate pivots before switching to Bland's rule.
   int stall_threshold = 40;
-  /// Engine selection. SparseRevised is the production path; DenseTableau
-  /// is kept for reference tests and the bench_solver regression arm.
-  SimplexAlgorithm algorithm = SimplexAlgorithm::SparseRevised;
-  /// SparseRevised only: eta updates appended before the basis is
-  /// refactorized from scratch (the file is also rebuilt early when its
-  /// fill outgrows the factorization; see BasisLu::should_refactorize).
+  /// Eta updates appended before the basis is refactorized from scratch
+  /// (the file is also rebuilt early when its fill outgrows the
+  /// factorization; see BasisLu::should_refactorize).
   int refactor_interval = 96;
-  /// SparseRevised only: threshold partial pivoting acceptance for the LU
-  /// factorization — a row is an eligible pivot when it reaches this
-  /// fraction of the column maximum.
+  /// Threshold partial pivoting acceptance for the LU factorization — a row
+  /// is an eligible pivot when it reaches this fraction of the column
+  /// maximum.
   double lu_pivot_threshold = 0.1;
 };
 

@@ -1,12 +1,11 @@
-// Shared standard-form construction for the LP engines.
+// Standard-form construction for the LP engine (simplex.cpp).
 //
-// Both simplex backends (the sparse revised simplex in simplex.cpp and the
-// dense tableau reference in dense_tableau.cpp) solve the same standard
-// form: columns ordered [structural | slack/surplus | artificial], rows
-// flipped so every initial basic variable has coefficient +1. This module
-// builds that form once — as a compressed-sparse-column snapshot plus the
-// starting point — so the two backends cannot drift apart on layout, row
-// orientation, or the Basis encoding.
+// The engine solves a standard form with columns ordered [structural |
+// slack/surplus | artificial] and rows flipped so every initial basic
+// variable has coefficient +1. This module builds that form — as a
+// compressed-sparse-column snapshot plus the starting point — and decodes a
+// recorded Basis into column indices (the warm build);
+// RevisedSimplex::extract_basis is the matching encoder.
 //
 // Two build modes mirror the two solve paths:
 //  - cold: Phase I start. Inequality rows whose slack absorbs the residual
@@ -25,7 +24,7 @@
 namespace birp::solver {
 
 /// Standard-form snapshot: CSC matrix, bounds, starting point, and the
-/// bookkeeping both engines share (dual anchors, row orientation signs).
+/// layout bookkeeping (dual anchors, row orientation signs).
 struct StandardForm {
   int rows = 0;             ///< constraints m
   int cols = 0;             ///< structural + slack + artificial columns
@@ -58,7 +57,7 @@ struct StandardForm {
   // infinity norm of the standard-form matrix and the rhs infinity norm.
   // Absolute cutoffs (1e-12 tie windows, the 1e-6 Phase-I infeasibility
   // threshold) misfire once coefficients leave the O(1) range; every
-  // tolerance comparison in the engines is scaled by these.
+  // tolerance comparison in the engine is scaled by these.
   std::vector<double> col_scale;
   double rhs_scale = 0.0;
 

@@ -2,23 +2,28 @@
 // randomized LPs and slot-problem sequences, singular-basis fallback,
 // incumbent pruning, the reported-gap bracket, and children resuming their
 // parent's live LP state (no refactorization, fallback accounting, the
-// retained-state cap).
+// retained-state cap), and a golden digest of the scheduler's decisions.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "birp/core/birp_scheduler.hpp"
 #include "birp/core/problem.hpp"
 #include "birp/device/cluster.hpp"
+#include "birp/sim/decision.hpp"
+#include "birp/sim/scheduler.hpp"
 #include "birp/solver/branch_and_bound.hpp"
 #include "birp/solver/lp_engine.hpp"
 #include "birp/solver/model.hpp"
 #include "birp/solver/simplex.hpp"
 #include "birp/util/grid.hpp"
 #include "birp/util/rng.hpp"
+#include "birp/workload/generator.hpp"
 
 namespace birp::solver {
 namespace {
@@ -405,54 +410,7 @@ TEST(SlotSequence, WarmMatchesCold) {
   EXPECT_LT(warm_total_pivots, cold_total_pivots);
 }
 
-// ---------------------------------------------- sparse/dense equivalence ----
-
-class EngineEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(EngineEquivalence, StatusObjectiveAndDualsMatch) {
-  const Model model = random_lp(static_cast<std::uint64_t>(GetParam()) + 100);
-  SimplexOptions sparse_options;  // default: SparseRevised
-  SimplexOptions dense_options;
-  dense_options.algorithm = SimplexAlgorithm::DenseTableau;
-
-  const Solution sparse = solve_lp(model, {}, {}, sparse_options);
-  const Solution dense = solve_lp(model, {}, {}, dense_options);
-  ASSERT_EQ(sparse.status, dense.status);
-  if (sparse.status != SolveStatus::Optimal) return;
-  EXPECT_NEAR(sparse.objective, dense.objective,
-              kTol * (1.0 + std::abs(dense.objective)));
-  ASSERT_EQ(sparse.duals.size(), dense.duals.size());
-  for (std::size_t i = 0; i < sparse.duals.size(); ++i) {
-    EXPECT_NEAR(sparse.duals[i], dense.duals[i], kTol) << "row " << i;
-  }
-}
-
-TEST_P(EngineEquivalence, BasesCrossWarmBetweenEngines) {
-  // The Basis encoding is engine-independent: an optimal basis emitted by
-  // the dense tableau must warm-start the sparse engine and vice versa.
-  const Model model = random_lp(static_cast<std::uint64_t>(GetParam()) + 200);
-  SimplexOptions sparse_options;
-  SimplexOptions dense_options;
-  dense_options.algorithm = SimplexAlgorithm::DenseTableau;
-
-  const Solution dense = solve_lp(model, {}, {}, dense_options, nullptr, true);
-  ASSERT_EQ(dense.status, SolveStatus::Optimal);
-  const Solution sparse_from_dense =
-      solve_lp(model, {}, {}, sparse_options, &dense.basis, true);
-  ASSERT_EQ(sparse_from_dense.status, SolveStatus::Optimal);
-  EXPECT_TRUE(sparse_from_dense.warm_started);
-  EXPECT_NEAR(sparse_from_dense.objective, dense.objective,
-              kTol * (1.0 + std::abs(dense.objective)));
-
-  const Solution dense_from_sparse = solve_lp(
-      model, {}, {}, dense_options, &sparse_from_dense.basis, false);
-  ASSERT_EQ(dense_from_sparse.status, SolveStatus::Optimal);
-  EXPECT_TRUE(dense_from_sparse.warm_started);
-  EXPECT_NEAR(dense_from_sparse.objective, dense.objective,
-              kTol * (1.0 + std::abs(dense.objective)));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalence, ::testing::Range(1, 13));
+// ------------------------------------------------ refactorization ----
 
 TEST(EngineEquivalence, RefactorIntervalOneMatchesDefault) {
   // Forcing a full refactorization after every pivot exercises the rebuild
@@ -475,7 +433,7 @@ TEST(EngineEquivalence, RefactorIntervalOneMatchesDefault) {
 TEST(WarmAccounting, SingularSeedChargesTheColdSolveOnce) {
   // A singular seed basis must leave warm_started false (so the scheduler
   // counts exactly one cold solve) and charge the aborted factorization's
-  // eliminations to the cold Solution exactly once, on both engines.
+  // eliminations to the cold Solution exactly once.
   Model model;
   const int x = model.add_continuous("x", 0.0, 5.0);
   const int y = model.add_continuous("y", 0.0, 5.0);
@@ -488,19 +446,12 @@ TEST(WarmAccounting, SingularSeedChargesTheColdSolveOnce) {
   singular.structural = {VarState::Basic, VarState::Basic};
   singular.basic = {0, 1};
 
-  for (const auto algorithm :
-       {SimplexAlgorithm::SparseRevised, SimplexAlgorithm::DenseTableau}) {
-    SimplexOptions options;
-    options.algorithm = algorithm;
-    const Solution sol = solve_lp(model, {}, {}, options, &singular, false);
-    ASSERT_EQ(sol.status, SolveStatus::Optimal)
-        << "algorithm " << static_cast<int>(algorithm);
-    EXPECT_FALSE(sol.warm_started);
-    // One pivot succeeded before the factorization hit the dependent
-    // column; the cold solve itself starts from the identity basis.
-    EXPECT_EQ(sol.factor_pivots, 1)
-        << "algorithm " << static_cast<int>(algorithm);
-  }
+  const Solution sol = solve_lp(model, {}, {}, {}, &singular, false);
+  ASSERT_EQ(sol.status, SolveStatus::Optimal);
+  EXPECT_FALSE(sol.warm_started);
+  // One pivot succeeded before the factorization hit the dependent column;
+  // the cold solve itself starts from the identity basis.
+  EXPECT_EQ(sol.factor_pivots, 1);
 }
 
 TEST(WarmAccounting, DisabledWarmStartCountsEveryNodeCold) {
@@ -534,6 +485,81 @@ TEST(WarmAccounting, WarmAndColdPartitionNodeSolves) {
             cold.warm_lp_solves + cold.cold_lp_solves);
 }
 
+
+// ------------------------------------------------ golden decisions ----
+
+/// 64-bit FNV-1a over raw bytes.
+class Fnv1a {
+ public:
+  void bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      state_ ^= p[i];
+      state_ *= 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void value(const T& v) {
+    bytes(&v, sizeof(T));
+  }
+  template <typename T>
+  void range(const std::vector<T>& v) {
+    value(v.size());
+    if (!v.empty()) bytes(v.data(), v.size() * sizeof(T));
+  }
+  [[nodiscard]] std::uint64_t get() const noexcept { return state_; }
+
+ private:
+  std::uint64_t state_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(GoldenDecisions, WarmSerialPaperLargeDigestIsPinned) {
+  // bench_solver's warm-serial arm: BIRP-OFF with warm starts on
+  // paper_large, the 40 slots of its default trace (seed 0x77ace, 55% of
+  // the envelope). The digest covers every SlotDecision field that
+  // bench::decisions_equal compares, so any change to the LP engine,
+  // branch-and-bound or the slot problem that moves a single decision
+  // fails here; a deliberate policy change re-pins the constant.
+  const auto cluster = device::ClusterSpec::paper_large();
+  workload::GeneratorConfig generator;
+  generator.slots = 40;
+  generator.seed = 0x77ace;
+  generator.mean_per_edge = workload::suggested_mean_per_edge(cluster, 0.55);
+  const auto trace = workload::generate(cluster, generator);
+
+  core::BirpConfig config;
+  config.solver.warm_start = true;
+  auto scheduler = core::BirpScheduler::offline(cluster, config);
+
+  const int apps = cluster.num_apps();
+  const int devices = cluster.num_devices();
+  sim::SlotDecision previous(apps, cluster.zoo().max_variants(), devices);
+  Fnv1a digest;
+  for (int t = 0; t < trace.slots(); ++t) {
+    sim::SlotState state;
+    state.slot = t;
+    state.demand = util::Grid2<std::int64_t>(apps, devices, 0);
+    for (int i = 0; i < apps; ++i) {
+      for (int k = 0; k < devices; ++k) state.demand(i, k) = trace.at(t, i, k);
+    }
+    state.previous = t == 0 ? nullptr : &previous;
+    sim::SlotDecision decision = scheduler.decide(state);
+    digest.range(decision.served.raw());
+    digest.range(decision.kernel.raw());
+    digest.range(decision.drops.raw());
+    digest.value(static_cast<unsigned char>(decision.pad_partial_launches));
+    digest.value(decision.flows.size());
+    for (const auto& flow : decision.flows) {
+      digest.value(flow.app);
+      digest.value(flow.from);
+      digest.value(flow.to);
+      digest.value(flow.count);
+    }
+    previous = std::move(decision);
+  }
+  EXPECT_EQ(scheduler.fallback_count(), 0);
+  EXPECT_EQ(digest.get(), 0x46aae78e5ba88ebaULL) << std::hex << digest.get();
+}
 
 // ------------------------------------------------- live-state resume ----
 
