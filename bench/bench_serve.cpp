@@ -5,8 +5,7 @@
 // scoring hides: tail latency (p95/p99), queueing, and backpressure drops.
 //
 //   ./bench_serve [--slots N] [--target X] [--seed S] [--capacity C]
-//                 [--wait F] [--burst M] [--quick] [--check]
-//                 [--json PATH] [--baseline PATH]
+//                 [--wait F] [--burst M] [--quick] [--check] [--json PATH]
 //
 // --capacity bounds each edge's admission queue (0 = unbounded) and --wait
 // sets the partial-batch timeout as a fraction of tau (negative = wait for
@@ -16,43 +15,31 @@
 //     (--burst, default 4) against a stale MILP prior, comparing the fixed
 //     fill-to-target rule with the SLO-aware adaptive batcher on goodput
 //     under SLO.
-//   * The hot-path queue drill: the same per-slot admission -> batch ->
-//     dispatch lifecycle (burst-shaped slots: spike/quiet arrival counts
-//     alternating, one queue lifecycle per slot, exactly the seed engine's
-//     per-(slot, edge) usage) driven through the kept-verbatim
-//     LegacyAdmissionQueue (mutexed deques + departure heap, the seed
-//     implementation) and through the ring/slab/wheel rewrite, measuring
-//     sustained req/s and heap allocations per request (bench_serve links
-//     the counting operator-new hook, so the alloc numbers are real).
+//   * The hot-path queue drill: the engine's per-(slot, edge) admission ->
+//     batch -> dispatch lifecycle on one persistent AdmissionQueue re-armed
+//     per slot (burst-shaped slots: spike/quiet arrival counts
+//     alternating), measuring sustained req/s and heap allocations per
+//     request (bench_serve links the counting operator-new hook, so the
+//     alloc numbers are real).
 //
-// --json writes the tracked BENCH_serve.json (hot-path req/s, speedup,
-// allocs/request, admit-to-launch p50/p99). --baseline reads a previously
-// committed BENCH_serve.json and exits nonzero when the fresh speedup
-// regresses more than 10% below the committed one. --quick shrinks every
-// phase for CI; --check exits nonzero unless the adaptive batcher strictly
-// improves goodput on the burst drill, the ring arm's steady state performs
-// zero allocations per request, and the ring arm does not regress below
-// 0.85x the legacy queue's throughput. (On one uncontended core the two
-// arms are near parity — the legacy sorted-vector cursor is extremely fast
-// without producer concurrency; the rewrite's wins are the zero-alloc
-// steady state, the lock-free multi-producer staging contract, and O(1)
-// bulk staging — so the gate pins "no regression", not a speedup this
-// hardware cannot honestly show.) The request-level CSV
-// (metrics::write_latency_csv) is printed for external plotting.
+// --json writes the tracked BENCH_serve.json (hot-path req/s and
+// allocs/request, admit-to-launch p50/p99, burst-drill goodput). --quick
+// shrinks every phase for CI; --check exits nonzero unless the adaptive
+// batcher strictly improves goodput on the burst drill and the hot-path
+// drill's steady state performs zero allocations per request. The
+// request-level CSV (metrics::write_latency_csv) is printed for external
+// plotting.
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "birp/metrics/report_csv.hpp"
 #include "birp/serve/engine.hpp"
-#include "birp/serve/legacy_queue.hpp"
 #include "birp/serve/queue.hpp"
 #include "birp/util/alloc_count.hpp"
 #include "common.hpp"
@@ -102,16 +89,10 @@ DrillResult run_drill(const birp::device::ClusterSpec& cluster,
 
 // ------------------------------------------------------ hot-path drill ----
 
-struct HotPathArm {
+struct HotPathResult {
   double req_per_s = 0.0;
   double allocs_per_request = 0.0;
   std::int64_t requests = 0;
-};
-
-struct HotPathResult {
-  HotPathArm legacy;
-  HotPathArm ring;
-  double speedup = 0.0;
 };
 
 /// Seeded arrival stream, sorted by (available_s, app, origin, seq).
@@ -141,31 +122,8 @@ std::vector<birp::serve::ServeItem> drill_stream(int apps, int count,
   return stream;
 }
 
-/// Runs `body` once unmeasured (warmup: containers reach their high-water
-/// capacity) then `iters` times timed, with the thread's allocation
-/// counters sampled around the measured region.
-template <typename Body>
-HotPathArm measure_arm(int iters, std::int64_t per_iter, Body&& body) {
-  body();
-  const std::int64_t allocs_before = birp::util::alloc_counts().allocs;
-  const auto start = std::chrono::steady_clock::now();
-  for (int it = 0; it < iters; ++it) body();
-  const auto stop = std::chrono::steady_clock::now();
-  const std::int64_t allocs =
-      birp::util::alloc_counts().allocs - allocs_before;
-  HotPathArm arm;
-  arm.requests = per_iter * iters;
-  const double secs = std::chrono::duration<double>(stop - start).count();
-  arm.req_per_s =
-      secs > 0.0 ? static_cast<double>(arm.requests) / secs : 0.0;
-  arm.allocs_per_request =
-      static_cast<double>(allocs) / static_cast<double>(arm.requests);
-  return arm;
-}
-
 HotPathResult run_hot_path_drill(bool quick, std::uint64_t seed) {
   using birp::serve::AdmissionQueue;
-  using birp::serve::LegacyAdmissionQueue;
   using birp::serve::QueuePolicy;
   using birp::serve::ServeItem;
 
@@ -173,8 +131,8 @@ HotPathResult run_hot_path_drill(bool quick, std::uint64_t seed) {
   constexpr std::size_t kBatch = 8;
   // Burst-shaped slots, like the engine's per-(slot, edge) lifecycle: a
   // spike slot followed by a quiet slot, repeating. The quiet slots are
-  // where per-lifecycle fixed costs (construction vs reset) show up; the
-  // spikes exercise sustained admission.
+  // where per-slot fixed costs (reset + stage) show up; the spikes exercise
+  // sustained admission.
   constexpr int kSpike = 192;
   constexpr int kQuiet = 8;
   const int count = quick ? 20000 : 120000;
@@ -192,53 +150,21 @@ HotPathResult run_hot_path_drill(bool quick, std::uint64_t seed) {
     at += take;
   }
 
-  // Both arms run the identical per-slot admission -> batch -> dispatch
-  // loop: fill toward a batch, take it, release its buffer slots at the
-  // (monotone) dispatch time. `sink` keeps the loop's results observable
-  // so nothing is optimized away.
+  // Fill toward a batch, take it, release its buffer slots at the
+  // (monotone) dispatch time — one persistent queue re-armed per slot, the
+  // engine's steady-state discipline: every container is at capacity after
+  // the warmup pass, so the measured region performs zero heap
+  // allocations. `sink` keeps the loop's results observable so nothing is
+  // optimized away.
   std::int64_t sink = 0;
-
-  const auto legacy_arm = measure_arm(iters, count, [&] {
-    for (const auto& slot : slots) {
-      // A fresh queue per slot, exactly like the seed engine built one per
-      // (slot, edge): the stream copy, deque/heap/std::function
-      // construction, and teardown are part of the measured legacy cost.
-      LegacyAdmissionQueue queue(kApps, slot, /*capacity=*/0,
-                                 QueuePolicy::kRejectNewest);
-      double now_s = 0.0;
-      bool work = true;
-      while (work) {
-        work = false;
-        for (int app = 0; app < kApps; ++app) {
-          queue.fill(app, kBatch);
-          const auto waiting = queue.waiting_size(app);
-          if (waiting == 0) continue;
-          const auto taken =
-              queue.take(app, std::min<std::size_t>(kBatch, waiting));
-          now_s = std::max(now_s, taken.back().available_s);
-          queue.on_dispatch(now_s, taken.size());
-          sink += static_cast<std::int64_t>(taken.size());
-          work = true;
-        }
-      }
-    }
-  });
-
-  // One persistent queue re-armed per slot — the rewrite's steady-state
-  // discipline: every container below is at capacity after the warmup
-  // pass, so the measured region performs zero heap allocations. Staging
-  // goes through offer_all (one ring CAS per slot), the same bulk path the
-  // engine uses.
   AdmissionQueue queue;
   queue.reserve(kApps, kSpike);
   std::vector<ServeItem> members;
   members.reserve(kBatch);
-  const auto ring_arm = measure_arm(iters, count, [&] {
+  const auto pass = [&] {
     for (const auto& slot : slots) {
-      queue.reset(kApps, /*capacity=*/0, QueuePolicy::kRejectNewest, {},
-                  slot.size(), slot.empty() ? 0.0 : slot.front().available_s,
-                  0.05);
-      queue.offer_all(slot.data(), slot.size());
+      queue.reset(kApps, /*capacity=*/0, QueuePolicy::kRejectNewest, {});
+      queue.stage(slot);
       double now_s = 0.0;
       bool work = true;
       while (work) {
@@ -256,32 +182,30 @@ HotPathResult run_hot_path_drill(bool quick, std::uint64_t seed) {
         }
       }
     }
-  });
+  };
 
-  HotPathResult result{legacy_arm, ring_arm, 0.0};
-  result.speedup = legacy_arm.req_per_s > 0.0
-                       ? ring_arm.req_per_s / legacy_arm.req_per_s
-                       : 0.0;
-  if (sink != static_cast<std::int64_t>(stream.size()) * 2 * (iters + 1)) {
+  // One unmeasured warmup pass (containers reach their high-water
+  // capacity), then `iters` timed passes with the thread's allocation
+  // counters sampled around them.
+  pass();
+  const std::int64_t allocs_before = birp::util::alloc_counts().allocs;
+  const auto start = std::chrono::steady_clock::now();
+  for (int it = 0; it < iters; ++it) pass();
+  const auto stop = std::chrono::steady_clock::now();
+  const std::int64_t allocs =
+      birp::util::alloc_counts().allocs - allocs_before;
+
+  HotPathResult result;
+  result.requests = static_cast<std::int64_t>(count) * iters;
+  const double secs = std::chrono::duration<double>(stop - start).count();
+  result.req_per_s =
+      secs > 0.0 ? static_cast<double>(result.requests) / secs : 0.0;
+  result.allocs_per_request =
+      static_cast<double>(allocs) / static_cast<double>(result.requests);
+  if (sink != static_cast<std::int64_t>(stream.size()) * (iters + 1)) {
     std::cout << "(hot-path drill processed " << sink << " takes)\n";
   }
   return result;
-}
-
-/// Crude single-key JSON number extraction for the --baseline gate (the
-/// file is our own flat output; a full parser would be a dependency for
-/// nothing).
-bool json_number(const std::string& text, const std::string& key,
-                 double* out) {
-  const auto at = text.find('"' + key + '"');
-  if (at == std::string::npos) return false;
-  const auto colon = text.find(':', at);
-  if (colon == std::string::npos) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str() + colon + 1, &end);
-  if (end == text.c_str() + colon + 1) return false;
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -293,7 +217,6 @@ int main(int argc, char** argv) {
   double wait_fraction = 0.05;
   double burst = 4.0;
   std::string json_path;
-  std::string baseline_path;
   for (int a = 1; a < argc; ++a) {
     const std::string flag = argv[a];
     if (flag == "--capacity" && a + 1 < argc) {
@@ -304,8 +227,6 @@ int main(int argc, char** argv) {
       burst = std::atof(argv[++a]);
     } else if (flag == "--json" && a + 1 < argc) {
       json_path = argv[++a];
-    } else if (flag == "--baseline" && a + 1 < argc) {
-      baseline_path = argv[++a];
     } else if (flag == "--quick") {
       quick = true;
     } else if (flag == "--check") {
@@ -439,16 +360,10 @@ int main(int argc, char** argv) {
             << "):\n";
   birp::util::TextTable hot_table(
       {"queue", "req/s", "allocs/request", "requests"});
-  hot_table.add_row({"legacy (mutex+deque+heap)",
-                     birp::util::fixed(hot.legacy.req_per_s, 0),
-                     birp::util::fixed(hot.legacy.allocs_per_request, 4),
-                     std::to_string(hot.legacy.requests)});
-  hot_table.add_row({"ring (mpsc+slab+wheel)",
-                     birp::util::fixed(hot.ring.req_per_s, 0),
-                     birp::util::fixed(hot.ring.allocs_per_request, 4),
-                     std::to_string(hot.ring.requests)});
+  hot_table.add_row({"AdmissionQueue", birp::util::fixed(hot.req_per_s, 0),
+                     birp::util::fixed(hot.allocs_per_request, 4),
+                     std::to_string(hot.requests)});
   hot_table.print(std::cout, "Sustained admission -> batch -> dispatch");
-  std::cout << "speedup: x" << birp::util::fixed(hot.speedup, 2) << "\n";
 
   std::cout << "\nCSV (metrics::write_latency_csv):\n";
   birp::metrics::write_latency_csv(
@@ -469,14 +384,9 @@ int main(int argc, char** argv) {
         << "  \"slots\": " << cli.slots << ",\n"
         << "  \"seed\": " << cli.seed << ",\n"
         << "  \"hot_path\": {\n"
-        << "    \"requests\": " << hot.ring.requests << ",\n"
-        << "    \"legacy_req_per_s\": " << hot.legacy.req_per_s << ",\n"
-        << "    \"ring_req_per_s\": " << hot.ring.req_per_s << ",\n"
-        << "    \"speedup\": " << hot.speedup << ",\n"
-        << "    \"legacy_allocs_per_request\": "
-        << hot.legacy.allocs_per_request << ",\n"
-        << "    \"ring_allocs_per_request\": " << hot.ring.allocs_per_request
-        << "\n"
+        << "    \"requests\": " << hot.requests << ",\n"
+        << "    \"req_per_s\": " << hot.req_per_s << ",\n"
+        << "    \"allocs_per_request\": " << hot.allocs_per_request << "\n"
         << "  },\n"
         << "  \"admit_to_launch_tau\": {\n"
         << "    \"p50\": " << (a2l.empty() ? 0.0 : a2l.quantile(0.5)) << ",\n"
@@ -492,32 +402,6 @@ int main(int argc, char** argv) {
   }
 
   int status = 0;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    double base_speedup = 0.0;
-    if (!in || !json_number(text, "speedup", &base_speedup)) {
-      std::cout << "\nBASELINE FAILED: could not read speedup from "
-                << baseline_path << "\n";
-      status = 1;
-    } else if (hot.speedup < 0.9 * base_speedup) {
-      // The ring/legacy ratio is machine-independent in a way raw req/s is
-      // not, so the committed baseline gates on it: a fresh speedup more
-      // than 10% below the committed one is a hot-path regression.
-      std::cout << "\nBASELINE FAILED: speedup x"
-                << birp::util::fixed(hot.speedup, 2)
-                << " regressed >10% below committed x"
-                << birp::util::fixed(base_speedup, 2) << "\n";
-      status = 1;
-    } else {
-      std::cout << "\nBASELINE OK: speedup x"
-                << birp::util::fixed(hot.speedup, 2) << " vs committed x"
-                << birp::util::fixed(base_speedup, 2) << "\n";
-    }
-  }
-
   if (check) {
     if (!(adaptive.goodput > fixed.goodput)) {
       std::cout << "\nCHECK FAILED: adaptive goodput "
@@ -526,28 +410,18 @@ int main(int argc, char** argv) {
                 << birp::util::fixed(fixed.goodput, 4)
                 << " on the burst drill\n";
       status = 1;
-    } else if (hot.speedup < 0.85) {
-      // Single-threaded on one core the two arms are near parity (the
-      // rewrite buys zero allocs and a lock-free multi-producer contract,
-      // not raw single-thread speed), so the gate pins "no regression":
-      // the ring arm must stay within 15% of the legacy queue.
-      std::cout << "\nCHECK FAILED: hot-path speedup x"
-                << birp::util::fixed(hot.speedup, 2)
-                << " regressed below x0.85 of the legacy mutex queue\n";
-      status = 1;
     } else if (birp::util::alloc_counting_active() &&
-               hot.ring.allocs_per_request > 0.0) {
-      std::cout << "\nCHECK FAILED: ring arm performed "
-                << birp::util::fixed(hot.ring.allocs_per_request, 4)
+               hot.allocs_per_request > 0.0) {
+      std::cout << "\nCHECK FAILED: hot-path drill performed "
+                << birp::util::fixed(hot.allocs_per_request, 4)
                 << " allocs/request in steady state (must be 0)\n";
       status = 1;
     } else {
       std::cout << "\nCHECK OK: adaptive goodput "
                 << birp::util::fixed(adaptive.goodput, 4) << " > fixed "
-                << birp::util::fixed(fixed.goodput, 4) << ", hot-path x"
-                << birp::util::fixed(hot.speedup, 2)
-                << ", ring allocs/request "
-                << birp::util::fixed(hot.ring.allocs_per_request, 4) << "\n";
+                << birp::util::fixed(fixed.goodput, 4)
+                << ", hot-path allocs/request "
+                << birp::util::fixed(hot.allocs_per_request, 4) << "\n";
     }
   }
   return status;

@@ -270,16 +270,13 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
     gate = AdmissionGate(&shard.gate_ctx, &ServeEngine::admission_gate_thunk);
   }
 
-  // Re-arm the persistent queue and stage this slot's stream. Staging is
-  // single-producer here (the stream is already merged and sorted); the
-  // MPSC ring exists for callers that stage from many threads. The wheel's
-  // resolution spreads one slot across ~64 fine buckets; it affects only
-  // wheel cost, never results.
+  // Re-arm the persistent queue and stage this slot's stream (already
+  // merged and sorted). This worker owns the shard, so it is the queue's
+  // only user for the whole slot.
   auto& queue = shard.queue;
   queue.reset(cluster_.num_apps(), config_.queue_capacity,
-              config_.queue_policy, gate, stream.size(), 0.0, tau / 64.0);
-  util::check(queue.offer_all(stream.data(), stream.size()),
-              "ServeEngine: staging ring overflow");
+              config_.queue_policy, gate);
+  queue.stage(stream);
 
   for (const auto& job : jobs) {
     std::int64_t remaining = job.served;

@@ -25,8 +25,8 @@
 // forked RNG streams and per-edge computation is sequential, so results
 // are bit-identical at any thread count.
 //
-// Hot-path layout (PR 10): every piece of per-edge working state — the
-// lock-free admission queue, batch scratch buffers, gate tables, and the
+// Hot-path layout: every piece of per-edge working state — the
+// single-owner admission queue, batch scratch buffers, gate tables, and the
 // outcome accumulators — lives in a cache-line-aligned EdgeShard owned by
 // exactly one worker per slot. Shards persist across slots with grow-only
 // capacity, so steady-state serving performs zero heap allocations per

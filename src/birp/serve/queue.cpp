@@ -1,43 +1,20 @@
 #include "birp/serve/queue.hpp"
 
-#include <algorithm>
+#include <limits>
 
 #include "birp/util/check.hpp"
 
 namespace birp::serve {
 
-std::size_t AdmissionQueue::WaitingView::size() const noexcept {
-  return static_cast<std::size_t>(queue_->fifo(app_).size);
-}
-
-const ServeItem& AdmissionQueue::WaitingView::front() const {
-  return queue_->pool_[queue_->fifo(app_).head];
-}
-
-AdmissionQueue::WaitingView::Iterator AdmissionQueue::WaitingView::begin()
-    const {
-  return Iterator(&queue_->pool_, queue_->fifo(app_).head);
-}
-
-AdmissionQueue::WaitingView::Iterator AdmissionQueue::WaitingView::end()
-    const {
-  return Iterator(&queue_->pool_, runtime::kSlabNil);
-}
-
 AdmissionQueue::AdmissionQueue(int apps, const std::vector<ServeItem>& stream,
                                std::int64_t capacity, QueuePolicy policy,
                                AdmissionGate gate) {
-  reset(apps, capacity, policy, gate, stream.size());
-  for (const auto& item : stream) {
-    util::check(offer(item), "AdmissionQueue: staging ring full");
-  }
+  reset(apps, capacity, policy, gate);
+  stage(stream);
 }
 
 void AdmissionQueue::reset(int apps, std::int64_t capacity,
-                           QueuePolicy policy, AdmissionGate gate,
-                           std::size_t stream_capacity,
-                           double timer_origin_s,
-                           double timer_resolution_s) {
+                           QueuePolicy policy, AdmissionGate gate) {
   util::check(apps > 0, "AdmissionQueue: need at least one app");
   apps_ = apps;
   capacity_ = capacity;
@@ -45,129 +22,73 @@ void AdmissionQueue::reset(int apps, std::int64_t capacity,
   gate_ = gate;
   depth_ = 0;
 
-  stream_.resize(std::max<std::size_t>(1, stream_capacity));
-  if (static_cast<std::size_t>(apps) > upstream_capacity_) {
-    produced_ = std::make_unique<std::atomic<std::int64_t>[]>(
-        static_cast<std::size_t>(apps));
-    upstream_capacity_ = static_cast<std::size_t>(apps);
-  }
-  for (int i = 0; i < apps; ++i) {
-    produced_[static_cast<std::size_t>(i)].store(0, std::memory_order_relaxed);
-  }
-  if (consumed_.size() < static_cast<std::size_t>(apps)) {
-    consumed_.resize(static_cast<std::size_t>(apps));
-  }
-  for (auto& c : consumed_) c = 0;
-
-  if (fifos_.size() < static_cast<std::size_t>(apps)) {
-    fifos_.resize(static_cast<std::size_t>(apps));
-  }
-  for (auto& f : fifos_) f = Fifo{};
-  pool_.reclaim_all();
-  departures_.reset(timer_origin_s, timer_resolution_s);
+  stream_.clear();
+  cursor_ = 0;
+  next_.clear();
+  upstream_.assign(static_cast<std::size_t>(apps), 0);
+  fifos_.assign(static_cast<std::size_t>(apps), Fifo{});
+  departures_.clear();
+  departed_ = 0;
 
   dropped_.clear();
   deadline_shed_.clear();
   depth_stats_ = util::RunningStats{};
 }
 
+void AdmissionQueue::stage(std::span<const ServeItem> items) {
+  util::check(stream_.size() + items.size() <=
+                  static_cast<std::size_t>(
+                      std::numeric_limits<std::int32_t>::max()),
+              "AdmissionQueue: stream too long for int32 links");
+  for (const auto& item : items) {
+    util::check(item.app >= 0 && item.app < apps_,
+                "AdmissionQueue: item app out of range");
+    ++upstream_[static_cast<std::size_t>(item.app)];
+  }
+  stream_.insert(stream_.end(), items.begin(), items.end());
+  next_.resize(stream_.size());
+}
+
 void AdmissionQueue::reserve(int apps, std::size_t items) {
   util::check(apps > 0, "AdmissionQueue: need at least one app");
-  stream_.resize(std::max<std::size_t>(1, items));
-  pool_.reserve(items);
+  stream_.reserve(items);
+  next_.reserve(items);
   departures_.reserve(items);
   dropped_.reserve(items);
   deadline_shed_.reserve(items);
-  if (static_cast<std::size_t>(apps) > upstream_capacity_) {
-    produced_ = std::make_unique<std::atomic<std::int64_t>[]>(
-        static_cast<std::size_t>(apps));
-    upstream_capacity_ = static_cast<std::size_t>(apps);
-  }
-  if (consumed_.size() < static_cast<std::size_t>(apps)) {
-    consumed_.resize(static_cast<std::size_t>(apps));
-  }
-  if (fifos_.size() < static_cast<std::size_t>(apps)) {
-    fifos_.resize(static_cast<std::size_t>(apps));
-  }
+  upstream_.reserve(static_cast<std::size_t>(apps));
+  fifos_.reserve(static_cast<std::size_t>(apps));
 }
 
-bool AdmissionQueue::offer(const ServeItem& item) {
-  util::check(item.app >= 0 && item.app < apps_,
-              "AdmissionQueue: item app out of range");
-  if (!stream_.try_push(item)) return false;
-  produced_[static_cast<std::size_t>(item.app)].fetch_add(
-      1, std::memory_order_relaxed);
-  return true;
-}
-
-bool AdmissionQueue::offer_all(const ServeItem* items, std::size_t count) {
-  const std::size_t pushed = stream_.try_push_many(items, count);
-  // Batch the upstream updates down to one atomic add per app. Streams are
-  // sorted by time, so apps interleave freely — accumulate on the stack
-  // (per-producer-call, so no cross-producer race) when the app count
-  // allows, falling back to run-length adds for very wide clusters.
-  constexpr int kStackApps = 64;
-  if (apps_ <= kStackApps) {
-    std::int64_t counts[kStackApps] = {};
-    for (std::size_t i = 0; i < pushed; ++i) {
-      const int app = items[i].app;
-      util::check(app >= 0 && app < apps_,
-                  "AdmissionQueue: item app out of range");
-      ++counts[app];
-    }
-    for (int app = 0; app < apps_; ++app) {
-      if (counts[app] != 0) {
-        produced_[static_cast<std::size_t>(app)].fetch_add(
-            counts[app], std::memory_order_relaxed);
-      }
-    }
-  } else {
-    std::size_t i = 0;
-    while (i < pushed) {
-      const int app = items[i].app;
-      util::check(app >= 0 && app < apps_,
-                  "AdmissionQueue: item app out of range");
-      std::size_t j = i + 1;
-      while (j < pushed && items[j].app == app) ++j;
-      produced_[static_cast<std::size_t>(app)].fetch_add(
-          static_cast<std::int64_t>(j - i), std::memory_order_relaxed);
-      i = j;
-    }
-  }
-  return pushed == count;
-}
-
-void AdmissionQueue::push_fifo(int app, const ServeItem& item) {
-  const std::int32_t node = pool_.acquire();
-  pool_[node] = item;
+void AdmissionQueue::push_fifo(int app, std::int32_t idx) {
+  next_[static_cast<std::size_t>(idx)] = kNil;
   auto& f = fifo(app);
-  if (f.tail == runtime::kSlabNil) {
-    f.head = node;
+  if (f.tail == kNil) {
+    f.head = idx;
   } else {
-    pool_.set_next(f.tail, node);
+    next_[static_cast<std::size_t>(f.tail)] = idx;
   }
-  f.tail = node;
+  f.tail = idx;
   ++f.size;
 }
 
-ServeItem AdmissionQueue::pop_fifo(int app) {
+const ServeItem& AdmissionQueue::pop_fifo(int app) {
   auto& f = fifo(app);
-  const std::int32_t node = f.head;
-  const ServeItem item = pool_[node];
-  f.head = pool_.next_of(node);
-  if (f.head == runtime::kSlabNil) f.tail = runtime::kSlabNil;
+  const std::int32_t idx = f.head;
+  f.head = next_[static_cast<std::size_t>(idx)];
+  if (f.head == kNil) f.tail = kNil;
   --f.size;
-  pool_.release(node);
-  return item;
+  return stream_[static_cast<std::size_t>(idx)];
 }
 
 void AdmissionQueue::admit_next() {
-  ServeItem item;
-  util::check(stream_.try_pop(item), "AdmissionQueue: stream exhausted");
-  ++consumed_[static_cast<std::size_t>(item.app)];
+  util::check(cursor_ < stream_.size(), "AdmissionQueue: stream exhausted");
+  const auto idx = static_cast<std::int32_t>(cursor_);
+  const ServeItem& item = stream_[cursor_++];
+  --upstream_[static_cast<std::size_t>(item.app)];
 
   // Apply departures (launch starts) that happened before this arrival.
-  depth_ -= departures_.advance(item.available_s);
+  release_departures(item.available_s);
 
   // Deadline-aware shedding happens before the capacity check: a request
   // predicted to miss its SLO is cheap to reject here, and must not evict a
@@ -185,8 +106,9 @@ void AdmissionQueue::admit_next() {
       double victim_avail = 0.0;
       for (int a = 0; a < apps_; ++a) {
         const auto& f = fifo(a);
-        if (f.head == runtime::kSlabNil) continue;
-        const double avail = pool_[f.head].available_s;
+        if (f.head == kNil) continue;
+        const double avail =
+            stream_[static_cast<std::size_t>(f.head)].available_s;
         if (victim_app < 0 || avail < victim_avail) {
           victim_app = a;
           victim_avail = avail;
@@ -209,37 +131,24 @@ void AdmissionQueue::admit_next() {
     }
   }
 
-  push_fifo(item.app, item);
+  push_fifo(item.app, idx);
   ++depth_;
   sample_depth();
-}
-
-void AdmissionQueue::fill(int app, std::size_t want) {
-  const auto& f = fifo(app);
-  while (static_cast<std::size_t>(f.size) < want && upstream(app) > 0) {
-    admit_next();
-  }
 }
 
 void AdmissionQueue::fill_until(int app, std::size_t want,
                                 double threshold_s) {
   const auto& f = fifo(app);
-  while (static_cast<std::size_t>(f.size) < want && upstream(app) > 0) {
-    const ServeItem* next = stream_.front();
-    if (next == nullptr || next->available_s > threshold_s) break;
+  while (static_cast<std::size_t>(f.size) < want && upstream(app) > 0 &&
+         stream_[cursor_].available_s <= threshold_s) {
     admit_next();
   }
-}
-
-bool AdmissionQueue::exhausted(int app) const {
-  return fifo(app).size == 0 && upstream(app) == 0;
 }
 
 void AdmissionQueue::take_into(int app, std::size_t count,
                                std::vector<ServeItem>& out) {
   out.clear();
-  auto& f = fifo(app);
-  util::check(count <= static_cast<std::size_t>(f.size),
+  util::check(count <= static_cast<std::size_t>(fifo(app).size),
               "AdmissionQueue: take beyond waiting");
   for (std::size_t r = 0; r < count; ++r) {
     out.push_back(pop_fifo(app));
@@ -254,25 +163,33 @@ std::vector<ServeItem> AdmissionQueue::take(int app, std::size_t count) {
 }
 
 void AdmissionQueue::on_dispatch(double start_s, std::size_t count) {
+  util::check(departures_.empty() || start_s >= departures_.back().time_s,
+              "AdmissionQueue: dispatch start times must not decrease");
   if (count == 0) return;
-  departures_.schedule(start_s, static_cast<std::int64_t>(count));
+  departures_.push_back({start_s, static_cast<std::int64_t>(count)});
+}
+
+void AdmissionQueue::release_departures(double now_s) {
+  while (departed_ < departures_.size() &&
+         departures_[departed_].time_s <= now_s) {
+    depth_ -= departures_[departed_++].count;
+  }
 }
 
 void AdmissionQueue::settle_departures() {
   // End-of-slot: every registered launch has started, so all deferred
   // departures release their capacity now. Without this, a drained queue
-  // kept stale events and a depth_ still counting requests that left long
-  // ago.
-  depth_ -= departures_.settle_all();
+  // kept a depth_ still counting requests that left long ago.
+  release_departures(std::numeric_limits<double>::infinity());
   util::check(depth_ >= 0, "AdmissionQueue: departures exceed admissions");
 }
 
 void AdmissionQueue::drain_unprocessed_into(std::vector<ServeItem>& out) {
   settle_departures();
   out.clear();
-  ServeItem item;
-  while (stream_.try_pop(item)) {
-    ++consumed_[static_cast<std::size_t>(item.app)];
+  for (; cursor_ < stream_.size(); ++cursor_) {
+    const ServeItem& item = stream_[cursor_];
+    --upstream_[static_cast<std::size_t>(item.app)];
     out.push_back(item);
   }
 }

@@ -1,4 +1,4 @@
-// Per-edge admission queue for the serving runtime — lock-free hot path.
+// Per-edge admission queue for the serving runtime.
 //
 // One edge's requests (local arrivals plus redistributed imports) form a
 // single chronological stream; the queue admits them in availability order
@@ -9,40 +9,31 @@
 // in time, so an admission decision at time T sees exactly the requests
 // buffered at T.
 //
-// The PR-10 rewrite keeps that contract and replaces every internal
-// container with a steady-state allocation-free, lock-free equivalent:
+// The queue has one owner: the edge's worker stages the slot's stream and
+// drives every admission, take and dispatch on the same thread. Its
+// internals are plain vectors:
 //
-//   * the arrival stream is a bounded MPSC ring (runtime/mpsc_ring.hpp) —
-//     producers stage with offer() from any thread, the owning edge worker
-//     consumes without ever taking a lock;
-//   * waiting requests live in intrusive per-app FIFOs over a slab
-//     recycler (runtime/slab.hpp) — no per-request node allocation once
-//     the slab's high-water mark is reached;
-//   * deferred departures go through a hierarchical timer wheel
-//     (runtime/timer_wheel.hpp) instead of a binary heap — O(1) schedule,
-//     bucket-granular expiry with exact-time comparisons only at the
-//     boundary bucket;
-//   * the admission gate is a non-owning context+function-pointer pair,
-//     not a std::function — no type-erasure allocation per slot.
+//   * the staged stream plus a read cursor;
+//   * per-app FIFOs linked through the stream by index (one int32 `next`
+//     entry per staged request) — an admitted request never moves;
+//   * pending departures as (start time, count) pairs with a head index.
+//     Launch starts on one edge never go backwards (each starts at or after
+//     the previous launch's completion), so the due departures are always a
+//     prefix; on_dispatch checks that order.
 //
-// reset() retains every capacity, so an engine reusing one queue per edge
-// across slots performs zero heap allocations per request in steady state
-// (asserted in serve_test with the BIRP_COUNT_ALLOCS hook).
-//
-// Determinism: the admission decision sequence is byte-identical to the
-// seed implementation (kept as serve/legacy_queue.hpp) for any staging
-// order equal to the seed's stream order — pinned by serve_test's
-// byte-identity suite.
+// The admission gate is a non-owning context+function-pointer pair, not a
+// std::function — no type-erasure allocation per slot. reset() retains
+// every capacity, so an engine reusing one queue per edge across slots
+// performs zero heap allocations per request in steady state (asserted in
+// serve_test with the BIRP_COUNT_ALLOCS hook). serve_test also pins a
+// digest of every admit/shed/drop/defer decision over seeded op scripts.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <limits>
+#include <span>
 #include <vector>
 
-#include "birp/runtime/mpsc_ring.hpp"
-#include "birp/runtime/slab.hpp"
-#include "birp/runtime/timer_wheel.hpp"
 #include "birp/serve/request.hpp"
 #include "birp/util/stats.hpp"
 
@@ -90,73 +81,55 @@ class AdmissionQueue {
                  AdmissionGate gate = {});
 
   /// Re-arms the queue for a new slot, retaining all storage so steady-
-  /// state reuse allocates nothing. `stream_capacity` sizes the staging
-  /// ring (at least the number of offers this slot will make);
-  /// `timer_origin_s`/`timer_resolution_s` anchor the departure wheel
-  /// (resolution affects performance only, never results).
+  /// state reuse allocates nothing.
   void reset(int apps, std::int64_t capacity, QueuePolicy policy,
-             AdmissionGate gate, std::size_t stream_capacity,
-             double timer_origin_s = 0.0, double timer_resolution_s = 1e-2);
+             AdmissionGate gate);
 
-  /// Stages one arrival. Safe from multiple producer threads concurrently
-  /// (the MPSC contract); consumption must not start until producers
-  /// quiesce. Items must collectively arrive in (available_s, app, origin,
-  /// seq) order for determinism — the engine stages from one thread in
-  /// sorted order. Returns false when the ring is full (size the ring via
-  /// reset()).
-  bool offer(const ServeItem& item);
+  /// Appends `items` to the staged stream. Everything staged must be in
+  /// (available_s, app, origin, seq) order — the engine stages one merged,
+  /// sorted stream per slot.
+  void stage(std::span<const ServeItem> items);
 
-  /// Bulk stage: offers `count` items with one ring claim (one CAS) and
-  /// one upstream-counter update per app instead of per item — the
-  /// engine's staging path for a whole slot. Same concurrency contract as
-  /// offer(): safe from multiple producer threads, each producer's batch
-  /// keeps its internal order. Returns true when all `count` items were
-  /// staged; false when the ring ran out of room (the staged prefix
-  /// stays staged and is counted upstream — size the ring via reset()).
-  bool offer_all(const ServeItem* items, std::size_t count);
-
-  /// Pre-carves every internal pool, the per-app tables, and the staging
-  /// ring for `apps` apps and `items` offers, so a subsequent
-  /// reset()+offer()+fill() cycle up to that size never allocates. Call
-  /// while quiescent (construction-time warmup): the ring is
-  /// re-initialized. No-op once capacity suffices.
+  /// Pre-carves the per-app tables and every per-request buffer for
+  /// `apps` apps and `items` staged requests, so a subsequent
+  /// reset()+stage()+fill() cycle up to that size never allocates.
   void reserve(int apps, std::size_t items);
 
   /// Processes arrivals chronologically until `app`'s FIFO holds `want`
   /// admitted requests or the stream runs out.
-  void fill(int app, std::size_t want);
+  void fill(int app, std::size_t want) {
+    fill_until(app, want, std::numeric_limits<double>::infinity());
+  }
 
   /// Like fill(), but stops before the first arrival with
   /// available_s > threshold_s (that arrival stays unprocessed).
   void fill_until(int app, std::size_t want, double threshold_s);
 
   /// True when no request of `app` is waiting and none remains upstream.
-  [[nodiscard]] bool exhausted(int app) const;
+  [[nodiscard]] bool exhausted(int app) const {
+    return fifo(app).size == 0 && upstream(app) == 0;
+  }
 
   /// Requests of `app` still unprocessed in the stream (not yet admitted
-  /// or dropped): items staged by producers minus items the consumer has
-  /// retired. Exact on the consumer thread once producers have quiesced
-  /// (the consumer-side count is a plain integer the consumer owns, so
-  /// retiring a request costs one increment, not an atomic RMW).
+  /// or dropped).
   [[nodiscard]] std::int64_t upstream(int app) const {
-    return produced_[static_cast<std::size_t>(app)].load(
-               std::memory_order_relaxed) -
-           consumed_[static_cast<std::size_t>(app)];
+    return upstream_[static_cast<std::size_t>(app)];
   }
 
   /// Live, non-owning view of `app`'s waiting FIFO (oldest first). Reads
   /// the queue's current state on every call, so a view taken before a
-  /// fill()/take() observes the mutation — same semantics as the deque
-  /// reference the seed queue returned.
+  /// fill()/take() observes the mutation.
   class WaitingView {
    public:
     class Iterator {
      public:
-      Iterator(const runtime::SlabPool<ServeItem>* pool, std::int32_t idx)
-          : pool_(pool), idx_(idx) {}
-      const ServeItem& operator*() const { return (*pool_)[idx_]; }
+      Iterator(const AdmissionQueue* queue, std::int32_t idx)
+          : queue_(queue), idx_(idx) {}
+      const ServeItem& operator*() const {
+        return queue_->stream_[static_cast<std::size_t>(idx_)];
+      }
       Iterator& operator++() {
-        idx_ = pool_->next_of(idx_);
+        idx_ = queue_->next_[static_cast<std::size_t>(idx_)];
         return *this;
       }
       bool operator==(const Iterator& other) const noexcept {
@@ -164,15 +137,19 @@ class AdmissionQueue {
       }
 
      private:
-      const runtime::SlabPool<ServeItem>* pool_;
+      const AdmissionQueue* queue_;
       std::int32_t idx_;
     };
 
-    [[nodiscard]] std::size_t size() const noexcept;
+    [[nodiscard]] std::size_t size() const noexcept {
+      return static_cast<std::size_t>(queue_->fifo(app_).size);
+    }
     [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-    [[nodiscard]] const ServeItem& front() const;
-    [[nodiscard]] Iterator begin() const;
-    [[nodiscard]] Iterator end() const;
+    [[nodiscard]] const ServeItem& front() const { return *begin(); }
+    [[nodiscard]] Iterator begin() const {
+      return Iterator(queue_, queue_->fifo(app_).head);
+    }
+    [[nodiscard]] Iterator end() const { return Iterator(queue_, kNil); }
 
    private:
     friend class AdmissionQueue;
@@ -197,6 +174,7 @@ class AdmissionQueue {
   [[nodiscard]] std::vector<ServeItem> take(int app, std::size_t count);
 
   /// Registers that `count` buffered requests leave the queue at `start_s`.
+  /// Start times must not decrease between calls (std::logic_error).
   void on_dispatch(double start_s, std::size_t count);
 
   /// Requests dropped by backpressure so far, in drop order.
@@ -234,14 +212,24 @@ class AdmissionQueue {
   [[nodiscard]] std::vector<ServeItem> drain_waiting();
 
  private:
-  /// One app's intrusive FIFO over the shared slab.
+  static constexpr std::int32_t kNil = -1;
+
+  /// One app's FIFO, linked through `next_` by stream index.
   struct Fifo {
-    std::int32_t head = runtime::kSlabNil;
-    std::int32_t tail = runtime::kSlabNil;
+    std::int32_t head = kNil;
+    std::int32_t tail = kNil;
     std::int64_t size = 0;
   };
 
+  /// `count` buffered requests leave at `time_s`.
+  struct Departure {
+    double time_s = 0.0;
+    std::int64_t count = 0;
+  };
+
   void admit_next();
+  /// Applies every pending departure with time_s <= now_s.
+  void release_departures(double now_s);
   /// Applies every pending departure regardless of time (used by the
   /// drains: end-of-slot means all registered launches have started).
   void settle_departures();
@@ -254,26 +242,21 @@ class AdmissionQueue {
   [[nodiscard]] const Fifo& fifo(int app) const {
     return fifos_[static_cast<std::size_t>(app)];
   }
-  void push_fifo(int app, const ServeItem& item);
-  ServeItem pop_fifo(int app);
+  void push_fifo(int app, std::int32_t idx);
+  const ServeItem& pop_fifo(int app);
 
   int apps_ = 0;
-  runtime::MpscRing<ServeItem> stream_;  ///< staged arrivals, FIFO
-  /// Per-app count staged into the stream. Atomic so offer() is MPSC-safe;
-  /// a raw array (not a vector) because atomics are neither copyable nor
-  /// movable; grown only when `apps` exceeds the high-water capacity.
-  std::unique_ptr<std::atomic<std::int64_t>[]> produced_;
-  std::size_t upstream_capacity_ = 0;
-  /// Per-app count the consumer retired from the stream; consumer-owned
-  /// plain integers (upstream(app) = produced - consumed).
-  std::vector<std::int64_t> consumed_;
+  std::vector<ServeItem> stream_;     ///< staged arrivals, in order
+  std::size_t cursor_ = 0;            ///< next unprocessed stream index
+  std::vector<std::int32_t> next_;    ///< FIFO link per stream index
+  std::vector<std::int64_t> upstream_;  ///< per app: staged, unprocessed
   std::int64_t capacity_ = 0;
   QueuePolicy policy_ = QueuePolicy::kRejectNewest;
   AdmissionGate gate_;
   std::int64_t depth_ = 0;
   std::vector<Fifo> fifos_;
-  runtime::SlabPool<ServeItem> pool_;  ///< backing store for all FIFOs
-  runtime::TimerWheel departures_;     ///< deferred capacity releases
+  std::vector<Departure> departures_;  ///< nondecreasing time_s
+  std::size_t departed_ = 0;           ///< departures_ already applied
   std::vector<ServeItem> dropped_;
   std::vector<ServeItem> deadline_shed_;
   util::RunningStats depth_stats_;

@@ -1,22 +1,17 @@
-// Tests for the runtime primitives: thread pool (+ spin-then-park wakeup),
-// parallel_for, the MPSC ring, the slab recycler, and the timer wheel.
+// Tests for the runtime primitives: thread pool (+ spin-then-park wakeup)
+// and parallel_for.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
-#include <random>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "birp/runtime/mpsc_ring.hpp"
 #include "birp/runtime/parallel_for.hpp"
-#include "birp/runtime/slab.hpp"
 #include "birp/runtime/thread_pool.hpp"
-#include "birp/runtime/timer_wheel.hpp"
 
 namespace birp::runtime {
 namespace {
@@ -316,267 +311,6 @@ TEST(ThreadPoolSpin, HandoffLatencyOrdering) {
   }
   EXPECT_TRUE(ordered) << "spin=" << spin_median << "s park=" << park_median
                        << "s";
-}
-
-// ---------------------------------------------------------------- MpscRing ----
-
-TEST(MpscRing, SingleProducerFifoOrder) {
-  MpscRing<int> ring(8);
-  EXPECT_GE(ring.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_EQ(ring.size(), 8u);
-  int out = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_NE(ring.front(), nullptr);
-    EXPECT_EQ(*ring.front(), i);
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_EQ(ring.front(), nullptr);
-}
-
-TEST(MpscRing, FullRingRejectsPushUntilPopFreesASlot) {
-  MpscRing<int> ring(4);  // capacity rounds to exactly 4
-  ASSERT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full: reject, never block or overwrite
-  int out = -1;
-  ASSERT_TRUE(ring.try_pop(out));
-  EXPECT_EQ(out, 0);
-  EXPECT_TRUE(ring.try_push(99));  // freed slot is reusable
-  std::vector<int> rest;
-  while (ring.try_pop(out)) rest.push_back(out);
-  EXPECT_EQ(rest, (std::vector<int>{1, 2, 3, 99}));
-}
-
-TEST(MpscRing, ResizeRoundsUpGrowsOnlyAndEmpties) {
-  MpscRing<int> ring(3);
-  EXPECT_EQ(ring.capacity(), 4u);  // next power of two
-  EXPECT_TRUE(ring.try_push(7));
-  ring.resize(100);
-  EXPECT_EQ(ring.capacity(), 128u);
-  EXPECT_TRUE(ring.empty());  // resize re-arms an empty ring
-  ring.resize(2);             // shrink request: storage is grow-only
-  EXPECT_EQ(ring.capacity(), 128u);
-  for (int i = 0; i < 128; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(-1));
-}
-
-TEST(MpscRing, ManyProducersOneConsumerLosesNothing) {
-  // The MPSC contract under real concurrency: every pushed element arrives
-  // exactly once, and each producer's own elements arrive in its push
-  // order. Run alongside TSan in CI.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  MpscRing<int> ring(1024);  // much smaller than the total: forces wrap
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int value = p * kPerProducer + i;
-        while (!ring.try_push(value)) std::this_thread::yield();
-      }
-    });
-  }
-  std::vector<int> last_seen(kProducers, -1);
-  int received = 0;
-  while (received < kProducers * kPerProducer) {
-    int value = -1;
-    if (!ring.try_pop(value)) {
-      std::this_thread::yield();
-      continue;
-    }
-    const int producer = value / kPerProducer;
-    const int seq = value % kPerProducer;
-    ASSERT_LT(producer, kProducers);
-    EXPECT_GT(seq, last_seen[static_cast<std::size_t>(producer)])
-        << "per-producer FIFO violated";
-    last_seen[static_cast<std::size_t>(producer)] = seq;
-    ++received;
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_TRUE(ring.empty());
-  for (const int last : last_seen) EXPECT_EQ(last, kPerProducer - 1);
-}
-
-// ---------------------------------------------------------------- SlabPool ----
-
-TEST(SlabPool, AcquireReleaseRecyclesNodes) {
-  SlabPool<int> pool;
-  const auto a = pool.acquire();
-  const auto b = pool.acquire();
-  pool[a] = 10;
-  pool[b] = 20;
-  EXPECT_EQ(pool.live(), 2u);
-  EXPECT_NE(a, b);
-  pool.release(a);
-  EXPECT_EQ(pool.live(), 1u);
-  const auto c = pool.acquire();  // free list hands the released node back
-  EXPECT_EQ(c, a);
-  EXPECT_EQ(pool[b], 20);  // untouched neighbor
-}
-
-TEST(SlabPool, IntrusiveLinksBuildChains) {
-  SlabPool<int> pool;
-  const auto head = pool.acquire();
-  const auto mid = pool.acquire();
-  const auto tail = pool.acquire();
-  pool.set_next(head, mid);
-  pool.set_next(mid, tail);
-  EXPECT_EQ(pool.next_of(head), mid);
-  EXPECT_EQ(pool.next_of(mid), tail);
-  EXPECT_EQ(pool.next_of(tail), kSlabNil);
-  // Mid-chain unlink through the writable link (the timer wheel's walk).
-  pool.mutable_next(head) = pool.next_of(mid);
-  EXPECT_EQ(pool.next_of(head), tail);
-}
-
-TEST(SlabPool, ReclaimAllRetainsStorage) {
-  SlabPool<int> pool;
-  for (int i = 0; i < 600; ++i) (void)pool.acquire();  // spans 3 chunks
-  const auto high_water = pool.capacity();
-  EXPECT_GE(high_water, 600u);
-  pool.reclaim_all();
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_EQ(pool.capacity(), high_water);  // chunks kept for reuse
-  for (int i = 0; i < 600; ++i) (void)pool.acquire();
-  EXPECT_EQ(pool.capacity(), high_water);  // no regrowth below high water
-}
-
-TEST(SlabPool, ReservePreCarvesCapacity) {
-  SlabPool<int> pool;
-  pool.reserve(1000);
-  EXPECT_GE(pool.capacity(), 1000u);
-  EXPECT_EQ(pool.live(), 0u);
-}
-
-// -------------------------------------------------------------- TimerWheel ----
-
-/// Reference semantics for the wheel: an unordered list with exact-time
-/// comparisons — what the seed implementation's binary heap computed.
-class ReferenceTimers {
- public:
-  void schedule(double time_s, std::int64_t count) {
-    events_.emplace_back(time_s, count);
-  }
-  std::int64_t advance(double now_s) {
-    std::int64_t fired = 0;
-    for (auto it = events_.begin(); it != events_.end();) {
-      if (it->first <= now_s) {
-        fired += it->second;
-        it = events_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    return fired;
-  }
-  std::int64_t settle_all() {
-    std::int64_t fired = 0;
-    for (const auto& [t, c] : events_) fired += c;
-    events_.clear();
-    return fired;
-  }
-  [[nodiscard]] std::size_t pending() const { return events_.size(); }
-
- private:
-  std::vector<std::pair<double, std::int64_t>> events_;
-};
-
-TEST(TimerWheel, MatchesReferenceOnRandomScheduleAdvanceMix) {
-  // The determinism contract: for ANY resolution, advance() fires exactly
-  // the events the exact-comparison reference fires. Random interleaving of
-  // schedules (past, near, far) and monotone advances across several
-  // resolutions, including one so coarse every event shares a bucket.
-  for (const double resolution : {1e-3, 1e-2, 0.5, 100.0}) {
-    TimerWheel wheel;
-    wheel.reset(0.0, resolution);
-    ReferenceTimers reference;
-    std::mt19937 rng(0xb1e5ed);
-    std::uniform_real_distribution<double> jitter(0.0, 3.0);
-    double now = 0.0;
-    for (int step = 0; step < 400; ++step) {
-      const int kind = static_cast<int>(rng() % 4);
-      if (kind < 2) {
-        // Schedule around the cursor: behind it, near it, or far ahead
-        // (deep into the coarse window / overflow list).
-        const double base = (kind == 0) ? now - 1.0 : now + jitter(rng) * 40.0;
-        const auto count = static_cast<std::int64_t>(rng() % 5);
-        wheel.schedule(base, count);
-        reference.schedule(base, count);
-      } else {
-        now += jitter(rng);
-        ASSERT_EQ(wheel.advance(now), reference.advance(now))
-            << "resolution " << resolution << " step " << step << " now "
-            << now;
-      }
-      ASSERT_EQ(static_cast<std::size_t>(wheel.pending()),
-                reference.pending());
-    }
-    EXPECT_EQ(wheel.settle_all(), reference.settle_all());
-    EXPECT_TRUE(wheel.empty());
-  }
-}
-
-TEST(TimerWheel, PastEventsFireOnNextAdvance) {
-  TimerWheel wheel;
-  wheel.reset(0.0, 1e-2);
-  EXPECT_EQ(wheel.advance(5.0), 0);  // move the cursor forward first
-  wheel.schedule(1.0, 3);            // already in the past
-  wheel.schedule(5.0, 2);            // exactly at the cursor
-  EXPECT_EQ(wheel.advance(5.0), 5);  // both fire: exact comparisons decide
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, BoundaryBucketUsesExactComparison) {
-  // Two events in the same fine bucket, one before and one after the
-  // advance time: quantization must not fire the later one.
-  TimerWheel wheel;
-  wheel.reset(0.0, 1.0);  // coarse buckets: both land in bucket 0
-  wheel.schedule(0.25, 1);
-  wheel.schedule(0.75, 1);
-  EXPECT_EQ(wheel.advance(0.5), 1);
-  EXPECT_EQ(wheel.pending(), 1);
-  EXPECT_EQ(wheel.advance(0.75), 1);  // inclusive boundary, like the heap
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, FarFutureEventsCascadeFromOverflow) {
-  TimerWheel wheel;
-  wheel.reset(0.0, 1e-2);
-  // Fine window covers 0.64s, coarse 40.96s: these park in overflow.
-  wheel.schedule(1000.0, 7);
-  wheel.schedule(5000.0, 11);
-  EXPECT_EQ(wheel.advance(999.0), 0);
-  EXPECT_EQ(wheel.advance(1000.0), 7);  // cascaded down and fired exactly
-  EXPECT_EQ(wheel.pending(), 1);
-  EXPECT_EQ(wheel.settle_all(), 11);
-}
-
-TEST(TimerWheel, ResetRetainsStorageAndReanchors) {
-  TimerWheel wheel;
-  wheel.reset(0.0, 1e-2);
-  for (int i = 0; i < 100; ++i) wheel.schedule(static_cast<double>(i), 1);
-  EXPECT_EQ(wheel.settle_all(), 100);
-  wheel.reset(50.0, 1e-3);  // new origin and resolution, same storage
-  wheel.schedule(50.5, 4);
-  EXPECT_EQ(wheel.advance(51.0), 4);
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, EmptyAdvanceAcrossHugeSpansIsCheap) {
-  // The empty fast path: jumping years ahead must not walk buckets. This
-  // finishes instantly when the fast path works and times out when not.
-  TimerWheel wheel;
-  wheel.reset(0.0, 1e-3);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(wheel.advance(static_cast<double>(i) * 1e6), 0);
-  }
-  wheel.schedule(1e9 + 0.5, 2);  // schedule far beyond the moved cursor
-  EXPECT_EQ(wheel.advance(1e9 + 1.0), 2);
 }
 
 }  // namespace

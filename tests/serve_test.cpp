@@ -2,18 +2,20 @@
 // queue, and the ServeEngine end to end.
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fnv1a.hpp"
 #include "birp/device/cluster.hpp"
 #include "birp/metrics/report_csv.hpp"
 #include "birp/serve/adaptive.hpp"
 #include "birp/serve/batcher.hpp"
 #include "birp/serve/engine.hpp"
-#include "birp/serve/legacy_queue.hpp"
 #include "birp/serve/queue.hpp"
 #include "birp/serve/request.hpp"
 #include "birp/util/alloc_count.hpp"
@@ -215,14 +217,15 @@ TEST(AdmissionQueue, SealedButNotYetLaunchedStillHoldsCapacity) {
 }
 
 TEST(AdmissionQueue, FillUntilRespectsThreshold) {
-  std::vector<ServeItem> stream{item_at(0, 0.0, 0), item_at(0, 0.9, 1)};
+  std::vector<ServeItem> stream{item_at(0, 0.0, 0), item_at(0, 0.5, 1),
+                                item_at(0, 0.9, 2)};
   AdmissionQueue queue(1, stream, 0, QueuePolicy::kRejectNewest);
-  queue.fill_until(0, 2, 0.5);
-  EXPECT_EQ(queue.waiting(0).size(), 1u);  // t=0.9 stays upstream
-  EXPECT_EQ(queue.upstream(0), 1);
+  queue.fill_until(0, 3, 0.5);
+  EXPECT_EQ(queue.waiting(0).size(), 2u);  // t=0.5 is not beyond 0.5
+  EXPECT_EQ(queue.upstream(0), 1);         // t=0.9 stays upstream
   const auto rest = queue.drain_unprocessed();
   ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest.front().seq, 1);
+  EXPECT_EQ(rest.front().seq, 2);
 }
 
 TEST(AdmissionQueue, DepthStatsTrackBufferedRequests) {
@@ -298,6 +301,41 @@ TEST(AdmissionQueue, EveryDecisionPathSamplesDepthOnce) {
     EXPECT_EQ(queue.dropped().front().seq, 1);
     EXPECT_EQ(queue.depth_stats().count(), 2u);
   }
+}
+
+TEST(AdmissionQueue, LaunchAtTheArrivalInstantFreesCapacityFirst) {
+  // A departure applies to every arrival at or after its start time, so an
+  // arrival at exactly the launch start sees the freed slot.
+  std::vector<ServeItem> stream{item_at(0, 0.0, 0), item_at(0, 0.5, 1)};
+  AdmissionQueue queue(1, stream, 1, QueuePolicy::kRejectNewest);
+  queue.fill(0, 1);
+  queue.on_dispatch(0.5, queue.take(0, 1).size());
+  queue.fill(0, 1);
+  EXPECT_EQ(queue.waiting(0).size(), 1u);
+  EXPECT_TRUE(queue.dropped().empty());
+}
+
+TEST(AdmissionQueue, EvictOldestBreaksTiesTowardTheLowestApp) {
+  // Both waiting heads arrived at t=0.0; the lower app index is evicted.
+  std::vector<ServeItem> stream{item_at(0, 0.0, 0), item_at(1, 0.0, 1),
+                                item_at(2, 0.1, 2)};
+  AdmissionQueue queue(3, stream, 2, QueuePolicy::kEvictOldest);
+  queue.fill(2, 1);
+  ASSERT_EQ(queue.dropped().size(), 1u);
+  EXPECT_EQ(queue.dropped().front().app, 0);
+  EXPECT_EQ(queue.waiting(1).size(), 1u);
+  EXPECT_EQ(queue.waiting(2).size(), 1u);
+}
+
+TEST(AdmissionQueue, DecreasingDispatchStartThrows) {
+  // Launch starts on one edge never go backwards; the departure list relies
+  // on it, so a caller that breaks the order must fail loudly.
+  std::vector<ServeItem> stream{item_at(0, 0.0, 0), item_at(0, 0.1, 1)};
+  AdmissionQueue queue(1, stream, 0, QueuePolicy::kRejectNewest);
+  queue.fill(0, 2);
+  queue.on_dispatch(0.5, queue.take(0, 1).size());
+  queue.on_dispatch(0.5, queue.take(0, 1).size());  // equal start is fine
+  EXPECT_THROW(queue.on_dispatch(0.4, 1), std::logic_error);
 }
 
 // ----------------------------------------------------------- ServeEngine ----
@@ -762,29 +800,40 @@ TEST_F(ServeEngineFixture, FullyShedQueueNeverSealsAnEmptyBatch) {
   EXPECT_EQ(sealed, 0);
 }
 
-// ------------------------------------------------- legacy byte-identity ----
-// The ring-backed AdmissionQueue must reproduce the seed implementation's
-// admit/shed/defer stream decision for decision. These tests drive the
-// kept-verbatim LegacyAdmissionQueue and the rewrite through identical
-// seeded op scripts and require every observable to match.
+// ------------------------------------------------- queue script oracle ----
+// Seeded op scripts (fill, fill_until, take + dispatch, clock advance) drive
+// the queue through every capacity x policy x gate combination. Each case
+// folds every observable of its scripts into one FNV-1a digest: the items
+// each take returns, depth/upstream/exhausted after every op, the final
+// waiting lists, dropped and deadline_shed, the depth stats, and both
+// drains. The constants were recorded from the earlier mutex/deque/heap
+// queue and its ring/slab/timer-wheel successor (which agreed decision for
+// decision on every case), so any changed admit, shed, drop or defer
+// decision fails here. The same scripts check per-op invariants.
 
-void expect_same_items(const std::vector<ServeItem>& legacy,
-                       const std::vector<ServeItem>& ring,
-                       const std::string& what) {
-  ASSERT_EQ(legacy.size(), ring.size()) << what;
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].app, ring[i].app) << what << " #" << i;
-    EXPECT_EQ(legacy[i].origin, ring[i].origin) << what << " #" << i;
-    EXPECT_EQ(legacy[i].seq, ring[i].seq) << what << " #" << i;
-    EXPECT_DOUBLE_EQ(legacy[i].arrival_s, ring[i].arrival_s)
-        << what << " #" << i;
-    EXPECT_DOUBLE_EQ(legacy[i].available_s, ring[i].available_s)
-        << what << " #" << i;
-  }
+using testutil::Fnv1a;
+
+void hash_item(Fnv1a& digest, const ServeItem& item) {
+  digest.value(item.app);
+  digest.value(item.origin);
+  digest.value(item.seq);
+  digest.value(item.arrival_s);
+  digest.value(item.available_s);
 }
 
-/// Seeded arrival stream, sorted by (available_s, app, origin, seq) as both
-/// queue contracts require.
+/// Every item in order, then the count.
+template <typename Items>
+void hash_items(Fnv1a& digest, const Items& items) {
+  std::size_t n = 0;
+  for (const auto& item : items) {
+    hash_item(digest, item);
+    ++n;
+  }
+  digest.value(n);
+}
+
+/// Seeded arrival stream, sorted by (available_s, app, origin, seq) as the
+/// queue contract requires; seq is the stream index.
 std::vector<ServeItem> seeded_stream(int apps, int count, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> when(0.0, 10.0);
@@ -811,117 +860,240 @@ std::vector<ServeItem> seeded_stream(int apps, int count, std::uint64_t seed) {
   return stream;
 }
 
-/// Pure gate: shed when too much is buffered ahead or on a seq stripe. Both
-/// implementations call it with their own (item, buffered_ahead) pairs, so
-/// agreement here means the admission order itself agrees.
-bool stripe_gate(const ServeItem& item, std::int64_t buffered_ahead) {
+/// Pure gate: shed when too much is buffered ahead or on a seq stripe.
+bool stripe_gate(const void*, const ServeItem& item,
+                 std::int64_t buffered_ahead) {
   return buffered_ahead <= 6 && item.seq % 5 != 4;
 }
-bool stripe_gate_thunk(const void*, const ServeItem& item,
-                       std::int64_t buffered_ahead) {
-  return stripe_gate(item, buffered_ahead);
-}
 
-void run_identity_script(std::int64_t capacity, QueuePolicy policy,
-                         bool gated, std::uint64_t seed) {
-  constexpr int kApps = 3;
-  const auto stream = seeded_stream(kApps, 240, seed);
-  LegacyAdmissionQueue legacy(kApps, stream, capacity, policy,
-                              gated ? LegacyAdmissionGate(stripe_gate)
-                                    : LegacyAdmissionGate(nullptr));
-  AdmissionQueue ring(kApps, stream, capacity, policy,
-                      gated ? AdmissionGate(nullptr, &stripe_gate_thunk)
-                            : AdmissionGate());
+struct QueueScriptCase {
+  std::int64_t capacity;
+  QueuePolicy policy;
+  bool gated;
+  std::uint64_t digest;  ///< over the scripts of every kScriptSeeds entry
+
+  friend void PrintTo(const QueueScriptCase& c, std::ostream* os) {
+    *os << "capacity " << c.capacity
+        << (c.policy == QueuePolicy::kEvictOldest ? ", evict" : ", reject")
+        << (c.gated ? ", gated" : ", ungated");
+  }
+};
+
+constexpr int kScriptApps = 3;
+constexpr std::uint64_t kScriptSeeds[] = {0x1aced1, 0x2b,    0x93fe21,
+                                          0x41,     0xdecaf, 0x77,
+                                          0xbead5,  0x6a7e5, 0x100f};
+
+/// What the script has taken out of the queue, per app, in take order.
+using TakenLog = std::vector<std::vector<ServeItem>>;
+
+/// Runs one seeded script against a fresh queue, folding every observable
+/// into `digest` and calling `after_op(queue, stream, taken)` after each op.
+template <typename AfterOp>
+void run_queue_script(const QueueScriptCase& c, std::uint64_t seed,
+                      Fnv1a& digest, AfterOp&& after_op) {
+  const auto stream = seeded_stream(kScriptApps, 240, seed);
+  AdmissionQueue queue(kScriptApps, stream, c.capacity, c.policy,
+                       c.gated ? AdmissionGate(nullptr, &stripe_gate)
+                               : AdmissionGate());
+  TakenLog taken(kScriptApps);
   std::mt19937_64 rng(seed ^ 0x5c21f7);
   double now_s = 0.0;
   for (int op = 0; op < 400; ++op) {
-    const int app = static_cast<int>(rng() % kApps);
+    const int app = static_cast<int>(rng() % kScriptApps);
     switch (rng() % 4) {
-      case 0: {
-        const auto want = static_cast<std::size_t>(rng() % 9);
-        legacy.fill(app, want);
-        ring.fill(app, want);
+      case 0:
+        queue.fill(app, static_cast<std::size_t>(rng() % 9));
         break;
-      }
       case 1: {
         const auto want = static_cast<std::size_t>(rng() % 9);
         const double threshold =
             now_s + static_cast<double>(rng() % 100) * 0.05;
-        legacy.fill_until(app, want, threshold);
-        ring.fill_until(app, want, threshold);
+        queue.fill_until(app, want, threshold);
         break;
       }
       case 2: {
-        const std::size_t waiting = legacy.waiting_size(app);
-        ASSERT_EQ(waiting, ring.waiting(app).size()) << "op " << op;
         const std::size_t count =
-            std::min<std::size_t>(rng() % 7, waiting);
-        const auto taken_legacy = legacy.take(app, count);
-        const auto taken_ring = ring.take(app, count);
-        expect_same_items(taken_legacy, taken_ring, "take");
+            std::min<std::size_t>(rng() % 7, queue.waiting(app).size());
+        const auto batch = queue.take(app, count);
+        hash_items(digest, batch);
+        auto& log = taken[static_cast<std::size_t>(app)];
+        log.insert(log.end(), batch.begin(), batch.end());
         now_s += 0.1;
-        legacy.on_dispatch(now_s, taken_legacy.size());
-        ring.on_dispatch(now_s, taken_ring.size());
+        queue.on_dispatch(now_s, batch.size());
         break;
       }
       default:
         now_s += static_cast<double>(rng() % 20) * 0.02;
         break;
     }
-    ASSERT_EQ(legacy.depth(), ring.depth()) << "op " << op;
-    ASSERT_EQ(legacy.exhausted(app), ring.exhausted(app)) << "op " << op;
-    ASSERT_EQ(legacy.upstream(app), ring.upstream(app)) << "op " << op;
+    digest.value(queue.depth());
+    for (int a = 0; a < kScriptApps; ++a) {
+      digest.value(queue.upstream(a));
+      digest.value(static_cast<unsigned char>(queue.exhausted(a)));
+    }
+    after_op(queue, stream, taken);
+    if (::testing::Test::HasFatalFailure()) return;
   }
-  for (int app = 0; app < kApps; ++app) {
-    expect_same_items(legacy.waiting_snapshot(app),
-                      [&] {
-                        std::vector<ServeItem> out;
-                        for (const auto& item : ring.waiting(app))
-                          out.push_back(item);
-                        return out;
-                      }(),
-                      "waiting app " + std::to_string(app));
+  for (int a = 0; a < kScriptApps; ++a) hash_items(digest, queue.waiting(a));
+  hash_items(digest, queue.dropped());
+  hash_items(digest, queue.deadline_shed());
+  const auto& stats = queue.depth_stats();
+  digest.value(stats.count());
+  digest.value(stats.mean());
+  digest.value(stats.max());
+  hash_items(digest, queue.drain_waiting());
+  hash_items(digest, queue.drain_unprocessed());
+  digest.value(queue.depth());
+}
+
+/// Per-op invariants: conservation per app, the capacity bound, per-app
+/// FIFO order by seq, and (evict-oldest) that every dropped request was no
+/// younger than anything still waiting.
+void expect_script_invariants(const QueueScriptCase& c,
+                              const AdmissionQueue& queue,
+                              const std::vector<ServeItem>& stream,
+                              const TakenLog& taken) {
+  std::vector<std::int64_t> staged(kScriptApps, 0);
+  std::vector<std::int64_t> left(kScriptApps, 0);  // dropped + shed
+  for (const auto& item : stream) ++staged[static_cast<std::size_t>(item.app)];
+  for (const auto& item : queue.dropped()) {
+    ++left[static_cast<std::size_t>(item.app)];
   }
-  expect_same_items(legacy.dropped_snapshot(), ring.dropped(), "dropped");
-  expect_same_items(legacy.deadline_shed_snapshot(), ring.deadline_shed(),
-                    "deadline_shed");
-  const auto legacy_stats = legacy.depth_stats_snapshot();
-  const auto& ring_stats = ring.depth_stats();
-  EXPECT_EQ(legacy_stats.count(), ring_stats.count());
-  EXPECT_DOUBLE_EQ(legacy_stats.mean(), ring_stats.mean());
-  EXPECT_DOUBLE_EQ(legacy_stats.max(), ring_stats.max());
-  expect_same_items(legacy.drain_waiting(), ring.drain_waiting(),
-                    "drain_waiting");
-  expect_same_items(legacy.drain_unprocessed(), ring.drain_unprocessed(),
-                    "drain_unprocessed");
-  EXPECT_EQ(legacy.depth(), ring.depth());
+  for (const auto& item : queue.deadline_shed()) {
+    ++left[static_cast<std::size_t>(item.app)];
+  }
+  double oldest_waiting = std::numeric_limits<double>::infinity();
+  for (int a = 0; a < kScriptApps; ++a) {
+    const auto& log = taken[static_cast<std::size_t>(a)];
+    std::int64_t last_seq = -1;
+    for (const auto& item : log) {
+      ASSERT_GT(item.seq, last_seq) << "app " << a << " taken out of order";
+      last_seq = item.seq;
+    }
+    std::int64_t waiting = 0;
+    for (const auto& item : queue.waiting(a)) {
+      ASSERT_EQ(item.app, a);
+      ASSERT_GT(item.seq, last_seq) << "app " << a << " FIFO out of order";
+      last_seq = item.seq;
+      oldest_waiting = std::min(oldest_waiting, item.available_s);
+      ++waiting;
+    }
+    ASSERT_EQ(static_cast<std::size_t>(waiting), queue.waiting(a).size());
+    ASSERT_EQ(staged[static_cast<std::size_t>(a)],
+              waiting + static_cast<std::int64_t>(log.size()) +
+                  left[static_cast<std::size_t>(a)] + queue.upstream(a))
+        << "app " << a << " lost or duplicated a request";
+  }
+  if (c.capacity > 0) {
+    ASSERT_LE(queue.depth(), c.capacity);
+  }
+  if (c.policy == QueuePolicy::kEvictOldest) {
+    for (const auto& item : queue.dropped()) {
+      ASSERT_LE(item.available_s, oldest_waiting)
+          << "dropped seq " << item.seq << " while an older request waits";
+    }
+  }
+}
+
+class QueueScript : public ::testing::TestWithParam<QueueScriptCase> {};
+
+TEST_P(QueueScript, DigestIsPinned) {
+  const auto& c = GetParam();
+  Fnv1a digest;
+  for (const auto seed : kScriptSeeds) {
+    run_queue_script(c, seed, digest, [](const auto&...) {});
+  }
+  EXPECT_EQ(digest.get(), c.digest) << std::hex << "0x" << digest.get();
+}
+
+TEST_P(QueueScript, InvariantsHoldAfterEveryOp) {
+  const auto& c = GetParam();
+  Fnv1a digest;
+  for (const auto seed : kScriptSeeds) {
+    run_queue_script(c, seed, digest,
+                     [&](const AdmissionQueue& queue,
+                         const std::vector<ServeItem>& stream,
+                         const TakenLog& taken) {
+                       expect_script_invariants(c, queue, stream, taken);
+                     });
+    ASSERT_FALSE(HasFatalFailure()) << "seed 0x" << std::hex << seed;
+  }
+}
+
+constexpr QueueScriptCase kQueueScriptCases[] = {
+    {0, QueuePolicy::kRejectNewest, false, 0xb7b040d5fd47c5cf},
+    {0, QueuePolicy::kRejectNewest, true, 0x8c7338bb5b4b4b60},
+    {0, QueuePolicy::kEvictOldest, false, 0xb7b040d5fd47c5cf},
+    {0, QueuePolicy::kEvictOldest, true, 0x8c7338bb5b4b4b60},
+    {5, QueuePolicy::kRejectNewest, false, 0xcb70e8b99aead561},
+    {5, QueuePolicy::kRejectNewest, true, 0x7f41f63ad3be7635},
+    {5, QueuePolicy::kEvictOldest, false, 0xb3e83643926e7835},
+    {5, QueuePolicy::kEvictOldest, true, 0xf73dc3dc80b510ef},
+    {8, QueuePolicy::kRejectNewest, false, 0xb8d65c665ecfa6a4},
+    {8, QueuePolicy::kRejectNewest, true, 0xcdb4c85a34441c96},
+    {8, QueuePolicy::kEvictOldest, false, 0x80c5096f27d1ab44},
+    {8, QueuePolicy::kEvictOldest, true, 0x2a6cf24cb838ce5a},
+    {12, QueuePolicy::kRejectNewest, false, 0x94c3b52d5917f6c9},
+    {12, QueuePolicy::kRejectNewest, true, 0x2b4605e9e376b179},
+    {12, QueuePolicy::kEvictOldest, false, 0xbc70ff6e3e66b343},
+    {12, QueuePolicy::kEvictOldest, true, 0x00ebcd67f40b86e2},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, QueueScript, ::testing::ValuesIn(kQueueScriptCases),
+    [](const ::testing::TestParamInfo<QueueScriptCase>& info) {
+      const auto& c = info.param;
+      return "cap" + std::to_string(c.capacity) +
+             (c.policy == QueuePolicy::kEvictOldest ? "_evict" : "_reject") +
+             (c.gated ? "_gated" : "_ungated");
+    });
+
+// The earlier mutex/deque/heap queue's digests on the seed subsets its own
+// byte-identity suite drove it through (the ring queue matched each one).
+
+std::uint64_t script_digest(std::int64_t capacity, QueuePolicy policy,
+                            bool gated,
+                            std::initializer_list<std::uint64_t> seeds) {
+  const QueueScriptCase c{capacity, policy, gated, 0};
+  Fnv1a digest;
+  for (const auto seed : seeds) {
+    run_queue_script(c, seed, digest, [](const auto&...) {});
+  }
+  return digest.get();
 }
 
 TEST(LegacyByteIdentity, UnboundedQueueMatchesOnRandomScripts) {
-  for (const std::uint64_t seed : {0x1aced1ull, 0x2bull, 0x93fe21ull}) {
-    run_identity_script(0, QueuePolicy::kRejectNewest, false, seed);
-  }
+  EXPECT_EQ(script_digest(0, QueuePolicy::kRejectNewest, false,
+                          {0x1aced1, 0x2b, 0x93fe21}),
+            0x89f3909b4f81adfdULL);
 }
 
 TEST(LegacyByteIdentity, RejectNewestBackpressureMatches) {
-  for (const std::uint64_t seed : {0x41ull, 0xdecafull}) {
-    run_identity_script(5, QueuePolicy::kRejectNewest, false, seed);
-    run_identity_script(12, QueuePolicy::kRejectNewest, false, seed);
-  }
+  EXPECT_EQ(script_digest(5, QueuePolicy::kRejectNewest, false,
+                          {0x41, 0xdecaf}),
+            0x6a0afb497ff7c542ULL);
+  EXPECT_EQ(script_digest(12, QueuePolicy::kRejectNewest, false,
+                          {0x41, 0xdecaf}),
+            0x40d053e9067e177dULL);
 }
 
 TEST(LegacyByteIdentity, EvictOldestBackpressureMatches) {
-  for (const std::uint64_t seed : {0x77ull, 0xbead5ull}) {
-    run_identity_script(5, QueuePolicy::kEvictOldest, false, seed);
-    run_identity_script(12, QueuePolicy::kEvictOldest, false, seed);
-  }
+  EXPECT_EQ(script_digest(5, QueuePolicy::kEvictOldest, false,
+                          {0x77, 0xbead5}),
+            0x569b36e129f918abULL);
+  EXPECT_EQ(script_digest(12, QueuePolicy::kEvictOldest, false,
+                          {0x77, 0xbead5}),
+            0xfeef50b579c20616ULL);
 }
 
 TEST(LegacyByteIdentity, AdmissionGateShedsIdenticalRequests) {
-  for (const std::uint64_t seed : {0x6a7e5ull, 0x100full}) {
-    run_identity_script(0, QueuePolicy::kRejectNewest, true, seed);
-    run_identity_script(8, QueuePolicy::kEvictOldest, true, seed);
-  }
+  EXPECT_EQ(script_digest(0, QueuePolicy::kRejectNewest, true,
+                          {0x6a7e5, 0x100f}),
+            0x47faf9caa5453fafULL);
+  EXPECT_EQ(script_digest(8, QueuePolicy::kEvictOldest, true,
+                          {0x6a7e5, 0x100f}),
+            0xdfbbc21e32ee3466ULL);
 }
 
 // ------------------------------------------------------ hot-path allocs ----

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fnv1a.hpp"
 #include "birp/core/birp_scheduler.hpp"
 #include "birp/core/problem.hpp"
 #include "birp/device/cluster.hpp"
@@ -488,31 +489,6 @@ TEST(WarmAccounting, WarmAndColdPartitionNodeSolves) {
 
 // ------------------------------------------------ golden decisions ----
 
-/// 64-bit FNV-1a over raw bytes.
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      state_ ^= p[i];
-      state_ *= 0x100000001b3ULL;
-    }
-  }
-  template <typename T>
-  void value(const T& v) {
-    bytes(&v, sizeof(T));
-  }
-  template <typename T>
-  void range(const std::vector<T>& v) {
-    value(v.size());
-    if (!v.empty()) bytes(v.data(), v.size() * sizeof(T));
-  }
-  [[nodiscard]] std::uint64_t get() const noexcept { return state_; }
-
- private:
-  std::uint64_t state_ = 0xcbf29ce484222325ULL;
-};
-
 TEST(GoldenDecisions, WarmSerialPaperLargeDigestIsPinned) {
   // bench_solver's warm-serial arm: BIRP-OFF with warm starts on
   // paper_large, the 40 slots of its default trace (seed 0x77ace, 55% of
@@ -534,7 +510,7 @@ TEST(GoldenDecisions, WarmSerialPaperLargeDigestIsPinned) {
   const int apps = cluster.num_apps();
   const int devices = cluster.num_devices();
   sim::SlotDecision previous(apps, cluster.zoo().max_variants(), devices);
-  Fnv1a digest;
+  testutil::Fnv1a digest;
   for (int t = 0; t < trace.slots(); ++t) {
     sim::SlotState state;
     state.slot = t;
