@@ -17,11 +17,14 @@
 //
 // Decisions are bit-identical across thread counts by construction (see
 // cluster/cell_scheduler.hpp); the warm-serial decision stream is pinned by
-// a golden digest in tests/solver_warm_test.cpp. `--check` gates the warm
-// pivot reduction (at least 2x), warm-serial's refactorization work (under
-// 11 factor pivots per simplex pivot: about 9 when children inherit their
-// parent's LU, about 12.5 when every child refactorizes from its Basis) and
-// the sparse-large decide p95 (under 1000 ms).
+// a golden digest in tests/solver_warm_test.cpp. Each arm also reports its
+// abandoned warm attempts by reason (singular basis, repair stall, Phase II
+// limit). `--check` gates the warm pivot reduction (at least 2x),
+// warm-serial's refactorization work (under 11 factor pivots per simplex
+// pivot: about 9 when children inherit their parent's LU, about 12.5 when
+// every child refactorizes from its Basis), warm-serial's cold LPs (at most
+// 1: the first slot's root, which has no basis to start from) and the
+// sparse-large decide p95 (under 1000 ms).
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -36,6 +39,7 @@
 #include "birp/cluster/partition.hpp"
 #include "birp/core/birp_scheduler.hpp"
 #include "birp/device/cluster.hpp"
+#include "birp/solver/solution.hpp"
 #include "birp/util/stats.hpp"
 #include "birp/workload/topology.hpp"
 
@@ -50,6 +54,7 @@ struct ConfigResult {
   std::int64_t factor_pivots = 0;
   std::int64_t warm_lp_solves = 0;
   std::int64_t cold_lp_solves = 0;
+  birp::solver::WarmGiveUps give_ups;
   std::int64_t fallbacks = 0;
   double decide_ms_total = 0.0;
   double decide_ms_p50 = 0.0;
@@ -97,6 +102,7 @@ ConfigResult run_config(const std::string& name, const std::string& cluster,
   result.factor_pivots = scheduler.total_factor_pivots();
   result.warm_lp_solves = scheduler.warm_lp_solves();
   result.cold_lp_solves = scheduler.cold_lp_solves();
+  result.give_ups = scheduler.warm_give_ups();
   result.fallbacks = scheduler.fallback_count();
   for (const double ms : decide_ms) result.decide_ms_total += ms;
   result.decide_ms_p50 = birp::util::percentile(decide_ms, 0.5);
@@ -165,6 +171,7 @@ ConfigResult run_large_config(const std::string& name,
     result.factor_pivots += cell.total_factor_pivots();
     result.warm_lp_solves += cell.warm_lp_solves();
     result.cold_lp_solves += cell.cold_lp_solves();
+    result.give_ups += cell.warm_give_ups();
   }
   result.fallbacks = scheduler.fallback_count();
   for (const double ms : decide_ms) result.decide_ms_total += ms;
@@ -207,6 +214,9 @@ void write_json(const std::string& path, const birp::bench::Cli& cli,
     out << "      \"factor_pivots\": " << r.factor_pivots << ",\n";
     out << "      \"warm_lp_solves\": " << r.warm_lp_solves << ",\n";
     out << "      \"cold_lp_solves\": " << r.cold_lp_solves << ",\n";
+    out << "      \"warm_give_ups\": {\"singular\": " << r.give_ups.singular
+        << ", \"repair_stall\": " << r.give_ups.repair_stall
+        << ", \"phase2_limit\": " << r.give_ups.phase2_limit << "},\n";
     out << "      \"fallbacks\": " << r.fallbacks << ",\n";
     out << "      \"decide_ms_total\": " << r.decide_ms_total << ",\n";
     out << "      \"decide_ms_p50\": " << r.decide_ms_p50 << ",\n";
@@ -272,14 +282,17 @@ int main(int argc, char** argv) {
 
   birp::util::TextTable table({"config", "cluster", "nodes",
                                "simplex pivots", "factor pivots", "warm LPs",
-                               "cold LPs", "decide p50 ms", "decide p95 ms",
-                               "total ms"});
+                               "cold LPs", "give-ups sing/stall/P2",
+                               "decide p50 ms", "decide p95 ms", "total ms"});
   for (const auto& r : results) {
     table.add_row({r.name, r.cluster, std::to_string(r.nodes),
                    std::to_string(r.simplex_pivots),
                    std::to_string(r.factor_pivots),
                    std::to_string(r.warm_lp_solves),
                    std::to_string(r.cold_lp_solves),
+                   std::to_string(r.give_ups.singular) + "/" +
+                       std::to_string(r.give_ups.repair_stall) + "/" +
+                       std::to_string(r.give_ups.phase2_limit),
                    birp::util::fixed(r.decide_ms_p50, 3),
                    birp::util::fixed(r.decide_ms_p95, 3),
                    birp::util::fixed(r.decide_ms_total, 1)});
@@ -317,6 +330,13 @@ int main(int argc, char** argv) {
       std::cerr << "FAIL: warm-serial spends "
                 << birp::util::fixed(factor_ratio, 2)
                 << " factor pivots per simplex pivot (>= 11)\n";
+      ok = false;
+    }
+    // Every warm-serial LP after the first slot's root has a basis to start
+    // from; a second cold LP means a warm attempt was abandoned.
+    if (results[1].cold_lp_solves > 1) {
+      std::cerr << "FAIL: warm-serial ran " << results[1].cold_lp_solves
+                << " cold LPs (> 1, only the first slot's root)\n";
       ok = false;
     }
     if (large.decide_ms_p95 >= 1000.0) {

@@ -140,6 +140,7 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
   total_factor_pivots_ += solution.factor_pivots;
   warm_lp_solves_ += solution.warm_lp_solves;
   cold_lp_solves_ += solution.cold_lp_solves;
+  warm_give_ups_ += solution.warm_give_ups;
 
   if (!solution.basis.empty()) prev_basis_ = solution.basis;
   if (!solution.usable()) {

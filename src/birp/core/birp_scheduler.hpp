@@ -94,6 +94,10 @@ class BirpScheduler : public sim::Scheduler {
   [[nodiscard]] std::int64_t cold_lp_solves() const noexcept {
     return cold_lp_solves_;
   }
+  /// Warm LP attempts abandoned for a cold solve, by reason.
+  [[nodiscard]] const solver::WarmGiveUps& warm_give_ups() const noexcept {
+    return warm_give_ups_;
+  }
   [[nodiscard]] std::int64_t fallback_count() const noexcept override {
     return fallbacks_;
   }
@@ -128,6 +132,7 @@ class BirpScheduler : public sim::Scheduler {
   std::int64_t total_factor_pivots_ = 0;
   std::int64_t warm_lp_solves_ = 0;
   std::int64_t cold_lp_solves_ = 0;
+  solver::WarmGiveUps warm_give_ups_;
   std::int64_t fallbacks_ = 0;
   util::RunningStats observed_batches_;
 };

@@ -208,6 +208,7 @@ Solution branch_and_bound(const Model& model,
   std::int64_t total_factor_pivots = 0;
   std::int64_t warm_solves = 0;
   std::int64_t cold_solves = 0;
+  WarmGiveUps give_ups;
   bool any_lp_budget_hit = false;
   // Tightest lower bound among subtrees dropped unsolved (LP budget hit).
   // A node's `bound` is its parent's LP objective, which bounds the whole
@@ -242,6 +243,7 @@ Solution branch_and_bound(const Model& model,
                                 options.warm_start ? &live : nullptr);
     total_pivots += lp.simplex_iterations;
     total_factor_pivots += lp.factor_pivots;
+    give_ups += lp.warm_give_ups;
     if (lp.warm_started) {
       ++warm_solves;
     } else {
@@ -257,6 +259,7 @@ Solution branch_and_bound(const Model& model,
       result.nodes_explored = nodes;
       result.simplex_iterations = total_pivots;
       result.factor_pivots = total_factor_pivots;
+      result.warm_give_ups = give_ups;
       return result;
     }
     if (lp.status == SolveStatus::IterationLimit) {
@@ -331,6 +334,7 @@ Solution branch_and_bound(const Model& model,
   incumbent.factor_pivots = total_factor_pivots;
   incumbent.warm_lp_solves = warm_solves;
   incumbent.cold_lp_solves = cold_solves;
+  incumbent.warm_give_ups = give_ups;
   incumbent.basis = std::move(root_basis_out);
 
   // The proven bound over everything not explored: the open frontier (the

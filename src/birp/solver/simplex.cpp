@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -34,6 +35,22 @@ constexpr double kRatioTie = 1e-11;
 /// different scheduling decisions on paper_large traces; with this one they
 /// agree.
 constexpr double kDualPickTie = 1e-9;
+
+/// Cost perturbation of the dual repair, relative to 1 + |c_j|. Each
+/// nonbasic column's repair cost moves this far (times an index-hash spread
+/// in [1, 2)) toward its dual-feasible side, so the repair's dual ratios are
+/// distinct and positive instead of tied at zero — the dual degeneracy that
+/// made slot-problem repairs cycle until their budget ran out. Ten times the
+/// default optimality tolerance, so the perturbed reduced costs clear it;
+/// small enough that Phase II removes the perturbation in a few pivots.
+constexpr double kRepairPerturbation = 1e-6;
+
+/// Deterministic spread in [1, 2) for column j's perturbation (Fibonacci
+/// hashing): distinct columns get distinct steps, with no RNG state.
+double perturbation_spread(int j) {
+  const auto h = static_cast<std::uint32_t>(j) * 2654435761u;
+  return 1.0 + static_cast<double>(h >> 8) / static_cast<double>(1u << 24);
+}
 
 /// Revised simplex over the standard form (standard_form.hpp), whose
 /// immutable part a resumed child shares with its parent. The basis inverse
@@ -111,10 +128,16 @@ class RevisedSimplex {
 
   Solution solve();
   /// Warm solve: dual repair + Phase II. nullopt asks the caller to fall
-  /// back to the cold path (stalled repair or dual-infeasible start).
+  /// back to the cold path; give_ups() then says why.
   std::optional<Solution> solve_warm();
 
   [[nodiscard]] bool warm_ok() const noexcept { return warm_ok_; }
+  /// Why a warm attempt was abandoned: a basis that never factorized
+  /// (!warm_ok()), or whatever made solve_warm() return nullopt.
+  [[nodiscard]] WarmGiveUps give_ups() const noexcept {
+    if (!warm_ok_) return WarmGiveUps{.singular = 1};
+    return give_ups_;
+  }
   [[nodiscard]] Basis extract_basis() const;
   [[nodiscard]] std::int64_t iterations() const noexcept { return iterations_; }
   [[nodiscard]] std::int64_t factor_pivots() const noexcept {
@@ -128,7 +151,7 @@ class RevisedSimplex {
   }
 
  private:
-  enum class Repair { Done, Infeasible, GiveUp };
+  enum class Repair { Done, Infeasible, Stall, Singular };
 
   /// Takes a freshly built form: the mutable point moves into the engine,
   /// the rest becomes the shared immutable part.
@@ -310,11 +333,13 @@ class RevisedSimplex {
   std::vector<double> work_;       // basic-value recompute scratch (rows)
   std::vector<double> row_alpha_;  // BTRANed pivot row (cols; dual repair)
   std::vector<double> row_ratio_;  // dual ratios per column (dual repair)
+  std::vector<double> repair_costs_;  // shifted, perturbed costs (dual repair)
   std::vector<int> basic_cols_scratch_;
 
   std::int64_t iterations_ = 0;
   std::int64_t iteration_limit_ = 0;
   bool warm_ok_ = false;
+  WarmGiveUps give_ups_;
 };
 
 SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
@@ -424,14 +449,15 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     const std::vector<double>& costs) {
   // Tight budget, separate from the global pivot limit: a genuinely warm
   // basis repairs in far fewer pivots than a cold solve takes, so once the
-  // repair rivals a cold solve's cost (or cycles on degeneracy) it is
-  // cheaper to give up early and fall back than to grind to the full limit.
+  // repair rivals a cold solve's cost (or, despite the cost perturbation,
+  // stalls on degeneracy) it is cheaper to give up early and fall back than
+  // to grind to the full limit.
   const std::int64_t repair_limit =
       std::min(iteration_limit_, iterations_ + form_->rows + 100);
   while (true) {
-    if (++iterations_ > repair_limit) return Repair::GiveUp;
+    if (++iterations_ > repair_limit) return Repair::Stall;
     if (lu_.should_refactorize(options_.refactor_interval) && !refactorize()) {
-      return Repair::GiveUp;  // numerically singular basis: distrust it
+      return Repair::Singular;  // numerically singular basis: distrust it
     }
 
     // --- Leaving row: the basic variable with the largest bound violation.
@@ -563,7 +589,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
         // --- Basis change: the violating variable leaves exactly at the
         // bound it violated; the entering variable absorbs the step.
         if (!change_basis(leave_row, enter, enter_dir, step, sigma > 0.0)) {
-          return Repair::GiveUp;  // numerically singular basis
+          return Repair::Singular;  // numerically singular basis
         }
         break;
       }
@@ -573,7 +599,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       bound_flip(enter, enter_dir > 0.0 ? 1.0 : -1.0, range);
       row_ratio_[static_cast<std::size_t>(enter)] = kInfinity;
       remaining -= range * gain;
-      if (++iterations_ > repair_limit) return Repair::GiveUp;
+      if (++iterations_ > repair_limit) return Repair::Stall;
       if (remaining <= options_.tolerance) break;  // flips repaired the row
     }
   }
@@ -708,42 +734,47 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
     // unchanged costs has one by construction; when the costs moved since
     // the seed basis was optimal (a new slot's demand re-weights the
     // objective), restore it the boxed-variable way: bound-flip every
-    // nonbasic variable whose reduced cost has the wrong sign. Flips do not
-    // touch the basis, so dual feasibility is exact afterwards; only a
-    // variable with an infinite opposite bound cannot be flipped, and that
-    // start goes back to the cold path.
+    // nonbasic variable whose reduced cost has the wrong sign. A variable
+    // with an infinite opposite bound cannot be flipped; its *repair* cost
+    // is shifted instead so that its reduced cost is zero (cost shifting).
+    // Every nonbasic repair cost is then perturbed toward its dual-feasible
+    // side (kRepairPerturbation), which breaks the zero-ratio ties of a
+    // dual-degenerate start. The repair runs on these costs alone: primal
+    // feasibility, and the row proof behind an Infeasible verdict, do not
+    // depend on the costs, and Phase II below prices with the true costs,
+    // so statuses and optima are those of the true LP.
     compute_duals(costs);
+    repair_costs_.assign(costs.begin(), costs.end());
     bool flipped = false;
     for (int j = 0; j < form_->cols; ++j) {
-      const auto sj = state_[static_cast<std::size_t>(j)];
+      const auto jj = static_cast<std::size_t>(j);
+      const auto sj = state_[jj];
       if (sj == VarState::Basic) continue;
-      if (lower_[static_cast<std::size_t>(j)] ==
-          upper_[static_cast<std::size_t>(j)]) {
-        continue;
-      }
-      const double d = costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
-      if (sj == VarState::AtLower && d < -options_.tolerance) {
-        if (!std::isfinite(upper_[static_cast<std::size_t>(j)])) {
-          return std::nullopt;
+      if (lower_[jj] == upper_[jj]) continue;  // fixed (artificials)
+      const double d = costs[jj] - column_dot(j, y_);
+      const bool at_lower = sj == VarState::AtLower;
+      if (at_lower ? d < -options_.tolerance : d > options_.tolerance) {
+        const double opposite = at_lower ? upper_[jj] : lower_[jj];
+        if (std::isfinite(opposite)) {
+          state_[jj] = at_lower ? VarState::AtUpper : VarState::AtLower;
+          value_[jj] = opposite;
+          flipped = true;
+        } else {
+          repair_costs_[jj] -= d;  // shifted: reduced cost zero
         }
-        state_[static_cast<std::size_t>(j)] = VarState::AtUpper;
-        value_[static_cast<std::size_t>(j)] =
-            upper_[static_cast<std::size_t>(j)];
-        flipped = true;
-      } else if (sj == VarState::AtUpper && d > options_.tolerance) {
-        if (!std::isfinite(lower_[static_cast<std::size_t>(j)])) {
-          return std::nullopt;
-        }
-        state_[static_cast<std::size_t>(j)] = VarState::AtLower;
-        value_[static_cast<std::size_t>(j)] =
-            lower_[static_cast<std::size_t>(j)];
-        flipped = true;
       }
+      const double step = kRepairPerturbation * (1.0 + std::abs(costs[jj])) *
+                          perturbation_spread(j);
+      repair_costs_[jj] += state_[jj] == VarState::AtLower ? step : -step;
     }
     if (flipped) recompute_basic_values();
-    switch (dual_repair(costs)) {
-      case Repair::GiveUp:
-        return std::nullopt;  // stalled: distrust the basis, cold retry
+    switch (dual_repair(repair_costs_)) {
+      case Repair::Stall:
+        give_ups_.repair_stall = 1;
+        return std::nullopt;  // distrust the basis, cold retry
+      case Repair::Singular:
+        give_ups_.singular = 1;
+        return std::nullopt;
       case Repair::Infeasible: {
         Solution result;
         result.status = SolveStatus::Infeasible;
@@ -761,6 +792,7 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
   // every iteration, so any drift accumulated during repair is corrected).
   const SolveStatus status = iterate(costs);
   if (status == SolveStatus::IterationLimit) {
+    give_ups_.phase2_limit = 1;
     return std::nullopt;
   }
 
@@ -838,17 +870,20 @@ Solution solve_lp_live(const Model& model, std::span<const double> lower,
   };
 
   // Warm attempt first: the resumed parent state, else the Basis rebuild.
-  // Any rejection (shape mismatch, singular basis, dual-infeasible start,
-  // stalled repair) falls through to the cold two-phase solve. Accounting:
+  // Any rejection (shape mismatch, singular basis, stalled repair, Phase II
+  // limit) falls through to the cold two-phase solve. Accounting:
   //  - exactly one of {warm, cold} serves each call: warm_started is true
   //    iff a warm engine (resumed or rebuilt) produced the Solution, and
   //    branch-and-bound counts warm_lp_solves/cold_lp_solves off that flag,
   //    so a rejected seed counts one cold solve and no warm one;
   //  - an abandoned attempt's work (iterations, factorization pivots) is
   //    read once, after it gives up, and charged to the Solution that
-  //    finally serves the call, so no elimination is counted twice.
+  //    finally serves the call, so no elimination is counted twice;
+  //  - its reason lands in that Solution's warm_give_ups (a shape mismatch
+  //    makes no attempt and counts nothing).
   std::int64_t wasted_iterations = 0;
   std::int64_t wasted_factor_pivots = 0;
+  WarmGiveUps give_ups;
   const auto attempt = [&](RevisedSimplex& engine) -> std::optional<Solution> {
     if (engine.warm_ok()) {
       if (auto solution = engine.solve_warm()) {
@@ -860,6 +895,7 @@ Solution solve_lp_live(const Model& model, std::span<const double> lower,
     }
     wasted_iterations += engine.iterations();
     wasted_factor_pivots += engine.factor_pivots();
+    give_ups += engine.give_ups();
     return std::nullopt;
   };
   if (resume != nullptr) {
@@ -880,6 +916,7 @@ Solution solve_lp_live(const Model& model, std::span<const double> lower,
   Solution solution = engine.solve();
   solution.simplex_iterations += wasted_iterations;
   solution.factor_pivots += wasted_factor_pivots;
+  solution.warm_give_ups = give_ups;
   release(engine, solution);
   return solution;
 }

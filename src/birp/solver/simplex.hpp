@@ -33,8 +33,15 @@
 // past the live-state cap). The basis is refactorized against the current
 // bounds; primal infeasibilities introduced by tightened bounds are
 // repaired with a bounded-variable dual simplex before Phase II polishes —
-// Phase I never runs on the warm path. A singular or unrepairable basis
-// falls back to the cold two-phase path, so warm starts are a pure
+// Phase I never runs on the warm path. The repair prices with its own cost
+// vector: a wrong-sign reduced cost that cannot be bound-flipped (infinite
+// opposite bound) has its repair cost shifted to make it zero, and every
+// nonbasic repair cost is perturbed slightly toward dual feasibility to
+// break degenerate ratio ties. Phase II and the returned duals use the true
+// costs, so a re-weighted objective (a new slot's basis) is served warm.
+// Only a singular basis, a repair that exhausts its budget or a Phase II
+// that hits the pivot limit falls back to the cold two-phase path, and
+// Solution::warm_give_ups records which. Warm starts are a pure
 // optimization: statuses and objectives match the cold solver.
 //
 // Branch-and-bound children go one step further: they resume their
@@ -83,7 +90,8 @@ struct SimplexOptions {
 ///
 /// `warm_start`, when non-null, non-empty, and shape-compatible with the
 /// model, seeds the solve from that basis (cold fallback on any mismatch,
-/// singularity, or repair failure). `emit_basis` asks for Solution::basis to
+/// singularity, repair stall or Phase II limit). The model's costs may
+/// differ from those the basis was optimal for. `emit_basis` asks for Solution::basis to
 /// be filled on Optimal, for reuse in a later warm start.
 [[nodiscard]] Solution solve_lp(const Model& model,
                                 std::span<const double> lower,

@@ -32,6 +32,30 @@ struct Basis {
   }
 };
 
+/// Warm attempts abandoned for the cold two-phase solve, by reason. On an LP
+/// Solution at most one count is 1 (one attempt per call); a MILP Solution
+/// sums its node LPs' counts, and BirpScheduler sums its slots'.
+struct WarmGiveUps {
+  /// The seed basis was malformed or singular, or a refactorization during
+  /// the dual repair found it singular.
+  std::int64_t singular = 0;
+  /// The dual repair hit its pivot budget (rows + 100 iterations).
+  std::int64_t repair_stall = 0;
+  /// Phase II from the warm (possibly repaired) basis stopped at the LP's
+  /// pivot limit or on a singular refactorization.
+  std::int64_t phase2_limit = 0;
+
+  [[nodiscard]] std::int64_t total() const noexcept {
+    return singular + repair_stall + phase2_limit;
+  }
+  WarmGiveUps& operator+=(const WarmGiveUps& other) noexcept {
+    singular += other.singular;
+    repair_stall += other.repair_stall;
+    phase2_limit += other.phase2_limit;
+    return *this;
+  }
+};
+
 enum class SolveStatus {
   Optimal,         ///< proven optimal (within tolerances)
   Feasible,        ///< feasible incumbent returned, optimality not proven
@@ -64,6 +88,7 @@ struct Solution {
   std::int64_t factor_pivots = 0;  ///< eliminations spent refactorizing bases
   std::int64_t warm_lp_solves = 0;  ///< MILP: node LPs served by the warm path
   std::int64_t cold_lp_solves = 0;  ///< MILP: node LPs solved from scratch
+  WarmGiveUps warm_give_ups;  ///< warm attempts abandoned for a cold solve
 
   [[nodiscard]] bool usable() const noexcept {
     return status == SolveStatus::Optimal || status == SolveStatus::Feasible;

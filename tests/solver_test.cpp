@@ -955,6 +955,38 @@ TEST_P(LpVertexEnumeration, WarmSolveMatchesEnumeration) {
   expect_matches_enumeration(lp, lower, upper, resumed, "resumed live state");
 }
 
+TEST_P(LpVertexEnumeration, ReweightedWarmSolveMatchesEnumeration) {
+  // A new slot re-weights the objective before the basis is reused: redraw
+  // the costs, tighten one bound past the old optimum, and re-solve from the
+  // old Basis. The seed basis is now dual infeasible — slacks (no upper
+  // bound) cannot be bound-flipped, so the dual repair shifts their costs —
+  // and the answer must still match the enumeration of the new LP.
+  const SmallLp lp = random_small_lp(static_cast<std::uint64_t>(GetParam()));
+  const Solution first = solve_lp(lp.build(lp.lower, lp.upper), {}, {}, {},
+                                  nullptr, true);
+  if (first.status != SolveStatus::Optimal) return;
+
+  SmallLp reweighted = lp;
+  util::Xoshiro256StarStar rng(static_cast<std::uint64_t>(GetParam()) * 31 + 7);
+  for (double& c : reweighted.cost) c = rng.uniform(-4.0, 4.0);
+  std::vector<double> lower = lp.lower;
+  std::vector<double> upper = lp.upper;
+  const auto j = static_cast<std::size_t>((GetParam() + 1) % kEnumVars);
+  const double x = first.values[j];
+  if (x - lower[j] >= upper[j] - x) {
+    upper[j] = lower[j] + 0.5 * (x - lower[j]);
+  } else {
+    lower[j] = x + 0.5 * (upper[j] - x);
+  }
+
+  const Solution warm = solve_lp(reweighted.build(lp.lower, lp.upper), lower,
+                                 upper, {}, &first.basis, false);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.warm_give_ups.total(), 0);
+  expect_matches_enumeration(reweighted, lower, upper, warm,
+                             "re-weighted basis warm start");
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LpVertexEnumeration, ::testing::Range(1, 33));
 
 TEST(LpVertexEnumeration, SeedsDrawFeasibleAndInfeasibleLps) {

@@ -1,5 +1,6 @@
 // Warm-start and branch-and-bound coverage: warm-vs-cold result identity on
-// randomized LPs and slot-problem sequences, singular-basis fallback,
+// randomized LPs and slot-problem sequences, re-weighted costs repaired
+// warm (cost shifting and perturbation), singular-basis fallback,
 // incumbent pruning, the reported-gap bracket, and children resuming their
 // parent's live LP state (no refactorization, fallback accounting, the
 // retained-state cap), and a golden digest of the scheduler's decisions.
@@ -95,6 +96,48 @@ Model random_milp(std::uint64_t seed) {
   return model;
 }
 
+// Transportation LP whose costs are half zero and otherwise small integers,
+// so many reduced costs tie at zero (dual degeneracy): equality supply rows,
+// sink-capacity <= rows (slacks with no upper bound) and boxed flows.
+// `recost` draws a second cost vector of the same kind, the way a new slot
+// re-weights the objective.
+Model degenerate_transport_lp(std::uint64_t seed, std::vector<double>& recost) {
+  util::Xoshiro256StarStar rng(seed * 131 + 17);
+  const int sources = 4;
+  const int sinks = 5;
+  const auto cost = [&] {
+    return rng.uniform(0.0, 1.0) < 0.5
+               ? 0.0
+               : static_cast<double>(rng.uniform_int(1, 4));
+  };
+  Model model;
+  for (int s = 0; s < sources; ++s) {
+    for (int d = 0; d < sinks; ++d) {
+      const int var = model.add_continuous(
+          "f" + std::to_string(s) + "_" + std::to_string(d), 0.0,
+          static_cast<double>(rng.uniform_int(1, 5)));
+      model.set_objective(var, cost());
+    }
+  }
+  double total = 0.0;
+  for (int s = 0; s < sources; ++s) {
+    const auto supply = static_cast<double>(rng.uniform_int(4, 12));
+    total += supply;
+    std::vector<Term> terms;
+    for (int d = 0; d < sinks; ++d) terms.push_back({s * sinks + d, 1.0});
+    model.add_constraint(terms, Relation::Equal, supply);
+  }
+  for (int d = 0; d < sinks; ++d) {
+    std::vector<Term> terms;
+    for (int s = 0; s < sources; ++s) terms.push_back({s * sinks + d, 1.0});
+    model.add_constraint(terms, Relation::LessEqual,
+                         std::round(total * rng.uniform(0.3, 0.6)));
+  }
+  recost.clear();
+  for (int j = 0; j < model.num_variables(); ++j) recost.push_back(cost());
+  return model;
+}
+
 // ------------------------------------------------------ LP warm starts ----
 
 TEST(WarmStart, ResolveFromOwnBasisSkipsToOptimal) {
@@ -142,6 +185,83 @@ TEST(WarmStart, TightenedBoundIsRepairedByDualSimplex) {
   EXPECT_TRUE(warm.warm_started);
   EXPECT_NEAR(warm.objective, ref.objective,
               kTol * (1.0 + std::abs(ref.objective)));
+}
+
+TEST(WarmStart, UnflippableDualInfeasibleStartRepairsWarm) {
+  // min 2x + y s.t. x + y >= 5, x in [0, inf), y in [0, 10]: the optimal
+  // basis has y basic at 5 and x nonbasic at its lower bound.
+  Model model;
+  const int x = model.add_continuous("x", 0.0, kInfinity);
+  const int y = model.add_continuous("y", 0.0, 10.0);
+  model.set_objective(x, 2.0);
+  model.set_objective(y, 1.0);
+  model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 5.0);
+  const Solution seed = solve_lp(model, {}, {}, {}, nullptr, true);
+  ASSERT_EQ(seed.status, SolveStatus::Optimal);
+  ASSERT_NEAR(seed.values[static_cast<std::size_t>(y)], 5.0, kTol);
+
+  // Re-weighting makes x cheaper than y, so x's reduced cost turns negative
+  // at its lower bound, and its infinite upper bound rules out a bound flip.
+  // Tightening y to 3 cuts off the seed vertex, so the dual repair must run
+  // from that dual-infeasible start: the shifted repair cost serves it warm.
+  model.set_objective(x, 0.5);
+  const std::vector<double> lower{0.0, 0.0};
+  const std::vector<double> upper{kInfinity, 3.0};
+  const Solution warm = solve_lp(model, lower, upper, {}, &seed.basis, false);
+  const Solution cold = solve_lp(model, lower, upper, {});
+  ASSERT_EQ(cold.status, SolveStatus::Optimal);
+  ASSERT_EQ(warm.status, SolveStatus::Optimal);
+  EXPECT_TRUE(warm.warm_started);
+  EXPECT_EQ(warm.warm_give_ups.total(), 0);
+  EXPECT_NEAR(warm.objective, cold.objective,
+              1e-9 * (1.0 + std::abs(cold.objective)));
+  EXPECT_NEAR(warm.objective, 2.5, kTol);  // all of it on x
+}
+
+TEST(WarmStart, DualDegenerateFamilyIsServedWarm) {
+  // Re-weighted, then one flow's bound halved: every warm attempt of the
+  // family must be served warm with the cold solve's status and objective.
+  // Before the repair shifted unflippable repair costs, seeds 19, 22, 24 and
+  // 35 fell back to cold (a slack with a wrong-sign reduced cost).
+  std::int64_t warm_pivots = 0;
+  int attempts = 0;
+  for (int seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::vector<double> recost;
+    Model model = degenerate_transport_lp(static_cast<std::uint64_t>(seed),
+                                          recost);
+    const Solution first = solve_lp(model, {}, {}, {}, nullptr, true);
+    if (first.status != SolveStatus::Optimal) continue;  // supply too large
+    for (int j = 0; j < model.num_variables(); ++j) {
+      model.set_objective(j, recost[static_cast<std::size_t>(j)]);
+    }
+    const auto n = static_cast<std::size_t>(model.num_variables());
+    std::vector<double> lower(n, 0.0);
+    std::vector<double> upper(n);
+    std::size_t fat = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      upper[j] = model.variable(static_cast<int>(j)).upper;
+      if (first.values[j] > first.values[fat]) fat = j;
+    }
+    upper[fat] = std::floor(first.values[fat] / 2.0);
+
+    const Solution warm = solve_lp(model, lower, upper, {}, &first.basis, false);
+    const Solution cold = solve_lp(model, lower, upper, {});
+    ++attempts;
+    EXPECT_TRUE(warm.warm_started);
+    EXPECT_EQ(warm.warm_give_ups.total(), 0);
+    ASSERT_EQ(warm.status, cold.status);
+    if (cold.status == SolveStatus::Optimal) {
+      EXPECT_NEAR(warm.objective, cold.objective,
+                  1e-9 * (1.0 + std::abs(cold.objective)));
+    }
+    warm_pivots += warm.simplex_iterations;
+  }
+  EXPECT_EQ(attempts, 31);
+  // Work bound: 202 pivots today. The dual repair's ratio test is what keeps
+  // the repaired basis dual feasible; with its sign flipped (every candidate
+  // ties at ratio zero) the family takes 259, as Phase II undoes the damage.
+  EXPECT_LE(warm_pivots, 225);
 }
 
 TEST(WarmStart, ShapeMismatchFallsBackToCold) {
@@ -453,6 +573,48 @@ TEST(WarmAccounting, SingularSeedChargesTheColdSolveOnce) {
   // One pivot succeeded before the factorization hit the dependent column;
   // the cold solve itself starts from the identity basis.
   EXPECT_EQ(sol.factor_pivots, 1);
+  EXPECT_EQ(sol.warm_give_ups.singular, 1);
+  EXPECT_EQ(sol.warm_give_ups.total(), 1);
+}
+
+TEST(WarmAccounting, PhaseTwoLimitIsItsOwnGiveUpReason) {
+  // A primal-feasible seed under re-weighted costs goes straight to Phase
+  // II; with a one-pivot budget Phase II stops before optimality, and that
+  // reason is recorded (the cold fallback hits the same budget).
+  Model model = random_lp(7);
+  const Solution seed = solve_lp(model, {}, {}, {}, nullptr, true);
+  ASSERT_EQ(seed.status, SolveStatus::Optimal);
+  for (int j = 0; j < model.num_variables(); ++j) {
+    model.set_objective(j, -model.variable(j).objective);
+  }
+  SimplexOptions options;
+  options.max_iterations = 1;
+  const Solution sol = solve_lp(model, {}, {}, options, &seed.basis, false);
+  EXPECT_FALSE(sol.warm_started);
+  EXPECT_EQ(sol.warm_give_ups.phase2_limit, 1);
+  EXPECT_EQ(sol.warm_give_ups.total(), 1);
+}
+
+TEST(WarmAccounting, MilpSumsGiveUpsOfItsNodeLps) {
+  // The root LP's seed basis is singular; the MILP reports that one give-up.
+  Model model;
+  const int x = model.add_binary("x");
+  const int y = model.add_binary("y");
+  model.set_objective(x, -1.0);
+  model.set_objective(y, -2.0);
+  model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 1.0);
+  model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 2.0);
+  Basis singular;
+  singular.structural = {VarState::Basic, VarState::Basic};
+  singular.basic = {0, 1};
+
+  BranchAndBoundOptions options;
+  options.root_basis = &singular;
+  const Solution sol = solve_milp(model, options);
+  ASSERT_TRUE(sol.usable());
+  EXPECT_NEAR(sol.objective, -2.0, kTol);
+  EXPECT_EQ(sol.warm_give_ups.singular, 1);
+  EXPECT_EQ(sol.warm_give_ups.total(), 1);
 }
 
 TEST(WarmAccounting, DisabledWarmStartCountsEveryNodeCold) {
@@ -534,7 +696,11 @@ TEST(GoldenDecisions, WarmSerialPaperLargeDigestIsPinned) {
     previous = std::move(decision);
   }
   EXPECT_EQ(scheduler.fallback_count(), 0);
-  EXPECT_EQ(digest.get(), 0x46aae78e5ba88ebaULL) << std::hex << digest.get();
+  // Only the first slot's root LP runs cold; every later one starts from the
+  // previous slot's basis and no warm attempt is abandoned.
+  EXPECT_EQ(scheduler.cold_lp_solves(), 1);
+  EXPECT_EQ(scheduler.warm_give_ups().total(), 0);
+  EXPECT_EQ(digest.get(), 0xb2a5ea52a0652497ULL) << std::hex << digest.get();
 }
 
 // ------------------------------------------------- live-state resume ----
@@ -637,6 +803,8 @@ TEST(LiveState, GivenUpResumeFallsBackToColdAndChargesOnce) {
   const Solution sol = solve_lp_live(model, lower, upper, options,
                                      &root.basis, false, &parent, nullptr);
   EXPECT_FALSE(sol.warm_started);
+  EXPECT_EQ(sol.warm_give_ups.repair_stall, 1);
+  EXPECT_EQ(sol.warm_give_ups.total(), 1);
   EXPECT_EQ(sol.status, cold.status);
   // Straight to cold (no Basis rebuild), the resumed work charged once.
   EXPECT_EQ(sol.simplex_iterations, cold.simplex_iterations + 2);
