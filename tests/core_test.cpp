@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "decision_digest.hpp"
 #include "birp/core/birp_scheduler.hpp"
 #include "birp/core/problem.hpp"
 #include "birp/core/tir_estimator.hpp"
@@ -366,6 +367,38 @@ TEST(BirpScheduler, ObservationsMoveBeliefsTowardTruth) {
     }
   }
   EXPECT_TRUE(any_learned);
+}
+
+TEST(GoldenDecisions, OnlinePaperLargeDigestIsPinned) {
+  // Online BIRP on paper_large for 20 slots under overload, with execution
+  // feedback: slot 0 plans on the Eq. 23 initial beliefs, the overload
+  // forces drops at the drop penalty, and the memory-reservation cap trims
+  // the kernel of models with large activations. The digest covers every
+  // executed decision and the final beliefs of one (edge, app) ladder.
+  const auto cluster = device::ClusterSpec::paper_large();
+  workload::GeneratorConfig wl;
+  wl.slots = 20;
+  wl.mean_per_edge = workload::suggested_mean_per_edge(cluster, 1.3);
+  const auto trace = workload::generate(cluster, wl);
+  BirpScheduler scheduler(cluster);
+  sim::SimulatorConfig sc;
+  sc.threads = 1;
+  sim::Simulator simulator(cluster, trace, sc);
+  testutil::Fnv1a digest;
+  std::int64_t dropped = 0;
+  for (int t = 0; t < trace.slots(); ++t) {
+    const auto result = simulator.step(scheduler);
+    dropped += result.dropped;
+    testutil::hash_decision(digest, result.decision);
+  }
+  for (int j = 0; j < cluster.zoo().num_variants(0); ++j) {
+    const auto believed = scheduler.believed_tir(0, 0, j);
+    digest.value(believed.eta);
+    digest.value(believed.beta);
+  }
+  EXPECT_GT(dropped, 0);
+  EXPECT_EQ(scheduler.fallback_count(), 0);
+  EXPECT_EQ(digest.get(), 0x425a966183c7730fULL) << std::hex << digest.get();
 }
 
 TEST(BirpScheduler, NameOverride) {

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fnv1a.hpp"
+#include "decision_digest.hpp"
 #include "birp/core/birp_scheduler.hpp"
 #include "birp/core/problem.hpp"
 #include "birp/device/cluster.hpp"
@@ -682,17 +682,7 @@ TEST(GoldenDecisions, WarmSerialPaperLargeDigestIsPinned) {
     }
     state.previous = t == 0 ? nullptr : &previous;
     sim::SlotDecision decision = scheduler.decide(state);
-    digest.range(decision.served.raw());
-    digest.range(decision.kernel.raw());
-    digest.range(decision.drops.raw());
-    digest.value(static_cast<unsigned char>(decision.pad_partial_launches));
-    digest.value(decision.flows.size());
-    for (const auto& flow : decision.flows) {
-      digest.value(flow.app);
-      digest.value(flow.from);
-      digest.value(flow.to);
-      digest.value(flow.count);
-    }
+    testutil::hash_decision(digest, decision);
     previous = std::move(decision);
   }
   EXPECT_EQ(scheduler.fallback_count(), 0);
