@@ -13,6 +13,10 @@ namespace {
 // ties before sheds start.
 constexpr double kShedWeight = 2.0;
 constexpr double kBusyWeight = 0.5;
+/// Donor/recipient cell pairs considered per slot.
+constexpr int kMaxCellPairs = 4;
+/// EMA smoothing for the shed/busy feedback signals.
+constexpr double kEmaAlpha = 0.4;
 
 }  // namespace
 
@@ -25,8 +29,6 @@ InterCellBalancer::InterCellBalancer(const device::ClusterSpec& cluster,
   util::check(config_.network_fraction >= 0.0 &&
                   config_.network_fraction <= 1.0,
               "InterCellBalancer: network_fraction must be in [0, 1]");
-  util::check(config_.ema_alpha > 0.0 && config_.ema_alpha <= 1.0,
-              "InterCellBalancer: ema_alpha must be in (0, 1]");
   pressure_.resize(static_cast<std::size_t>(cells));
 }
 
@@ -82,7 +84,7 @@ std::vector<Move> InterCellBalancer::plan(const sim::SlotState& state,
 
   std::vector<Move> moves;
   const int pairs =
-      std::min(config_.max_cell_pairs, static_cast<int>(order.size()) / 2);
+      std::min(kMaxCellPairs, static_cast<int>(order.size()) / 2);
   for (int p = 0; p < pairs; ++p) {
     const int donor_cell = order[static_cast<std::size_t>(p)];
     const int recipient_cell =
@@ -153,12 +155,12 @@ void InterCellBalancer::record_decision(int cell, std::int64_t demand,
       demand > 0
           ? static_cast<double>(dropped) / static_cast<double>(demand)
           : 0.0;
-  p.shed += config_.ema_alpha * (shed - p.shed);
+  p.shed += kEmaAlpha * (shed - p.shed);
 }
 
 void InterCellBalancer::record_busy(int cell, double busy_fraction) {
   auto& p = pressure_[static_cast<std::size_t>(cell)];
-  p.busy += config_.ema_alpha * (busy_fraction - p.busy);
+  p.busy += kEmaAlpha * (busy_fraction - p.busy);
 }
 
 }  // namespace birp::cluster

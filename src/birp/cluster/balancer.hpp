@@ -34,10 +34,6 @@ struct BalancerConfig {
   /// validate_and_repair, so this cap bounds — not eliminates — repair-time
   /// flow cancellation; keep it well under 1.
   double network_fraction = 0.5;
-  /// Donor/recipient cell pairs considered per slot.
-  int max_cell_pairs = 4;
-  /// EMA smoothing for the shed/busy feedback signals.
-  double ema_alpha = 0.4;
 };
 
 /// Smoothed per-cell state the balancer steers by.

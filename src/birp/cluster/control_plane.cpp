@@ -7,6 +7,12 @@
 #include "birp/util/check.hpp"
 
 namespace birp::cluster {
+namespace {
+
+/// Trigger: any cell's live members / live-members-at-cut below this.
+constexpr double kMinCellLiveFraction = 0.5;
+
+}  // namespace
 
 ControlPlane::ControlPlane(const device::ClusterSpec& cluster,
                            const util::Grid2<double>* links,
@@ -14,9 +20,6 @@ ControlPlane::ControlPlane(const device::ClusterSpec& cluster,
     : cluster_(cluster),
       config_(std::move(config)),
       health_(cluster.num_devices(), config_.health) {
-  util::check(config_.min_cell_live_fraction >= 0.0 &&
-                  config_.min_cell_live_fraction <= 1.0,
-              "ControlPlane: min_cell_live_fraction must be in [0, 1]");
   util::check(config_.churn_threshold >= 1,
               "ControlPlane: churn_threshold must be >= 1");
   util::check(config_.cooldown_slots >= 0,
@@ -149,7 +152,7 @@ bool ControlPlane::should_repartition(int slot) const {
       if (health_.is_live(k)) ++live_now;
     }
     if (static_cast<double>(live_now) <
-        config_.min_cell_live_fraction * static_cast<double>(at_cut)) {
+        kMinCellLiveFraction * static_cast<double>(at_cut)) {
       return true;
     }
   }

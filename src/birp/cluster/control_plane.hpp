@@ -10,7 +10,7 @@
 //      live set and per-outage FailureEvents for MTTR accounting;
 //   2. evaluates the repartition triggers against that debounced view:
 //        * a cell's live fraction (vs. its live membership when the current
-//          partition was cut) fell below min_cell_live_fraction, or
+//          partition was cut) fell below kMinCellLiveFraction (one half), or
 //        * the debounced live set churned by at least churn_threshold edges
 //          since the cut (covers mass recovery as well as mass failure), or
 //        * the balancer's smoothed shed-pressure spread across cells exceeds
@@ -53,8 +53,6 @@ struct ControlPlaneConfig {
   /// How to cut (and re-cut) the partition.
   PartitionConfig partition;
   HealthConfig health;
-  /// Trigger: any cell's live members / live-members-at-cut below this.
-  double min_cell_live_fraction = 0.5;
   /// Trigger: debounced live-set churn (downs + recoveries) since the cut.
   int churn_threshold = 2;
   /// Trigger: max - min balancer shed EMA across cells above this.

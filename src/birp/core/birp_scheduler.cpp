@@ -186,12 +186,8 @@ sim::SlotDecision BirpScheduler::greedy_fallback(
         if (!state.variant_allowed(i, j)) continue;
         const auto believed = believed_tir(k, i, j);
         const auto& variant = cluster_.zoo().variant(i, j);
-        const int mem_cap = std::max(
-            1, static_cast<int>(std::floor(
-                   config_.problem.max_reservation_fraction * memory_mb /
-                   variant.intermediate_mb)));
-        const int kernel_cap =
-            std::min({config_.problem.max_batch, believed.beta, mem_cap});
+        const int kernel_cap = launch_kernel_cap(
+            cluster_, config_.problem.max_batch, believed.beta, k, i, j);
         const int cap =
             kernel_cap * std::max(1, config_.problem.launch_multiplier);
         const double gamma = config_.problem.gamma_lookup

@@ -122,8 +122,11 @@ class BirpScheduler : public sim::Scheduler {
   /// This slot's believed_tir() table, same layout; refilled by decide.
   std::vector<device::TirParams> believed_;
   /// Cross-slot warm-start state: the previous slot's root-relaxation basis
-  /// and usable decision. Slot problems are structurally identical (masking
-  /// is done via bounds), so the shapes always line up.
+  /// and usable decision. The basis is reused only when the new slot problem
+  /// has the same shape. Each unusable (app, variant, edge) — a down edge or
+  /// a variant above the ladder cap — adds an x <= 0 row, so the row count
+  /// moves whenever liveness or ladder caps change, and that slot's root LP
+  /// starts cold.
   solver::Basis prev_basis_;
   std::vector<double> prev_values_;
   int slot_ = 0;

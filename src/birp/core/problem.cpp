@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -11,6 +9,18 @@
 #include "birp/util/check.hpp"
 
 namespace birp::core {
+
+int launch_kernel_cap(const device::ClusterSpec& cluster, int max_batch,
+                      int beta, int k, int i, int j) {
+  // A single deployment's activation reservation may claim at most this
+  // fraction of the edge's memory.
+  constexpr double kMaxReservationFraction = 0.5;
+  const int mem_cap = std::max(
+      1, static_cast<int>(std::floor(
+             kMaxReservationFraction * cluster.memory_mb(k) /
+             cluster.zoo().variant(i, j).intermediate_mb)));
+  return std::min({max_batch, beta, mem_cap});
+}
 
 BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
                                 const util::Grid2<std::int64_t>& demand,
@@ -53,16 +63,8 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
     for (int j = 0; j < J; ++j) {
       const auto& variant = cluster.zoo().variant(i, j);
       for (int k = 0; k < K; ++k) {
-        const auto believed = tir(k, i, j);
-        // Per-launch kernel: believed beta, the global cap, and the memory
-        // reservation limit (a launch's activations may claim at most a
-        // fraction of the edge's memory).
-        const int mem_cap = std::max(
-            1, static_cast<int>(std::floor(
-                   options.max_reservation_fraction * cluster.memory_mb(k) /
-                   variant.intermediate_mb)));
-        const int batch_cap =
-            std::min({options.max_batch, believed.beta, mem_cap});
+        const int batch_cap = launch_kernel_cap(
+            cluster, options.max_batch, tir(k, i, j).beta, k, i, j);
         // A down edge has zero serving capacity: z's bound collapses and the
         // deployment binary is pinned off below. A variant above the
         // degradation-ladder cap is pinned the same way on every edge.
@@ -93,8 +95,7 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
     }
   }
   for (int i = 0; i < I; ++i) {
-    const double penalty =
-        options.drop_penalty_factor * cluster.zoo().worst_loss(i);
+    const double penalty = kDropPenaltyFactor * cluster.zoo().worst_loss(i);
     for (int k = 0; k < K; ++k) {
       const std::string tag = "_i" + std::to_string(i) + "k" + std::to_string(k);
       // Down edges exchange nothing: their region's demand can only drop.
@@ -241,15 +242,9 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
         sim::decision_network_mb(cluster, decision, previous, k);
   }
 
-  const auto kernel_cap = [&](int k, int i, int j) {
-    const int mem_cap = std::max(
-        1, static_cast<int>(std::floor(
-               options.max_reservation_fraction * cluster.memory_mb(k) /
-               cluster.zoo().variant(i, j).intermediate_mb)));
-    return std::min({options.max_batch, tir(k, i, j).beta, mem_cap});
-  };
   const auto serve_cap = [&](int k, int i, int j) {
-    return kernel_cap(k, i, j) * std::max(1, options.launch_multiplier);
+    return problem.kernel_cap(i, j, k) *
+           std::max(1, options.launch_multiplier);
   };
   const auto gamma_of = [&](int k, int i, int j) {
     return options.gamma_lookup ? options.gamma_lookup(k, i, j)
@@ -270,7 +265,7 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
   // model's W >= mu * kernel_cap * x rows).
   const auto reserve_mb = [&](int k, int i, int j) {
     return cluster.zoo().variant(i, j).intermediate_mb *
-           static_cast<double>(kernel_cap(k, i, j));
+           static_cast<double>(problem.kernel_cap(i, j, k));
   };
 
   // How many extra requests (i, j, k) can absorb under every budget.
@@ -313,7 +308,7 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
     b.compute_s += marginal_s(k, i, j) * static_cast<double>(add);
     decision.served(i, j, k) = z + add;
     decision.kernel(i, j, k) = static_cast<int>(std::min<std::int64_t>(
-        z + add, kernel_cap(k, i, j)));
+        z + add, problem.kernel_cap(i, j, k)));
     b.peak_mb = std::max(b.peak_mb, reserve_mb(k, i, j));
     (void)variant;
   };
@@ -323,7 +318,7 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
     const auto z = decision.served(i, j, k) - remove;
     decision.served(i, j, k) = z;
     decision.kernel(i, j, k) = static_cast<int>(std::min<std::int64_t>(
-        z, kernel_cap(k, i, j)));
+        z, problem.kernel_cap(i, j, k)));
     b.compute_s -= marginal_s(k, i, j) * static_cast<double>(remove);
     if (z == 0) {
       b.weights_mb -= variant.weights_mb;
@@ -430,25 +425,6 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
           }
         }
         improved = improved || moved;
-      }
-    }
-  }
-
-  if (std::getenv("BIRP_HEUR_DEBUG") != nullptr) {
-    for (int k = 0; k < K; ++k) {
-      std::fprintf(stderr, "edge %d: net=%.1f/%.1f cpu=%.2f wts=%.0f peak=%.0f M=%.0f\n",
-                   k, budget[(std::size_t)k].network_mb, cluster.network_mb(k),
-                   budget[(std::size_t)k].compute_s, budget[(std::size_t)k].weights_mb,
-                   budget[(std::size_t)k].peak_mb, cluster.memory_mb(k));
-      for (int i = 0; i < I; ++i) {
-        std::int64_t avail = demand(i, k) - decision.exports(i, k) + decision.imports(i, k);
-        std::int64_t srv = 0;
-        for (int j = 0; j < cluster.zoo().num_variants(i); ++j) srv += decision.served(i, j, k);
-        if (decision.drops(i, k) > 0)
-          std::fprintf(stderr, "  i=%d avail=%lld served=%lld drops=%lld (e=%lld m=%lld r=%lld)\n",
-                       i, (long long)avail, (long long)srv, (long long)decision.drops(i, k),
-                       (long long)decision.exports(i, k), (long long)decision.imports(i, k),
-                       (long long)demand(i, k));
       }
     }
   }

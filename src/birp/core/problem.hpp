@@ -42,10 +42,12 @@ using TirLookup =
 /// latencies (the nn-Meter role in the paper).
 using GammaLookup = std::function<double(int device, int app, int variant)>;
 
+/// Drop penalty = factor * worst loss of the app; exceeds 1 so serving is
+/// always preferred when feasible. The OAEI baseline prices drops the same
+/// way.
+inline constexpr double kDropPenaltyFactor = 2.0;
+
 struct ProblemOptions {
-  /// Drop penalty = factor * worst loss of the app; must exceed 1 so serving
-  /// is always preferred when feasible.
-  double drop_penalty_factor = 2.0;
   /// Global ceiling on per-launch batch size (min'd with believed beta).
   int max_batch = 16;
   /// Multi-launch extension: a deployment may serve up to
@@ -57,11 +59,6 @@ struct ProblemOptions {
   /// request) remains a conservative overestimate of the true multi-launch
   /// cost, so feasibility is preserved. Set to 1 for the strict reading.
   int launch_multiplier = 3;
-  /// A single deployment's activation reservation (mu * kernel) may claim
-  /// at most this fraction of the edge's memory; the per-launch kernel cap
-  /// shrinks to fit. Keeps large models deployable at small batches instead
-  /// of being locked out by a full-beta reservation.
-  double max_reservation_fraction = 0.5;
   /// Believed serial latencies; empty = cluster's exact gamma table.
   GammaLookup gamma_lookup;
   /// When false, exports/imports are pinned to zero — the NO-REDIST
@@ -110,10 +107,19 @@ struct BuiltProblem {
   util::Grid2<int> m;  ///< [app][device] -> import var index
   util::Grid2<int> d;  ///< [app][device] -> drop var index
   std::vector<int> w;  ///< [device] -> peak working-set var index (Eq. 6')
-  /// Per-launch kernel batch cap min(max_batch, believed beta) used when
-  /// converting served counts into launch sizes.
+  /// Per-launch kernel batch cap (launch_kernel_cap) used when converting
+  /// served counts into launch sizes.
   util::Grid3<int> kernel_cap;
 };
+
+/// Per-launch kernel cap of variant j of app i on edge k: the smallest of
+/// `max_batch`, the believed saturation `beta`, and the largest batch whose
+/// activation reservation (mu * kernel) fits half the edge's memory (at
+/// least 1). The memory term keeps large models deployable at small batches
+/// instead of locking them out with a full-beta reservation.
+[[nodiscard]] int launch_kernel_cap(const device::ClusterSpec& cluster,
+                                    int max_batch, int beta, int k, int i,
+                                    int j);
 
 /// Builds the slot problem. `previous` may be null (slot 0): all deployments
 /// then pay the model-switch network cost, matching P1ᵗ.

@@ -5,17 +5,21 @@
 #include "birp/util/check.hpp"
 
 namespace birp::core {
+namespace {
+
+/// Conservative initialization (paper Eq. 23).
+constexpr double kInitialEta = 0.1;
+constexpr int kInitialBeta = 16;
+
+}  // namespace
 
 TirEstimator::TirEstimator(const TirEstimatorConfig& config)
     : config_(config),
-      eta_bar_(config.initial_eta),
-      beta_bar_(static_cast<double>(config.initial_beta)),
-      c_bar_(std::pow(static_cast<double>(config.initial_beta),
-                      config.initial_eta)) {
+      eta_bar_(kInitialEta),
+      beta_bar_(static_cast<double>(kInitialBeta)),
+      c_bar_(std::pow(static_cast<double>(kInitialBeta), kInitialEta)) {
   util::check(config.epsilon1 > 0.0 && config.epsilon2 > 0.0,
               "TirEstimator: epsilons must be positive");
-  util::check(config.initial_eta > 0.0 && config.initial_beta >= 1,
-              "TirEstimator: bad initialization");
 }
 
 void TirEstimator::update(double observed_tir, int batch, int t) {

@@ -27,9 +27,6 @@ struct TirEstimatorConfig {
   double epsilon1 = 0.04;
   /// Confidence-interval width scale (eps2).
   double epsilon2 = 0.07;
-  /// Conservative initialization (paper Eq. 23).
-  double initial_eta = 0.1;
-  int initial_beta = 16;
   /// When true, the eta LCB padding uses n2 exactly as printed in Eq. 22;
   /// when false (default) it uses n1, the count that actually grows with
   /// eta observations (we read the printed n2 as a typo; see DESIGN.md).

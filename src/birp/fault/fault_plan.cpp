@@ -14,6 +14,17 @@ namespace {
 
 constexpr double kMinBandwidthFloor = 0.01;
 
+// FaultPlan::generate's episode shapes (see FaultPlanOptions).
+constexpr double kMinBandwidthFactor = 0.25;
+constexpr int kMinDegradeSlots = 10;
+constexpr int kMaxDegradeSlots = 60;
+constexpr double kMaxStragglerFactor = 3.0;
+constexpr int kMinStragglerSlots = 10;
+constexpr int kMaxStragglerSlots = 60;
+
+/// Bandwidth multiplier of a storm-struck rack's surviving members.
+constexpr double kCascadeBandwidthFactor = 0.5;
+
 bool covers(const FaultEvent& e, int device, int slot) noexcept {
   return e.device == device && slot >= e.from_slot && slot < e.to_slot;
 }
@@ -189,17 +200,15 @@ FaultPlan FaultPlan::generate(const FaultPlanOptions& options) {
         busy_until = t + len;
       }
       if (rng.bernoulli(options.degrade_rate)) {
-        const int len = static_cast<int>(rng.uniform_int(
-            options.min_degrade_slots, options.max_degrade_slots));
-        const double factor =
-            rng.uniform(options.min_bandwidth_factor, 1.0);
+        const int len = static_cast<int>(
+            rng.uniform_int(kMinDegradeSlots, kMaxDegradeSlots));
+        const double factor = rng.uniform(kMinBandwidthFactor, 1.0);
         plan.add_bandwidth(k, t, std::min(t + len, options.slots), factor);
       }
       if (rng.bernoulli(options.straggler_rate)) {
-        const int len = static_cast<int>(rng.uniform_int(
-            options.min_straggler_slots, options.max_straggler_slots));
-        const double factor =
-            rng.uniform(1.0, options.max_straggler_factor);
+        const int len = static_cast<int>(
+            rng.uniform_int(kMinStragglerSlots, kMaxStragglerSlots));
+        const double factor = rng.uniform(1.0, kMaxStragglerFactor);
         plan.add_straggler(k, t, std::min(t + len, options.slots), factor);
       }
     }
@@ -214,9 +223,6 @@ FaultPlan FaultPlan::generate_correlated(
   util::check(options.group_size >= 1, "FaultPlan: group_size must be >= 1");
   util::check(options.group_fraction > 0.0 && options.group_fraction <= 1.0,
               "FaultPlan: group_fraction must be in (0, 1]");
-  util::check(options.cascade_bandwidth_factor > 0.0 &&
-                  options.cascade_bandwidth_factor <= 1.0,
-              "FaultPlan: cascade factor must be in (0, 1]");
   util::check(options.rescue_fraction >= 0.0 && options.rescue_fraction <= 1.0,
               "FaultPlan: rescue_fraction must be in [0, 1]");
   util::check(options.min_outage_slots >= 1 &&
@@ -267,14 +273,12 @@ FaultPlan FaultPlan::generate_correlated(
     }
     // Cascading bandwidth collapse on the struck rack's survivors: the storm
     // saturates the shared uplink while traffic reroutes.
-    if (options.cascade_bandwidth_factor < 1.0) {
-      for (int v = victims; v < size; ++v) {
-        const int device = members[static_cast<std::size_t>(v)];
-        const int until = std::min(options.slots, t + length);
-        if (until <= t) continue;
-        plan.add({FaultKind::kBandwidth, device, t, until,
-                  options.cascade_bandwidth_factor, incident});
-      }
+    for (int v = victims; v < size; ++v) {
+      const int device = members[static_cast<std::size_t>(v)];
+      const int until = std::min(options.slots, t + length);
+      if (until <= t) continue;
+      plan.add({FaultKind::kBandwidth, device, t, until,
+                kCascadeBandwidthFactor, incident});
     }
     ++incident;
     next_allowed = t + length + options.cooldown_slots;

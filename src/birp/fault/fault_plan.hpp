@@ -63,7 +63,9 @@ struct FaultEvent {
 };
 
 /// Seeded random plan generation: each device independently enters outages,
-/// bandwidth dips, and straggler episodes with per-slot hazard rates.
+/// bandwidth dips, and straggler episodes with per-slot hazard rates. Dips
+/// and straggler episodes last 10-60 slots; a dip's bandwidth factor is drawn
+/// uniformly between 0.25 and 1, a straggler's slowdown between 1 and 3.
 struct FaultPlanOptions {
   int slots = 0;
   int devices = 0;
@@ -74,20 +76,14 @@ struct FaultPlanOptions {
   int max_outage_slots = 30;
   /// Per-slot probability that a device starts a bandwidth dip.
   double degrade_rate = 0.0;
-  double min_bandwidth_factor = 0.25;
-  int min_degrade_slots = 10;
-  int max_degrade_slots = 60;
   /// Per-slot probability that a device starts a straggler episode.
   double straggler_rate = 0.0;
-  double max_straggler_factor = 3.0;
-  int min_straggler_slots = 10;
-  int max_straggler_slots = 60;
 };
 
 /// Seeded correlated-failure storms: devices are grouped into racks of
 /// `group_size` consecutive ids; a storm takes down a seeded fraction of one
 /// rack at once (shared root_cause id), recovery arrives as a staggered wave,
-/// and the surviving rack-mates suffer a bandwidth collapse for the storm's
+/// and the surviving rack-mates run at half bandwidth for the storm's
 /// duration. Optionally a seeded fraction of victims flap: a transient kUp
 /// rescue window mid-outage followed by relapse — the hysteresis stressor.
 struct CorrelatedFailureOptions {
@@ -104,9 +100,6 @@ struct CorrelatedFailureOptions {
   int max_outage_slots = 24;
   /// Successive victims recover this many slots apart (recovery wave).
   int recovery_stagger_slots = 2;
-  /// Bandwidth multiplier applied to the struck rack's surviving members for
-  /// the storm interval; 1 disables the cascade.
-  double cascade_bandwidth_factor = 0.5;
   /// Fraction of victims that transiently recover mid-outage (kUp window in
   /// the middle half of their outage) and then relapse. 0 disables.
   double rescue_fraction = 0.0;

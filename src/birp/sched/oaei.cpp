@@ -2,13 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "birp/core/problem.hpp"
+#include "birp/solver/simplex.hpp"
 #include "birp/util/check.hpp"
 
 namespace birp::sched {
 namespace {
+
+/// EWMA smoothing for the capacity-correction factor.
+constexpr double kCapacitySmoothing = 0.2;
+/// Seed of the randomized-rounding stream.
+constexpr std::uint64_t kRoundingSeed = 0x0ae1;
 
 /// Builds OAEI's serial-execution LP into the shared BuiltProblem shape so
 /// core::extract_decision can read the solution. Differences from BIRP's
@@ -16,11 +23,11 @@ namespace {
 /// (serial execution has no per-deployment batch cap); memory charges
 /// batch-1 intermediates; compute charges gamma per request with the learned
 /// capacity factor (no TIR speedup — execution is serial).
-core::BuiltProblem build_oaei_problem(const device::ClusterSpec& cluster,
-                                      const util::Grid2<std::int64_t>& demand,
-                                      const sim::SlotDecision* previous,
-                                      const std::vector<double>& capacity_factor,
-                                      const OaeiConfig& config) {
+core::BuiltProblem build_oaei_problem(
+    const device::ClusterSpec& cluster,
+    const util::Grid2<std::int64_t>& demand,
+    const sim::SlotDecision* previous,
+    const std::vector<double>& capacity_factor) {
   const int I = cluster.num_apps();
   const int K = cluster.num_devices();
   const int Jmax = cluster.zoo().max_variants();
@@ -71,8 +78,9 @@ core::BuiltProblem build_oaei_problem(const device::ClusterSpec& cluster,
     }
   }
   for (int i = 0; i < I; ++i) {
+    // Drops are priced as in BIRP's slot problem.
     const double penalty =
-        config.drop_penalty_factor * cluster.zoo().worst_loss(i);
+        core::kDropPenaltyFactor * cluster.zoo().worst_loss(i);
     for (int k = 0; k < K; ++k) {
       const std::string tag = "_i" + std::to_string(i) + "k" + std::to_string(k);
       built.e(i, k) = model.add_continuous(
@@ -144,11 +152,9 @@ core::BuiltProblem build_oaei_problem(const device::ClusterSpec& cluster,
 
 }  // namespace
 
-OaeiScheduler::OaeiScheduler(const device::ClusterSpec& cluster,
-                             OaeiConfig config)
+OaeiScheduler::OaeiScheduler(const device::ClusterSpec& cluster)
     : cluster_(cluster),
-      config_(config),
-      rng_(config.rounding_seed),
+      rng_(kRoundingSeed),
       capacity_factor_(static_cast<std::size_t>(cluster.num_devices()), 1.0),
       predicted_busy_s_(static_cast<std::size_t>(cluster.num_devices()), 0.0) {}
 
@@ -162,8 +168,8 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
   const int K = cluster_.num_devices();
 
   core::BuiltProblem problem = build_oaei_problem(
-      cluster_, state.demand, state.previous, capacity_factor_, config_);
-  const solver::Solution relaxed = solver::solve_lp(problem.model, config_.lp);
+      cluster_, state.demand, state.previous, capacity_factor_);
+  const solver::Solution relaxed = solver::solve_lp(problem.model);
 
   sim::SlotDecision decision(I, cluster_.zoo().max_variants(), K);
   if (!relaxed.usable()) {
@@ -263,7 +269,7 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
   // --- Second stage: request placement with deployments fixed. Always
   //     feasible (drops absorb everything). ---
   const solver::Solution fixed =
-      solver::solve_lp(problem.model, lower, upper, config_.lp);
+      solver::solve_lp(problem.model, lower, upper);
   if (!fixed.usable()) return decision;
 
   decision = core::extract_decision(problem, fixed, cluster_, state.demand);
@@ -295,8 +301,7 @@ void OaeiScheduler::observe(const sim::SlotFeedback& feedback) {
     auto& factor = capacity_factor_[static_cast<std::size_t>(k)];
     const double sample =
         std::clamp(observed / predicted * factor, 0.25, 4.0);
-    factor = (1.0 - config_.capacity_smoothing) * factor +
-             config_.capacity_smoothing * sample;
+    factor = (1.0 - kCapacitySmoothing) * factor + kCapacitySmoothing * sample;
   }
 }
 

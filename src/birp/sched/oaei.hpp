@@ -18,23 +18,13 @@
 
 #include "birp/device/cluster.hpp"
 #include "birp/sim/scheduler.hpp"
-#include "birp/solver/simplex.hpp"
 #include "birp/util/rng.hpp"
 
 namespace birp::sched {
 
-struct OaeiConfig {
-  /// Drop penalty factor over worst loss (same convention as BIRP).
-  double drop_penalty_factor = 2.0;
-  /// EWMA smoothing for the capacity-correction factor.
-  double capacity_smoothing = 0.2;
-  std::uint64_t rounding_seed = 0x0ae1;
-  solver::SimplexOptions lp;
-};
-
 class OaeiScheduler : public sim::Scheduler {
  public:
-  OaeiScheduler(const device::ClusterSpec& cluster, OaeiConfig config = {});
+  explicit OaeiScheduler(const device::ClusterSpec& cluster);
 
   [[nodiscard]] std::string name() const override { return "OAEI"; }
 
@@ -46,7 +36,6 @@ class OaeiScheduler : public sim::Scheduler {
 
  private:
   const device::ClusterSpec& cluster_;
-  OaeiConfig config_;
   util::Xoshiro256StarStar rng_;
   std::vector<double> capacity_factor_;
   /// Predicted busy seconds per edge for the decision just issued (the

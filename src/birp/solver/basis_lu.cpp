@@ -5,6 +5,13 @@
 #include <numeric>
 
 namespace birp::solver {
+namespace {
+
+/// Threshold partial pivoting acceptance: a row is an eligible pivot when it
+/// reaches this fraction of the column maximum.
+constexpr double kLuPivotThreshold = 0.1;
+
+}  // namespace
 
 void BasisLu::reset_identity(int rows) {
   rows_ = rows;
@@ -35,7 +42,6 @@ void BasisLu::append_eta(std::span<const double> column, int pivot_row) {
 
 bool BasisLu::factorize(const StandardForm& form,
                         std::span<const int> basic_cols,
-                        double pivot_tolerance, double threshold,
                         std::vector<int>& basis_of_row) {
   reset_identity(form.rows);
   basis_of_row.assign(static_cast<std::size_t>(rows_), -1);
@@ -110,8 +116,8 @@ bool BasisLu::factorize(const StandardForm& form,
     std::sort(touched_.begin(), touched_.end());
 
     // Threshold partial pivoting over the rows not yet claimed: eligible
-    // rows reach `threshold` of the column max; the smallest eligible row
-    // index wins (deterministic, sparsity-neutral). Singularity is judged
+    // rows reach kLuPivotThreshold of the column max; the smallest eligible
+    // row index wins (deterministic, sparsity-neutral). Singularity is judged
     // relative to the transformed column's overall magnitude (and the raw
     // column norm, so full cancellation of an O(1) column is still caught)
     // rather than an absolute cutoff, so uniformly tiny columns factorize.
@@ -125,7 +131,7 @@ bool BasisLu::factorize(const StandardForm& form,
     }
     const double ref =
         std::max(total_max, form.col_scale[static_cast<std::size_t>(col)]);
-    if (col_max <= pivot_tolerance * ref) {  // numerically singular
+    if (col_max <= kPivotTolerance * ref) {  // numerically singular
       clear_touched();
       return false;
     }
@@ -133,7 +139,7 @@ bool BasisLu::factorize(const StandardForm& form,
     for (const int i : touched_) {
       if (row_used[static_cast<std::size_t>(i)]) continue;
       if (std::abs(work_[static_cast<std::size_t>(i)]) >=
-          threshold * col_max) {
+          kLuPivotThreshold * col_max) {
         pivot_row = i;
         break;
       }
@@ -204,14 +210,13 @@ void BasisLu::btran(std::span<double> y) const {
   }
 }
 
-bool BasisLu::update(std::span<const double> alpha, int pivot_row,
-                     double pivot_tolerance) {
+bool BasisLu::update(std::span<const double> alpha, int pivot_row) {
   double col_max = 0.0;
   for (int i = 0; i < rows_; ++i) {
     col_max = std::max(col_max, std::abs(alpha[static_cast<std::size_t>(i)]));
   }
   const double pivot = alpha[static_cast<std::size_t>(pivot_row)];
-  if (std::abs(pivot) <= pivot_tolerance * col_max) {
+  if (std::abs(pivot) <= kPivotTolerance * col_max) {
     return false;  // relatively too small to divide by: refactorize instead
   }
   const auto before = static_cast<std::int64_t>(entry_row_.size());

@@ -33,6 +33,11 @@
 
 namespace birp::solver {
 
+/// Minimum magnitude accepted for a pivot element, relative to the
+/// transformed column's (or pivot row's) infinity norm. The LU below and the
+/// simplex ratio tests (simplex.cpp) share it.
+inline constexpr double kPivotTolerance = 1e-9;
+
 class BasisLu {
  public:
   /// Resets to the identity basis of `rows` rows (the cold Phase I start:
@@ -42,13 +47,11 @@ class BasisLu {
   /// Factorizes the basis {basic_cols} from scratch. On success fills
   /// `basis_of_row` (basic column per pivot row) and returns true; on a
   /// numerically singular basis returns false with the eliminations spent
-  /// so far still counted in factor_pivots(). `threshold` is the threshold
-  /// partial pivoting relative acceptance (a row is an eligible pivot when
-  /// its magnitude is at least `threshold` times the column maximum; ties
-  /// break to the smallest row index, deterministically).
+  /// so far still counted in factor_pivots(). Pivots are chosen by
+  /// threshold partial pivoting (basis_lu.cpp, kLuPivotThreshold; ties break
+  /// to the smallest row index, deterministically).
   [[nodiscard]] bool factorize(const StandardForm& form,
                                std::span<const int> basic_cols,
-                               double pivot_tolerance, double threshold,
                                std::vector<int>& basis_of_row);
 
   /// x := B^{-1} x (dense scratch, size rows).
@@ -61,8 +64,7 @@ class BasisLu {
   /// FTRANed entering column `alpha`. Returns false (leaving the file
   /// unchanged) when the pivot element is too small relative to the
   /// column's magnitude; the caller should refactorize instead.
-  [[nodiscard]] bool update(std::span<const double> alpha, int pivot_row,
-                            double pivot_tolerance);
+  [[nodiscard]] bool update(std::span<const double> alpha, int pivot_row);
 
   /// Eta-file growth trigger: true once `interval` updates have been
   /// appended since the last factorization, or the update etas' fill

@@ -20,6 +20,9 @@ namespace {
 /// pile up thousands of factorizations.
 constexpr int kMaxLiveStates = 64;
 
+/// Values within this distance of an integer are considered integral.
+constexpr double kIntegralityTolerance = 1e-6;
+
 /// One branch-and-bound node. Bounds are not stored: each node records a
 /// single bound delta against its parent and the chain is materialized on
 /// demand, so creating a node is O(1) instead of two O(n) vector copies.
@@ -149,9 +152,9 @@ Solution branch_and_bound(const Model& model,
   // acceptance, so callers may pass approximate repairs.
   const auto consider = [&](const std::vector<double>& candidate) {
     if (candidate.size() != n) return;
-    if (model.max_violation(candidate) > options.lp.tolerance * 10) return;
+    if (model.max_violation(candidate) > kLpTolerance * 10) return;
     if (model.max_integrality_violation(candidate) >
-        options.integrality_tolerance) {
+        kIntegralityTolerance) {
       return;
     }
     const double obj = model.objective_value(candidate);
@@ -273,7 +276,7 @@ Solution branch_and_bound(const Model& model,
     if (lp.objective >= prune_threshold()) continue;
 
     const int branch_var =
-        most_fractional(model, lp.values, options.integrality_tolerance);
+        most_fractional(model, lp.values, kIntegralityTolerance);
     if (branch_var < 0) {
       // Integral LP optimum: new incumbent.
       if (lp.objective < incumbent_objective) {
@@ -285,7 +288,7 @@ Solution branch_and_bound(const Model& model,
       continue;
     }
 
-    if (try_rounding(model, lp.values, rounded, options.lp.tolerance * 10)) {
+    if (try_rounding(model, lp.values, rounded, kLpTolerance * 10)) {
       consider(rounded);
     }
     if (options.incumbent_heuristic) {

@@ -44,8 +44,6 @@ struct BranchAndBoundOptions {
   std::int64_t max_nodes = 20000;
   /// Relative optimality gap at which search stops early.
   double relative_gap = 1e-6;
-  /// Values within this distance of an integer are considered integral.
-  double integrality_tolerance = 1e-6;
   SimplexOptions lp;
   /// Problem-specific rounding/repair; naive nearest-integer rounding is
   /// always tried as well.

@@ -25,6 +25,10 @@
 
 namespace birp::solver {
 
+/// Feasibility and optimality tolerance of the simplex engine; branch and
+/// bound accepts candidates within ten times it.
+inline constexpr double kLpTolerance = 1e-7;
+
 /// The live state of an optimal solve (see the header comment). `form` is
 /// shared, never copied: its lower/upper/state/value/basis arrays are empty
 /// because those live here, per solve. A default-constructed LpState (null

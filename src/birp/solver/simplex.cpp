@@ -40,9 +40,9 @@ constexpr double kDualPickTie = 1e-9;
 /// nonbasic column's repair cost moves this far (times an index-hash spread
 /// in [1, 2)) toward its dual-feasible side, so the repair's dual ratios are
 /// distinct and positive instead of tied at zero — the dual degeneracy that
-/// made slot-problem repairs cycle until their budget ran out. Ten times the
-/// default optimality tolerance, so the perturbed reduced costs clear it;
-/// small enough that Phase II removes the perturbation in a few pivots.
+/// made slot-problem repairs cycle until their budget ran out. Ten times
+/// kLpTolerance, so the perturbed reduced costs clear it; small enough that
+/// Phase II removes the perturbation in a few pivots.
 constexpr double kRepairPerturbation = 1e-6;
 
 /// Deterministic spread in [1, 2) for column j's perturbation (Fibonacci
@@ -82,8 +82,7 @@ class RevisedSimplex {
     const std::vector<int> basic_cols = std::move(form.basic_cols);
     adopt(std::move(form));
     init();
-    if (!lu_.factorize(*form_, basic_cols, options_.pivot_tolerance,
-                       options_.lu_pivot_threshold, basis_)) {
+    if (!lu_.factorize(*form_, basic_cols, basis_)) {
       return;  // singular: cold fallback
     }
     recompute_basic_values();
@@ -223,8 +222,7 @@ class RevisedSimplex {
   /// basis has become numerically singular.
   [[nodiscard]] bool refactorize() {
     basic_cols_scratch_.assign(basis_.begin(), basis_.end());
-    if (!lu_.factorize(*form_, basic_cols_scratch_, options_.pivot_tolerance,
-                       options_.lu_pivot_threshold, basis_)) {
+    if (!lu_.factorize(*form_, basic_cols_scratch_, basis_)) {
       return false;
     }
     recompute_basic_values();
@@ -286,7 +284,7 @@ class RevisedSimplex {
     basis_[static_cast<std::size_t>(leave_row)] = enter;
     state_[static_cast<std::size_t>(enter)] = VarState::Basic;
     value_[static_cast<std::size_t>(enter)] = enter_value;
-    if (!lu_.update(alpha_, leave_row, options_.pivot_tolerance)) {
+    if (!lu_.update(alpha_, leave_row)) {
       return refactorize();
     }
     return true;
@@ -356,7 +354,7 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
     compute_duals(costs);
     int enter = -1;
     double enter_dir = 0.0;
-    double best_score = options_.tolerance;
+    double best_score = kLpTolerance;
     for (int j = 0; j < form_->cols; ++j) {
       const auto sj = state_[static_cast<std::size_t>(j)];
       if (sj == VarState::Basic) continue;
@@ -365,8 +363,8 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
       if (lo == hi) continue;  // fixed (includes retired artificials)
       const double d = costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
       double dir = 0.0;
-      if (sj == VarState::AtLower && d < -options_.tolerance) dir = 1.0;
-      if (sj == VarState::AtUpper && d > options_.tolerance) dir = -1.0;
+      if (sj == VarState::AtLower && d < -kLpTolerance) dir = 1.0;
+      if (sj == VarState::AtUpper && d > kLpTolerance) dir = -1.0;
       if (dir == 0.0) continue;
       if (bland) {
         enter = j;
@@ -395,7 +393,7 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
     // problems) still pivots on its relatively-large entries, while noise
     // entries of a large column stay ineligible. Zero columns skip rows
     // entirely (eligible == 0 with a <= comparison).
-    const double eligible = options_.pivot_tolerance * alpha_scale;
+    const double eligible = kPivotTolerance * alpha_scale;
 
     double t_best = upper_[static_cast<std::size_t>(enter)] -
                     lower_[static_cast<std::size_t>(enter)];
@@ -433,7 +431,7 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
     }
 
     if (!std::isfinite(t_best)) return SolveStatus::Unbounded;
-    stalled = t_best <= options_.tolerance ? stalled + 1 : 0;
+    stalled = t_best <= kLpTolerance ? stalled + 1 : 0;
 
     if (leave_row == -1) {
       bound_flip(enter, enter_dir, t_best);
@@ -466,7 +464,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     // kDualPickTie margin, so near-tied violations resolve to the smallest
     // row.
     int leave_row = -1;
-    double best_viol = options_.tolerance;
+    double best_viol = kLpTolerance;
     double sigma = 0.0;
     for (int i = 0; i < form_->rows; ++i) {
       const int bvar = basis_[static_cast<std::size_t>(i)];
@@ -502,7 +500,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       row_alpha_[static_cast<std::size_t>(j)] = alpha;
       row_scale = std::max(row_scale, std::abs(alpha));
     }
-    const double eligible = options_.pivot_tolerance * row_scale;
+    const double eligible = kPivotTolerance * row_scale;
 
     // --- Entering candidates: a candidate must move the violating basic
     // variable toward its bound; its dual ratio |d_j / alpha| measures how
@@ -600,7 +598,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       row_ratio_[static_cast<std::size_t>(enter)] = kInfinity;
       remaining -= range * gain;
       if (++iterations_ > repair_limit) return Repair::Stall;
-      if (remaining <= options_.tolerance) break;  // flips repaired the row
+      if (remaining <= kLpTolerance) break;  // flips repaired the row
     }
   }
 }
@@ -648,7 +646,7 @@ Solution RevisedSimplex::solve() {
   bool need_phase1 = false;
   for (int i = 0; i < form_->rows; ++i) {
     if (value_[static_cast<std::size_t>(
-            basis_[static_cast<std::size_t>(i)])] > options_.tolerance) {
+            basis_[static_cast<std::size_t>(i)])] > kLpTolerance) {
       need_phase1 = true;
       break;
     }
@@ -677,7 +675,7 @@ Solution RevisedSimplex::solve() {
     // spurious Infeasible results once |b| is large, and matches the
     // historical 1e-6 cutoff for O(1)-scaled problems.
     if (infeasibility >
-        10.0 * options_.tolerance * (1.0 + form_->rhs_scale)) {
+        10.0 * kLpTolerance * (1.0 + form_->rhs_scale)) {
       result.status = SolveStatus::Infeasible;
       result.simplex_iterations = iterations_;
       result.factor_pivots = lu_.factor_pivots();
@@ -729,7 +727,7 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
         std::max(primal_viol, lower_[static_cast<std::size_t>(bvar)] - v);
   }
 
-  if (primal_viol > options_.tolerance) {
+  if (primal_viol > kLpTolerance) {
     // Dual repair needs a dual-feasible start. A parent-optimal basis under
     // unchanged costs has one by construction; when the costs moved since
     // the seed basis was optimal (a new slot's demand re-weights the
@@ -753,7 +751,7 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
       if (lower_[jj] == upper_[jj]) continue;  // fixed (artificials)
       const double d = costs[jj] - column_dot(j, y_);
       const bool at_lower = sj == VarState::AtLower;
-      if (at_lower ? d < -options_.tolerance : d > options_.tolerance) {
+      if (at_lower ? d < -kLpTolerance : d > kLpTolerance) {
         const double opposite = at_lower ? upper_[jj] : lower_[jj];
         if (std::isfinite(opposite)) {
           state_[jj] = at_lower ? VarState::AtUpper : VarState::AtLower;

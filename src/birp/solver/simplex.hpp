@@ -64,21 +64,12 @@ namespace birp::solver {
 struct SimplexOptions {
   /// Pivot budget; <= 0 means automatic (scales with problem size).
   std::int64_t max_iterations = 0;
-  /// Feasibility / optimality tolerance.
-  double tolerance = 1e-7;
-  /// Minimum magnitude accepted for a pivot element, relative to the
-  /// transformed column's (or pivot row's) infinity norm.
-  double pivot_tolerance = 1e-9;
   /// Consecutive degenerate pivots before switching to Bland's rule.
   int stall_threshold = 40;
   /// Eta updates appended before the basis is refactorized from scratch
   /// (the file is also rebuilt early when its fill outgrows the
   /// factorization; see BasisLu::should_refactorize).
   int refactor_interval = 96;
-  /// Threshold partial pivoting acceptance for the LU factorization — a row
-  /// is an eligible pivot when it reaches this fraction of the column
-  /// maximum.
-  double lu_pivot_threshold = 0.1;
 };
 
 /// Solves the LP relaxation of `model` (integrality ignored).

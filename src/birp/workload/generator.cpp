@@ -53,9 +53,6 @@ Trace generate(const device::ClusterSpec& cluster,
   if (config.flash_start >= 0) {
     util::check(config.flash_duration > 0,
                 "generate: flash_duration must be positive");
-    util::check(config.flash_edge_fraction > 0.0 &&
-                    config.flash_edge_fraction <= 1.0,
-                "generate: flash_edge_fraction must be in (0, 1]");
     util::check(config.flash_scale >= 0.0,
                 "generate: flash_scale must be >= 0");
   }
@@ -88,9 +85,10 @@ Trace generate(const device::ClusterSpec& cluster,
     std::vector<int> edges(static_cast<std::size_t>(K));
     for (int k = 0; k < K; ++k) edges[static_cast<std::size_t>(k)] = k;
     crowd_rng.shuffle(edges);
+    // Seeded fraction of the edges the crowd hits.
+    constexpr double kFlashEdgeFraction = 0.35;
     const int hit = std::max(
-        1, static_cast<int>(config.flash_edge_fraction *
-                            static_cast<double>(K)));
+        1, static_cast<int>(kFlashEdgeFraction * static_cast<double>(K)));
     const int from = std::max(0, config.flash_start);
     const int to = std::min(config.slots,
                             config.flash_start + config.flash_duration);

@@ -27,7 +27,7 @@ struct GeneratorConfig {
   std::uint64_t seed = 0x77ace;
 
   // Optional flash-crowd overlay (chaos-harness stressor): one regional
-  // demand spike layered additively on the base trace. A seeded subset of
+  // demand spike layered additively on the base trace. A seeded 35% of the
   // edges receives extra Poisson arrivals that ramp up and back down over
   // [flash_start, flash_start + flash_duration) with a triangular envelope
   // peaking at flash_scale x the slot mean. The overlay draws from its own
@@ -36,7 +36,6 @@ struct GeneratorConfig {
   int flash_start = -1;               ///< first slot of the crowd; -1 disables
   int flash_duration = 12;            ///< slots the crowd lasts
   double flash_scale = 2.0;           ///< peak extra mean / base mean
-  double flash_edge_fraction = 0.35;  ///< seeded fraction of edges hit
 };
 
 /// Generates a trace for `cluster`'s dimensions.

@@ -17,6 +17,9 @@ constexpr device::DeviceType kSkuCycle[3] = {device::DeviceType::JetsonNX,
                                              device::DeviceType::JetsonNano,
                                              device::DeviceType::Atlas200DK};
 
+/// Multiplicative jitter on link bandwidth around min(endpoint uplinks).
+constexpr double kLinkJitter = 0.25;
+
 device::DeviceType type_from_int(int value) {
   util::check(value >= 0 && value <= 2, "Topology: bad device type");
   return static_cast<device::DeviceType>(value);
@@ -38,8 +41,6 @@ Topology generate_topology(const TopologyConfig& config) {
   util::check(config.edges > 0, "generate_topology: edges must be positive");
   util::check(config.attachment > 0,
               "generate_topology: attachment must be positive");
-  util::check(config.link_jitter >= 0.0 && config.link_jitter < 1.0,
-              "generate_topology: link_jitter must be in [0, 1)");
 
   const int N = config.edges;
   Topology topology;
@@ -56,7 +57,7 @@ Topology generate_topology(const TopologyConfig& config) {
         std::min(topology.devices[static_cast<std::size_t>(a)].bandwidth_mbps,
                  topology.devices[static_cast<std::size_t>(b)].bandwidth_mbps);
     const double mbps =
-        base * rng.uniform(1.0 - config.link_jitter, 1.0 + config.link_jitter);
+        base * rng.uniform(1.0 - kLinkJitter, 1.0 + kLinkJitter);
     topology.link_mbps(a, b) = mbps;
     topology.link_mbps(b, a) = mbps;
   };

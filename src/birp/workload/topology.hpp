@@ -28,8 +28,6 @@ struct TopologyConfig {
   /// Links each newly attached node opens toward existing nodes
   /// (Barabási–Albert m); clamped to the nodes already present.
   int attachment = 2;
-  /// Multiplicative jitter on link bandwidth around min(endpoint uplinks).
-  double link_jitter = 0.25;
   std::uint64_t seed = 0x70b0;
 };
 
