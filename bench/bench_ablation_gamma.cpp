@@ -13,8 +13,8 @@
 #include "birp/util/rng.hpp"
 
 int main(int argc, char** argv) {
-  const auto cli = birp::bench::Cli::parse(argc, argv, /*default_slots=*/120,
-                                           /*default_target=*/0.65);
+  const birp::bench::Flags cli(argc, argv, /*default_slots=*/120,
+                               /*default_target=*/0.65);
   auto scenario =
       birp::bench::make_scenario(birp::device::ClusterSpec::paper_large(), cli);
 

@@ -12,8 +12,8 @@
 #include "birp/sched/no_redist.hpp"
 
 int main(int argc, char** argv) {
-  const auto cli = birp::bench::Cli::parse(argc, argv, /*default_slots=*/150,
-                                           /*default_target=*/0.6);
+  const birp::bench::Flags cli(argc, argv, /*default_slots=*/150,
+                               /*default_target=*/0.6);
   auto scenario =
       birp::bench::make_scenario(birp::device::ClusterSpec::paper_large(), cli);
   std::cout << "MAB / redistribution ablation: " << scenario.trace.total()

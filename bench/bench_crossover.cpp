@@ -24,8 +24,8 @@ struct Point {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = birp::bench::Cli::parse(argc, argv, /*default_slots=*/60,
-                                           /*default_target=*/0.0);
+  const birp::bench::Flags cli(argc, argv, /*default_slots=*/60,
+                               /*default_target=*/0.0);
   const std::vector<double> targets{0.3, 0.45, 0.6, 0.7, 0.8, 0.95};
 
   const auto cluster = birp::device::ClusterSpec::paper_large();
@@ -35,10 +35,9 @@ int main(int argc, char** argv) {
   std::vector<std::future<void>> futures;
   for (std::size_t p = 0; p < targets.size(); ++p) {
     futures.push_back(pool.submit([&, p] {
-      birp::bench::Cli point_cli = cli;
-      point_cli.target = targets[p];
       auto scenario = birp::bench::make_scenario(
-          birp::device::ClusterSpec::paper_large(), point_cli);
+          birp::device::ClusterSpec::paper_large(), cli.slots, targets[p],
+          cli.seed);
       points[p].target = targets[p];
 
       birp::core::BirpScheduler birp_sched(scenario.cluster);

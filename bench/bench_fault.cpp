@@ -1,7 +1,7 @@
 // Fault tolerance comparison: BIRP (with and without failover re-admission)
 // vs the OAEI and MAX baselines under injected edge failures.
 //
-//   ./bench_fault [--slots N] [--target X] [--seed S] [--csv PATH]
+//   ./bench_fault [--slots N] [--target X] [--seed S] [--csv PATH] [--check]
 //
 // Four fault scenarios run on the same workload trace:
 //
@@ -14,26 +14,17 @@
 // Each scenario runs BIRP with failover, BIRP without, OAEI, and MAX. The
 // headline comparison is the single-edge-crash scenario: failover re-admits
 // the crashed edge's orphans at surviving edges, so BIRP+failover must show a
-// strictly lower SLO failure rate than BIRP without it. A combined summary
-// CSV (scenario x algorithm) is written to --csv (default
-// bench_fault_summary.csv); everything is seeded, so the same flags produce
-// a bit-identical file.
-#include <fstream>
-#include <iostream>
+// strictly lower SLO failure rate than BIRP without it; --check exits 1 when
+// it does not. A combined summary CSV (scenario x algorithm) is written to
+// --csv PATH; everything is seeded, so the same flags produce a bit-identical
+// file.
 #include <string>
 #include <vector>
 
 #include "birp/fault/fault_plan.hpp"
-#include "birp/util/csv.hpp"
 #include "common.hpp"
 
 namespace {
-
-struct ScenarioRun {
-  std::string scenario;
-  std::string algorithm;
-  birp::metrics::RunMetrics metrics;
-};
 
 birp::fault::FaultPlan make_plan(const std::string& name, int slots) {
   using birp::fault::FaultPlan;
@@ -57,103 +48,56 @@ birp::fault::FaultPlan make_plan(const std::string& name, int slots) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = birp::bench::Cli::parse(argc, argv, /*default_slots=*/200,
-                                           /*default_target=*/0.6);
-  std::string csv_path = "bench_fault_summary.csv";
-  for (int a = 1; a < argc; ++a) {
-    const std::string flag = argv[a];
-    if (flag == "--csv" && a + 1 < argc) csv_path = argv[++a];
-  }
+  birp::bench::Flags flags(/*default_slots=*/200, /*default_target=*/0.6);
+  flags.option("--check", flags.check).option("--csv", flags.csv);
+  flags.parse_or_exit(argc, argv);
 
-  auto scenario =
-      birp::bench::make_scenario(birp::device::ClusterSpec::paper_small(), cli);
-  std::cout << "Fault-tolerance run: " << scenario.trace.total()
-            << " requests over " << cli.slots << " slots, seed 0x" << std::hex
-            << cli.seed << std::dec << "\n\n";
+  auto scenario = birp::bench::make_scenario(
+      birp::device::ClusterSpec::paper_small(), flags);
+  birp::bench::Report report("bench_fault");
+  report.param("requests", scenario.trace.total())
+      .param("slots", flags.slots)
+      .param("target", flags.target)
+      .param("seed", flags.seed);
 
-  const std::vector<std::string> scenarios{"none", "crash", "flapping",
-                                           "degraded", "straggler"};
-  std::vector<ScenarioRun> runs;
-
+  // Runs one (scenario, algorithm) pair, adds its arm and returns its SLO
+  // failure p%.
   const auto run_one = [&](const std::string& scenario_name,
                            const std::string& algorithm, bool failover,
-                           auto make_scheduler) {
+                           birp::sim::Scheduler&& scheduler) {
     birp::sim::SimulatorConfig config;
-    config.seed = cli.seed;
-    config.fault_plan = make_plan(scenario_name, cli.slots);
+    config.seed = flags.seed;
+    config.fault_plan = make_plan(scenario_name, flags.slots);
     config.failover.enabled = failover;
-    auto scheduler = make_scheduler();
     birp::sim::Simulator simulator(scenario.cluster, scenario.trace, config);
-    runs.push_back({scenario_name, algorithm, simulator.run(scheduler)});
+    const auto m = simulator.run(scheduler);
+    report.arm()
+        .add("scenario", scenario_name)
+        .add("algorithm", algorithm)
+        .add("slo_failure_percent", {m.failure_percent(), 2})
+        .add("total_loss", {m.total_loss(), 1})
+        .add("dropped", m.dropped())
+        .add("orphan_dropped", m.orphan_dropped())
+        .add("retries", m.retries())
+        .add("availability_percent", {m.availability_percent(), 2})
+        .add("p50_tau", m.latency_quantile(0.5))
+        .add("p95_tau", m.latency_quantile(0.95));
+    return m.failure_percent();
   };
 
-  for (const auto& name : scenarios) {
-    run_one(name, "BIRP+FO", true, [&] {
-      return birp::core::BirpScheduler(scenario.cluster);
-    });
-    run_one(name, "BIRP", false, [&] {
-      return birp::core::BirpScheduler(scenario.cluster);
-    });
-    run_one(name, "OAEI", false, [&] {
-      return birp::sched::OaeiScheduler(scenario.cluster);
-    });
-    run_one(name, "MAX", false, [&] {
-      return birp::sched::MaxScheduler(scenario.cluster);
-    });
-
-    birp::util::TextTable table({"algorithm", "SLO failure p%", "total loss",
-                                 "dropped", "orphaned", "retries",
-                                 "availability %"});
-    for (const auto& run : runs) {
-      if (run.scenario != name) continue;
-      const auto& m = run.metrics;
-      table.add_row({run.algorithm, birp::util::fixed(m.failure_percent(), 2),
-                     birp::util::fixed(m.total_loss(), 1),
-                     std::to_string(m.dropped()),
-                     std::to_string(m.orphan_dropped()),
-                     std::to_string(m.retries()),
-                     birp::util::fixed(m.availability_percent(), 2)});
+  for (const std::string name :
+       {"none", "crash", "flapping", "degraded", "straggler"}) {
+    const double failover_p = run_one(
+        name, "BIRP+FO", true, birp::core::BirpScheduler(scenario.cluster));
+    const double plain_p = run_one(name, "BIRP", false,
+                                   birp::core::BirpScheduler(scenario.cluster));
+    run_one(name, "OAEI", false, birp::sched::OaeiScheduler(scenario.cluster));
+    run_one(name, "MAX", false, birp::sched::MaxScheduler(scenario.cluster));
+    // Headline: failover strictly beats no-failover BIRP under the crash.
+    if (name == "crash") {
+      report.gate("crash: BIRP+FO SLO failure p% < BIRP p%", failover_p, "<",
+                  plain_p);
     }
-    table.print(std::cout, "Scenario: " + name);
-    std::cout << '\n';
   }
-
-  // Headline: failover must strictly beat no-failover BIRP under the crash.
-  const auto find = [&](const std::string& s, const std::string& a)
-      -> const birp::metrics::RunMetrics& {
-    for (const auto& run : runs) {
-      if (run.scenario == s && run.algorithm == a) return run.metrics;
-    }
-    birp::util::fail("bench_fault: missing run " + s + "/" + a);
-  };
-  const auto& crash_fo = find("crash", "BIRP+FO");
-  const auto& crash_plain = find("crash", "BIRP");
-  std::cout << "Single-edge-crash: BIRP+FO p% = "
-            << birp::util::fixed(crash_fo.failure_percent(), 3)
-            << " vs BIRP p% = "
-            << birp::util::fixed(crash_plain.failure_percent(), 3)
-            << (crash_fo.failure_percent() < crash_plain.failure_percent()
-                    ? "  (failover wins)"
-                    : "  (UNEXPECTED: failover did not help)")
-            << "\n\n";
-
-  std::ofstream csv(csv_path);
-  birp::util::CsvWriter writer(csv);
-  writer.row({"scenario", "algorithm", "slo_failure_percent", "total_loss",
-              "dropped", "orphan_dropped", "retries", "availability_percent",
-              "p50_tau", "p95_tau"});
-  for (const auto& run : runs) {
-    const auto& m = run.metrics;
-    writer.row({run.scenario, run.algorithm,
-                birp::util::format_double(m.failure_percent()),
-                birp::util::format_double(m.total_loss()),
-                std::to_string(m.dropped()),
-                std::to_string(m.orphan_dropped()),
-                std::to_string(m.retries()),
-                birp::util::format_double(m.availability_percent()),
-                birp::util::format_double(m.latency_quantile(0.5)),
-                birp::util::format_double(m.latency_quantile(0.95))});
-  }
-  std::cout << "Summary CSV written to " << csv_path << "\n";
-  return 0;
+  return report.finish(flags);
 }

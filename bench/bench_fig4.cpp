@@ -10,8 +10,8 @@
 #include "epsilon_sweep.hpp"
 
 int main(int argc, char** argv) {
-  const auto cli = birp::bench::Cli::parse(argc, argv, /*default_slots=*/100,
-                                           /*default_target=*/0.5);
+  const birp::bench::Flags cli(argc, argv, /*default_slots=*/100,
+                               /*default_target=*/0.5);
   auto scenario =
       birp::bench::make_scenario(birp::device::ClusterSpec::sweep(), cli);
   std::cout << "Fig. 4 epsilon sweep: " << scenario.trace.total()

@@ -31,8 +31,8 @@ double failure_percent_at(const birp::metrics::RunMetrics& full,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = birp::bench::Cli::parse(argc, argv, /*default_slots=*/300,
-                                           /*default_target=*/0.6);
+  const birp::bench::Flags cli(argc, argv, /*default_slots=*/300,
+                               /*default_target=*/0.6);
   auto scenario =
       birp::bench::make_scenario(birp::device::ClusterSpec::sweep(), cli);
   std::cout << "Fig. 5 epsilon sweep: " << scenario.trace.total()

@@ -12,8 +12,8 @@
 #include "common.hpp"
 
 int main(int argc, char** argv) {
-  const auto cli = birp::bench::Cli::parse(argc, argv, /*default_slots=*/300,
-                                           /*default_target=*/0.7);
+  const birp::bench::Flags cli(argc, argv, /*default_slots=*/300,
+                               /*default_target=*/0.7);
   auto scenario =
       birp::bench::make_scenario(birp::device::ClusterSpec::paper_small(), cli);
   std::cout << "Fig. 6 small-scale run: 1 application x 3 models, "

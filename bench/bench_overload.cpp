@@ -2,7 +2,7 @@
 // sustained and bursty overload, with the birp/guard ladder switched on in
 // stages.
 //
-//   ./bench_overload [--slots N] [--target X] [--seed S] [--csv PATH]
+//   ./bench_overload [--slots N] [--target X] [--seed S] [--csv PATH] [--check]
 //
 // Four surge scenarios reshape the same base trace (generated at the
 // cluster's capacity envelope):
@@ -26,19 +26,16 @@
 //
 // Headline check, applied to every scenario at >= 2x aggregate overload:
 // `full` must show strictly fewer SLO failures than `none` while keeping
-// goodput (requests actually served) within 5%. A summary CSV (scenario x
-// policy) is written to --csv; everything is seeded, so the same flags
-// produce a bit-identical file.
+// goodput (requests actually served) within 5%; --check exits 1 when it
+// does not. A summary CSV (scenario x policy) is written to --csv PATH;
+// everything is seeded, so the same flags produce a bit-identical file.
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "birp/serve/engine.hpp"
 #include "birp/sim/validate.hpp"
-#include "birp/util/csv.hpp"
 #include "common.hpp"
 
 namespace {
@@ -164,12 +161,6 @@ birp::serve::ServeConfig make_policy(const std::string& policy,
   return config;
 }
 
-struct PolicyRun {
-  std::string scenario;
-  std::string policy;
-  birp::metrics::RunMetrics metrics;
-};
-
 /// Requests that were actually served (not dropped in any flavor).
 std::int64_t goodput(const birp::metrics::RunMetrics& m) {
   return m.total_requests() - m.dropped();
@@ -178,13 +169,9 @@ std::int64_t goodput(const birp::metrics::RunMetrics& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto cli = birp::bench::Cli::parse(argc, argv, /*default_slots=*/90,
-                                           /*default_target=*/1.0);
-  std::string csv_path = "bench_overload_summary.csv";
-  for (int a = 1; a < argc; ++a) {
-    const std::string flag = argv[a];
-    if (flag == "--csv" && a + 1 < argc) csv_path = argv[++a];
-  }
+  birp::bench::Flags flags(/*default_slots=*/90, /*default_target=*/1.0);
+  flags.option("--check", flags.check).option("--csv", flags.csv);
+  flags.parse_or_exit(argc, argv);
 
   // Base trace sized to the serving engine's own capacity: what an edge
   // actually sustains running the mid variant back-to-back at kernel 16
@@ -207,107 +194,55 @@ int main(int argc, char** argv) {
   capacity_per_edge /= static_cast<double>(cluster.num_devices());
 
   birp::workload::GeneratorConfig gen;
-  gen.slots = cli.slots;
-  gen.seed = cli.seed;
-  gen.mean_per_edge = cli.target * capacity_per_edge /
+  gen.slots = flags.slots;
+  gen.seed = flags.seed;
+  gen.mean_per_edge = flags.target * capacity_per_edge /
                       static_cast<double>(cluster.num_apps());
   const auto base = birp::workload::generate(cluster, gen);
   const auto scenarios = make_scenarios(base);
 
-  std::cout << "Overload run: base " << base.total() << " requests over "
-            << cli.slots << " slots (" << birp::util::fixed(capacity_per_edge, 1)
-            << " req/edge-slot capacity), seed 0x" << std::hex << cli.seed
-            << std::dec << "\n\n";
-
-  const std::vector<std::string> policies{"none", "shed", "breaker", "full"};
-  std::vector<PolicyRun> runs;
+  birp::bench::Report report("bench_overload");
+  report.param("base_requests", base.total())
+      .param("slots", flags.slots)
+      .param("target", flags.target)
+      .param("seed", flags.seed)
+      .param("capacity_per_edge_slot", {capacity_per_edge, 1});
 
   for (const auto& scenario : scenarios) {
-    for (const auto& policy : policies) {
+    std::vector<birp::metrics::RunMetrics> runs;
+    for (const std::string policy : {"none", "shed", "breaker", "full"}) {
       AccuracyGreedyScheduler scheduler(cluster);
       birp::serve::ServeEngine engine(cluster, scenario.trace,
-                                      make_policy(policy, cli.seed));
-      runs.push_back({scenario.name, policy, engine.run(scheduler)});
+                                      make_policy(policy, flags.seed));
+      const auto& m = runs.emplace_back(engine.run(scheduler));
+      report.arm()
+          .add("scenario", scenario.name)
+          .add("policy", policy)
+          .add("aggregate_x", {scenario.aggregate_x, 2})
+          .add("total_requests", m.total_requests())
+          .add("slo_failures", m.slo_failures())
+          .add("failure_percent", {m.failure_percent(), 2})
+          .add("goodput", goodput(m))
+          .add("deadline_shed", m.deadline_shed())
+          .add("queue_drops", m.queue_dropped())
+          .add("breaker_trips", m.breaker_trips())
+          .add("breaker_recoveries", m.breaker_recoveries())
+          .add("degraded_slots", m.degraded_slots())
+          .add("p50_tau", m.latency_quantile(0.5))
+          .add("p95_tau", m.latency_quantile(0.95))
+          .add("solver_fallbacks", m.solver_fallbacks());
     }
-
-    birp::util::TextTable table({"policy", "SLO failure p%", "goodput",
-                                 "deadline shed", "queue drops",
-                                 "breaker trips", "degraded slots", "p95 tau"});
-    for (const auto& run : runs) {
-      if (run.scenario != scenario.name) continue;
-      const auto& m = run.metrics;
-      table.add_row({run.policy, birp::util::fixed(m.failure_percent(), 2),
-                     std::to_string(goodput(m)),
-                     std::to_string(m.deadline_shed()),
-                     std::to_string(m.queue_dropped()),
-                     std::to_string(m.breaker_trips()),
-                     std::to_string(m.degraded_slots()),
-                     birp::util::fixed(m.latency_quantile(0.95), 3)});
-    }
-    table.print(std::cout, "Scenario: " + scenario.name + " (" +
-                               birp::util::fixed(scenario.aggregate_x, 2) +
-                               "x aggregate)");
-    std::cout << '\n';
-  }
-
-  // Headline: at >= 2x aggregate overload the full ladder must strictly
-  // reduce SLO failures vs the unguarded engine at near-parity goodput.
-  const auto find = [&](const std::string& s, const std::string& p)
-      -> const birp::metrics::RunMetrics& {
-    for (const auto& run : runs) {
-      if (run.scenario == s && run.policy == p) return run.metrics;
-    }
-    birp::util::fail("bench_overload: missing run " + s + "/" + p);
-  };
-  bool all_good = true;
-  for (const auto& scenario : scenarios) {
+    // Headline: at >= 2x aggregate overload the full ladder must strictly
+    // reduce SLO failures vs the unguarded engine at near-parity goodput.
     if (scenario.aggregate_x < 2.0) continue;
-    const auto& none = find(scenario.name, "none");
-    const auto& full = find(scenario.name, "full");
-    const bool fewer_failures = full.slo_failures() < none.slo_failures();
-    const bool goodput_held =
-        static_cast<double>(goodput(full)) >=
-        0.95 * static_cast<double>(goodput(none));
-    all_good = all_good && fewer_failures && goodput_held;
-    std::cout << scenario.name << ": full ladder failures "
-              << full.slo_failures() << " vs unguarded "
-              << none.slo_failures() << ", goodput " << goodput(full) << " vs "
-              << goodput(none)
-              << (fewer_failures && goodput_held
-                      ? "  (guard wins)"
-                      : "  (UNEXPECTED: guard did not pay off)")
-              << "\n";
+    const auto& none = runs.front();
+    const auto& full = runs.back();
+    report.gate(scenario.name + ": full-ladder SLO failures < unguarded",
+                static_cast<double>(full.slo_failures()), "<",
+                static_cast<double>(none.slo_failures()));
+    report.gate(scenario.name + ": full-ladder goodput >= 95% of unguarded",
+                static_cast<double>(goodput(full)), ">=",
+                0.95 * static_cast<double>(goodput(none)));
   }
-  std::cout << (all_good ? "\nAll >=2x scenarios: guard wins.\n\n"
-                         : "\nUNEXPECTED: some >=2x scenario regressed.\n\n");
-
-  std::ofstream csv(csv_path);
-  birp::util::CsvWriter writer(csv);
-  writer.row({"scenario", "policy", "aggregate_x", "total_requests",
-              "slo_failures", "failure_percent", "goodput", "deadline_shed",
-              "queue_drops", "breaker_trips", "breaker_recoveries",
-              "degraded_slots", "p50_tau", "p95_tau", "solver_fallbacks"});
-  for (const auto& run : runs) {
-    const auto& m = run.metrics;
-    double aggregate = 0.0;
-    for (const auto& scenario : scenarios) {
-      if (scenario.name == run.scenario) aggregate = scenario.aggregate_x;
-    }
-    writer.row({run.scenario, run.policy,
-                birp::util::format_double(aggregate),
-                std::to_string(m.total_requests()),
-                std::to_string(m.slo_failures()),
-                birp::util::format_double(m.failure_percent()),
-                std::to_string(goodput(m)),
-                std::to_string(m.deadline_shed()),
-                std::to_string(m.queue_dropped()),
-                std::to_string(m.breaker_trips()),
-                std::to_string(m.breaker_recoveries()),
-                std::to_string(m.degraded_slots()),
-                birp::util::format_double(m.latency_quantile(0.5)),
-                birp::util::format_double(m.latency_quantile(0.95)),
-                std::to_string(m.solver_fallbacks())});
-  }
-  std::cout << "Summary CSV written to " << csv_path << "\n";
-  return all_good ? 0 : 1;
+  return report.finish(flags);
 }

@@ -22,17 +22,16 @@
 //     request (bench_serve links the counting operator-new hook, so the
 //     alloc numbers are real).
 //
-// --json writes the tracked BENCH_serve.json (hot-path req/s and
-// allocs/request, admit-to-launch p50/p99, burst-drill goodput). --quick
-// shrinks every phase for CI; --check exits nonzero unless the adaptive
-// batcher strictly improves goodput on the burst drill and the hot-path
-// drill's steady state performs zero allocations per request. The
-// request-level CSV (metrics::write_latency_csv) is printed for external
-// plotting.
+// --json writes the report (the tracked BENCH_serve.json is the full
+// 200-slot run: per-scheduler latency and admit-to-launch, burst-drill
+// goodput, hot-path req/s and allocs/request). --quick shrinks every phase
+// for CI; --check exits nonzero unless the adaptive batcher strictly
+// improves goodput on the burst drill and the hot-path drill's steady state
+// performs zero allocations per request, counted by the linked hook (a
+// build without the hook fails that gate). The request-level CSV
+// (metrics::write_latency_csv) is printed for external plotting.
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <random>
 #include <string>
@@ -64,16 +63,13 @@ class ReplayScheduler : public birp::sim::Scheduler {
 /// Burst drill: every other slot's demand spikes to `burst`× the quiet
 /// level while the replayed plan (largest variant, small kernel prior —
 /// the memory-bound shape that forces many launches per job) stays stale.
-/// Returns goodput under SLO for one batching mode.
-struct DrillResult {
-  birp::metrics::RunMetrics metrics;
-  double goodput = 0.0;
-};
-
-DrillResult run_drill(const birp::device::ClusterSpec& cluster,
-                      const birp::workload::Trace& trace,
-                      const birp::sim::SlotDecision& decision,
-                      std::uint64_t seed, bool adaptive) {
+/// Runs one batching mode and adds its arm (goodput under SLO, seals).
+birp::metrics::RunMetrics run_drill(birp::bench::Report& report,
+                                    const std::string& name,
+                                    const birp::device::ClusterSpec& cluster,
+                                    const birp::workload::Trace& trace,
+                                    const birp::sim::SlotDecision& decision,
+                                    std::uint64_t seed, bool adaptive) {
   birp::serve::ServeConfig config;
   config.noise_sigma = 0.0;
   config.seed = seed;
@@ -81,19 +77,25 @@ DrillResult run_drill(const birp::device::ClusterSpec& cluster,
   config.adaptive.max_batch = 16;
   ReplayScheduler scheduler(decision);
   birp::serve::ServeEngine engine(cluster, trace, config);
-  DrillResult result{engine.run(scheduler), 0.0};
+  auto m = engine.run(scheduler);
+  const auto seals = [&](birp::serve::SealReason reason) {
+    return m.batch_seals(static_cast<int>(reason));
+  };
   const double horizon_s = cluster.tau_s() * trace.slots();
-  result.goodput = result.metrics.goodput_under_slo(horizon_s);
-  return result;
+  report.arm()
+      .add("name", name)
+      .add("goodput_per_s", m.goodput_under_slo(horizon_s))
+      .add("slo_attainment_percent", {m.slo_attainment_percent(), 2})
+      .add("p95_tau", m.latency_quantile(0.95))
+      .add("seals_full", seals(birp::serve::SealReason::kFull))
+      .add("seals_timeout", seals(birp::serve::SealReason::kTimeout))
+      .add("seals_deadline", seals(birp::serve::SealReason::kDeadline))
+      .add("seals_growth", seals(birp::serve::SealReason::kGrowth))
+      .add("seals_utility", seals(birp::serve::SealReason::kUtility));
+  return m;
 }
 
 // ------------------------------------------------------ hot-path drill ----
-
-struct HotPathResult {
-  double req_per_s = 0.0;
-  double allocs_per_request = 0.0;
-  std::int64_t requests = 0;
-};
 
 /// Seeded arrival stream, sorted by (available_s, app, origin, seq).
 std::vector<birp::serve::ServeItem> drill_stream(int apps, int count,
@@ -122,7 +124,10 @@ std::vector<birp::serve::ServeItem> drill_stream(int apps, int count,
   return stream;
 }
 
-HotPathResult run_hot_path_drill(bool quick, std::uint64_t seed) {
+/// Runs the drill and adds its results: sustained req/s and steady-state
+/// heap allocations per request, which it returns.
+double run_hot_path_drill(birp::bench::Report& report, bool quick,
+                        std::uint64_t seed) {
   using birp::serve::AdmissionQueue;
   using birp::serve::QueuePolicy;
   using birp::serve::ServeItem;
@@ -195,56 +200,49 @@ HotPathResult run_hot_path_drill(bool quick, std::uint64_t seed) {
   const std::int64_t allocs =
       birp::util::alloc_counts().allocs - allocs_before;
 
-  HotPathResult result;
-  result.requests = static_cast<std::int64_t>(count) * iters;
+  const auto requests = static_cast<std::int64_t>(count) * iters;
   const double secs = std::chrono::duration<double>(stop - start).count();
-  result.req_per_s =
-      secs > 0.0 ? static_cast<double>(result.requests) / secs : 0.0;
-  result.allocs_per_request =
-      static_cast<double>(allocs) / static_cast<double>(result.requests);
+  const double allocs_per_request =
+      static_cast<double>(allocs) / static_cast<double>(requests);
+  report.result("hot_path_requests", requests)
+      .result("hot_path_req_per_s",
+              {birp::bench::ratio(static_cast<double>(requests), secs), 0})
+      .result("hot_path_allocs_per_request", {allocs_per_request, 4});
   if (sink != static_cast<std::int64_t>(stream.size()) * (iters + 1)) {
     std::cout << "(hot-path drill processed " << sink << " takes)\n";
   }
-  return result;
+  return allocs_per_request;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool check = false;
+  birp::bench::Flags flags(/*default_slots=*/200, /*default_target=*/0.7);
   std::int64_t capacity = 0;
   double wait_fraction = 0.05;
   double burst = 4.0;
-  std::string json_path;
-  for (int a = 1; a < argc; ++a) {
-    const std::string flag = argv[a];
-    if (flag == "--capacity" && a + 1 < argc) {
-      capacity = std::strtoll(argv[++a], nullptr, 0);
-    } else if (flag == "--wait" && a + 1 < argc) {
-      wait_fraction = std::atof(argv[++a]);
-    } else if (flag == "--burst" && a + 1 < argc) {
-      burst = std::atof(argv[++a]);
-    } else if (flag == "--json" && a + 1 < argc) {
-      json_path = argv[++a];
-    } else if (flag == "--quick") {
-      quick = true;
-    } else if (flag == "--check") {
-      check = true;
-    }
-  }
-  const auto cli = birp::bench::Cli::parse(
-      argc, argv, /*default_slots=*/quick ? 30 : 200, /*default_target=*/0.7);
+  flags.with_quick(30)
+      .option("--check", flags.check)
+      .option("--json", flags.json)
+      .option("--capacity", capacity)
+      .option("--wait", wait_fraction)
+      .option("--burst", burst);
+  flags.parse_or_exit(argc, argv);
 
-  auto scenario =
-      birp::bench::make_scenario(birp::device::ClusterSpec::paper_small(), cli);
-  std::cout << "Request-level serving run: " << scenario.trace.total()
-            << " requests over " << cli.slots << " slots, queue capacity "
-            << (capacity > 0 ? std::to_string(capacity) : "unbounded")
-            << ", batch wait " << wait_fraction << " tau\n\n";
+  auto scenario = birp::bench::make_scenario(
+      birp::device::ClusterSpec::paper_small(), flags);
+  birp::bench::Report report("bench_serve");
+  report.param("quick", flags.quick)
+      .param("slots", flags.slots)
+      .param("target", flags.target)
+      .param("seed", flags.seed)
+      .param("requests", scenario.trace.total())
+      .param("queue_capacity", capacity)
+      .param("batch_wait_tau", wait_fraction)
+      .param("burst", burst);
 
   birp::serve::ServeConfig config;
-  config.seed = cli.seed;
+  config.seed = flags.seed;
   config.queue_capacity = capacity;
   config.max_batch_wait_fraction = wait_fraction;
 
@@ -252,44 +250,37 @@ int main(int argc, char** argv) {
   birp::sched::OaeiScheduler oaei(scenario.cluster);
   birp::sched::MaxScheduler max(scenario.cluster);
 
-  const auto serve = [&](birp::sim::Scheduler& scheduler) {
-    birp::serve::ServeEngine engine(scenario.cluster, scenario.trace, config);
-    return engine.run(scheduler);
-  };
-  const auto m_birp = serve(birp);
-  const auto m_oaei = serve(oaei);
-  const auto m_max = serve(max);
-
-  const std::vector<std::pair<std::string, const birp::metrics::RunMetrics*>>
-      runs{{"BIRP", &m_birp}, {"OAEI", &m_oaei}, {"MAX", &m_max}};
-
-  birp::bench::print_summary(std::cout, "Serving summary (slot metrics)",
-                             runs);
-  std::cout << '\n';
-
+  // Per-request latency (incl. admit-to-launch, tau units), goodput under
+  // SLO and the slot metrics, one arm per scheduler.
   const double horizon_s =
-      scenario.cluster.tau_s() * static_cast<double>(cli.slots);
-  birp::util::TextTable table({"algorithm", "goodput/s", "p50 tau", "p95 tau",
-                               "p99 tau", "a2l p50", "a2l p99", "SLO att. %",
-                               "dropped", "queue drops", "mean depth"});
-  for (const auto& [name, m] : runs) {
-    const auto& a2l = m->admit_to_launch();
-    table.add_row(
-        {name, birp::util::fixed(m->goodput_under_slo(horizon_s), 3),
-         birp::util::fixed(m->latency_quantile(0.5), 3),
-         birp::util::fixed(m->latency_quantile(0.95), 3),
-         birp::util::fixed(m->latency_quantile(0.99), 3),
-         a2l.empty() ? "-" : birp::util::fixed(a2l.quantile(0.5), 3),
-         a2l.empty() ? "-" : birp::util::fixed(a2l.quantile(0.99), 3),
-         birp::util::fixed(m->slo_attainment_percent(), 2),
-         std::to_string(m->dropped()), std::to_string(m->queue_dropped()),
-         m->queue_depth().count() > 0
-             ? birp::util::fixed(m->queue_depth().mean(), 2)
-             : "-"});
-  }
-  table.print(std::cout,
-              "Per-request latency (incl. admit-to-launch, tau units) and "
-              "goodput under SLO");
+      scenario.cluster.tau_s() * static_cast<double>(flags.slots);
+  const auto serve = [&](const std::string& name,
+                         birp::sim::Scheduler& scheduler) {
+    birp::serve::ServeEngine engine(scenario.cluster, scenario.trace, config);
+    auto m = engine.run(scheduler);
+    const auto& a2l = m.admit_to_launch();
+    report.arm()
+        .add("name", name)
+        .add("goodput_per_s", m.goodput_under_slo(horizon_s))
+        .add("p50_tau", m.latency_quantile(0.5))
+        .add("p95_tau", m.latency_quantile(0.95))
+        .add("p99_tau", m.latency_quantile(0.99))
+        .add("a2l_p50_tau", a2l.empty() ? 0.0 : a2l.quantile(0.5))
+        .add("a2l_p99_tau", a2l.empty() ? 0.0 : a2l.quantile(0.99))
+        .add("slo_attainment_percent", {m.slo_attainment_percent(), 2})
+        .add("failure_percent", {m.failure_percent(), 2})
+        .add("total_loss", {m.total_loss(), 1})
+        .add("dropped", m.dropped())
+        .add("queue_drops", m.queue_dropped())
+        .add("mean_queue_depth",
+             {m.queue_depth().count() > 0 ? m.queue_depth().mean() : 0.0, 2})
+        .add("mean_busy", m.edge_busy().mean())
+        .add("j_per_request", {m.energy_per_request_j(), 2});
+    return m;
+  };
+  const auto m_birp = serve("BIRP", birp);
+  const auto m_oaei = serve("OAEI", oaei);
+  const auto m_max = serve("MAX", max);
 
   // ------------------------------------------- slot-boundary burst drill ----
   // Bursty demand against a stale plan: the decision (largest variant,
@@ -299,7 +290,7 @@ int main(int argc, char** argv) {
   // adaptive batcher grows toward the backlog and seals early under
   // deadline pressure.
   const auto& cluster = scenario.cluster;
-  const int drill_slots = quick ? 6 : 12;
+  const int drill_slots = flags.quick ? 6 : 12;
   const auto spike =
       static_cast<std::int64_t>(std::llround(12.0 * std::max(1.0, burst)));
   birp::workload::Trace drill_trace(drill_slots, cluster.num_apps(),
@@ -317,112 +308,33 @@ int main(int argc, char** argv) {
     stale.served(0, drill_variant, k) = spike;
     stale.kernel(0, drill_variant, k) = 2;
   }
-
-  const auto fixed =
-      run_drill(cluster, drill_trace, stale, cli.seed, /*adaptive=*/false);
-  const auto adaptive =
-      run_drill(cluster, drill_trace, stale, cli.seed, /*adaptive=*/true);
-
-  std::cout << "\nSlot-boundary burst drill: " << drill_trace.total()
-            << " requests over " << drill_slots << " slots, burst x" << burst
-            << ", stale kernel prior 2 on variant " << drill_variant << "\n";
-  birp::util::TextTable drill_table(
-      {"batching", "goodput/s", "SLO att. %", "p95 tau", "full", "timeout",
-       "deadline", "growth", "utility"});
-  const auto drill_row = [&](const std::string& name,
-                             const DrillResult& r) {
-    const auto& m = r.metrics;
-    drill_table.add_row(
-        {name, birp::util::fixed(r.goodput, 3),
-         birp::util::fixed(m.slo_attainment_percent(), 2),
-         birp::util::fixed(m.latency_quantile(0.95), 3),
-         std::to_string(m.batch_seals(
-             static_cast<int>(birp::serve::SealReason::kFull))),
-         std::to_string(m.batch_seals(
-             static_cast<int>(birp::serve::SealReason::kTimeout))),
-         std::to_string(m.batch_seals(
-             static_cast<int>(birp::serve::SealReason::kDeadline))),
-         std::to_string(m.batch_seals(
-             static_cast<int>(birp::serve::SealReason::kGrowth))),
-         std::to_string(m.batch_seals(
-             static_cast<int>(birp::serve::SealReason::kUtility)))});
-  };
-  drill_row("fixed", fixed);
-  drill_row("adaptive", adaptive);
-  drill_table.print(std::cout, "Fixed fill-to-target vs adaptive batching");
+  report.param("drill_requests", drill_trace.total())
+      .param("drill_slots", drill_slots)
+      .param("drill_variant", drill_variant);
+  const auto fixed = run_drill(report, "fixed-burst", cluster, drill_trace,
+                               stale, flags.seed, /*adaptive=*/false);
+  const auto adaptive = run_drill(report, "adaptive-burst", cluster,
+                                  drill_trace, stale, flags.seed,
+                                  /*adaptive=*/true);
 
   // ------------------------------------------------- hot-path queue drill ----
-  const auto hot = run_hot_path_drill(quick, cli.seed);
-  std::cout << "\nHot-path queue drill ("
-            << (birp::util::alloc_counting_active()
-                    ? "alloc counting active"
-                    : "alloc counting INACTIVE")
-            << "):\n";
-  birp::util::TextTable hot_table(
-      {"queue", "req/s", "allocs/request", "requests"});
-  hot_table.add_row({"AdmissionQueue", birp::util::fixed(hot.req_per_s, 0),
-                     birp::util::fixed(hot.allocs_per_request, 4),
-                     std::to_string(hot.requests)});
-  hot_table.print(std::cout, "Sustained admission -> batch -> dispatch");
+  const double allocs = run_hot_path_drill(report, flags.quick, flags.seed);
+  const bool counting = birp::util::alloc_counting_active();
+  report.result("alloc_counting_active", counting);
 
-  std::cout << "\nCSV (metrics::write_latency_csv):\n";
+  std::cout << "CSV (metrics::write_latency_csv):\n";
   birp::metrics::write_latency_csv(
       std::cout, {{"BIRP", &m_birp},
                   {"OAEI", &m_oaei},
                   {"MAX", &m_max},
-                  {"fixed-burst", &fixed.metrics},
-                  {"adaptive-burst", &adaptive.metrics}});
+                  {"fixed-burst", &fixed},
+                  {"adaptive-burst", &adaptive}});
 
-  const auto& a2l = m_birp.admit_to_launch();
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    out.precision(6);
-    out << std::fixed;
-    out << "{\n"
-        << "  \"benchmark\": \"bench_serve\",\n"
-        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-        << "  \"slots\": " << cli.slots << ",\n"
-        << "  \"seed\": " << cli.seed << ",\n"
-        << "  \"hot_path\": {\n"
-        << "    \"requests\": " << hot.requests << ",\n"
-        << "    \"req_per_s\": " << hot.req_per_s << ",\n"
-        << "    \"allocs_per_request\": " << hot.allocs_per_request << "\n"
-        << "  },\n"
-        << "  \"admit_to_launch_tau\": {\n"
-        << "    \"p50\": " << (a2l.empty() ? 0.0 : a2l.quantile(0.5)) << ",\n"
-        << "    \"p99\": " << (a2l.empty() ? 0.0 : a2l.quantile(0.99))
-        << "\n"
-        << "  },\n"
-        << "  \"burst_drill\": {\n"
-        << "    \"fixed_goodput\": " << fixed.goodput << ",\n"
-        << "    \"adaptive_goodput\": " << adaptive.goodput << "\n"
-        << "  }\n"
-        << "}\n";
-    std::cout << "\nwrote " << json_path << "\n";
-  }
-
-  int status = 0;
-  if (check) {
-    if (!(adaptive.goodput > fixed.goodput)) {
-      std::cout << "\nCHECK FAILED: adaptive goodput "
-                << birp::util::fixed(adaptive.goodput, 4)
-                << " must strictly beat fixed "
-                << birp::util::fixed(fixed.goodput, 4)
-                << " on the burst drill\n";
-      status = 1;
-    } else if (birp::util::alloc_counting_active() &&
-               hot.allocs_per_request > 0.0) {
-      std::cout << "\nCHECK FAILED: hot-path drill performed "
-                << birp::util::fixed(hot.allocs_per_request, 4)
-                << " allocs/request in steady state (must be 0)\n";
-      status = 1;
-    } else {
-      std::cout << "\nCHECK OK: adaptive goodput "
-                << birp::util::fixed(adaptive.goodput, 4) << " > fixed "
-                << birp::util::fixed(fixed.goodput, 4)
-                << ", hot-path allocs/request "
-                << birp::util::fixed(hot.allocs_per_request, 4) << "\n";
-    }
-  }
-  return status;
+  report.gate("burst drill adaptive goodput_per_s > fixed",
+              report.find("adaptive-burst").number("goodput_per_s"), ">",
+              report.find("fixed-burst").number("goodput_per_s"));
+  report.gate("hot-path allocs/request == 0", counting && allocs == 0.0,
+              counting ? std::to_string(allocs) + " allocs/request"
+                       : "alloc counting INACTIVE: nothing was counted");
+  return report.finish(flags);
 }

@@ -1,13 +1,16 @@
 // Shared helpers for the benchmark/experiment harnesses: scenario assembly,
-// algorithm runs, decision comparison, CDF/series printing, and minimal CLI
-// parsing.
+// algorithm runs, the decide-only replay loop, decision-stream comparison
+// and CDF/series printing. Flags and the gated benches' report live in
+// report.hpp.
 #pragma once
 
-#include <cstdlib>
-#include <cstring>
+#include <algorithm>
+#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
+
+#include "report.hpp"
 
 #include "birp/core/birp_scheduler.hpp"
 #include "birp/device/cluster.hpp"
@@ -15,39 +18,11 @@
 #include "birp/sched/max_batch.hpp"
 #include "birp/sched/oaei.hpp"
 #include "birp/sim/simulator.hpp"
+#include "birp/util/stats.hpp"
 #include "birp/util/table.hpp"
 #include "birp/workload/generator.hpp"
 
 namespace birp::bench {
-
-/// Minimal flag parsing: --slots N, --target X, --seed N.
-struct Cli {
-  int slots = 300;
-  double target = 0.5;  ///< workload intensity as a fraction of the envelope
-  std::uint64_t seed = 0x77ace;
-
-  static Cli parse(int argc, char** argv, int default_slots = 300,
-                   double default_target = 0.5) {
-    Cli cli;
-    cli.slots = default_slots;
-    cli.target = default_target;
-    for (int a = 1; a < argc; ++a) {
-      if (argv[a] == nullptr) break;
-      const std::string flag = argv[a];
-      const auto next = [&]() -> const char* {
-        return a + 1 < argc ? argv[++a] : nullptr;
-      };
-      if (flag == "--slots") {
-        if (const char* v = next()) cli.slots = std::atoi(v);
-      } else if (flag == "--target") {
-        if (const char* v = next()) cli.target = std::atof(v);
-      } else if (flag == "--seed") {
-        if (const char* v = next()) cli.seed = std::strtoull(v, nullptr, 0);
-      }
-    }
-    return cli;
-  }
-};
 
 /// A cluster plus a generated trace, ready to run schedulers against.
 struct Scenario {
@@ -55,14 +30,19 @@ struct Scenario {
   workload::Trace trace;
 };
 
-inline Scenario make_scenario(device::ClusterSpec cluster, const Cli& cli) {
+inline Scenario make_scenario(device::ClusterSpec cluster, int slots,
+                              double target, std::uint64_t seed) {
   workload::GeneratorConfig config;
-  config.slots = cli.slots;
-  config.seed = cli.seed;
-  config.mean_per_edge =
-      workload::suggested_mean_per_edge(cluster, cli.target);
+  config.slots = slots;
+  config.seed = seed;
+  config.mean_per_edge = workload::suggested_mean_per_edge(cluster, target);
   auto trace = workload::generate(cluster, config);
   return {std::move(cluster), std::move(trace)};
+}
+
+inline Scenario make_scenario(device::ClusterSpec cluster, const Flags& flags) {
+  return make_scenario(std::move(cluster), flags.slots, flags.target,
+                       flags.seed);
 }
 
 /// Runs one scheduler over the scenario and returns metrics.
@@ -73,23 +53,70 @@ inline metrics::RunMetrics run_algorithm(const Scenario& scenario,
   return simulator.run(scheduler, max_slots);
 }
 
-/// Bit-for-bit equality of two slot decisions: served/kernel/drops grids,
-/// the padding flag, and the flow list in order. The determinism gates
-/// (thread counts) compare whole decision streams with it.
-inline bool decisions_equal(const sim::SlotDecision& a,
-                            const sim::SlotDecision& b) {
-  if (a.served.raw() != b.served.raw()) return false;
-  if (a.kernel.raw() != b.kernel.raw()) return false;
-  if (a.drops.raw() != b.drops.raw()) return false;
-  if (a.pad_partial_launches != b.pad_partial_launches) return false;
-  if (a.flows.size() != b.flows.size()) return false;
-  for (std::size_t f = 0; f < a.flows.size(); ++f) {
-    if (a.flows[f].app != b.flows[f].app || a.flows[f].from != b.flows[f].from ||
-        a.flows[f].to != b.flows[f].to || a.flows[f].count != b.flows[f].count) {
-      return false;
+/// `num / den`, or 0 when `den` is not positive.
+inline double ratio(double num, double den) {
+  return den > 0.0 ? num / den : 0.0;
+}
+
+/// The decisions and per-slot decide wall times of a decide-only replay.
+struct Replay {
+  std::vector<sim::SlotDecision> decisions;
+  std::vector<double> decide_ms;
+};
+
+/// Feeds every slot of `trace` to `scheduler.decide`, each slot seeing the
+/// previous slot's decision, with no simulator in the loop; times each call.
+inline Replay replay_decide(sim::Scheduler& scheduler,
+                            const workload::Trace& trace) {
+  Replay replay;
+  for (int t = 0; t < trace.slots(); ++t) {
+    sim::SlotState state;
+    state.slot = t;
+    state.demand = util::Grid2<std::int64_t>(trace.apps(), trace.devices(), 0);
+    for (int i = 0; i < trace.apps(); ++i) {
+      for (int k = 0; k < trace.devices(); ++k) {
+        state.demand(i, k) = trace.at(t, i, k);
+      }
     }
+    state.previous = t == 0 ? nullptr : &replay.decisions.back();
+    const auto start = std::chrono::steady_clock::now();
+    auto decision = scheduler.decide(state);
+    replay.decide_ms.push_back(std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count());
+    replay.decisions.push_back(std::move(decision));
   }
-  return true;
+  return replay;
+}
+
+/// Adds decide_ms_total / _p50 / _p95 of per-slot decide times to an arm.
+inline void add_decide_ms(Row& arm, const std::vector<double>& decide_ms) {
+  double total = 0.0;
+  for (const double ms : decide_ms) total += ms;
+  arm.add("decide_ms_total", {total, 1})
+      .add("decide_ms_p50", util::percentile(decide_ms, 0.5))
+      .add("decide_ms_p95", util::percentile(decide_ms, 0.95));
+}
+
+/// Bit-for-bit equality of two decision streams: per slot the
+/// served/kernel/drops grids, the padding flag, and the flow list in order.
+/// The determinism gates (thread counts) compare streams with it.
+inline bool streams_equal(const std::vector<sim::SlotDecision>& a,
+                          const std::vector<sim::SlotDecision>& b) {
+  const auto same_flow = [](const sim::Flow& x, const sim::Flow& y) {
+    return x.app == y.app && x.from == y.from && x.to == y.to &&
+           x.count == y.count;
+  };
+  return std::equal(
+      a.begin(), a.end(), b.begin(), b.end(),
+      [&](const sim::SlotDecision& x, const sim::SlotDecision& y) {
+        return x.served.raw() == y.served.raw() &&
+               x.kernel.raw() == y.kernel.raw() &&
+               x.drops.raw() == y.drops.raw() &&
+               x.pad_partial_launches == y.pad_partial_launches &&
+               std::equal(x.flows.begin(), x.flows.end(), y.flows.begin(),
+                          y.flows.end(), same_flow);
+      });
 }
 
 /// Prints a completion-time CDF table (one column per algorithm), in units

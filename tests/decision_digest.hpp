@@ -1,4 +1,4 @@
-// FNV-1a over every SlotDecision field that bench::decisions_equal compares,
+// FNV-1a over every SlotDecision field that bench::streams_equal compares,
 // shared by the golden decision-stream tests.
 #pragma once
 

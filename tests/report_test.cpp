@@ -1,4 +1,5 @@
-// Tests for the CSV experiment exporters and the GREEDY-LOCAL baseline.
+// Tests for the CSV experiment exporters, the bench report and flag parser
+// (bench/report.hpp), and the GREEDY-LOCAL baseline.
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "birp/sim/simulator.hpp"
 #include "birp/util/csv.hpp"
 #include "birp/workload/generator.hpp"
+#include "report.hpp"
 
 namespace birp {
 namespace {
@@ -132,6 +134,110 @@ TEST(GreedyLocal, NeverBeatsBirpOnLossUnderLoad) {
   const auto m_greedy = sim_a.run(greedy);
   const auto m_birp = sim_b.run(birp);
   EXPECT_LE(m_birp.total_loss(), m_greedy.total_loss() * 1.02);
+}
+
+
+// --------------------------------------------------- bench report + flags --
+
+/// Parses `args` (argv[0] is added) into `flags`; returns parse()'s reason.
+std::string parse(bench::Flags& flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "bench");
+  return flags.parse(static_cast<int>(args.size()), args.data());
+}
+
+bench::Report two_gate_report() {
+  bench::Report report("bench_test");
+  report.param("slots", 4);
+  report.arm().add("name", "a").add("served", 10).add("goodput", {0.5, 2});
+  report.arm().add("name", "b").add("served", 12).add("goodput", {0.75, 2});
+  report.gate("served grows", report.find("b").number("served"), ">",
+              report.find("a").number("served"));
+  report.gate("goodput reaches 0.9", report.find("b").number("goodput"), ">=",
+              0.9);
+  return report;
+}
+
+TEST(BenchReport, FailingGateFailsOnlyUnderCheck) {
+  const auto report = two_gate_report();
+  bench::Flags plain(4, 0.5);
+  std::ostringstream out;
+  EXPECT_EQ(report.finish(plain, out), 0);
+
+  bench::Flags checked(4, 0.5);
+  checked.option("--check", checked.check);
+  ASSERT_EQ(parse(checked, {"--check"}), "");
+  EXPECT_EQ(report.finish(checked, out), 1);
+}
+
+TEST(BenchReport, PrintsEveryGateLine) {
+  const auto report = two_gate_report();
+  bench::Flags flags(4, 0.5);
+  std::ostringstream out;
+  (void)report.finish(flags, out);
+  EXPECT_NE(out.str().find("PASS served grows: 12 > 10"), std::string::npos);
+  EXPECT_NE(out.str().find("FAIL goodput reaches 0.9: 0.75 >= 0.9"),
+            std::string::npos);
+}
+
+TEST(BenchReport, JsonAndCsvCarryEveryArmValue) {
+  const auto report = two_gate_report();
+  std::ostringstream json;
+  report.write_json(json);
+  EXPECT_NE(json.str().find("\"goodput\": 0.75"), std::string::npos);
+  EXPECT_NE(json.str().find("\"pass\": false"), std::string::npos);
+
+  std::ostringstream csv;
+  report.write_csv(csv);
+  const auto rows = util::parse_csv(csv.str());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0], (std::vector<std::string>{"name", "served", "goodput"}));
+  EXPECT_EQ(rows[2], (std::vector<std::string>{"b", "12", "0.75"}));
+}
+
+TEST(BenchFlags, RejectsUnknownFlagMissingValueAndMalformedNumber) {
+  bench::Flags unknown(40, 0.5);
+  EXPECT_EQ(parse(unknown, {"--slotz", "5"}), "unknown flag --slotz");
+
+  bench::Flags missing(40, 0.5);
+  EXPECT_EQ(parse(missing, {"--target"}), "missing value for --target");
+
+  bench::Flags malformed(40, 0.5);
+  EXPECT_EQ(parse(malformed, {"--slots", "abc"}),
+            "malformed value 'abc' for --slots");
+  bench::Flags trailing(40, 0.5);
+  EXPECT_EQ(parse(trailing, {"--slots", "12x"}),
+            "malformed value '12x' for --slots");
+}
+
+TEST(BenchFlags, ParsesDeclaredFlags) {
+  bench::Flags flags(40, 0.5);
+  double wait = 0.05;
+  flags.option("--wait", wait).option("--json", flags.json);
+  ASSERT_EQ(parse(flags, {"--seed", "0x10", "--wait", "-1", "--json", "o.json",
+                          "--target", "0.7"}),
+            "");
+  EXPECT_EQ(flags.seed, 16u);
+  EXPECT_EQ(wait, -1.0);
+  EXPECT_EQ(flags.json, "o.json");
+  EXPECT_EQ(flags.target, 0.7);
+  EXPECT_EQ(flags.slots, 40);
+}
+
+TEST(BenchFlags, ExplicitSlotsBeatQuick) {
+  bench::Flags quick(40, 0.5);
+  quick.with_quick(12);
+  ASSERT_EQ(parse(quick, {"--quick"}), "");
+  EXPECT_TRUE(quick.quick);
+  EXPECT_EQ(quick.slots, 12);
+
+  using Args = std::vector<const char*>;
+  for (const auto& args :
+       {Args{"--slots", "30", "--quick"}, Args{"--quick", "--slots", "30"}}) {
+    bench::Flags explicit_slots(40, 0.5);
+    explicit_slots.with_quick(12);
+    ASSERT_EQ(parse(explicit_slots, args), "");
+    EXPECT_EQ(explicit_slots.slots, 30);
+  }
 }
 
 }  // namespace

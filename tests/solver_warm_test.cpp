@@ -655,7 +655,7 @@ TEST(GoldenDecisions, WarmSerialPaperLargeDigestIsPinned) {
   // bench_solver's warm-serial arm: BIRP-OFF with warm starts on
   // paper_large, the 40 slots of its default trace (seed 0x77ace, 55% of
   // the envelope). The digest covers every SlotDecision field that
-  // bench::decisions_equal compares, so any change to the LP engine,
+  // bench::streams_equal compares, so any change to the LP engine,
   // branch-and-bound or the slot problem that moves a single decision
   // fails here; a deliberate policy change re-pins the constant.
   const auto cluster = device::ClusterSpec::paper_large();
