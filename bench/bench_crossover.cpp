@@ -43,18 +43,16 @@ int main(int argc, char** argv) {
       birp::core::BirpScheduler birp_sched(scenario.cluster);
       birp::sched::OaeiScheduler oaei_sched(scenario.cluster);
       birp::sched::MaxScheduler max_sched(scenario.cluster);
-      birp::sim::SimulatorConfig sim_config;
-      sim_config.threads = 1;
       {
-        birp::sim::Simulator s(scenario.cluster, scenario.trace, sim_config);
+        birp::sim::Simulator s(scenario.cluster, scenario.trace);
         points[p].birp = s.run(birp_sched);
       }
       {
-        birp::sim::Simulator s(scenario.cluster, scenario.trace, sim_config);
+        birp::sim::Simulator s(scenario.cluster, scenario.trace);
         points[p].oaei = s.run(oaei_sched);
       }
       {
-        birp::sim::Simulator s(scenario.cluster, scenario.trace, sim_config);
+        birp::sim::Simulator s(scenario.cluster, scenario.trace);
         points[p].max = s.run(max_sched);
       }
     }));

@@ -22,9 +22,7 @@ double failure_percent_at(const birp::metrics::RunMetrics& full,
   config.tuner.epsilon1 = eps1;
   config.tuner.epsilon2 = eps2;
   birp::core::BirpScheduler scheduler(cluster, config);
-  birp::sim::SimulatorConfig sim_config;
-  sim_config.threads = 1;
-  birp::sim::Simulator simulator(cluster, trace, sim_config);
+  birp::sim::Simulator simulator(cluster, trace);
   return simulator.run(scheduler, t).failure_percent();
 }
 

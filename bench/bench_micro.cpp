@@ -6,7 +6,6 @@
 #include "birp/core/birp_scheduler.hpp"
 #include "birp/core/problem.hpp"
 #include "birp/device/cluster.hpp"
-#include "birp/runtime/parallel_for.hpp"
 #include "birp/runtime/thread_pool.hpp"
 #include "birp/sim/simulator.hpp"
 #include "birp/solver/branch_and_bound.hpp"
@@ -153,24 +152,24 @@ void BM_SimulatorSlot(benchmark::State& state) {
     const birp::device::ClusterSpec& cluster_;
   } scheduler(cluster);
 
-  birp::sim::SimulatorConfig sim_config;
-  sim_config.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    birp::sim::Simulator simulator(cluster, trace, sim_config);
+    birp::sim::Simulator simulator(cluster, trace);
     state.ResumeTiming();
     auto result = simulator.step(scheduler);
     benchmark::DoNotOptimize(result.served);
   }
 }
-BENCHMARK(BM_SimulatorSlot)->Arg(1)->Arg(4)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SimulatorSlot)->Unit(benchmark::kMicrosecond);
 
 void BM_ThreadPoolSubmitDrain(benchmark::State& state) {
   birp::runtime::ThreadPool pool(4);
   for (auto _ : state) {
     std::atomic<int> counter{0};
-    birp::runtime::parallel_for(pool, 0, 256,
-                                [&counter](std::size_t) { counter.fetch_add(1); });
+    for (int i = 0; i < 256; ++i) {
+      (void)pool.submit([&counter] { counter.fetch_add(1); });
+    }
+    pool.wait_idle();
     benchmark::DoNotOptimize(counter.load());
   }
 }

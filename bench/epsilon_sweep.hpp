@@ -51,9 +51,7 @@ inline std::vector<SweepPoint> run_epsilon_grid(
       config.tuner.epsilon1 = point.epsilon1;
       config.tuner.epsilon2 = point.epsilon2;
       core::BirpScheduler scheduler(cluster, config);
-      sim::SimulatorConfig sim_config;
-      sim_config.threads = 1;
-      sim::Simulator simulator(cluster, trace, sim_config);
+      sim::Simulator simulator(cluster, trace);
       return simulator.run(scheduler, slots);
     }));
   }

@@ -1,9 +1,11 @@
 // Fixed-size worker thread pool.
 //
-// Used to run per-edge slot execution concurrently in the simulator and to
-// parallelize experiment sweeps (the Fig. 4 / Fig. 5 epsilon grids run one
-// full simulation per grid point). Tasks are type-erased closures; submit()
-// returns a std::future for the result.
+// Runs the serving engine's per-edge slot execution and the cell
+// scheduler's per-cell solves concurrently, and parallelizes experiment
+// sweeps (the Fig. 4 / Fig. 5 epsilon grids run one full simulation per
+// grid point). The slot simulator runs its edges inline and uses no pool.
+// Tasks are type-erased closures; submit() returns a std::future for the
+// result.
 //
 // Wakeup path: an idle worker first spins for a bounded number of
 // iterations on an atomic pending-task counter before parking on the

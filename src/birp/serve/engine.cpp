@@ -4,6 +4,7 @@
 #include <future>
 
 #include "birp/serve/batcher.hpp"
+#include "birp/sim/launch.hpp"
 #include "birp/util/alloc_count.hpp"
 #include "birp/util/check.hpp"
 #include "birp/util/rng.hpp"
@@ -214,12 +215,9 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
   // unless a BIRP_COUNT_ALLOCS hook is linked into the binary.
   const std::int64_t allocs_before = util::alloc_counts().allocs;
 
-  // Deterministic per-(slot, edge) noise stream — same recipe as the
-  // simulator, so thread count can never change results.
-  util::Xoshiro256StarStar rng(config_.seed ^
-                               (0x9e3779b97f4a7c15ULL *
-                                (static_cast<std::uint64_t>(slot) * 1024 +
-                                 static_cast<std::uint64_t>(k) + 1)));
+  // Deterministic per-(slot, edge) noise stream (sim/launch.hpp), so thread
+  // count can never change results.
+  util::Xoshiro256StarStar rng(sim::edge_slot_seed(config_.seed, slot, k));
 
   auto& jobs = shard.jobs;
   jobs.clear();
@@ -334,16 +332,11 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
       const int launch_size =
           decision.pad_partial_launches ? std::max(job.kernel, seal.count)
                                         : seal.count;
-      const double clean_s =
-          cluster_.truth().batch_time_s(k, job.app, job.variant, launch_size);
-      const double noise =
-          config_.noise_sigma > 0.0
-              ? rng.lognormal(-0.5 * config_.noise_sigma * config_.noise_sigma,
-                              config_.noise_sigma)
-              : 1.0;
       // Straggler faults stretch the launch; visible downstream as longer
       // busy time and a depressed observed TIR.
-      const double duration_s = clean_s * noise * straggler_factor;
+      const double duration_s = sim::launch_duration_s(
+          cluster_, rng, config_.noise_sigma, k, job.app, job.variant,
+          launch_size, straggler_factor);
       const double completion_s = seal.start_s + duration_s;
       // The accelerator is serial: the next launch on this edge cannot start
       // before this one completes (batcher.hpp's cursor contract; the slot
@@ -371,18 +364,9 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
       // TIR tuner sees the realized batch-size distribution (grown and
       // early-sealed launches included), not just the decided kernel; the
       // fixed rule keeps the first-launch-only behavior bit for bit.
-      if ((first_launch || batcher_.enabled()) && config_.report_observations) {
-        // Observed TIR per Eq. 1: the merged kernel processed `launch_size`
-        // items in duration_s versus gamma each when serial.
-        sim::TirObservation obs;
-        obs.device = k;
-        obs.app = job.app;
-        obs.variant = job.variant;
-        obs.batch = launch_size;
-        obs.observed_tir = static_cast<double>(launch_size) *
-                           cluster_.truth().gamma_s(k, job.app, job.variant) /
-                           duration_s;
-        outcome.observations.push_back(obs);
+      if (first_launch || batcher_.enabled()) {
+        outcome.observations.push_back(sim::observe_launch(
+            cluster_, k, job.app, job.variant, launch_size, duration_s));
         first_launch = false;
       }
 

@@ -72,8 +72,6 @@ struct ServeConfig {
   std::uint64_t seed = 0x51beef;
   /// Worker threads for per-edge execution; 0 = hardware concurrency.
   int threads = 0;
-  /// When false, per-batch TIR observations are not fed back.
-  bool report_observations = true;
   /// Admission-queue capacity per edge (buffered requests); 0 = unbounded.
   /// Negative is rejected by config validation.
   std::int64_t queue_capacity = 0;

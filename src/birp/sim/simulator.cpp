@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 
+#include "birp/sim/launch.hpp"
 #include "birp/util/check.hpp"
 #include "birp/util/rng.hpp"
 
@@ -24,10 +24,7 @@ struct Job {
 
 Simulator::Simulator(const device::ClusterSpec& cluster,
                      const workload::Trace& trace, SimulatorConfig config)
-    : cluster_(cluster),
-      trace_(trace),
-      config_(config),
-      pool_(config.threads <= 0 ? 0 : static_cast<std::size_t>(config.threads)) {
+    : cluster_(cluster), trace_(trace), config_(config) {
   util::check(trace.apps() == cluster.num_apps(),
               "Simulator: trace apps != cluster apps");
   util::check(trace.devices() == cluster.num_devices(),
@@ -39,17 +36,14 @@ Simulator::Simulator(const device::ClusterSpec& cluster,
                                     cluster.num_devices());
 }
 
-Simulator::EdgeOutcome Simulator::execute_edge(
-    int k, const SlotDecision& decision, int slot,
-    const EdgeFaultEffects& faults) const {
+double Simulator::execute_edge(int k, int slot,
+                               const EdgeFaultEffects& faults,
+                               SlotResult& result,
+                               metrics::RunMetrics* metrics) const {
   const double tau = cluster_.tau_s();
-  EdgeOutcome outcome;
-
-  // Deterministic per-(slot, edge) noise stream.
-  util::Xoshiro256StarStar rng(config_.seed ^
-                               (0x9e3779b97f4a7c15ULL *
-                                (static_cast<std::uint64_t>(slot) * 1024 +
-                                 static_cast<std::uint64_t>(k) + 1)));
+  const SlotDecision& decision = result.decision;
+  util::Xoshiro256StarStar rng(edge_slot_seed(config_.seed, slot, k));
+  double loss = 0.0;
 
   // Collect jobs. Imports are attributed per app, then spread over that
   // app's jobs (largest kernel last so padded batches absorb stragglers).
@@ -148,16 +142,9 @@ Simulator::EdgeOutcome Simulator::execute_edge(
           decision.pad_partial_launches
               ? job.kernel
               : static_cast<int>(std::min<std::int64_t>(job.kernel, remaining));
-      const double clean_s =
-          cluster_.truth().batch_time_s(k, job.app, job.variant, launch_size);
-      const double noise =
-          config_.noise_sigma > 0.0
-              ? rng.lognormal(-0.5 * config_.noise_sigma * config_.noise_sigma,
-                              config_.noise_sigma)
-              : 1.0;
-      // Straggler faults stretch every launch; the slowdown is visible to the
-      // scheduler through longer busy time and a depressed observed TIR.
-      const double duration_s = clean_s * noise * faults.straggler_factor;
+      const double duration_s = launch_duration_s(
+          cluster_, rng, config_.noise_sigma, k, job.app, job.variant,
+          launch_size, faults.straggler_factor);
 
       const double start_s = std::max(cursor_s, ready_s);
       cursor_s = start_s + duration_s;
@@ -166,24 +153,19 @@ Simulator::EdgeOutcome Simulator::execute_edge(
       const double slo =
           cluster_.zoo().app(job.app).slo_fraction;
       for (std::int64_t r = 0; r < in_launch; ++r) {
-        outcome.completions_tau.push_back(completion_tau);
-        outcome.met_slo.push_back(completion_tau <= slo + 1e-12);
+        const bool met_slo = completion_tau <= slo + 1e-12;
+        if (metrics != nullptr) {
+          metrics->record_request(completion_tau, met_slo);
+        }
+        result.slo_failures += met_slo ? 0 : 1;
+        ++result.served;
       }
-      outcome.loss += cluster_.zoo().variant(job.app, job.variant).loss *
-                      static_cast<double>(in_launch);
+      loss += cluster_.zoo().variant(job.app, job.variant).loss *
+              static_cast<double>(in_launch);
 
       if (first_launch && config_.report_observations) {
-        // Observed TIR per Eq. 1: the merged kernel processed `kernel`
-        // items in duration_s versus gamma each when serial.
-        TirObservation obs;
-        obs.device = k;
-        obs.app = job.app;
-        obs.variant = job.variant;
-        obs.batch = launch_size;
-        obs.observed_tir = static_cast<double>(launch_size) *
-                           cluster_.truth().gamma_s(k, job.app, job.variant) /
-                           duration_s;
-        outcome.observations.push_back(obs);
+        result.feedback.observations.push_back(observe_launch(
+            cluster_, k, job.app, job.variant, launch_size, duration_s));
         first_launch = false;
       }
 
@@ -193,10 +175,13 @@ Simulator::EdgeOutcome Simulator::execute_edge(
     }
   }
 
-  // Dropped requests at this edge: worst-model loss, SLO failure. Their
-  // accounting happens in step() (needs metrics); only busy time here.
-  outcome.busy_s = cursor_s;
-  return outcome;
+  // Dropped requests at this edge are charged in step().
+  result.feedback.busy_s[static_cast<std::size_t>(k)] = cursor_s;
+  if (metrics != nullptr) {
+    metrics->record_edge_busy(cursor_s / tau);
+    metrics->record_energy(cluster_.device(k).slot_energy_j(cursor_s, tau));
+  }
+  return loss;
 }
 
 SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
@@ -260,18 +245,9 @@ SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
     }
   }
 
-  // Execute the live edges concurrently; outcomes merge deterministically
-  // below. Down edges execute nothing this slot.
-  std::vector<std::future<EdgeOutcome>> futures(static_cast<std::size_t>(K));
-  for (int k = 0; k < K; ++k) {
-    if (!is_up(k)) continue;
-    futures[static_cast<std::size_t>(k)] = pool_.submit([this, k, t, &result,
-                                                         &effects] {
-      return execute_edge(k, result.decision, t,
-                          effects[static_cast<std::size_t>(k)]);
-    });
-  }
-
+  // Execute the live edges in edge order. Each has its own cursor inside
+  // the slot, so they run side by side in simulated time. Down edges
+  // execute nothing this slot: zero busy, no energy, no samples.
   result.feedback.slot = t;
   result.feedback.busy_s.resize(static_cast<std::size_t>(K), 0.0);
   double slot_loss = 0.0;
@@ -279,26 +255,9 @@ SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
     if (have_faults && metrics != nullptr) {
       metrics->record_edge_slot(k, is_up(k));
     }
-    if (!is_up(k)) continue;  // dead edge: zero busy, no energy, no samples
-    EdgeOutcome outcome = futures[static_cast<std::size_t>(k)].get();
-    result.feedback.busy_s[static_cast<std::size_t>(k)] = outcome.busy_s;
-    result.feedback.observations.insert(result.feedback.observations.end(),
-                                        outcome.observations.begin(),
-                                        outcome.observations.end());
-    slot_loss += outcome.loss;
-    for (std::size_t r = 0; r < outcome.completions_tau.size(); ++r) {
-      if (metrics != nullptr) {
-        metrics->record_request(outcome.completions_tau[r],
-                                outcome.met_slo[r]);
-      }
-      result.slo_failures += outcome.met_slo[r] ? 0 : 1;
-      ++result.served;
-    }
-    if (metrics != nullptr) {
-      metrics->record_edge_busy(outcome.busy_s / cluster_.tau_s());
-      metrics->record_energy(
-          cluster_.device(k).slot_energy_j(outcome.busy_s, cluster_.tau_s()));
-    }
+    if (!is_up(k)) continue;
+    slot_loss += execute_edge(k, t, effects[static_cast<std::size_t>(k)],
+                              result, metrics);
   }
 
   // Orphans: everything in a dead edge's region this slot (local serving,

@@ -1,13 +1,16 @@
 // Time-slotted edge-collaboration simulator.
 //
 // Per slot: read demand from the trace, ask the scheduler for a decision,
-// validate/repair it, execute every edge's batch jobs concurrently (one
-// worker per edge on the thread pool), and feed TIR observations back to the
-// scheduler. Execution uses ground-truth TIR curves with multiplicative
-// lognormal noise — the stand-in for real accelerator nondeterminism.
+// validate/repair it, execute every live edge's batch jobs, and feed TIR
+// observations back to the scheduler. Edges run side by side in simulated
+// time (each has its own accelerator cursor inside the slot), so the host
+// executes them one after another in edge order on the calling thread.
+// Execution follows the launch model in sim/launch.hpp: ground-truth TIR
+// curves with multiplicative lognormal noise — the stand-in for real
+// accelerator nondeterminism.
 //
-// Determinism: all noise derives from per-(slot, edge) forked RNG streams,
-// so results are bit-identical regardless of thread count.
+// Determinism: all noise derives from per-(slot, edge) RNG streams, so an
+// edge's results never depend on the other edges.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +20,6 @@
 #include "birp/fault/failover.hpp"
 #include "birp/fault/fault_plan.hpp"
 #include "birp/metrics/run_metrics.hpp"
-#include "birp/runtime/thread_pool.hpp"
 #include "birp/sim/decision.hpp"
 #include "birp/sim/scheduler.hpp"
 #include "birp/sim/validate.hpp"
@@ -29,9 +31,6 @@ struct SimulatorConfig {
   /// Lognormal sigma applied to every batch execution time.
   double noise_sigma = 0.04;
   std::uint64_t seed = 0x51beef;
-  /// Worker threads for per-edge execution; 0 = hardware concurrency,
-  /// 1 = fully sequential (useful in tests).
-  int threads = 0;
   /// When false the per-batch TIR observations are not reported (isolates
   /// the value of feedback in ablations).
   bool report_observations = true;
@@ -90,15 +89,6 @@ class Simulator {
   }
 
  private:
-  /// Everything one edge produces in a slot; merged single-threaded.
-  struct EdgeOutcome {
-    std::vector<double> completions_tau;
-    std::vector<bool> met_slo;
-    std::vector<TirObservation> observations;
-    double busy_s = 0.0;
-    double loss = 0.0;
-  };
-
   /// Per-edge fault effects for one slot, resolved from the FaultPlan before
   /// execution. Defaults describe a healthy edge.
   struct EdgeFaultEffects {
@@ -110,14 +100,15 @@ class Simulator {
     std::vector<std::int64_t> lost_imports;
   };
 
-  [[nodiscard]] EdgeOutcome execute_edge(int k, const SlotDecision& decision,
-                                         int slot,
-                                         const EdgeFaultEffects& faults) const;
+  /// Executes live edge k's share of result.decision: records its served
+  /// requests, TIR observations and busy time in `result` (and `metrics`)
+  /// and returns the loss of the requests it served.
+  double execute_edge(int k, int slot, const EdgeFaultEffects& faults,
+                      SlotResult& result, metrics::RunMetrics* metrics) const;
 
   const device::ClusterSpec& cluster_;
   const workload::Trace& trace_;
   SimulatorConfig config_;
-  runtime::ThreadPool pool_;
   int slot_ = 0;
   std::optional<SlotDecision> previous_;
   /// Requests deferred from the previous slot (carryover mode): these fail

@@ -2,12 +2,29 @@
 
 #include <charconv>
 #include <cmath>
+#include <type_traits>
+
+#include "birp/util/check.hpp"
 
 namespace birp::util {
 namespace {
 
 bool needs_quoting(std::string_view field) {
   return field.find_first_of(",\"\n\r") != std::string_view::npos;
+}
+
+template <typename T>
+T parse_number(std::string_view field, const char* what, const char* kind) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto result = std::from_chars(field.data(), end, value);
+  bool ok = result.ec == std::errc{} && result.ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    fail(std::string(what) + ": malformed " + kind + " field '" +
+         std::string(field) + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -120,6 +137,18 @@ std::string format_double(double value) {
       std::to_chars(buffer, buffer + sizeof(buffer), value,
                     std::chars_format::general, 17);
   return std::string(buffer, result.ptr);
+}
+
+int parse_int(std::string_view field, const char* what) {
+  return parse_number<int>(field, what, "integer");
+}
+
+std::int64_t parse_int64(std::string_view field, const char* what) {
+  return parse_number<std::int64_t>(field, what, "integer");
+}
+
+double parse_double(std::string_view field, const char* what) {
+  return parse_number<double>(field, what, "numeric");
 }
 
 }  // namespace birp::util

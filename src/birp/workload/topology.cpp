@@ -1,7 +1,6 @@
 #include "birp/workload/topology.hpp"
 
 #include <algorithm>
-#include <array>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -19,6 +18,10 @@ constexpr device::DeviceType kSkuCycle[3] = {device::DeviceType::JetsonNX,
 
 /// Multiplicative jitter on link bandwidth around min(endpoint uplinks).
 constexpr double kLinkJitter = 0.25;
+
+/// Links each newly attached node opens toward existing nodes
+/// (Barabási–Albert m); clamped to the nodes already present.
+constexpr int kAttachment = 2;
 
 device::DeviceType type_from_int(int value) {
   util::check(value >= 0 && value <= 2, "Topology: bad device type");
@@ -39,8 +42,6 @@ int Topology::num_links() const {
 
 Topology generate_topology(const TopologyConfig& config) {
   util::check(config.edges > 0, "generate_topology: edges must be positive");
-  util::check(config.attachment > 0,
-              "generate_topology: attachment must be positive");
 
   const int N = config.edges;
   Topology topology;
@@ -63,9 +64,9 @@ Topology generate_topology(const TopologyConfig& config) {
   };
 
   // Barabási–Albert growth: a small seed clique, then each new node opens
-  // `attachment` links toward existing nodes picked proportionally to degree
+  // kAttachment links toward existing nodes picked proportionally to degree
   // (repeat-sampled until distinct, bounded by the candidate count).
-  const int clique = std::min(N, config.attachment + 1);
+  const int clique = std::min(N, kAttachment + 1);
   for (int a = 0; a < clique; ++a) {
     for (int b = a + 1; b < clique; ++b) connect(a, b);
   }
@@ -76,7 +77,7 @@ Topology generate_topology(const TopologyConfig& config) {
     degree_total += clique - 1;
   }
   for (int v = clique; v < N; ++v) {
-    const int links = std::min(config.attachment, v);
+    const int links = std::min(kAttachment, v);
     std::vector<int> chosen;
     chosen.reserve(static_cast<std::size_t>(links));
     while (static_cast<int>(chosen.size()) < links) {
@@ -138,16 +139,24 @@ Topology Topology::read_csv(const std::string& text) {
   const auto rows = util::parse_csv(text);
   util::check(!rows.empty(), "Topology::read_csv: empty document");
 
+  struct LinkRow {
+    int a = 0;
+    int b = 0;
+    double mbps = 0.0;
+  };
+  constexpr const char* kWhat = "Topology::read_csv";
   std::vector<std::pair<int, int>> device_rows;  // (type, id)
-  std::vector<std::array<double, 3>> link_rows;  // (a, b, mbps)
+  std::vector<LinkRow> link_rows;
   for (std::size_t r = 1; r < rows.size(); ++r) {
     const auto& row = rows[r];
     util::check(row.size() == 4, "Topology::read_csv: bad row width");
     if (row[0] == "device") {
-      device_rows.emplace_back(std::stoi(row[1]), std::stoi(row[2]));
+      device_rows.emplace_back(util::parse_int(row[1], kWhat),
+                               util::parse_int(row[2], kWhat));
     } else if (row[0] == "link") {
-      link_rows.push_back({std::stod(row[1]), std::stod(row[2]),
-                           std::stod(row[3])});
+      link_rows.push_back({util::parse_int(row[1], kWhat),
+                           util::parse_int(row[2], kWhat),
+                           util::parse_double(row[3], kWhat)});
     } else {
       util::check(false, "Topology::read_csv: unknown row kind");
     }
@@ -165,12 +174,10 @@ Topology Topology::read_csv(const std::string& text) {
   }
   topology.link_mbps = util::Grid2<double>(N, N, 0.0);
   for (const auto& [a, b, mbps] : link_rows) {
-    const int ia = static_cast<int>(a);
-    const int ib = static_cast<int>(b);
-    util::check(ia >= 0 && ia < N && ib >= 0 && ib < N && mbps > 0.0,
+    util::check(a >= 0 && a < N && b >= 0 && b < N && mbps > 0.0,
                 "Topology::read_csv: bad link row");
-    topology.link_mbps(ia, ib) = mbps;
-    topology.link_mbps(ib, ia) = mbps;
+    topology.link_mbps(a, b) = mbps;
+    topology.link_mbps(b, a) = mbps;
   }
   return topology;
 }

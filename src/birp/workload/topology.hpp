@@ -25,9 +25,6 @@ struct TopologyConfig {
   int edges = 100;          ///< N devices
   int apps = 10;            ///< M applications in the paired synthetic zoo
   int variants_per_app = 2; ///< model ladder depth per application
-  /// Links each newly attached node opens toward existing nodes
-  /// (Barabási–Albert m); clamped to the nodes already present.
-  int attachment = 2;
   std::uint64_t seed = 0x70b0;
 };
 

@@ -76,14 +76,16 @@ Trace Trace::read_csv(const std::string& text) {
   const auto rows = util::parse_csv(text);
   util::check(rows.size() >= 3, "Trace::read_csv: truncated document");
   util::check(rows[1].size() == 3, "Trace::read_csv: bad dimension row");
-  Trace trace(std::stoi(rows[1][0]), std::stoi(rows[1][1]),
-              std::stoi(rows[1][2]));
+  constexpr const char* kWhat = "Trace::read_csv";
+  Trace trace(util::parse_int(rows[1][0], kWhat),
+              util::parse_int(rows[1][1], kWhat),
+              util::parse_int(rows[1][2], kWhat));
   for (std::size_t r = 3; r < rows.size(); ++r) {
     const auto& row = rows[r];
     if (row.size() == 1 && row[0].empty()) continue;  // trailing blank line
     util::check(row.size() == 4, "Trace::read_csv: bad data row");
-    trace.set(std::stoi(row[0]), std::stoi(row[1]), std::stoi(row[2]),
-              std::stoll(row[3]));
+    trace.set(util::parse_int(row[0], kWhat), util::parse_int(row[1], kWhat),
+              util::parse_int(row[2], kWhat), util::parse_int64(row[3], kWhat));
   }
   return trace;
 }

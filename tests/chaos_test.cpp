@@ -158,7 +158,6 @@ TEST(ControlPlane, RepartitionsOnCrashAndAgainOnRecovery) {
     return workload::generate(cluster, gc);
   }();
   sim::SimulatorConfig sc;
-  sc.threads = 1;
   // Down half of one region mid-run; recovery before the horizon so the
   // failure events close and MTTR is measurable.
   sc.fault_plan = fault::FaultPlan::single_edge_crash(2, 6, 14);
@@ -275,7 +274,6 @@ TEST(ControlPlane, StormConservesRequestsWithFailoverAcrossRepartitions) {
   storm.rescue_fraction = 0.5;
   storm.cooldown_slots = 6;
   sim::SimulatorConfig sc;
-  sc.threads = 2;
   sc.fault_plan = fault::FaultPlan::generate_correlated(storm);
   ASSERT_FALSE(sc.fault_plan.empty());
   sc.failover.enabled = true;
@@ -317,15 +315,12 @@ TEST(ControlPlane, BitIdenticalAcrossCellAndSimThreadsUnderStorm) {
   auto plane_one = make_plane(1);
   auto plane_many = make_plane(8);
 
-  sim::SimulatorConfig sc_one;
-  sc_one.threads = 1;
-  sc_one.fault_plan = plan;
-  sc_one.failover.enabled = true;
-  sim::SimulatorConfig sc_many = sc_one;
-  sc_many.threads = 4;
+  sim::SimulatorConfig sc;
+  sc.fault_plan = plan;
+  sc.failover.enabled = true;
 
-  sim::Simulator sim_one(cluster, trace, sc_one);
-  sim::Simulator sim_many(cluster, trace, sc_many);
+  sim::Simulator sim_one(cluster, trace, sc);
+  sim::Simulator sim_many(cluster, trace, sc);
   metrics::RunMetrics m_one;
   metrics::RunMetrics m_many;
   for (int t = 0; t < trace.slots(); ++t) {
@@ -370,7 +365,6 @@ TEST(ControlPlane, StormDecisionStreamDigestIsPinned) {
   storm.max_outage_slots = 8;
   storm.cooldown_slots = 3;
   sim::SimulatorConfig sc;
-  sc.threads = 1;
   sc.fault_plan = fault::FaultPlan::generate_correlated(storm);
   ASSERT_FALSE(sc.fault_plan.empty());
 
@@ -423,7 +417,6 @@ TEST(CellWatchdog, TripsIntoDegradedModeAndConserves) {
     return workload::generate(cluster, gc);
   }();
   sim::SimulatorConfig sc;
-  sc.threads = 1;
   sc.fault_plan = fault::FaultPlan::single_edge_crash(1, 2, 6);
   sim::Simulator simulator(cluster, trace, sc);
   const auto metrics_run = simulator.run(scheduler);
@@ -449,9 +442,7 @@ TEST(CellWatchdog, DisabledNeverTrips) {
     gc.mean_per_edge = 4.0;
     return workload::generate(cluster, gc);
   }();
-  sim::SimulatorConfig sc;
-  sc.threads = 1;
-  (void)sim::Simulator(cluster, trace, sc).run(scheduler);
+  (void)sim::Simulator(cluster, trace).run(scheduler);
   EXPECT_EQ(scheduler.watchdog_trips(), 0);
   EXPECT_EQ(scheduler.degraded_cell_slots(), 0);
 }

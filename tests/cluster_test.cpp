@@ -391,10 +391,8 @@ TEST(CellScheduler, SingleCellIsByteIdenticalToMonolithic) {
   // Drive both through the simulator separately (identical inputs slot by
   // slot because the simulator is deterministic in its seed) and compare
   // the aggregate outcome bit for bit.
-  sim::SimulatorConfig sc;
-  sc.threads = 1;
-  const auto m1 = sim::Simulator(cluster, trace, sc).run(mono);
-  const auto m2 = sim::Simulator(cluster, trace, sc).run(sharded);
+  const auto m1 = sim::Simulator(cluster, trace).run(mono);
+  const auto m2 = sim::Simulator(cluster, trace).run(sharded);
   EXPECT_DOUBLE_EQ(m1.total_loss(), m2.total_loss());
   EXPECT_EQ(m1.total_requests(), m2.total_requests());
   EXPECT_EQ(m1.slo_failures(), m2.slo_failures());
@@ -435,9 +433,7 @@ class ShardedFixture : public ::testing::Test {
 
   [[nodiscard]] metrics::RunMetrics run(const CellSchedulerConfig& cc) const {
     CellScheduler scheduler(cluster_, partition_, cc);
-    sim::SimulatorConfig sc;
-    sc.threads = 1;
-    return sim::Simulator(cluster_, *trace_, sc).run(scheduler);
+    return sim::Simulator(cluster_, *trace_).run(scheduler);
   }
 
   workload::TopologyConfig config_;

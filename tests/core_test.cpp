@@ -381,9 +381,7 @@ TEST(GoldenDecisions, OnlinePaperLargeDigestIsPinned) {
   wl.mean_per_edge = workload::suggested_mean_per_edge(cluster, 1.3);
   const auto trace = workload::generate(cluster, wl);
   BirpScheduler scheduler(cluster);
-  sim::SimulatorConfig sc;
-  sc.threads = 1;
-  sim::Simulator simulator(cluster, trace, sc);
+  sim::Simulator simulator(cluster, trace);
   testutil::Fnv1a digest;
   std::int64_t dropped = 0;
   for (int t = 0; t < trace.slots(); ++t) {

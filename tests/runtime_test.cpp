@@ -1,16 +1,12 @@
-// Tests for the runtime primitives: thread pool (+ spin-then-park wakeup)
-// and parallel_for.
-#include <algorithm>
+// Tests for the runtime thread pool (+ spin-then-park wakeup).
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "birp/runtime/parallel_for.hpp"
 #include "birp/runtime/thread_pool.hpp"
 
 namespace birp::runtime {
@@ -92,58 +88,6 @@ TEST(ThreadPool, ActuallyParallel) {
                            std::chrono::steady_clock::now() - start)
                            .count();
   EXPECT_LT(elapsed, 110.0);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(500);
-  parallel_for(pool, 0, hits.size(),
-               [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  int calls = 0;
-  parallel_for(pool, 5, 5, [&calls](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelFor, SubrangeRespectsBounds) {
-  ThreadPool pool(2);
-  std::vector<int> hits(20, 0);
-  parallel_for(pool, 5, 15, [&hits](std::size_t i) { hits[i] = 1; });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], (i >= 5 && i < 15) ? 1 : 0) << i;
-  }
-}
-
-TEST(ParallelFor, RethrowsFirstException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(parallel_for(pool, 0, 100,
-                            [](std::size_t i) {
-                              if (i == 37) throw std::runtime_error("i37");
-                            }),
-               std::runtime_error);
-}
-
-TEST(ParallelFor, ReductionMatchesSerial) {
-  ThreadPool pool(4);
-  std::vector<double> values(10000);
-  std::iota(values.begin(), values.end(), 0.0);
-  std::atomic<long long> parallel_sum{0};
-  parallel_for(pool, 0, values.size(), [&](std::size_t i) {
-    parallel_sum.fetch_add(static_cast<long long>(values[i]));
-  });
-  const long long serial =
-      static_cast<long long>(values.size() * (values.size() - 1) / 2);
-  EXPECT_EQ(parallel_sum.load(), serial);
-}
-
-TEST(ParallelFor, ConvenienceOverloadWorks) {
-  std::atomic<int> count{0};
-  parallel_for(0, 64, [&count](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 64);
 }
 
 TEST(ThreadPool, EnqueueFromInsideWorkerDoesNotDeadlock) {

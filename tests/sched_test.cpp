@@ -91,9 +91,7 @@ TEST(Oaei, DecisionStreamDigestIsPinned) {
   const auto cluster = device::ClusterSpec::paper_large();
   const auto trace = make_trace(cluster, 20, 0.9);
   OaeiScheduler scheduler(cluster);
-  sim::SimulatorConfig sc;
-  sc.threads = 1;
-  sim::Simulator simulator(cluster, trace, sc);
+  sim::Simulator simulator(cluster, trace);
   testutil::Fnv1a digest;
   for (int t = 0; t < trace.slots(); ++t) {
     testutil::hash_decision(digest, simulator.step(scheduler).decision);

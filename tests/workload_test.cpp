@@ -83,6 +83,25 @@ TEST(Trace, ReadCsvRejectsGarbage) {
   EXPECT_THROW((void)Trace::read_csv("not a trace"), std::logic_error);
 }
 
+TEST(Trace, ReadCsvRejectsMalformedNumbers) {
+  const std::string header = "slots,apps,devices\n";
+  const std::string columns = "slot,app,device,requests\n";
+  EXPECT_EQ(Trace::read_csv(header + "2,1,1\n" + columns + "1,0,0,3\n")
+                .at(1, 0, 0),
+            3);
+  // Trailing characters, fractions, blanks and overflow in any field.
+  for (const char* row :
+       {"1,0,0,3x", "1,0,0,3.0", "1x,0,0,3", "1,0,,3", " 1,0,0,3",
+        "1,0,0,99999999999999999999"}) {
+    EXPECT_THROW(
+        (void)Trace::read_csv(header + "2,1,1\n" + columns + row + "\n"),
+        std::logic_error)
+        << row;
+  }
+  EXPECT_THROW((void)Trace::read_csv(header + "2,1,1e9\n" + columns),
+               std::logic_error);
+}
+
 // ------------------------------------------------------------ generator ----
 
 class GeneratorFixture : public ::testing::Test {
@@ -294,6 +313,21 @@ TEST(Arrivals, CsvRoundTrip) {
   EXPECT_EQ(parsed, arrivals);  // bit-exact offsets via round-trip doubles
 }
 
+TEST(Arrivals, ReadCsvRejectsMalformedNumbers) {
+  const std::string header = "slot,app,device,seq,offset_s\n";
+  const auto good = read_arrivals_csv(header + "0,1,2,3,0.25\n");
+  ASSERT_EQ(good.size(), 1U);
+  EXPECT_EQ(good[0].seq, 3);
+  EXPECT_DOUBLE_EQ(good[0].offset_s, 0.25);
+  for (const char* row :
+       {"0,1,2,3x,0.25", "0,1,2.5,3,0.25", "0,1,2,3,0.25s", "0,1,2,3,nan",
+        "0,1,2,3,inf", "0,1,2,3,", "0,1,99999999999,3,0.25"}) {
+    EXPECT_THROW((void)read_arrivals_csv(header + row + "\n"),
+                 std::logic_error)
+        << row;
+  }
+}
+
 // ------------------------------------------------------------- topology ----
 
 TEST(Topology, DeterministicInConfig) {
@@ -329,7 +363,6 @@ TEST(Topology, GenerateDigestIsPinned) {
 TEST(Topology, ConnectedAndSymmetric) {
   TopologyConfig config;
   config.edges = 60;
-  config.attachment = 2;
   const auto topology = generate_topology(config);
   EXPECT_EQ(topology.num_edges(), 60);
   EXPECT_GE(topology.num_links(), topology.num_edges() - 1);
@@ -364,7 +397,6 @@ TEST(Topology, ScaleFreeHubsEmerge) {
   // node ends well above the mean degree.
   TopologyConfig config;
   config.edges = 120;
-  config.attachment = 2;
   const auto topology = generate_topology(config);
   std::vector<int> degree(static_cast<std::size_t>(topology.num_edges()), 0);
   for (int a = 0; a < topology.num_edges(); ++a) {
@@ -397,6 +429,24 @@ TEST(Topology, CsvRoundTripIsExact) {
     EXPECT_DOUBLE_EQ(a.accel_speed, b.accel_speed);
   }
   EXPECT_EQ(parsed.link_mbps.raw(), topology.link_mbps.raw());
+}
+
+TEST(Topology, ReadCsvRejectsMalformedNumbers) {
+  const std::string devices =
+      "kind,a,b,value\n"
+      "device,0,0,nx-0\n"
+      "device,1,1,nano-1\n";
+  const auto good = Topology::read_csv(devices + "link,0,1,40.5\n");
+  EXPECT_DOUBLE_EQ(good.link_mbps(1, 0), 40.5);
+  // A fractional endpoint used to truncate to edge 0 and a huge one
+  // overflowed the int cast; both are malformed integers now.
+  for (const char* row :
+       {"link,0.7,1,40.5", "link,1e30,1,40.5", "link,0,1x,40.5",
+        "link,0,1,40.5mbps", "link,0,1,inf", "device,2x,2,atlas-2"}) {
+    EXPECT_THROW((void)Topology::read_csv(devices + row + "\n"),
+                 std::logic_error)
+        << row;
+  }
 }
 
 TEST(Topology, MakeClusterMatchesConfigDimensions) {
