@@ -588,6 +588,46 @@ TEST(GoldenRuns, ServeEngineBirpWithFaultsDigestIsPinned) {
   EXPECT_EQ(digest.get(), 0x847c982657de482bULL) << std::hex << digest.get();
 }
 
+TEST(GoldenRuns, SimulatorBackoffFailoverDigestIsPinned) {
+  // The faulted run with jittered exponential backoff: orphans wait out a
+  // seeded delay before re-entering demand, so the digest pins the order of
+  // the jitter draws. Every step result, then run() on a fresh simulator.
+  const FaultedRun run;
+  sim::SimulatorConfig config;
+  config.fault_plan = run.plan;
+  config.failover.enabled = true;
+  config.failover.backoff_base_slots = 2;
+  config.failover.backoff_jitter = 0.5;
+  core::BirpScheduler scheduler(run.cluster);
+  sim::Simulator simulator(run.cluster, run.trace, config);
+  metrics::RunMetrics metrics(run.trace.slots());
+  testutil::Fnv1a digest;
+  std::int64_t retried = 0;
+  for (int t = 0; t < run.trace.slots(); ++t) {
+    const auto result = simulator.step(scheduler, &metrics);
+    testutil::hash_decision(digest, result.decision);
+    digest.value(result.served);
+    digest.value(result.dropped);
+    digest.value(result.orphaned);
+    digest.value(result.retried);
+    digest.value(result.slo_failures);
+    digest.value(result.slot_loss);
+    testutil::hash_feedback(digest, result.feedback);
+    retried += result.retried;
+  }
+  simulator.finish(scheduler, metrics);
+  testutil::hash_metrics(digest, metrics);
+  EXPECT_EQ(metrics.total_requests(), run.trace.total());
+
+  core::BirpScheduler fresh(run.cluster);
+  const auto whole = sim::Simulator(run.cluster, run.trace, config).run(fresh);
+  testutil::hash_metrics(digest, whole);
+  EXPECT_GT(retried, 0);
+  EXPECT_GT(whole.retries(), 0);
+  EXPECT_EQ(whole.total_requests(), run.trace.total());
+  EXPECT_EQ(digest.get(), 0x6aa4da76f14da59bULL) << std::hex << digest.get();
+}
+
 // -------------------------------------------------- scheduler liveness ----
 
 TEST(BirpMasking, DownEdgeServesAndFlowsNothing) {
