@@ -49,8 +49,9 @@ int main() {
   }
   requests.print(std::cout, "slot 0 — first requests served");
 
-  // Serve the rest of the horizon and summarize.
+  // Serve the rest of the horizon, settle it, and summarize.
   while (engine.current_slot() < trace.slots()) engine.step(scheduler, &metrics);
+  engine.finish(scheduler, metrics);
 
   birp::util::TextTable summary({"metric", "value"});
   summary.add_row({"requests", std::to_string(metrics.total_requests())});

@@ -2,14 +2,31 @@
 
 #include <algorithm>
 #include <future>
+#include <span>
 
 #include "birp/serve/batcher.hpp"
-#include "birp/sim/launch.hpp"
 #include "birp/util/alloc_count.hpp"
 #include "birp/util/check.hpp"
 #include "birp/util/rng.hpp"
 
 namespace birp::serve {
+namespace {
+
+/// Appends one record per item that left the slot unserved with `outcome`;
+/// `served_on` is the edge that turned it away (-1: never routed).
+void append_unserved(std::vector<RequestRecord>& records,
+                     std::span<const ServeItem> items, Outcome outcome,
+                     int served_on = -1) {
+  for (const auto& item : items) {
+    RequestRecord record;
+    record.item = item;
+    record.outcome = outcome;
+    record.served_on = served_on;
+    records.push_back(record);
+  }
+}
+
+}  // namespace
 
 ServeEngine::ServeEngine(const device::ClusterSpec& cluster,
                          const workload::Trace& trace, ServeConfig config)
@@ -17,18 +34,13 @@ ServeEngine::ServeEngine(const device::ClusterSpec& cluster,
       trace_(trace),
       config_(config),
       batcher_(cluster, config.adaptive, config.guard_predictor),
-      pool_(config.threads <= 0 ? 0 : static_cast<std::size_t>(config.threads)) {
-  util::check(trace.apps() == cluster.num_apps(),
-              "ServeEngine: trace apps != cluster apps");
-  util::check(trace.devices() == cluster.num_devices(),
-              "ServeEngine: trace devices != cluster devices");
+      pool_(config.threads <= 0 ? 0 : static_cast<std::size_t>(config.threads)),
+      driver_(cluster, trace, config_.fault_plan, config_.failover) {
   util::check(config_.noise_sigma >= 0.0, "ServeEngine: negative noise");
   util::check(config_.threads >= 0, "ServeEngine: negative thread count");
   util::check(config_.queue_capacity >= 0,
               "ServeEngine: negative queue capacity (0 = unbounded)");
   guard::validate(config_.guard);
-  failover_ = fault::FailoverPolicy(config_.failover, cluster.num_apps(),
-                                    cluster.num_devices());
   if (config_.guard.any_enabled()) {
     guard_.emplace(cluster, config_.guard, config_.guard_predictor);
   }
@@ -40,6 +52,8 @@ ServeEngine::ServeEngine(const device::ClusterSpec& cluster,
   cursor_scratch_.resize(I * K, 0);
   imports_scratch_.resize(K);
   orphan_scratch_.resize(I * K);
+  orphan_counts_ = util::Grid2<std::int64_t>(cluster.num_apps(),
+                                             cluster.num_devices(), 0);
 
   // Construction-time warmup: pre-carve every per-edge container to the
   // trace's worst slot, so the hot path never allocates — not even while
@@ -81,8 +95,7 @@ bool ServeEngine::admission_gate_thunk(const void* ctx, const ServeItem& item,
 
 void ServeEngine::build_edge_inputs(
     const std::vector<workload::Arrival>& arrivals,
-    const sim::SlotDecision& decision,
-    const std::vector<double>& bandwidth_factors) {
+    const sim::SlotDecision& decision) {
   const int I = cluster_.num_apps();
   const int K = cluster_.num_devices();
 
@@ -91,10 +104,6 @@ void ServeEngine::build_edge_inputs(
   // stops allocating once every cell has seen its high-water arrival count.
   auto& cells = cells_scratch_;
   for (auto& list : cells) list.clear();
-  const auto cell = [K](int i, int k) {
-    return static_cast<std::size_t>(i) * static_cast<std::size_t>(K) +
-           static_cast<std::size_t>(k);
-  };
   for (const auto& a : arrivals) {
     ServeItem item;
     item.app = a.app;
@@ -161,11 +170,9 @@ void ServeEngine::build_edge_inputs(
     for (const auto& item : in) {
       total_mb += cluster_.zoo().app(item.app).request_mb;
     }
-    const double bw_factor =
-        bandwidth_factors.empty() ? 1.0
-                                  : bandwidth_factors[static_cast<std::size_t>(k)];
     const double transfer_total_s =
-        total_mb * 8.0 / (cluster_.device(k).bandwidth_mbps * bw_factor);
+        total_mb * 8.0 /
+        (cluster_.device(k).bandwidth_mbps * driver_.bandwidth_scale(k));
     const auto total = static_cast<double>(in.size());
     for (std::size_t q = 0; q < in.size(); ++q) {
       auto& item = in[q];
@@ -199,8 +206,7 @@ void ServeEngine::build_edge_inputs(
 }
 
 void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
-                               int slot, const std::vector<ServeItem>& stream,
-                               double straggler_factor) {
+                               const std::vector<ServeItem>& stream) {
   const double tau = cluster_.tau_s();
   EdgeShard& shard = shards_[static_cast<std::size_t>(k)];
   EdgeOutcome& outcome = shard.outcome;
@@ -217,19 +223,11 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
 
   // Deterministic per-(slot, edge) noise stream (sim/launch.hpp), so thread
   // count can never change results.
-  util::Xoshiro256StarStar rng(sim::edge_slot_seed(config_.seed, slot, k));
+  util::Xoshiro256StarStar rng(
+      sim::edge_slot_seed(config_.seed, driver_.slot(), k));
 
   auto& jobs = shard.jobs;
-  jobs.clear();
-  for (int i = 0; i < cluster_.num_apps(); ++i) {
-    const int variants = cluster_.zoo().num_variants(i);
-    for (int j = 0; j < variants; ++j) {
-      const auto served = decision.served(i, j, k);
-      if (served <= 0) continue;
-      jobs.push_back(
-          Job{i, j, served, std::max(1, decision.kernel(i, j, k))});
-    }
-  }
+  sim::collect_jobs(cluster_, decision, k, jobs);
   rng.shuffle(jobs);
 
   const double max_wait_s = config_.max_batch_wait_fraction < 0.0
@@ -336,7 +334,7 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
       // busy time and a depressed observed TIR.
       const double duration_s = sim::launch_duration_s(
           cluster_, rng, config_.noise_sigma, k, job.app, job.variant,
-          launch_size, straggler_factor);
+          launch_size, driver_.straggler_scale(k));
       const double completion_s = seal.start_s + duration_s;
       // The accelerator is serial: the next launch on this edge cannot start
       // before this one completes (batcher.hpp's cursor contract; the slot
@@ -374,160 +372,85 @@ void ServeEngine::execute_edge(int k, const sim::SlotDecision& decision,
     }
   }
 
-  // Backpressure drops.
-  for (const auto& item : queue.dropped()) {
-    RequestRecord record;
-    record.item = item;
-    record.outcome = Outcome::kQueueDrop;
-    record.served_on = k;
-    outcome.records.push_back(record);
-  }
-  // Deadline-aware admission sheds.
-  for (const auto& item : queue.deadline_shed()) {
-    RequestRecord record;
-    record.item = item;
-    record.outcome = Outcome::kDeadlineShed;
-    record.served_on = k;
-    outcome.records.push_back(record);
-  }
-  // Stranded requests (stream larger than the decision's serve counts —
-  // only possible on a malformed repair): shed like planned drops so every
+  // Backpressure drops, deadline-aware admission sheds, then stranded
+  // requests (stream larger than the decision's serve counts — only
+  // possible on a malformed repair), shed like planned drops so every
   // arrival is accounted exactly once.
+  append_unserved(outcome.records, queue.dropped(), Outcome::kQueueDrop, k);
+  append_unserved(outcome.records, queue.deadline_shed(),
+                  Outcome::kDeadlineShed, k);
   queue.drain_waiting_into(shard.members);
-  for (const auto& item : shard.members) {
-    RequestRecord record;
-    record.item = item;
-    record.outcome = Outcome::kPlannedDrop;
-    record.served_on = k;
-    outcome.records.push_back(record);
-  }
+  append_unserved(outcome.records, shard.members, Outcome::kPlannedDrop, k);
   queue.drain_unprocessed_into(shard.members);
-  for (const auto& item : shard.members) {
-    RequestRecord record;
-    record.item = item;
-    record.outcome = Outcome::kPlannedDrop;
-    record.served_on = k;
-    outcome.records.push_back(record);
-  }
+  append_unserved(outcome.records, shard.members, Outcome::kPlannedDrop, k);
   outcome.depth_stats = queue.depth_stats();
   outcome.hot_allocs = util::alloc_counts().allocs - allocs_before;
 }
 
 SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
                                   metrics::RunMetrics* metrics) {
-  util::check(slot_ < trace_.slots(), "ServeEngine: horizon exhausted");
-  const int t = slot_;
   const int K = cluster_.num_devices();
-  const double tau = cluster_.tau_s();
-
   const int I = cluster_.num_apps();
-  auto arrivals = workload::slot_arrivals(trace_, t, tau, config_.seed);
-
-  // Resolve this slot's fault picture. With an empty plan every branch below
-  // degenerates to the fault-free path.
-  const bool have_faults = !config_.fault_plan.empty();
-  const std::vector<std::uint8_t> up =
-      have_faults ? config_.fault_plan.up_mask(K, t)
-                  : std::vector<std::uint8_t>(static_cast<std::size_t>(K), 1);
-  const auto is_up = [&up](int k) {
-    return up[static_cast<std::size_t>(k)] != 0;
-  };
-
-  // Demand is derived from the arrivals (not read from the trace) so the
-  // scheduler sees exactly what the request stream contains.
-  sim::SlotState state;
-  state.slot = t;
-  state.demand =
-      util::Grid2<std::int64_t>(cluster_.num_apps(), K, 0);
-  for (const auto& a : arrivals) ++state.demand(a.app, a.device);
+  const double tau = cluster_.tau_s();
+  const auto is_up = [this](int k) { return driver_.is_up(k); };
 
   // Overload protection: hints derived from earlier slots' outcomes steer
   // this slot's decision (breaker avoid mask, ladder variant caps) and the
   // failover re-admission targets.
-  const sim::SchedulerHints* hints = nullptr;
-  if (guard_.has_value()) {
-    hints = &guard_->begin_slot(t);
-    state.hints = hints;
-  }
+  const sim::SchedulerHints* hints =
+      guard_.has_value() ? &guard_->begin_slot(driver_.slot()) : nullptr;
+  sim::SlotState state = driver_.begin_slot(hints);
+  const int t = state.slot;
 
-  SlotServeResult result;
-  if (have_faults) {
-    state.edge_up = up;
-    if (failover_.enabled()) {
-      // Orphans whose backoff window elapsed re-enter as synthetic arrivals
-      // at surviving edges (routed around breaker-open pairs): available at
-      // the slot start (they have been waiting since their failure), with
-      // fresh sequence numbers after the cell's real arrivals.
-      const auto& readmit = failover_.begin_slot(
-          t, up, hints != nullptr ? &hints->avoid_import : nullptr);
-      for (int i = 0; i < I; ++i) {
-        for (int k = 0; k < K; ++k) {
-          const std::int64_t count = readmit(i, k);
-          if (count == 0) continue;
-          for (std::int64_t r = 0; r < count; ++r) {
-            workload::Arrival a;
-            a.slot = t;
-            a.app = i;
-            a.device = k;
-            a.seq = state.demand(i, k) + r;
-            a.offset_s = 0.0;
-            arrivals.push_back(a);
-          }
-          state.demand(i, k) += count;
+  // Demand is derived from the arrivals (not read from the trace) so the
+  // scheduler sees exactly what the request stream contains.
+  auto arrivals = workload::slot_arrivals(trace_, t, tau, config_.seed);
+  for (const auto& a : arrivals) ++state.demand(a.app, a.device);
+  if (const auto* readmit = driver_.readmissions()) {
+    // Orphans whose backoff window elapsed re-enter as synthetic arrivals:
+    // available at the slot start (they have been waiting since their
+    // failure), with fresh sequence numbers after the cell's real arrivals.
+    for (int i = 0; i < I; ++i) {
+      for (int k = 0; k < K; ++k) {
+        const std::int64_t count = (*readmit)(i, k);
+        for (std::int64_t r = 0; r < count; ++r) {
+          arrivals.push_back({t, i, k, state.demand(i, k) + r, 0.0});
         }
+        state.demand(i, k) += count;
       }
     }
   }
-  state.previous = previous_.has_value() ? &previous_.value() : nullptr;
 
-  result.decision = scheduler.decide(state);
-  result.repairs = sim::validate_and_repair(cluster_, state.demand,
-                                            state.previous, result.decision);
-
-  std::vector<double> bandwidth_factors;
-  if (have_faults) {
-    bandwidth_factors.resize(static_cast<std::size_t>(K), 1.0);
-    for (int k = 0; k < K; ++k) {
-      bandwidth_factors[static_cast<std::size_t>(k)] =
-          config_.fault_plan.bandwidth_factor(k, t);
-    }
-  }
-  build_edge_inputs(arrivals, result.decision, bandwidth_factors);
+  SlotServeResult result;
+  driver_.decide(scheduler, state, result);
+  build_edge_inputs(arrivals, result.decision);
 
   // Orphans: a down edge loses its whole stream (nothing executes there) and
   // its region's planned drops (the region is dark, not shed); a live edge
   // loses the imports whose origin died (lost in transit). Attribution is by
   // origin cell, which is also where failover injects retries.
-  auto& orphan_items = orphan_scratch_;
-  if (have_faults) {
-    for (auto& items : orphan_items) items.clear();
-    const auto cell = [K](int i, int k) {
-      return static_cast<std::size_t>(i) * static_cast<std::size_t>(K) +
-             static_cast<std::size_t>(k);
+  if (driver_.have_faults()) {
+    for (auto& items : orphan_scratch_) items.clear();
+    orphan_counts_.fill(0);
+    const auto orphan = [&](const ServeItem& item) {
+      orphan_scratch_[cell(item.app, item.origin)].push_back(item);
+      ++orphan_counts_(item.app, item.origin);
     };
     for (int k = 0; k < K; ++k) {
       auto& input = inputs_[static_cast<std::size_t>(k)];
       if (!is_up(k)) {
-        for (const auto& item : input.stream) {
-          orphan_items[cell(item.app, item.origin)].push_back(item);
-        }
+        std::for_each(input.stream.begin(), input.stream.end(), orphan);
+        std::for_each(input.planned_drops.begin(), input.planned_drops.end(),
+                      orphan);
         input.stream.clear();
-        for (const auto& item : input.planned_drops) {
-          orphan_items[cell(item.app, item.origin)].push_back(item);
-        }
         input.planned_drops.clear();
         continue;
       }
       // Live edge: strip imports from dead origins out of the stream.
-      auto dead_origin = [&](const ServeItem& item) {
-        return !is_up(item.origin);
-      };
       auto it = std::stable_partition(
           input.stream.begin(), input.stream.end(),
-          [&](const ServeItem& item) { return !dead_origin(item); });
-      for (auto lost = it; lost != input.stream.end(); ++lost) {
-        orphan_items[cell(lost->app, lost->origin)].push_back(*lost);
-      }
+          [&](const ServeItem& item) { return is_up(item.origin); });
+      std::for_each(it, input.stream.end(), orphan);
       input.stream.erase(it, input.stream.end());
     }
   }
@@ -538,18 +461,11 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
   std::vector<std::future<void>> futures(static_cast<std::size_t>(K));
   for (int k = 0; k < K; ++k) {
     if (!is_up(k)) continue;
-    const double straggler =
-        have_faults ? config_.fault_plan.straggler_factor(k, t) : 1.0;
-    futures[static_cast<std::size_t>(k)] =
-        pool_.submit([this, k, t, &result, straggler] {
-          execute_edge(k, result.decision, t,
-                       inputs_[static_cast<std::size_t>(k)].stream, straggler);
-        });
+    futures[static_cast<std::size_t>(k)] = pool_.submit([this, k, &result] {
+      execute_edge(k, result.decision,
+                   inputs_[static_cast<std::size_t>(k)].stream);
+    });
   }
-
-  result.feedback.slot = t;
-  result.feedback.busy_s.resize(static_cast<std::size_t>(K), 0.0);
-  double slot_loss = 0.0;
 
   // Serving-path outcome tallies feeding the guard's breakers and ladder.
   util::Grid2<guard::GuardController::CellStats> guard_cells;
@@ -566,9 +482,6 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
     }
   }
   for (int k = 0; k < K; ++k) {
-    if (have_faults && metrics != nullptr) {
-      metrics->record_edge_slot(k, is_up(k));
-    }
     if (!is_up(k)) continue;  // dead edge: zero busy, no energy, no samples
     futures[static_cast<std::size_t>(k)].get();
     const EdgeOutcome& outcome = shards_[static_cast<std::size_t>(k)].outcome;
@@ -583,7 +496,7 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
         metrics->record_batch_seals(static_cast<int>(r), outcome.seals[r]);
       }
     }
-    slot_loss += outcome.loss;
+    result.slot_loss += outcome.loss;
     for (const auto& record : outcome.records) {
       switch (record.outcome) {
         case Outcome::kServed:
@@ -601,24 +514,23 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
         case Outcome::kQueueDrop:
           ++result.queue_drops;
           ++result.slo_failures;
-          slot_loss += cluster_.zoo().worst_loss(record.item.app);
+          result.slot_loss += cluster_.zoo().worst_loss(record.item.app);
           if (metrics != nullptr) metrics->record_queue_drop();
           break;
         case Outcome::kPlannedDrop:
           ++result.planned_drops;
           ++result.slo_failures;
-          slot_loss += cluster_.zoo().worst_loss(record.item.app);
+          result.slot_loss += cluster_.zoo().worst_loss(record.item.app);
           if (metrics != nullptr) metrics->record_dropped();
           break;
         case Outcome::kDeadlineShed:
           ++result.deadline_sheds;
           ++result.slo_failures;
-          slot_loss += cluster_.zoo().worst_loss(record.item.app);
+          result.slot_loss += cluster_.zoo().worst_loss(record.item.app);
           if (metrics != nullptr) metrics->record_deadline_shed();
           break;
         case Outcome::kOrphaned:
-          // Orphans are resolved below from orphan_items, never inside
-          // execute_edge.
+          // Orphans are resolved below, never inside execute_edge.
           break;
       }
       // Breaker food: serving-path verdicts only (served / backpressure /
@@ -637,12 +549,7 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
         }
       }
     }
-    if (metrics != nullptr) {
-      metrics->record_edge_busy(outcome.busy_s / tau);
-      metrics->record_energy(
-          cluster_.device(k).slot_energy_j(outcome.busy_s, tau));
-      metrics->merge_queue_depth(outcome.depth_stats);
-    }
+    if (metrics != nullptr) metrics->merge_queue_depth(outcome.depth_stats);
     if (config_.keep_records) {
       result.records.insert(result.records.end(), outcome.records.begin(),
                             outcome.records.end());
@@ -651,53 +558,37 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
 
   // Requests the decision shed at their origin (never routed anywhere).
   for (int k = 0; k < K; ++k) {
-    for (const auto& item : inputs_[static_cast<std::size_t>(k)].planned_drops) {
+    const auto& drops = inputs_[static_cast<std::size_t>(k)].planned_drops;
+    for (const auto& item : drops) {
       ++result.planned_drops;
       ++result.slo_failures;
-      slot_loss += cluster_.zoo().worst_loss(item.app);
+      result.slot_loss += cluster_.zoo().worst_loss(item.app);
       if (metrics != nullptr) metrics->record_dropped();
-      if (config_.keep_records) {
-        RequestRecord record;
-        record.item = item;
-        record.outcome = Outcome::kPlannedDrop;
-        result.records.push_back(record);
-      }
+    }
+    if (config_.keep_records) {
+      append_unserved(result.records, drops, Outcome::kPlannedDrop);
     }
   }
 
   // Resolve orphans: the failover policy splits each origin cell's losses
-  // into retries (vanish here, reappear as synthetic arrivals next slot) and
-  // terminal drops (worst-model loss + SLO failure). The oldest requests get
-  // the retry slots.
-  if (have_faults) {
+  // into retries (vanish here, reappear as synthetic arrivals after their
+  // backoff) and terminal drops (worst-model loss + SLO failure). The
+  // oldest requests get the retry slots.
+  if (driver_.have_faults()) {
+    const auto& drops = driver_.resolve_orphans(orphan_counts_, result, metrics);
     for (int i = 0; i < I; ++i) {
       const double worst = cluster_.zoo().worst_loss(i);
       for (int k = 0; k < K; ++k) {
-        auto& items = orphan_items[static_cast<std::size_t>(i) *
-                                       static_cast<std::size_t>(K) +
-                                   static_cast<std::size_t>(k)];
-        if (items.empty()) continue;
+        const std::int64_t dropped = drops(i, k);
+        for (std::int64_t d = 0; d < dropped; ++d) result.slot_loss += worst;
+        if (!config_.keep_records || dropped == 0) continue;
+        auto& items = orphan_scratch_[cell(i, k)];
         std::sort(items.begin(), items.end(),
                   [](const ServeItem& a, const ServeItem& b) {
                     return a.seq < b.seq;
                   });
-        const auto outcome = failover_.on_orphans(
-            i, k, static_cast<std::int64_t>(items.size()));
-        result.retried += outcome.retried;
-        if (metrics != nullptr) metrics->record_retries(outcome.retried);
-        for (std::size_t r = static_cast<std::size_t>(outcome.retried);
-             r < items.size(); ++r) {
-          ++result.orphaned;
-          ++result.slo_failures;
-          slot_loss += worst;
-          if (metrics != nullptr) metrics->record_orphan_drop();
-          if (config_.keep_records) {
-            RequestRecord record;
-            record.item = items[r];
-            record.outcome = Outcome::kOrphaned;
-            result.records.push_back(record);
-          }
-        }
+        append_unserved(result.records, std::span(items).last(static_cast<std::size_t>(dropped)),
+                        Outcome::kOrphaned);
       }
     }
   }
@@ -713,26 +604,21 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
     }
   }
 
-  result.slot_loss = slot_loss;
-  if (metrics != nullptr) metrics->record_slot_loss(slot_loss);
-
-  scheduler.observe(result.feedback);
-  previous_ = result.decision;
-  ++slot_;
+  driver_.end_slot(scheduler, result, metrics);
   return result;
+}
+
+void ServeEngine::finish(sim::Scheduler& scheduler,
+                         metrics::RunMetrics& metrics) {
+  driver_.finish(scheduler, metrics);
 }
 
 metrics::RunMetrics ServeEngine::run(sim::Scheduler& scheduler, int max_slots) {
   const int horizon = max_slots > 0 ? std::min(max_slots, trace_.slots())
                                     : trace_.slots();
   metrics::RunMetrics metrics(horizon);
-  while (slot_ < horizon) step(scheduler, &metrics);
-  // Flush failover: orphans still awaiting re-admission at the horizon are
-  // terminal losses.
-  for (std::int64_t d = failover_.drain_pending(); d > 0; --d) {
-    metrics.record_orphan_drop();
-  }
-  metrics.set_solver_fallbacks(scheduler.fallback_count());
+  while (driver_.slot() < horizon) step(scheduler, &metrics);
+  finish(scheduler, metrics);
   return metrics;
 }
 

@@ -3,22 +3,25 @@
 // Where sim::Simulator scores a slot decision on merged per-slot batches,
 // the ServeEngine replays the trace as timestamped request arrivals inside
 // each slot and follows every request through admission, redistribution,
-// batch assembly, dispatch, and execution:
+// batch assembly, dispatch, and execution. Both runtimes share the slot's
+// other half through sim::SlotDriver (liveness and fault factors, failover
+// re-admission, decide + validate/repair, orphan resolution, observe, the
+// horizon flush); the engine owns its execute half:
 //
 //   1. expand the slot's trace cells into arrivals (workload::slot_arrivals)
-//      and derive SlotState.demand from them;
-//   2. ask the scheduler for a SlotDecision and validate/repair it exactly
-//      like the simulator — schedulers are reused unchanged;
-//   3. split each cell's arrivals into serve-local / redistribute / shed
-//      streams according to the decision; redistributed requests reach
-//      their serving edge after the wireless transfer schedule;
-//   4. per edge, admit requests chronologically into a bounded admission
+//      plus synthetic arrivals for failover re-admissions, and derive
+//      SlotState.demand from them; the guard's hints steer the decision and
+//      serve as the failover avoid mask;
+//   2. split each cell's arrivals into serve-local / redistribute / shed
+//      streams according to the repaired decision; redistributed requests
+//      reach their serving edge after the wireless transfer schedule;
+//   3. per edge, admit requests chronologically into a bounded admission
 //      queue (drop/backpressure policy), assemble batches of the decided
 //      kernel size with a max-wait timeout for partial batches, and execute
 //      them on the edge's accelerator using ground-truth TIR plus noise;
-//   5. record per-request queueing delay, batch-formation wait, execution
-//      latency, and SLO hit/miss, and feed busy-time + TIR observations
-//      back to the scheduler.
+//   4. record per-request queueing delay, batch-formation wait, execution
+//      latency, and SLO hit/miss, fold the outcomes into the guard, and
+//      hand busy-time + TIR observations back through the driver.
 //
 // Edges execute concurrently on runtime::ThreadPool. Determinism matches
 // the simulator's standard: all randomness comes from per-(slot, edge)
@@ -56,9 +59,9 @@
 #include "birp/serve/adaptive.hpp"
 #include "birp/serve/queue.hpp"
 #include "birp/serve/request.hpp"
-#include "birp/sim/decision.hpp"
+#include "birp/sim/launch.hpp"
 #include "birp/sim/scheduler.hpp"
-#include "birp/sim/validate.hpp"
+#include "birp/sim/slot_driver.hpp"
 #include "birp/util/stats.hpp"
 #include "birp/workload/arrivals.hpp"
 #include "birp/workload/trace.hpp"
@@ -108,18 +111,10 @@ struct ServeConfig {
 };
 
 /// Outcome of one served slot.
-struct SlotServeResult {
-  sim::SlotDecision decision;  ///< post-repair decision that executed
-  sim::ValidationReport repairs;
-  sim::SlotFeedback feedback;
-  double slot_loss = 0.0;
-  std::int64_t served = 0;
+struct SlotServeResult : sim::SlotOutcome {
   std::int64_t planned_drops = 0;  ///< shed by the decision (worst-model loss)
   std::int64_t queue_drops = 0;    ///< backpressure drops (admission queue)
   std::int64_t deadline_sheds = 0; ///< shed by deadline-aware admission
-  std::int64_t orphaned = 0;       ///< terminal losses to edge failures
-  std::int64_t retried = 0;        ///< orphans re-admitted after backoff
-  std::int64_t slo_failures = 0;
   /// Heap allocations performed inside the per-edge hot path this slot
   /// (thread-local operator-new counts; 0 unless a BIRP_COUNT_ALLOCS hook
   /// is linked). Nonzero only while shards grow toward their high-water
@@ -144,7 +139,13 @@ class ServeEngine {
   SlotServeResult step(sim::Scheduler& scheduler,
                        metrics::RunMetrics* metrics = nullptr);
 
-  [[nodiscard]] int current_slot() const noexcept { return slot_; }
+  /// Flushes terminal state into `metrics`: failover orphans still awaiting
+  /// re-admission (terminal drops) and the scheduler's fallback count. run()
+  /// calls this at the horizon; harnesses driving step() themselves must
+  /// call it once after the last step for exact request conservation.
+  void finish(sim::Scheduler& scheduler, metrics::RunMetrics& metrics);
+
+  [[nodiscard]] int current_slot() const noexcept { return driver_.slot(); }
   [[nodiscard]] const device::ClusterSpec& cluster() const noexcept {
     return cluster_;
   }
@@ -173,15 +174,6 @@ class ServeEngine {
     std::int64_t hot_allocs = 0;
   };
 
-  /// One executable job on an edge: a (app, variant) deployment with its
-  /// request count and kernel batch size (mirrors the simulator's Job).
-  struct Job {
-    int app = 0;
-    int variant = 0;
-    std::int64_t served = 0;
-    int kernel = 1;
-  };
-
   struct EdgeShard;
 
   /// Context behind the non-owning admission gate: lives in the shard so
@@ -199,7 +191,7 @@ class ServeEngine {
   struct alignas(64) EdgeShard {
     AdmissionQueue queue;
     EdgeOutcome outcome;
-    std::vector<Job> jobs;
+    std::vector<sim::Job> jobs;
     std::vector<ServeItem> members;     ///< take_into scratch per launch
     std::vector<ServeItem> candidates;  ///< batcher.plan input scratch
     std::vector<double> avail_scratch;  ///< batcher.plan working set
@@ -212,21 +204,25 @@ class ServeEngine {
     double cursor_s = 0.0;
   };
 
+  /// Index of the (app, edge) cell in the per-cell scratch lists.
+  [[nodiscard]] std::size_t cell(int app, int edge) const noexcept {
+    return static_cast<std::size_t>(app) *
+               static_cast<std::size_t>(cluster_.num_devices()) +
+           static_cast<std::size_t>(edge);
+  }
+
   /// AdmissionGate trampoline into GuardController::admit.
   static bool admission_gate_thunk(const void* ctx, const ServeItem& item,
                                    std::int64_t buffered_ahead);
 
-  /// Fills inputs_ (reused across slots). `bandwidth_factors` scales each
-  /// edge's wireless bandwidth for the transfer schedule (empty = no
-  /// degradation).
+  /// Fills inputs_ (reused across slots); the transfer schedule runs at
+  /// each edge's bandwidth this slot.
   void build_edge_inputs(const std::vector<workload::Arrival>& arrivals,
-                         const sim::SlotDecision& decision,
-                         const std::vector<double>& bandwidth_factors);
+                         const sim::SlotDecision& decision);
 
   /// Serves one edge's slot into shards_[k].outcome (clearing it first).
-  void execute_edge(int k, const sim::SlotDecision& decision, int slot,
-                    const std::vector<ServeItem>& stream,
-                    double straggler_factor);
+  void execute_edge(int k, const sim::SlotDecision& decision,
+                    const std::vector<ServeItem>& stream);
 
   const device::ClusterSpec& cluster_;
   const workload::Trace& trace_;
@@ -235,10 +231,7 @@ class ServeEngine {
   /// disabled (the default), so that path stays byte-identical.
   AdaptiveBatcher batcher_;
   runtime::ThreadPool pool_;
-  int slot_ = 0;
-  std::optional<sim::SlotDecision> previous_;
-  /// Re-admission of requests orphaned by edge failures.
-  fault::FailoverPolicy failover_;
+  sim::SlotDriver driver_;
   /// Overload protection; engaged only when a guard feature is enabled, so
   /// the default path stays byte-identical to the guard-free engine.
   std::optional<guard::GuardController> guard_;
@@ -250,7 +243,9 @@ class ServeEngine {
   std::vector<std::vector<ServeItem>> cells_scratch_;
   std::vector<std::size_t> cursor_scratch_;
   std::vector<std::vector<ServeItem>> imports_scratch_;
+  /// Orphaned requests per (app, origin) cell, and their counts.
   std::vector<std::vector<ServeItem>> orphan_scratch_;
+  util::Grid2<std::int64_t> orphan_counts_;
 };
 
 }  // namespace birp::serve

@@ -1,15 +1,42 @@
-// The launch model shared by sim::Simulator and serve::ServeEngine: how an
-// edge's execution noise is seeded, how long one batch launch runs, and
-// what TIR the launch reveals to the scheduler.
+// The launch model shared by sim::Simulator and serve::ServeEngine: which
+// jobs an edge runs, how its execution noise is seeded, how long one batch
+// launch runs, and what TIR the launch reveals to the scheduler.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "birp/device/cluster.hpp"
 #include "birp/sim/scheduler.hpp"
 #include "birp/util/rng.hpp"
 
 namespace birp::sim {
+
+/// One executable job on an edge: an (app, variant) deployment with the
+/// requests the decision serves there and its kernel batch size.
+struct Job {
+  int app = 0;
+  int variant = 0;
+  std::int64_t served = 0;
+  int kernel = 1;
+};
+
+/// Replaces `jobs` with edge `edge`'s jobs in `decision`, app-major then by
+/// variant: every deployment that serves at least one request.
+inline void collect_jobs(const device::ClusterSpec& cluster,
+                         const SlotDecision& decision, int edge,
+                         std::vector<Job>& jobs) {
+  jobs.clear();
+  for (int i = 0; i < cluster.num_apps(); ++i) {
+    for (int j = 0; j < cluster.zoo().num_variants(i); ++j) {
+      const auto served = decision.served(i, j, edge);
+      if (served <= 0) continue;
+      jobs.push_back(
+          Job{i, j, served, std::max(1, decision.kernel(i, j, edge))});
+    }
+  }
+}
 
 /// Seed of edge `edge`'s execution-noise stream in slot `slot`. Each
 /// (slot, edge) pair draws from its own stream, so an edge's launches never

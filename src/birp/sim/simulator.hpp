@@ -1,28 +1,29 @@
 // Time-slotted edge-collaboration simulator.
 //
-// Per slot: read demand from the trace, ask the scheduler for a decision,
-// validate/repair it, execute every live edge's batch jobs, and feed TIR
-// observations back to the scheduler. Edges run side by side in simulated
-// time (each has its own accelerator cursor inside the slot), so the host
-// executes them one after another in edge order on the calling thread.
-// Execution follows the launch model in sim/launch.hpp: ground-truth TIR
-// curves with multiplicative lognormal noise — the stand-in for real
-// accelerator nondeterminism.
+// The execute half of a slot on merged per-slot batches; the shared half
+// (liveness and fault factors, failover re-admission, decide + repair,
+// orphan resolution, observe, the horizon flush) is sim::SlotDriver's. Per
+// slot: demand is the trace plus carryover plus re-admissions, then every
+// live edge executes its batch jobs and the scheduler drops are charged.
+// Edges run side by side in simulated time (each has its own accelerator
+// cursor inside the slot), so the host executes them one after another in
+// edge order on the calling thread. Execution follows the launch model in
+// sim/launch.hpp: ground-truth TIR curves with multiplicative lognormal
+// noise — the stand-in for real accelerator nondeterminism.
 //
 // Determinism: all noise derives from per-(slot, edge) RNG streams, so an
 // edge's results never depend on the other edges.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "birp/device/cluster.hpp"
 #include "birp/fault/failover.hpp"
 #include "birp/fault/fault_plan.hpp"
 #include "birp/metrics/run_metrics.hpp"
-#include "birp/sim/decision.hpp"
 #include "birp/sim/scheduler.hpp"
-#include "birp/sim/validate.hpp"
+#include "birp/sim/slot_driver.hpp"
 #include "birp/workload/trace.hpp"
 
 namespace birp::sim {
@@ -49,16 +50,8 @@ struct SimulatorConfig {
 };
 
 /// Outcome of one slot, exposed for tests and fine-grained experiments.
-struct SlotResult {
-  SlotDecision decision;           ///< post-repair decision that executed
-  ValidationReport repairs;
-  SlotFeedback feedback;
-  double slot_loss = 0.0;
-  std::int64_t slo_failures = 0;
-  std::int64_t served = 0;
-  std::int64_t dropped = 0;          ///< scheduler drops charged this slot
-  std::int64_t orphaned = 0;         ///< terminal losses to edge failures
-  std::int64_t retried = 0;          ///< orphans re-admitted for next slot
+struct SlotResult : SlotOutcome {
+  std::int64_t dropped = 0;  ///< scheduler drops charged this slot
 };
 
 class Simulator {
@@ -82,40 +75,29 @@ class Simulator {
   void finish(Scheduler& scheduler, metrics::RunMetrics& metrics);
 
   /// Slots executed so far.
-  [[nodiscard]] int current_slot() const noexcept { return slot_; }
+  [[nodiscard]] int current_slot() const noexcept { return driver_.slot(); }
 
   [[nodiscard]] const device::ClusterSpec& cluster() const noexcept {
     return cluster_;
   }
 
  private:
-  /// Per-edge fault effects for one slot, resolved from the FaultPlan before
-  /// execution. Defaults describe a healthy edge.
-  struct EdgeFaultEffects {
-    double bandwidth_factor = 1.0;
-    double straggler_factor = 1.0;
-    /// Imports into this edge whose origin edge is down this slot (per app):
-    /// they never arrive, so the batch slots they were meant to fill stay
-    /// empty and no transfer time is billed for them. Empty = none.
-    std::vector<std::int64_t> lost_imports;
-  };
-
   /// Executes live edge k's share of result.decision: records its served
   /// requests, TIR observations and busy time in `result` (and `metrics`)
-  /// and returns the loss of the requests it served.
-  double execute_edge(int k, int slot, const EdgeFaultEffects& faults,
+  /// and returns the loss of the requests it served. `lost_imports` (per
+  /// app; empty = none) are imports whose origin edge is down this slot:
+  /// they never arrive, so the batch slots they were meant to fill stay
+  /// empty and no transfer time is billed for them.
+  double execute_edge(int k, const std::vector<std::int64_t>& lost_imports,
                       SlotResult& result, metrics::RunMetrics* metrics) const;
 
   const device::ClusterSpec& cluster_;
   const workload::Trace& trace_;
   SimulatorConfig config_;
-  int slot_ = 0;
-  std::optional<SlotDecision> previous_;
+  SlotDriver driver_;
   /// Requests deferred from the previous slot (carryover mode): these fail
   /// for good if unserved again.
   util::Grid2<std::int64_t> carried_;
-  /// Re-admission of requests orphaned by edge failures.
-  fault::FailoverPolicy failover_;
 };
 
 }  // namespace birp::sim
