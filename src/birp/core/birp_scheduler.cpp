@@ -138,6 +138,8 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
   total_nodes_ += solution.nodes_explored;
   total_pivots_ += solution.simplex_iterations;
   total_factor_pivots_ += solution.factor_pivots;
+  total_structural_factor_pivots_ += solution.structural_factor_pivots;
+  total_btran_solves_ += solution.btran_solves;
   warm_lp_solves_ += solution.warm_lp_solves;
   cold_lp_solves_ += solution.cold_lp_solves;
   warm_give_ups_ += solution.warm_give_ups;

@@ -88,6 +88,12 @@ class BirpScheduler : public sim::Scheduler {
   [[nodiscard]] std::int64_t total_factor_pivots() const noexcept {
     return total_factor_pivots_;
   }
+  [[nodiscard]] std::int64_t total_structural_factor_pivots() const noexcept {
+    return total_structural_factor_pivots_;
+  }
+  [[nodiscard]] std::int64_t total_btran_solves() const noexcept {
+    return total_btran_solves_;
+  }
   [[nodiscard]] std::int64_t warm_lp_solves() const noexcept {
     return warm_lp_solves_;
   }
@@ -133,6 +139,8 @@ class BirpScheduler : public sim::Scheduler {
   std::int64_t total_nodes_ = 0;
   std::int64_t total_pivots_ = 0;
   std::int64_t total_factor_pivots_ = 0;
+  std::int64_t total_structural_factor_pivots_ = 0;
+  std::int64_t total_btran_solves_ = 0;
   std::int64_t warm_lp_solves_ = 0;
   std::int64_t cold_lp_solves_ = 0;
   solver::WarmGiveUps warm_give_ups_;

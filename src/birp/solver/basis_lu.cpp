@@ -159,6 +159,7 @@ bool BasisLu::factorize(const StandardForm& form,
     eta.end = static_cast<int>(entry_row_.size());
     etas_.push_back(eta);
     ++factor_pivots_;
+    ++structural_factor_pivots_;
     row_used[static_cast<std::size_t>(pivot_row)] = 1;
     basis_of_row[static_cast<std::size_t>(pivot_row)] = col;
     clear_touched();

@@ -81,12 +81,21 @@ class BasisLu {
   [[nodiscard]] std::int64_t factor_pivots() const noexcept {
     return factor_pivots_;
   }
+  /// The eliminations among factor_pivots() that took the general path (an
+  /// FTRAN through the eta file plus an appended eta); the rest are
+  /// singleton columns pivoted in place at no solve cost.
+  [[nodiscard]] std::int64_t structural_factor_pivots() const noexcept {
+    return structural_factor_pivots_;
+  }
   [[nodiscard]] std::size_t eta_count() const noexcept { return etas_.size(); }
 
-  /// Zeroes the elimination counter, keeping the eta file and its update
+  /// Zeroes the elimination counters, keeping the eta file and its update
   /// count. A copy inherited from a parent LP starts its own tally here, so
   /// its factor_pivots() reports only the eliminations it spends itself.
-  void clear_factor_pivots() noexcept { factor_pivots_ = 0; }
+  void clear_factor_pivots() noexcept {
+    factor_pivots_ = 0;
+    structural_factor_pivots_ = 0;
+  }
 
  private:
   struct Eta {
@@ -114,6 +123,7 @@ class BasisLu {
   std::int64_t factor_nnz_ = 0;
   std::int64_t update_nnz_ = 0;
   std::int64_t factor_pivots_ = 0;  ///< cumulative eliminations (all factorizes)
+  std::int64_t structural_factor_pivots_ = 0;  ///< general-path share of them
 };
 
 }  // namespace birp::solver

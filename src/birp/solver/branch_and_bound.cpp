@@ -209,6 +209,8 @@ Solution branch_and_bound(const Model& model,
   std::int64_t nodes = 0;
   std::int64_t total_pivots = 0;
   std::int64_t total_factor_pivots = 0;
+  std::int64_t total_structural_factor_pivots = 0;
+  std::int64_t total_btran_solves = 0;
   std::int64_t warm_solves = 0;
   std::int64_t cold_solves = 0;
   WarmGiveUps give_ups;
@@ -246,6 +248,8 @@ Solution branch_and_bound(const Model& model,
                                 options.warm_start ? &live : nullptr);
     total_pivots += lp.simplex_iterations;
     total_factor_pivots += lp.factor_pivots;
+    total_structural_factor_pivots += lp.structural_factor_pivots;
+    total_btran_solves += lp.btran_solves;
     give_ups += lp.warm_give_ups;
     if (lp.warm_started) {
       ++warm_solves;
@@ -262,6 +266,8 @@ Solution branch_and_bound(const Model& model,
       result.nodes_explored = nodes;
       result.simplex_iterations = total_pivots;
       result.factor_pivots = total_factor_pivots;
+      result.structural_factor_pivots = total_structural_factor_pivots;
+      result.btran_solves = total_btran_solves;
       result.warm_give_ups = give_ups;
       return result;
     }
@@ -335,6 +341,8 @@ Solution branch_and_bound(const Model& model,
   incumbent.nodes_explored = nodes;
   incumbent.simplex_iterations = total_pivots;
   incumbent.factor_pivots = total_factor_pivots;
+  incumbent.structural_factor_pivots = total_structural_factor_pivots;
+  incumbent.btran_solves = total_btran_solves;
   incumbent.warm_lp_solves = warm_solves;
   incumbent.cold_lp_solves = cold_solves;
   incumbent.warm_give_ups = give_ups;
