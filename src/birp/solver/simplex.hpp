@@ -14,7 +14,9 @@
 // outgrows the refactorization trigger. Pricing, the ratio test, and the
 // dual-repair path work off BTRAN/FTRAN solves, so a pivot costs O(nnz)
 // rather than O(rows * cols) — this is what lets the slot problem scale to
-// hundred-edge clusters.
+// hundred-edge clusters. Phase I/II pricing solves for the duals afresh each
+// iteration; the dual repair instead updates its reduced costs along the
+// pivot row it already BTRANs, and rebuilds them at each refactorization.
 //
 // All feasibility and pivot comparisons are scale-relative: pivot
 // eligibility is measured against the transformed column's (or row's)
