@@ -17,6 +17,8 @@ constexpr double kBusyWeight = 0.5;
 constexpr int kMaxCellPairs = 4;
 /// EMA smoothing for the shed/busy feedback signals.
 constexpr double kEmaAlpha = 0.4;
+/// Donor pressure must exceed recipient pressure by this to trigger a move.
+constexpr double kPressureMargin = 0.10;
 
 }  // namespace
 
@@ -24,11 +26,6 @@ InterCellBalancer::InterCellBalancer(const device::ClusterSpec& cluster,
                                      BalancerConfig config, int cells)
     : cluster_(cluster), config_(config) {
   util::check(cells >= 1, "InterCellBalancer: cells must be >= 1");
-  util::check(config_.move_fraction >= 0.0 && config_.move_fraction <= 1.0,
-              "InterCellBalancer: move_fraction must be in [0, 1]");
-  util::check(config_.network_fraction >= 0.0 &&
-                  config_.network_fraction <= 1.0,
-              "InterCellBalancer: network_fraction must be in [0, 1]");
   pressure_.resize(static_cast<std::size_t>(cells));
 }
 
@@ -91,7 +88,7 @@ std::vector<Move> InterCellBalancer::plan(const sim::SlotState& state,
         order[order.size() - 1 - static_cast<std::size_t>(p)];
     if (score[static_cast<std::size_t>(donor_cell)] -
             score[static_cast<std::size_t>(recipient_cell)] <=
-        config_.pressure_margin) {
+        kPressureMargin) {
       break;  // order is sorted: later pairs have smaller gaps
     }
 
@@ -127,13 +124,13 @@ std::vector<Move> InterCellBalancer::plan(const sim::SlotState& state,
     if (donor < 0 || recipient < 0 || donor_load <= 0) continue;
 
     double budget_mb =
-        config_.network_fraction *
+        kNetworkFraction *
         std::min(cluster_.network_mb(donor), cluster_.network_mb(recipient));
     for (int i = 0; i < I; ++i) {
       if (state.import_avoided(i, recipient)) continue;
       std::int64_t count = static_cast<std::int64_t>(
           std::floor(static_cast<double>(state.demand(i, donor)) *
-                     config_.move_fraction));
+                     kMoveFraction));
       const double request_mb = cluster_.zoo().app(i).request_mb;
       if (request_mb > 0.0) {
         count = std::min(

@@ -5,10 +5,12 @@
 // restores a marginal amount of it per slot without touching any cell's
 // MILP: it keeps a per-cell pressure summary (shed rate, busy fraction,
 // relative backlog), and when the pressure gap between two cells exceeds a
-// margin it moves a bounded slice of the hottest donor edge's demand to the
-// coolest recipient edge pre-solve. The CellScheduler materializes each
-// move as an inter-cell Flow in the merged decision, so global conservation
-// and network accounting stay exact under sim::validate_and_repair.
+// fixed margin (0.10) it moves a bounded slice of the hottest donor edge's
+// demand to the coolest recipient edge pre-solve: kMoveFraction of each
+// app's demand, within kNetworkFraction of the endpoints' network budget.
+// The CellScheduler materializes each move as an inter-cell Flow in the
+// merged decision, so global conservation and network accounting stay exact
+// under sim::validate_and_repair.
 //
 // Everything here is O(cells + devices + apps) straight-line arithmetic in
 // a fixed order — deterministic at any thread count by construction.
@@ -23,17 +25,16 @@
 
 namespace birp::cluster {
 
+/// Max fraction of a donor edge's per-app demand moved in one slot.
+inline constexpr double kMoveFraction = 0.25;
+/// Fraction of min(donor, recipient) per-slot network budget the balancer
+/// may spend. Cell-local flows compete for the same budgets inside
+/// validate_and_repair, so this cap bounds — not eliminates — repair-time
+/// flow cancellation; it stays well under 1.
+inline constexpr double kNetworkFraction = 0.5;
+
 struct BalancerConfig {
   bool enabled = true;
-  /// Max fraction of a donor edge's per-app demand moved in one slot.
-  double move_fraction = 0.25;
-  /// Donor pressure must exceed recipient pressure by this to trigger a move.
-  double pressure_margin = 0.10;
-  /// Fraction of min(donor, recipient) per-slot network budget the balancer
-  /// may spend. Cell-local flows compete for the same budgets inside
-  /// validate_and_repair, so this cap bounds — not eliminates — repair-time
-  /// flow cancellation; keep it well under 1.
-  double network_fraction = 0.5;
 };
 
 /// Smoothed per-cell state the balancer steers by.
@@ -58,7 +59,7 @@ class InterCellBalancer {
   /// Plans this slot's moves from the slot demand, edge liveness, hints, and
   /// the smoothed pressure state. Never moves demand from or to a down edge,
   /// never into an edge whose import breaker is open for that app, and never
-  /// more request-MB than network_fraction of either endpoint's slot budget.
+  /// more request-MB than kNetworkFraction of either endpoint's slot budget.
   [[nodiscard]] std::vector<Move> plan(const sim::SlotState& state,
                                        const Partition& partition);
 

@@ -11,6 +11,8 @@ namespace {
 
 /// Trigger: any cell's live members / live-members-at-cut below this.
 constexpr double kMinCellLiveFraction = 0.5;
+/// Trigger: max - min balancer shed EMA across cells above this.
+constexpr double kPressureSpreadThreshold = 0.35;
 
 }  // namespace
 
@@ -168,7 +170,7 @@ bool ControlPlane::should_repartition(int slot) const {
 
   // Trigger 3: the balancer's smoothed shed pressure is lopsided — the cut
   // no longer matches where the load lands.
-  if (config_.pressure_spread_threshold > 0.0 && partition.cells() >= 2) {
+  if (partition.cells() >= 2) {
     double lo = inner_->balancer().pressure(0).shed;
     double hi = lo;
     for (int c = 1; c < partition.cells(); ++c) {
@@ -176,7 +178,7 @@ bool ControlPlane::should_repartition(int slot) const {
       lo = std::min(lo, shed);
       hi = std::max(hi, shed);
     }
-    if (hi - lo > config_.pressure_spread_threshold) return true;
+    if (hi - lo > kPressureSpreadThreshold) return true;
   }
   return false;
 }

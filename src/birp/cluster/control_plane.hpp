@@ -14,7 +14,8 @@
 //        * the debounced live set churned by at least churn_threshold edges
 //          since the cut (covers mass recovery as well as mass failure), or
 //        * the balancer's smoothed shed-pressure spread across cells exceeds
-//          pressure_spread_threshold (the partition is fighting the load);
+//          kPressureSpreadThreshold (0.35; the partition is fighting the
+//          load);
 //      all gated by a cooldown so storms cannot thrash the partitioner;
 //   3. on trigger, live-repartitions: the partitioner re-runs on the
 //      surviving subgraph, dead edges are attached to their highest-affinity
@@ -55,9 +56,6 @@ struct ControlPlaneConfig {
   HealthConfig health;
   /// Trigger: debounced live-set churn (downs + recoveries) since the cut.
   int churn_threshold = 2;
-  /// Trigger: max - min balancer shed EMA across cells above this.
-  /// <= 0 disables the pressure trigger.
-  double pressure_spread_threshold = 0.35;
   /// Minimum slots between repartitions.
   int cooldown_slots = 8;
   std::string name_override;

@@ -12,6 +12,10 @@ namespace birp::cluster {
 namespace {
 
 constexpr double kGainEps = 1e-12;
+/// Cell-size slack: a cell holds at most (1 + tolerance) * K / cells devices.
+constexpr double kBalanceTolerance = 0.15;
+/// Maximum Kernighan–Lin refinement sweeps (each sweep visits every node).
+constexpr int kRefinePasses = 6;
 
 /// Canonical form: member lists sorted ascending, cells ordered by smallest
 /// member, cell_of relabeled to match. Makes partitions comparable with ==
@@ -90,16 +94,12 @@ Partition partition_affinity(const util::Grid2<double>& affinity,
   const int k = config.cells;
   util::check(k >= 1 && k <= K,
               "partition_affinity: cells must be in [1, devices]");
-  util::check(config.balance_tolerance >= 0.0,
-              "partition_affinity: balance_tolerance must be >= 0");
-  util::check(config.refine_passes >= 0,
-              "partition_affinity: refine_passes must be >= 0");
 
   // Cell capacity: (1 + tol) * K / k rounded up, but never below the ceiling
   // needed to fit K devices into k cells at all.
   const int cap = std::max(
       static_cast<int>(
-          std::ceil((1.0 + config.balance_tolerance) *
+          std::ceil((1.0 + kBalanceTolerance) *
                     static_cast<double>(K) / static_cast<double>(k))),
       (K + k - 1) / k);
 
@@ -179,7 +179,7 @@ Partition partition_affinity(const util::Grid2<double>& affinity,
   // independent of anything but (affinity, config). A move must keep the
   // destination under cap and may not empty the source cell.
   std::vector<double> connection(static_cast<std::size_t>(k), 0.0);
-  for (int pass = 0; pass < config.refine_passes; ++pass) {
+  for (int pass = 0; pass < kRefinePasses; ++pass) {
     bool improved = false;
     for (int v = 0; v < K; ++v) {
       const int cur = cell_of[static_cast<std::size_t>(v)];

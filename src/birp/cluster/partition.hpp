@@ -8,9 +8,12 @@
 // followed by Kernighan–Lin-style single-node refinement: minimize the
 // affinity weight crossing cells (redistribution flows are intra-cell, so
 // cut weight is exactly the collaboration value sharding gives up) subject
-// to a cell-size balance tolerance. Deterministic in (graph, config): no
-// iteration order depends on hashing or thread count, and the result is
-// canonicalized (members sorted, cells ordered by smallest member).
+// to a cell-size balance tolerance: no cell may exceed 1.15 * K / cells
+// devices (rounded up, and never below what fitting K devices into `cells`
+// cells requires). Refinement stops after 6 sweeps or the first sweep that
+// moves nothing. Deterministic in (graph, config): no iteration order
+// depends on hashing or thread count, and the result is canonicalized
+// (members sorted, cells ordered by smallest member).
 #pragma once
 
 #include <cstdint>
@@ -42,17 +45,11 @@ using PairCost = std::function<double(int a, int b)>;
 
 struct PartitionConfig {
   int cells = 1;
-  /// Cell-size slack: no cell may exceed (1 + tolerance) * K / cells devices
-  /// (rounded up, and never below what fitting K devices into `cells` cells
-  /// requires).
-  double balance_tolerance = 0.15;
   PartitionObjective objective = PartitionObjective::kBandwidth;
   /// Overrides `objective` when set (the pluggable cost hook).
   PairCost custom_cost;
   /// Seeds the initial cell centers; refinement is seed-free.
   std::uint64_t seed = 0xce11;
-  /// Maximum Kernighan–Lin refinement sweeps (each sweep visits every node).
-  int refine_passes = 6;
 };
 
 /// A k-way device partition. Cells are canonical: member lists sorted

@@ -156,7 +156,6 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
 void BirpScheduler::observe(const sim::SlotFeedback& feedback) {
   if (!config_.online) return;
   for (const auto& obs : feedback.observations) {
-    observed_batches_.add(static_cast<double>(obs.batch));
     estimators_[estimator_index(obs.device, obs.app, obs.variant)].update(
         obs.observed_tir, obs.batch, feedback.slot);
   }

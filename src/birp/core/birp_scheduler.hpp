@@ -17,7 +17,6 @@
 #include "birp/device/cluster.hpp"
 #include "birp/sim/scheduler.hpp"
 #include "birp/solver/branch_and_bound.hpp"
-#include "birp/util/stats.hpp"
 
 namespace birp::core {
 
@@ -107,14 +106,6 @@ class BirpScheduler : public sim::Scheduler {
   [[nodiscard]] std::int64_t fallback_count() const noexcept override {
     return fallbacks_;
   }
-  /// Distribution of batch sizes the runtime actually executed, as observed
-  /// through TIR feedback. Under the serving engine's adaptive batcher every
-  /// launch reports, so this is the realized batch-size distribution the
-  /// tuner's beliefs are conditioned on (diagnostics / tests); under the
-  /// fixed rule it only sees each job's first launch.
-  [[nodiscard]] const util::RunningStats& observed_batches() const noexcept {
-    return observed_batches_;
-  }
 
  private:
   [[nodiscard]] std::size_t estimator_index(int device, int app,
@@ -145,7 +136,6 @@ class BirpScheduler : public sim::Scheduler {
   std::int64_t cold_lp_solves_ = 0;
   solver::WarmGiveUps warm_give_ups_;
   std::int64_t fallbacks_ = 0;
-  util::RunningStats observed_batches_;
 };
 
 }  // namespace birp::core

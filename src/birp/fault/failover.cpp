@@ -19,10 +19,8 @@ FailoverPolicy::FailoverPolicy(const FailoverConfig& config, int apps,
               "FailoverPolicy: negative retry budget");
   util::check(config.backoff_base_slots >= 0,
               "FailoverPolicy: negative backoff base");
-  util::check(config.backoff_multiplier >= 1.0,
-              "FailoverPolicy: backoff multiplier must be >= 1");
-  util::check(config.backoff_max_slots >= config.backoff_base_slots,
-              "FailoverPolicy: backoff max below base");
+  util::check(config.backoff_base_slots <= kBackoffMaxSlots,
+              "FailoverPolicy: backoff base above the ceiling");
   util::check(config.backoff_jitter >= 0.0 && config.backoff_jitter <= 1.0,
               "FailoverPolicy: backoff jitter outside [0, 1]");
   injected_.assign(static_cast<std::size_t>(config.retry_budget) + 1,
@@ -33,14 +31,14 @@ FailoverPolicy::FailoverPolicy(const FailoverConfig& config, int apps,
 int FailoverPolicy::delay_slots(int attempt) {
   if (config_.backoff_base_slots <= 0) return 1;  // legacy: next slot
   double raw = static_cast<double>(config_.backoff_base_slots);
-  for (int a = 1; a < attempt; ++a) raw *= config_.backoff_multiplier;
-  raw = std::min(raw, static_cast<double>(config_.backoff_max_slots));
+  for (int a = 1; a < attempt; ++a) raw *= kBackoffMultiplier;
+  raw = std::min(raw, static_cast<double>(kBackoffMaxSlots));
   if (config_.backoff_jitter > 0.0) {
     raw *= jitter_rng_.uniform(1.0 - config_.backoff_jitter,
                                1.0 + config_.backoff_jitter);
   }
   const auto rounded = static_cast<int>(std::llround(raw));
-  return std::clamp(rounded, 1, std::max(1, config_.backoff_max_slots));
+  return std::clamp(rounded, 1, kBackoffMaxSlots);
 }
 
 const util::Grid2<std::int64_t>& FailoverPolicy::begin_slot(

@@ -11,8 +11,8 @@
 // the budget is dropped.
 //
 // Re-admission timing follows seeded exponential backoff with jitter: the
-// a-th retry waits ~ backoff_base_slots * backoff_multiplier^(a-1) slots
-// (capped at backoff_max_slots), scaled by a uniform jitter factor in
+// a-th retry waits ~ backoff_base_slots * kBackoffMultiplier^(a-1) slots
+// (capped at kBackoffMaxSlots), scaled by a uniform jitter factor in
 // [1 - backoff_jitter, 1 + backoff_jitter] drawn from an explicitly seeded
 // generator — deterministic across runs and thread counts because orphans
 // are always reported from the single-threaded merge path in slot order.
@@ -38,18 +38,20 @@
 
 namespace birp::fault {
 
+/// Backoff growth factor per attempt.
+inline constexpr double kBackoffMultiplier = 2.0;
+/// Ceiling on the (pre-jitter) backoff delay in slots.
+inline constexpr int kBackoffMaxSlots = 16;
+
 struct FailoverConfig {
   /// Disabled: orphans are terminal drops.
   bool enabled = false;
   /// Maximum re-admissions per request before it is dropped.
   int retry_budget = 1;
-  /// First-retry delay in slots. 0 = legacy immediate re-admission at the
-  /// next slot (no backoff, no RNG draws); >= 1 enables exponential backoff.
+  /// First-retry delay in slots, at most kBackoffMaxSlots. 0 = legacy
+  /// immediate re-admission at the next slot (no backoff, no RNG draws);
+  /// >= 1 enables exponential backoff.
   int backoff_base_slots = 0;
-  /// Growth factor per attempt (>= 1).
-  double backoff_multiplier = 2.0;
-  /// Ceiling on the (pre-jitter) delay in slots.
-  int backoff_max_slots = 16;
   /// Jitter amplitude in [0, 1]: the delay is scaled by a uniform factor in
   /// [1 - jitter, 1 + jitter]. 0 disables jitter (and any RNG draw).
   double backoff_jitter = 0.0;

@@ -26,9 +26,8 @@ void validate(const GuardConfig& config) {
               "guard config: recovery window must be >= 1 slot");
 }
 
-GuardController::GuardController(
-    const device::ClusterSpec& cluster, const GuardConfig& config,
-    std::shared_ptr<const predictor::LatencyPredictor> predictor)
+GuardController::GuardController(const device::ClusterSpec& cluster,
+                                 const GuardConfig& config)
     : config_(config),
       apps_(cluster.num_apps()),
       devices_(cluster.num_devices()),
@@ -42,9 +41,7 @@ GuardController::GuardController(
     for (int i = 0; i < apps_; ++i) {
       const int J = cluster.zoo().num_variants(i);
       for (int j = 0; j < J; ++j) {
-        gamma_s_[gamma_index(k, i, j)] =
-            predictor ? predictor->predict_gamma_s(k, i, j)
-                      : cluster.gamma_s(k, i, j);
+        gamma_s_[gamma_index(k, i, j)] = cluster.gamma_s(k, i, j);
       }
     }
   }

@@ -20,13 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "birp/device/cluster.hpp"
 #include "birp/guard/breaker.hpp"
 #include "birp/guard/config.hpp"
-#include "birp/predictor/latency_predictor.hpp"
 #include "birp/sim/scheduler.hpp"
 #include "birp/util/grid.hpp"
 
@@ -34,12 +32,10 @@ namespace birp::guard {
 
 class GuardController {
  public:
-  /// `predictor` supplies the believed batch latencies for the admission
-  /// formula (the nn-Meter role); null falls back to the cluster's exact
-  /// gamma table (an oracle admission controller).
-  GuardController(
-      const device::ClusterSpec& cluster, const GuardConfig& config,
-      std::shared_ptr<const predictor::LatencyPredictor> predictor = nullptr);
+  /// The admission formula's believed batch latencies come from the
+  /// cluster's exact gamma table (an oracle admission controller).
+  GuardController(const device::ClusterSpec& cluster,
+                  const GuardConfig& config);
 
   [[nodiscard]] const GuardConfig& config() const noexcept { return config_; }
 

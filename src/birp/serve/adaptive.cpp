@@ -14,9 +14,8 @@ void validate(const AdaptiveBatcherConfig& config) {
   util::check(config.max_batch >= 1, "adaptive config: max_batch must be >= 1");
 }
 
-AdaptiveBatcher::AdaptiveBatcher(
-    const device::ClusterSpec& cluster, AdaptiveBatcherConfig config,
-    std::shared_ptr<const predictor::LatencyPredictor> predictor)
+AdaptiveBatcher::AdaptiveBatcher(const device::ClusterSpec& cluster,
+                                 AdaptiveBatcherConfig config)
     : config_(config),
       apps_(cluster.num_apps()),
       devices_(cluster.num_devices()),
@@ -33,9 +32,7 @@ AdaptiveBatcher::AdaptiveBatcher(
     for (int i = 0; i < apps_; ++i) {
       const int J = cluster.zoo().num_variants(i);
       for (int j = 0; j < J; ++j) {
-        gamma_s_[gamma_index(k, i, j)] =
-            predictor ? predictor->predict_gamma_s(k, i, j)
-                      : cluster.gamma_s(k, i, j);
+        gamma_s_[gamma_index(k, i, j)] = cluster.gamma_s(k, i, j);
       }
     }
   }
@@ -56,9 +53,8 @@ int AdaptiveBatcher::effective_target(int prior,
   const int base = std::max(1, prior);
   if (!config_.enabled) return base;
   int target = base;
-  if (config_.growth_backlog_factor > 0.0 &&
-      static_cast<double>(backlog) >=
-          config_.growth_backlog_factor * static_cast<double>(base)) {
+  if (static_cast<double>(backlog) >=
+      kGrowthBacklogFactor * static_cast<double>(base)) {
     target = static_cast<int>(std::min<std::int64_t>(
         backlog, static_cast<std::int64_t>(config_.max_batch)));
   }

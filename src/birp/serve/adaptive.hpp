@@ -7,7 +7,7 @@
 // a hard rule:
 //
 //   * grow — when the per-app backlog (buffered + upstream requests) is at
-//     least growth_backlog_factor times the prior, the launch target grows
+//     least kGrowthBacklogFactor (1.5) times the prior, the launch target grows
 //     toward the backlog, up to max_batch, so bursts drain in fewer, more
 //     TIR-efficient launches;
 //   * seal early — when the predicted completion of the held batch (the
@@ -27,11 +27,9 @@
 // in tests/property_test.cpp).
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "birp/device/cluster.hpp"
-#include "birp/predictor/latency_predictor.hpp"
 #include "birp/serve/batcher.hpp"
 #include "birp/serve/request.hpp"
 #include "birp/sim/validate.hpp"
@@ -50,6 +48,10 @@ enum class SealReason : int {
 };
 inline constexpr int kNumSealReasons = 6;
 
+/// Grow the launch target beyond the MILP prior when the per-app backlog is
+/// at least this multiple of the prior.
+inline constexpr double kGrowthBacklogFactor = 1.5;
+
 struct AdaptiveBatcherConfig {
   /// Off by default: plan() delegates to seal_batch and the serving engine
   /// is byte-identical to the fill-to-target build.
@@ -57,9 +59,6 @@ struct AdaptiveBatcherConfig {
   /// Deadline budget multiplier: a request's deadline is slack * slo.
   /// > 1 tolerates prediction error, < 1 seals more aggressively.
   double slack = 1.0;
-  /// Grow the launch target beyond the MILP prior when the per-app backlog
-  /// is at least this multiple of the prior. <= 0 disables growth.
-  double growth_backlog_factor = 1.5;
   /// Hard cap on any launch; growth never exceeds it and the engine clamps
   /// it to sim::kMaxKernelBatch (the validator's kernel cap).
   int max_batch = sim::kMaxKernelBatch;
@@ -84,12 +83,10 @@ struct BatchPlan {
 
 class AdaptiveBatcher {
  public:
-  /// `predictor` supplies believed serial latencies (the nn-Meter role);
-  /// null falls back to the cluster's exact gamma table. Shared with the
-  /// guard layer's admission gate in ServeEngine.
-  AdaptiveBatcher(
-      const device::ClusterSpec& cluster, AdaptiveBatcherConfig config,
-      std::shared_ptr<const predictor::LatencyPredictor> predictor = nullptr);
+  /// Believed serial latencies come from the cluster's gamma table, as in
+  /// the guard layer's admission gate.
+  AdaptiveBatcher(const device::ClusterSpec& cluster,
+                  AdaptiveBatcherConfig config);
 
   [[nodiscard]] const AdaptiveBatcherConfig& config() const noexcept {
     return config_;

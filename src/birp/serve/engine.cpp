@@ -33,7 +33,7 @@ ServeEngine::ServeEngine(const device::ClusterSpec& cluster,
     : cluster_(cluster),
       trace_(trace),
       config_(config),
-      batcher_(cluster, config.adaptive, config.guard_predictor),
+      batcher_(cluster, config.adaptive),
       pool_(config.threads <= 0 ? 0 : static_cast<std::size_t>(config.threads)),
       driver_(cluster, trace, config_.fault_plan, config_.failover) {
   util::check(config_.noise_sigma >= 0.0, "ServeEngine: negative noise");
@@ -42,7 +42,7 @@ ServeEngine::ServeEngine(const device::ClusterSpec& cluster,
               "ServeEngine: negative queue capacity (0 = unbounded)");
   guard::validate(config_.guard);
   if (config_.guard.any_enabled()) {
-    guard_.emplace(cluster, config_.guard, config_.guard_predictor);
+    guard_.emplace(cluster, config_.guard);
   }
   const auto I = static_cast<std::size_t>(cluster.num_apps());
   const auto K = static_cast<std::size_t>(cluster.num_devices());

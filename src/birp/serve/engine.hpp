@@ -45,7 +45,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -54,7 +53,6 @@
 #include "birp/fault/fault_plan.hpp"
 #include "birp/guard/controller.hpp"
 #include "birp/metrics/run_metrics.hpp"
-#include "birp/predictor/latency_predictor.hpp"
 #include "birp/runtime/thread_pool.hpp"
 #include "birp/serve/adaptive.hpp"
 #include "birp/serve/queue.hpp"
@@ -97,10 +95,6 @@ struct ServeConfig {
   /// circuit breakers, and the graceful-degradation ladder. All-default =
   /// disabled, and the engine is byte-identical to a guard-free build.
   guard::GuardConfig guard;
-  /// Believed batch latencies for the admission formula (the nn-Meter
-  /// role); null = the cluster's exact gamma table. Shared with the
-  /// adaptive batcher's latency curves.
-  std::shared_ptr<const predictor::LatencyPredictor> guard_predictor;
   /// SLO-aware adaptive batching (serve/adaptive.hpp): the MILP batch size
   /// becomes a per-slot prior the runtime seals early / grows around. All-
   /// default = disabled, and batch assembly is byte-identical to the

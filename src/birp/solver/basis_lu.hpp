@@ -17,8 +17,10 @@
 // applies the transposed etas in reverse (y := B^{-T} y, used for duals and
 // pricing). `should_refactorize` triggers a rebuild when the eta file has
 // grown past the point where a fresh factorization is cheaper than dragging
-// the file through every solve — eta growth is also where numerical drift
-// accumulates, so the trigger doubles as the drift bound.
+// the file through every solve: after kRefactorInterval updates, or earlier
+// once the update etas' fill outgrows the factorization's. Eta growth is
+// also where numerical drift accumulates, so the trigger doubles as the
+// drift bound.
 //
 // A BasisLu is a plain value: copying it copies the eta file, update count
 // included, which is how a branch-and-bound child inherits its parent's
@@ -37,6 +39,9 @@ namespace birp::solver {
 /// transformed column's (or pivot row's) infinity norm. The LU below and the
 /// simplex ratio tests (simplex.cpp) share it.
 inline constexpr double kPivotTolerance = 1e-9;
+
+/// Eta updates appended before the basis is refactorized from scratch.
+inline constexpr int kRefactorInterval = 96;
 
 class BasisLu {
  public:
@@ -66,18 +71,15 @@ class BasisLu {
   /// column's magnitude; the caller should refactorize instead.
   [[nodiscard]] bool update(std::span<const double> alpha, int pivot_row);
 
-  /// Eta-file growth trigger: true once `interval` updates have been
+  /// Eta-file growth trigger: true once kRefactorInterval updates have been
   /// appended since the last factorization, or the update etas' fill
-  /// exceeds the factorization's own size.
-  [[nodiscard]] bool should_refactorize(int interval) const noexcept {
-    return updates_since_factor_ >= interval ||
+  /// exceeds twice the factorization's own size.
+  [[nodiscard]] bool should_refactorize() const noexcept {
+    return updates_since_factor_ >= kRefactorInterval ||
            update_nnz_ > 2 * (factor_nnz_ + static_cast<std::int64_t>(rows_));
   }
 
   [[nodiscard]] int rows() const noexcept { return rows_; }
-  [[nodiscard]] int updates_since_factor() const noexcept {
-    return updates_since_factor_;
-  }
   [[nodiscard]] std::int64_t factor_pivots() const noexcept {
     return factor_pivots_;
   }
@@ -87,7 +89,6 @@ class BasisLu {
   [[nodiscard]] std::int64_t structural_factor_pivots() const noexcept {
     return structural_factor_pivots_;
   }
-  [[nodiscard]] std::size_t eta_count() const noexcept { return etas_.size(); }
 
   /// Zeroes the elimination counters, keeping the eta file and its update
   /// count. A copy inherited from a parent LP starts its own tally here, so

@@ -45,6 +45,9 @@ constexpr double kDualPickTie = 1e-9;
 /// Phase II removes the perturbation in a few pivots.
 constexpr double kRepairPerturbation = 1e-6;
 
+/// Consecutive degenerate pivots before pricing switches to Bland's rule.
+constexpr int kStallThreshold = 40;
+
 /// Deterministic spread in [1, 2) for column j's perturbation (Fibonacci
 /// hashing): distinct columns get distinct steps, with no RNG state.
 double perturbation_spread(int j) {
@@ -382,10 +385,10 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
 
   while (true) {
     if (++iterations_ > iteration_limit_) return SolveStatus::IterationLimit;
-    if (lu_.should_refactorize(options_.refactor_interval) && !refactorize()) {
+    if (lu_.should_refactorize() && !refactorize()) {
       return SolveStatus::IterationLimit;  // numerically singular basis
     }
-    const bool bland = stalled >= options_.stall_threshold;
+    const bool bland = stalled >= kStallThreshold;
 
     // --- Pricing: pick an entering column with a profitable direction. ---
     compute_duals(costs);
@@ -491,7 +494,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       std::min(iteration_limit_, iterations_ + form_->rows + 100);
   while (true) {
     if (++iterations_ > repair_limit) return Repair::Stall;
-    if (lu_.should_refactorize(options_.refactor_interval) && !refactorize()) {
+    if (lu_.should_refactorize() && !refactorize()) {
       return Repair::Singular;  // numerically singular basis: distrust it
     }
 

@@ -5,14 +5,17 @@
 // infinite upper bounds. Two phases: Phase I drives artificial variables to
 // zero; Phase II optimizes the real objective. Nonbasic variables sit at a
 // bound; bound flips are handled without basis changes. Dantzig pricing with
-// a Bland's-rule fallback guards against cycling under degeneracy.
+// a Bland's-rule fallback (after 40 consecutive degenerate pivots) guards
+// against cycling under degeneracy.
 //
 // The engine is a revised simplex over a compressed-sparse-column snapshot
 // of the standard form (standard_form.hpp). The basis is held as a
 // product-form LU factorization (basis_lu.hpp) built with threshold partial
 // pivoting; each pivot appends one eta, and the file is rebuilt when it
-// outgrows the refactorization trigger. Pricing, the ratio test, and the
-// dual-repair path work off BTRAN/FTRAN solves, so a pivot costs O(nnz)
+// outgrows the refactorization trigger (BasisLu::should_refactorize: 96
+// updates, or update fill past twice the factorization's). Pricing, the
+// ratio test, and the dual-repair path work off BTRAN/FTRAN solves, so a
+// pivot costs O(nnz)
 // rather than O(rows * cols) — this is what lets the slot problem scale to
 // hundred-edge clusters. Phase I/II pricing solves for the duals afresh each
 // iteration; the dual repair instead updates its reduced costs along the
@@ -66,12 +69,6 @@ namespace birp::solver {
 struct SimplexOptions {
   /// Pivot budget; <= 0 means automatic (scales with problem size).
   std::int64_t max_iterations = 0;
-  /// Consecutive degenerate pivots before switching to Bland's rule.
-  int stall_threshold = 40;
-  /// Eta updates appended before the basis is refactorized from scratch
-  /// (the file is also rebuilt early when its fill outgrows the
-  /// factorization; see BasisLu::should_refactorize).
-  int refactor_interval = 96;
 };
 
 /// Solves the LP relaxation of `model` (integrality ignored).

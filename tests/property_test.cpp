@@ -324,7 +324,6 @@ TEST_P(AdaptiveBatcherFuzz, EffectiveTargetStaysWithinPriorAndCap) {
   const auto cluster = serve_cluster();
   serve::AdaptiveBatcherConfig config;
   config.enabled = true;
-  config.growth_backlog_factor = rng.uniform(0.5, 3.0);
   config.max_batch = static_cast<int>(rng.uniform_int(1, 64));
   serve::AdaptiveBatcher batcher(cluster, config);
   const int cap = batcher.config().max_batch;
@@ -338,7 +337,7 @@ TEST_P(AdaptiveBatcherFuzz, EffectiveTargetStaysWithinPriorAndCap) {
     // The target never shrinks below the (clamped) MILP prior...
     EXPECT_GE(target, std::clamp(std::max(1, prior), 1, cap));
     // ...and only grows past it when the backlog threshold is met.
-    const double threshold = config.growth_backlog_factor *
+    const double threshold = serve::kGrowthBacklogFactor *
                              static_cast<double>(std::max(1, prior));
     if (static_cast<double>(backlog) < threshold) {
       EXPECT_EQ(target, std::clamp(std::max(1, prior), 1, cap));
@@ -436,7 +435,6 @@ TEST_P(AdaptiveServeFuzz, EngineInvariantsHoldOnRandomTraces) {
   config.seed = static_cast<std::uint64_t>(GetParam()) * 7 + 1;
   config.keep_records = true;
   config.adaptive.enabled = true;
-  config.adaptive.growth_backlog_factor = 1.25;
   config.adaptive.max_batch = 24;
   core::BirpScheduler scheduler(cluster);
   serve::ServeEngine engine(cluster, trace, config);

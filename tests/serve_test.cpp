@@ -603,8 +603,8 @@ TEST_F(AdaptiveBatcherFixture, ConfigValidationRejectsGarbage) {
 }
 
 TEST_F(AdaptiveBatcherFixture, GrowthEngagesOnlyAboveBacklogThreshold) {
+  ASSERT_EQ(kGrowthBacklogFactor, 1.5);
   AdaptiveBatcherConfig config;
-  config.growth_backlog_factor = 1.5;
   config.max_batch = 16;
   const auto batcher = enabled_batcher(config);
   EXPECT_EQ(batcher.effective_target(4, 5), 4);    // below 1.5 * 4
@@ -681,7 +681,6 @@ TEST_F(ServeEngineFixture, BacklogGrowsBatchesBeyondTheKernelPrior) {
   config.max_batch_wait_fraction = -1.0;  // isolate growth from early seals
   config.keep_records = true;
   config.adaptive.enabled = true;
-  config.adaptive.growth_backlog_factor = 1.5;
   config.adaptive.max_batch = 16;
   // A huge slack keeps deadlines from binding, isolating the growth rule
   // from the utility/early-seal rules.
@@ -721,7 +720,6 @@ TEST_F(ServeEngineFixture, AdaptiveReplayIsDeterministic) {
     config.threads = threads;
     config.keep_records = true;
     config.adaptive.enabled = true;
-    config.adaptive.growth_backlog_factor = 1.25;
     LocalGreedyScheduler scheduler(cluster_);
     ServeEngine engine(cluster_, trace, config);
     metrics::RunMetrics metrics;
@@ -1132,7 +1130,6 @@ TEST_F(ServeEngineFixture, AdaptiveSteadyStateStaysAllocationFree) {
   ServeConfig config;
   config.threads = 1;
   config.adaptive.enabled = true;
-  config.adaptive.growth_backlog_factor = 1.25;
   config.adaptive.max_batch = 16;
   ServeEngine engine(cluster_, trace, config);
   LocalGreedyScheduler scheduler(cluster_);
