@@ -34,7 +34,6 @@ CellScheduler::CellScheduler(const device::ClusterSpec& cluster,
 
   specs_.reserve(static_cast<std::size_t>(partition_.cells()));
   cells_.reserve(static_cast<std::size_t>(partition_.cells()));
-  greedy_cells_.reserve(static_cast<std::size_t>(partition_.cells()));
   for (int c = 0; c < partition_.cells(); ++c) {
     specs_.push_back(std::make_unique<device::ClusterSpec>(cluster_.subcluster(
         partition_.members[static_cast<std::size_t>(c)])));
@@ -42,8 +41,6 @@ CellScheduler::CellScheduler(const device::ClusterSpec& cluster,
         config_.offline
             ? core::BirpScheduler::offline(*specs_.back(), config_.birp)
             : core::BirpScheduler(*specs_.back(), config_.birp)));
-    greedy_cells_.push_back(
-        std::make_unique<sched::GreedyLocalScheduler>(*specs_.back()));
   }
   if (config_.cell_threads > 0 && partition_.cells() > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(
@@ -161,8 +158,8 @@ sim::SlotDecision CellScheduler::decide(const sim::SlotState& state) {
 
   // 3. Solve cells — concurrently when a pool exists. Each future is
   //    collected in cell order, so the merge below is order-deterministic.
-  //    Watchdog-degraded cells skip their MILP entirely and serve the slot
-  //    with GreedyLocal (cheap and serial, so always on the calling thread).
+  //    Watchdog-degraded cells skip their MILP and answer with the fallback
+  //    planner.
   std::vector<std::uint8_t> degraded(static_cast<std::size_t>(cells), 0);
   if (config_.watchdog.enabled) {
     for (int c = 0; c < cells; ++c) {
@@ -170,32 +167,29 @@ sim::SlotDecision CellScheduler::decide(const sim::SlotState& state) {
           state.slot < degraded_until_[static_cast<std::size_t>(c)] ? 1 : 0;
     }
   }
+  const auto solve_cell = [this, &cell_states, &degraded](int c) {
+    auto& cell = *cells_[static_cast<std::size_t>(c)];
+    const auto& cell_state = cell_states[static_cast<std::size_t>(c)];
+    return degraded[static_cast<std::size_t>(c)] != 0
+               ? cell.plan_without_solver(cell_state)
+               : cell.decide(cell_state);
+  };
   std::vector<sim::SlotDecision> cell_decisions(
       static_cast<std::size_t>(cells));
   if (pool_ != nullptr) {
     std::vector<std::future<sim::SlotDecision>> futures(
         static_cast<std::size_t>(cells));
     for (int c = 0; c < cells; ++c) {
-      if (degraded[static_cast<std::size_t>(c)] != 0) continue;
-      futures[static_cast<std::size_t>(c)] = pool_->submit(
-          [this, c, &cell_states]() {
-            return cells_[static_cast<std::size_t>(c)]->decide(
-                cell_states[static_cast<std::size_t>(c)]);
-          });
+      futures[static_cast<std::size_t>(c)] =
+          pool_->submit([&solve_cell, c]() { return solve_cell(c); });
     }
     for (int c = 0; c < cells; ++c) {
       cell_decisions[static_cast<std::size_t>(c)] =
-          degraded[static_cast<std::size_t>(c)] != 0
-              ? degraded_decision(c, cell_states[static_cast<std::size_t>(c)])
-              : futures[static_cast<std::size_t>(c)].get();
+          futures[static_cast<std::size_t>(c)].get();
     }
   } else {
     for (int c = 0; c < cells; ++c) {
-      cell_decisions[static_cast<std::size_t>(c)] =
-          degraded[static_cast<std::size_t>(c)] != 0
-              ? degraded_decision(c, cell_states[static_cast<std::size_t>(c)])
-              : cells_[static_cast<std::size_t>(c)]->decide(
-                    cell_states[static_cast<std::size_t>(c)]);
+      cell_decisions[static_cast<std::size_t>(c)] = solve_cell(c);
     }
   }
 
@@ -268,28 +262,6 @@ sim::SlotDecision CellScheduler::decide(const sim::SlotState& state) {
     }
   }
   return merged;
-}
-
-sim::SlotDecision CellScheduler::degraded_decision(
-    int c, const sim::SlotState& cell_state) {
-  sim::SlotDecision decision =
-      greedy_cells_[static_cast<std::size_t>(c)]->decide(cell_state);
-  // GreedyLocal ignores the liveness mask (it predates faults), so mask down
-  // edges post-hoc: nothing served there, their demand is dropped. The
-  // baseline plans no flows, so this keeps conservation exact.
-  if (!cell_state.edge_up.empty()) {
-    for (int lk = 0; lk < decision.devices(); ++lk) {
-      if (cell_state.edge_up[static_cast<std::size_t>(lk)] != 0) continue;
-      for (int i = 0; i < decision.apps(); ++i) {
-        for (int j = 0; j < decision.max_variants(); ++j) {
-          decision.served(i, j, lk) = 0;
-          decision.kernel(i, j, lk) = 0;
-        }
-        decision.drops(i, lk) = cell_state.demand(i, lk);
-      }
-    }
-  }
-  return decision;
 }
 
 void CellScheduler::observe(const sim::SlotFeedback& feedback) {

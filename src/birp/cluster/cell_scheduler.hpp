@@ -10,7 +10,9 @@
 //      decision restricted to cell devices, edge_up subvector, guard hints
 //      subgrid — against each cell's own sub-ClusterSpec;
 //   3. cells solve concurrently on an optional runtime::ThreadPool, each
-//      with its own warm-start basis, TIR estimators, and fault mask;
+//      with its own warm-start basis, TIR estimators, and fault mask (a
+//      watchdog-degraded cell skips its MILP and answers with the fallback
+//      planner, BirpScheduler::plan_without_solver);
 //   4. cell decisions merge back into one global SlotDecision in fixed cell
 //      order, with balancer moves appended as real inter-cell Flows so
 //      conservation and network accounting stay exact under
@@ -32,7 +34,6 @@
 #include "birp/core/birp_scheduler.hpp"
 #include "birp/device/cluster.hpp"
 #include "birp/runtime/thread_pool.hpp"
-#include "birp/sched/greedy_local.hpp"
 #include "birp/sim/scheduler.hpp"
 
 namespace birp::cluster {
@@ -41,12 +42,14 @@ namespace birp::cluster {
 /// being real-time. A cell "overruns" a slot when its solve spends more than
 /// pivot_budget simplex pivots (the deterministic proxy for wall-clock: the
 /// solver is deterministic, so the pivot count is a pure function of the
-/// inputs and never of thread timing) or lands in the greedy fallback.
+/// inputs and never of thread timing) or lands in the solver fallback.
 /// strike_threshold consecutive overruns trip the breaker: the cell serves
-/// its next degraded_slots slots with GreedyLocal (serve locally, most
-/// accurate model that fits, drop overflow, honoring the liveness mask),
-/// then the MILP is retried. Tripping never touches the cell's warm-start or
-/// estimator state, so recovery resumes where the cell left off.
+/// its next degraded_slots slots with the fallback planner alone
+/// (BirpScheduler::plan_without_solver: no flows, local serving
+/// lightest-first, accuracy upgrades, honouring liveness, ladder caps and
+/// breaker hints), then the MILP is retried. Tripping never touches the
+/// cell's warm-start or estimator state, so recovery resumes where the cell
+/// left off.
 struct CellWatchdogConfig {
   bool enabled = false;
   /// Max simplex pivots one cell solve may spend before it counts as an
@@ -54,7 +57,7 @@ struct CellWatchdogConfig {
   std::int64_t pivot_budget = 200000;
   /// Consecutive overruns before the cell is degraded.
   int strike_threshold = 2;
-  /// Slots a tripped cell serves with GreedyLocal before retrying the MILP.
+  /// Slots a tripped cell serves without the MILP before retrying it.
   int degraded_slots = 8;
 };
 
@@ -82,7 +85,7 @@ class CellScheduler : public sim::Scheduler {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] sim::SlotDecision decide(const sim::SlotState& state) override;
   void observe(const sim::SlotFeedback& feedback) override;
-  /// Sum of the cells' greedy-fallback slot counts.
+  /// Sum of the cells' solver-fallback slot counts.
   [[nodiscard]] std::int64_t fallback_count() const noexcept override;
 
   [[nodiscard]] const Partition& partition() const noexcept {
@@ -123,9 +126,6 @@ class CellScheduler : public sim::Scheduler {
   /// keeps only flows with both endpoints inside the cell.
   [[nodiscard]] sim::SlotDecision restrict_decision(
       const sim::SlotDecision& full, const std::vector<int>& members) const;
-  /// One degraded (GreedyLocal) cell slot, with down edges masked post-hoc.
-  [[nodiscard]] sim::SlotDecision degraded_decision(
-      int c, const sim::SlotState& cell_state);
 
   const device::ClusterSpec& cluster_;
   Partition partition_;
@@ -135,8 +135,6 @@ class CellScheduler : public sim::Scheduler {
   /// ClusterSpec for its whole lifetime.
   std::vector<std::unique_ptr<device::ClusterSpec>> specs_;
   std::vector<std::unique_ptr<core::BirpScheduler>> cells_;
-  /// GreedyLocal twins for watchdog-degraded slots (stateless per slot).
-  std::vector<std::unique_ptr<sched::GreedyLocalScheduler>> greedy_cells_;
   InterCellBalancer balancer_;
   std::unique_ptr<runtime::ThreadPool> pool_;
   /// Per-decide scratch kept as members so the per-cell SlotState pointers
@@ -148,7 +146,7 @@ class CellScheduler : public sim::Scheduler {
   std::vector<std::int64_t> last_pivots_;
   std::vector<std::int64_t> last_fallbacks_;
   std::vector<int> strikes_;
-  std::vector<int> degraded_until_;  ///< cell serves GreedyLocal while slot <
+  std::vector<int> degraded_until_;  ///< cell skips its MILP while slot <
   std::int64_t watchdog_trips_ = 0;
   std::int64_t degraded_cell_slots_ = 0;
 };

@@ -1,7 +1,7 @@
 #include "birp/core/birp_scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "birp/util/check.hpp"
 
@@ -74,7 +74,8 @@ void BirpScheduler::invalidate_warm_start() {
   prev_values_.clear();
 }
 
-sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
+BirpScheduler::SlotProblem BirpScheduler::build_problem(
+    const sim::SlotState& state) {
   slot_ = state.slot;
   // Beliefs are fixed for the slot, but build, heuristic and extract look
   // them up thousands of times (each online lookup computes three LCB
@@ -89,9 +90,6 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
       }
     }
   }
-  const TirLookup lookup = [this](int k, int i, int j) {
-    return believed_[estimator_index(k, i, j)];
-  };
 
   // Graceful degradation: when the heartbeat view reports down edges, the
   // slot problem is rebuilt with their capacity masked to zero, so the IP
@@ -104,9 +102,35 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
     options.avoid_import = state.hints->avoid_import;
     options.variant_cap = state.hints->variant_cap;
   }
+  BuiltProblem problem = build_slot_problem(
+      cluster_, state.demand, state.previous, believed_lookup(), options);
+  return {std::move(options), std::move(problem)};
+}
 
-  const BuiltProblem problem = build_slot_problem(
-      cluster_, state.demand, state.previous, lookup, options);
+TirLookup BirpScheduler::believed_lookup() const {
+  return [this](int k, int i, int j) {
+    return believed_[estimator_index(k, i, j)];
+  };
+}
+
+sim::SlotDecision BirpScheduler::fallback_plan(
+    const SlotProblem& slot, const sim::SlotState& state) const {
+  const std::vector<double> zero(
+      static_cast<std::size_t>(slot.problem.model.num_variables()), 0.0);
+  return heuristic_decision(slot.problem, zero, cluster_, state.demand,
+                            state.previous, believed_lookup(), slot.options);
+}
+
+sim::SlotDecision BirpScheduler::plan_without_solver(
+    const sim::SlotState& state) {
+  return fallback_plan(build_problem(state), state);
+}
+
+sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
+  const SlotProblem slot = build_problem(state);
+  const BuiltProblem& problem = slot.problem;
+  const ProblemOptions& options = slot.options;
+  const TirLookup lookup = believed_lookup();
 
   // The BIRP-aware round-and-repair heuristic seeds branch-and-bound with
   // feasible incumbents, keeping the per-slot solve real-time.
@@ -147,7 +171,7 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
   if (!solution.basis.empty()) prev_basis_ = solution.basis;
   if (!solution.usable()) {
     ++fallbacks_;
-    return greedy_fallback(state);
+    return fallback_plan(slot, state);
   }
   prev_values_ = solution.values;
   return extract_decision(problem, solution, cluster_, state.demand);
@@ -159,70 +183,6 @@ void BirpScheduler::observe(const sim::SlotFeedback& feedback) {
     estimators_[estimator_index(obs.device, obs.app, obs.variant)].update(
         obs.observed_tir, obs.batch, feedback.slot);
   }
-}
-
-sim::SlotDecision BirpScheduler::greedy_fallback(
-    const sim::SlotState& state) const {
-  // Serve every region locally: fill variants smallest-first at the believed
-  // saturated batch size while the believed compute budget lasts; the rest
-  // is dropped. Deliberately simple — this is a liveness net, not a policy.
-  const int I = cluster_.num_apps();
-  const int K = cluster_.num_devices();
-  sim::SlotDecision decision(I, cluster_.zoo().max_variants(), K);
-
-  for (int k = 0; k < K; ++k) {
-    if (!state.is_up(k)) {
-      // Down edge: its region's demand has nowhere to go in fallback mode.
-      for (int i = 0; i < I; ++i) decision.drops(i, k) = state.demand(i, k);
-      continue;
-    }
-    double compute_left = cluster_.tau_s();
-    double weights_used = 0.0;
-    double peak_mu = 0.0;
-    const double memory_mb = cluster_.memory_mb(k);
-    for (int i = 0; i < I; ++i) {
-      std::int64_t remaining = state.demand(i, k);
-      const int J = cluster_.zoo().num_variants(i);
-      for (int j = 0; j < J && remaining > 0; ++j) {
-        if (!state.variant_allowed(i, j)) continue;
-        const auto believed = believed_tir(k, i, j);
-        const auto& variant = cluster_.zoo().variant(i, j);
-        const int kernel_cap = launch_kernel_cap(
-            cluster_, config_.problem.max_batch, believed.beta, k, i, j);
-        const int cap =
-            kernel_cap * std::max(1, config_.problem.launch_multiplier);
-        const double gamma = config_.problem.gamma_lookup
-                                 ? config_.problem.gamma_lookup(k, i, j)
-                                 : cluster_.gamma_s(k, i, j);
-
-        // Largest batch fitting the believed compute budget and the
-        // time-sliced memory model (weights sum + peak in-flight batch).
-        const double weights_after = weights_used + variant.weights_mb;
-        if (weights_after + peak_mu > memory_mb) continue;
-        const auto memory_allowed = static_cast<std::int64_t>(std::floor(
-            (memory_mb - weights_after) / variant.intermediate_mb));
-        const auto compute_allowed = static_cast<std::int64_t>(std::floor(
-            (compute_left / gamma - believed.eta) / (1.0 - believed.eta)));
-        const auto take =
-            std::min({remaining, static_cast<std::int64_t>(cap),
-                      memory_allowed, compute_allowed});
-        if (take <= 0) continue;
-
-        compute_left -=
-            gamma * ((1.0 - believed.eta) * static_cast<double>(take) +
-                     believed.eta);
-        weights_used = weights_after;
-        peak_mu = std::max(
-            peak_mu, variant.intermediate_mb * static_cast<double>(take));
-        decision.served(i, j, k) = take;
-        decision.kernel(i, j, k) = static_cast<int>(
-            std::min<std::int64_t>(take, kernel_cap));
-        remaining -= take;
-      }
-      decision.drops(i, k) = remaining;
-    }
-  }
-  return decision;
 }
 
 }  // namespace birp::core

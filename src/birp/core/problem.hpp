@@ -129,12 +129,25 @@ struct BuiltProblem {
     const sim::SlotDecision* previous, const TirLookup& tir,
     const ProblemOptions& options = {});
 
-/// Problem-specific primal heuristic for the branch-and-bound solver: turns
-/// a fractional LP point into a feasible integral candidate by extracting a
-/// decision, then repairing memory, believed-compute, and network overruns
-/// (shedding the least amount of serving necessary). Returns an empty
-/// vector when repair fails. This is what makes the per-slot MILP solvable
-/// in real time at small node budgets.
+/// Round-and-repair planner: keeps the flows of the LP point `lp_values`
+/// (rounded and matched), rebuilds each edge's serving plan under memory,
+/// believed-compute and network budgets (the LP's variant allocation first,
+/// then the lightest variants, then accuracy upgrades), and ends with
+/// sim::validate_and_repair. Down edges and variants above the ladder cap
+/// serve nothing. From the all-zero point it plans no flows and serves each
+/// region locally: the slot's fallback when the MILP returns nothing usable
+/// or is not run at all.
+[[nodiscard]] sim::SlotDecision heuristic_decision(
+    const BuiltProblem& problem, std::span<const double> lp_values,
+    const device::ClusterSpec& cluster,
+    const util::Grid2<std::int64_t>& demand,
+    const sim::SlotDecision* previous, const TirLookup& tir,
+    const ProblemOptions& options);
+
+/// Problem-specific primal heuristic for the branch-and-bound solver:
+/// heuristic_decision's plan as model-variable values, or an empty vector
+/// when `lp_values` does not match the problem. This is what makes the
+/// per-slot MILP solvable in real time at small node budgets.
 [[nodiscard]] std::vector<double> heuristic_incumbent(
     const BuiltProblem& problem, std::span<const double> lp_values,
     const device::ClusterSpec& cluster,

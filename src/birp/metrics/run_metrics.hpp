@@ -48,7 +48,7 @@ class RunMetrics {
   /// utility). The metrics layer treats the reason as an opaque bucket.
   void record_batch_seals(int reason, std::int64_t count);
   /// Sets the scheduler's cumulative degraded-mode fallback count for the
-  /// run (e.g. BIRP's greedy net when the MILP solve fails).
+  /// run (e.g. BIRP's fallback plan when the MILP returns nothing usable).
   void set_solver_fallbacks(std::int64_t count) noexcept {
     solver_fallbacks_ = count;
   }

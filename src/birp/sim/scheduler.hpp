@@ -119,8 +119,9 @@ class Scheduler {
   virtual void observe(const SlotFeedback& feedback) { (void)feedback; }
 
   /// How many slots this scheduler answered with a degraded-mode fallback
-  /// decision (e.g. BIRP's greedy net when the MILP solve fails). Surfaced
-  /// through RunMetrics so degraded slots are observable in reports.
+  /// decision (e.g. BIRP's fallback plan when the MILP returns nothing
+  /// usable). Surfaced through RunMetrics so degraded slots are observable
+  /// in reports.
   [[nodiscard]] virtual std::int64_t fallback_count() const noexcept {
     return 0;
   }
