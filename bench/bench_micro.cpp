@@ -19,7 +19,7 @@ birp::solver::Model random_lp(int vars, int rows, std::uint64_t seed) {
   birp::util::Xoshiro256StarStar rng(seed);
   birp::solver::Model model;
   for (int v = 0; v < vars; ++v) {
-    model.add_continuous("v" + std::to_string(v), 0.0, rng.uniform(1.0, 10.0));
+    model.add_continuous(0.0, rng.uniform(1.0, 10.0));
     model.set_objective(v, rng.uniform(-1.0, 1.0));
   }
   for (int r = 0; r < rows; ++r) {

@@ -28,11 +28,10 @@ int main() {
   int open[3];
   int flow[3][4];
   for (int s = 0; s < 3; ++s) {
-    open[s] = model.add_binary("open" + std::to_string(s));
+    open[s] = model.add_binary();
     model.set_objective(open[s], open_cost[s]);
     for (int z = 0; z < 4; ++z) {
-      flow[s][z] = model.add_continuous(
-          "f" + std::to_string(s) + std::to_string(z), 0.0, demand[z]);
+      flow[s][z] = model.add_continuous(0.0, demand[z]);
       model.set_objective(flow[s][z], serve_cost[s][z]);
     }
   }

@@ -46,7 +46,7 @@ core::BuiltProblem build_oaei_problem(
   // Peak working-set per edge (serial execution -> batch-1 footprints).
   for (int k = 0; k < K; ++k) {
     built.w[static_cast<std::size_t>(k)] =
-        model.add_continuous("w_k" + std::to_string(k), 0.0, solver::kInfinity);
+        model.add_continuous(0.0, solver::kInfinity);
   }
 
   // Cluster-wide demand per app bounds any single deployment's share.
@@ -63,17 +63,15 @@ core::BuiltProblem build_oaei_problem(
     for (int j = 0; j < J; ++j) {
       const auto& variant = cluster.zoo().variant(i, j);
       for (int k = 0; k < K; ++k) {
-        const std::string tag = "_i" + std::to_string(i) + "j" +
-                                std::to_string(j) + "k" + std::to_string(k);
-        built.x(i, j, k) = model.add_continuous("x" + tag, 0.0, 1.0);
+        built.x(i, j, k) = model.add_continuous(0.0, 1.0);
         built.z(i, j, k) = model.add_continuous(
-            "n" + tag, 0.0, app_demand[static_cast<std::size_t>(i)]);
+            0.0, app_demand[static_cast<std::size_t>(i)]);
         model.set_objective(built.z(i, j, k), variant.loss);
         // n <= D_i * x : serving requires deployment.
         model.add_constraint(
             {{built.z(i, j, k), 1.0},
              {built.x(i, j, k), -app_demand[static_cast<std::size_t>(i)]}},
-            solver::Relation::LessEqual, 0.0, "link" + tag);
+            solver::Relation::LessEqual, 0.0);
       }
     }
   }
@@ -82,11 +80,10 @@ core::BuiltProblem build_oaei_problem(
     const double penalty =
         core::kDropPenaltyFactor * cluster.zoo().worst_loss(i);
     for (int k = 0; k < K; ++k) {
-      const std::string tag = "_i" + std::to_string(i) + "k" + std::to_string(k);
-      built.e(i, k) = model.add_continuous(
-          "e" + tag, 0.0, static_cast<double>(demand(i, k)));
-      built.m(i, k) = model.add_continuous("m" + tag, 0.0, solver::kInfinity);
-      built.d(i, k) = model.add_continuous("d" + tag, 0.0, solver::kInfinity);
+      built.e(i, k) =
+          model.add_continuous(0.0, static_cast<double>(demand(i, k)));
+      built.m(i, k) = model.add_continuous(0.0, solver::kInfinity);
+      built.d(i, k) = model.add_continuous(0.0, solver::kInfinity);
       model.set_objective(built.d(i, k), penalty);
     }
   }

@@ -2,25 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "birp/util/check.hpp"
 
 namespace birp::solver {
 
-int Model::add_variable(std::string name, double lower, double upper,
-                        VarType type) {
+int Model::add_variable(double lower, double upper, VarType type) {
   util::check(std::isfinite(lower), "variable lower bound must be finite");
-  util::check(lower <= upper, "variable bounds crossed: " + name);
+  util::check(lower <= upper, "variable bounds crossed");
   if (type == VarType::Binary) {
     util::check(lower >= 0.0 && upper <= 1.0, "binary bounds outside [0,1]");
   }
   VariableInfo info;
-  info.name = std::move(name);
   info.lower = lower;
   info.upper = upper;
   info.type = type;
-  variables_.push_back(std::move(info));
+  variables_.push_back(info);
   if (type != VarType::Continuous) ++integer_count_;
   return static_cast<int>(variables_.size()) - 1;
 }
@@ -31,57 +28,37 @@ void Model::set_objective(int var, double coeff) {
 }
 
 int Model::add_constraint(std::span<const Term> terms, Relation relation,
-                          double rhs, std::string name) {
+                          double rhs) {
   util::check(std::isfinite(rhs), "constraint rhs must be finite");
-  // Combine duplicate variables so the simplex sees each column once per row.
-  std::map<int, double> combined;
   for (const auto& term : terms) {
     util::check(term.var >= 0 && term.var < num_variables(),
                 "constraint references unknown variable");
     util::check(std::isfinite(term.coeff), "constraint coeff must be finite");
-    combined[term.var] += term.coeff;
   }
+  // Combine duplicate variables so the simplex sees each column once per row:
+  // the stable sort keeps duplicates in input order, so each sum adds them in
+  // that order.
+  std::vector<Term> sorted(terms.begin(), terms.end());
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Term& a, const Term& b) { return a.var < b.var; });
   Constraint constraint;
   constraint.relation = relation;
   constraint.rhs = rhs;
-  constraint.name = std::move(name);
-  constraint.terms.reserve(combined.size());
-  for (const auto& [var, coeff] : combined) {
-    if (coeff != 0.0) constraint.terms.push_back({var, coeff});
+  for (std::size_t t = 0; t < sorted.size();) {
+    Term combined = sorted[t];
+    for (++t; t < sorted.size() && sorted[t].var == combined.var; ++t) {
+      combined.coeff += sorted[t].coeff;
+    }
+    if (combined.coeff != 0.0) constraint.terms.push_back(combined);
   }
   constraints_.push_back(std::move(constraint));
   return static_cast<int>(constraints_.size()) - 1;
 }
 
 int Model::add_constraint(std::initializer_list<Term> terms, Relation relation,
-                          double rhs, std::string name) {
+                          double rhs) {
   return add_constraint(std::span<const Term>(terms.begin(), terms.size()),
-                        relation, rhs, std::move(name));
-}
-
-int Model::add_product(int binary_var, int int_var, std::string name) {
-  util::check(binary_var >= 0 && binary_var < num_variables(),
-              "add_product: bad binary index");
-  util::check(int_var >= 0 && int_var < num_variables(),
-              "add_product: bad integer index");
-  const auto& x = variables_[static_cast<std::size_t>(binary_var)];
-  const auto& b = variables_[static_cast<std::size_t>(int_var)];
-  util::check(x.type == VarType::Binary, "add_product: first factor not binary");
-  util::check(b.lower == 0.0, "add_product: integer factor must have lower 0");
-  util::check(std::isfinite(b.upper), "add_product: integer factor needs finite upper");
-  const double upper = b.upper;
-
-  if (name.empty()) name = "prod(" + x.name + "," + b.name + ")";
-  const int z = add_continuous(name, 0.0, upper);
-
-  // McCormick envelope — exact for binary x and b in [0, U].
-  add_constraint({{z, 1.0}, {binary_var, -upper}}, Relation::LessEqual, 0.0,
-                 name + ":le_Ux");
-  add_constraint({{z, 1.0}, {int_var, -1.0}}, Relation::LessEqual, 0.0,
-                 name + ":le_b");
-  add_constraint({{z, 1.0}, {int_var, -1.0}, {binary_var, -upper}},
-                 Relation::GreaterEqual, -upper, name + ":ge_b_minus_U");
-  return z;
+                        relation, rhs);
 }
 
 const VariableInfo& Model::variable(int index) const {

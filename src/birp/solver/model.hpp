@@ -5,14 +5,14 @@
 // against this API and handed to the simplex / branch-and-bound solvers.
 //
 // The "quadratic" structure of the paper's program comes exclusively from
-// products x·b of a binary and a bounded integer; `add_product` linearizes
-// those exactly (McCormick envelope, which is tight for binary × bounded),
-// so the whole program is solved as a MILP.
+// products x·b of a binary and a bounded integer. The slot problem never
+// materializes b: it serves z = x·b requests under z <= cap·x, which is
+// exact, so the whole program is solved as a MILP.
 #pragma once
 
 #include <limits>
+#include <initializer_list>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace birp::solver {
@@ -36,12 +36,10 @@ struct Constraint {
   std::vector<Term> terms;
   Relation relation = Relation::LessEqual;
   double rhs = 0.0;
-  std::string name;
 };
 
 /// Variable metadata.
 struct VariableInfo {
-  std::string name;
   double lower = 0.0;
   double upper = kInfinity;
   VarType type = VarType::Continuous;
@@ -55,33 +53,26 @@ class Model {
   /// Adds a variable; returns its index. `lower` must be finite (the simplex
   /// implementation requires finite lower bounds; all BIRP variables are
   /// naturally nonnegative).
-  int add_variable(std::string name, double lower, double upper, VarType type);
+  int add_variable(double lower, double upper, VarType type);
 
-  int add_continuous(std::string name, double lower, double upper) {
-    return add_variable(std::move(name), lower, upper, VarType::Continuous);
+  int add_continuous(double lower, double upper) {
+    return add_variable(lower, upper, VarType::Continuous);
   }
-  int add_integer(std::string name, double lower, double upper) {
-    return add_variable(std::move(name), lower, upper, VarType::Integer);
+  int add_integer(double lower, double upper) {
+    return add_variable(lower, upper, VarType::Integer);
   }
-  int add_binary(std::string name) {
-    return add_variable(std::move(name), 0.0, 1.0, VarType::Binary);
-  }
+  int add_binary() { return add_variable(0.0, 1.0, VarType::Binary); }
 
   /// Sets the minimization objective coefficient of `var`.
   void set_objective(int var, double coeff);
 
   /// Adds sum(terms) rel rhs; returns the constraint index. Terms referring
-  /// to the same variable are combined.
+  /// to the same variable are combined (summed in input order) and come out
+  /// in variable order, zero sums dropped.
   int add_constraint(std::span<const Term> terms, Relation relation,
-                     double rhs, std::string name = {});
+                     double rhs);
   int add_constraint(std::initializer_list<Term> terms, Relation relation,
-                     double rhs, std::string name = {});
-
-  /// Introduces z = binary_var * int_var exactly, where int_var has bounds
-  /// [0, U] with finite U. Returns the index of z (a continuous variable
-  /// whose integrality follows from the two factors). Adds:
-  ///   z <= U * x,   z <= b,   z >= b - U * (1 - x),   z >= 0.
-  int add_product(int binary_var, int int_var, std::string name = {});
+                     double rhs);
 
   [[nodiscard]] int num_variables() const noexcept {
     return static_cast<int>(variables_.size());

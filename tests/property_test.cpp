@@ -186,8 +186,8 @@ TEST_P(SolverPermutation, ObjectiveInvariantUnderVariableReordering) {
     std::vector<int> var_of(kVars);
     for (int p = 0; p < kVars; ++p) {
       const int v = order[static_cast<std::size_t>(p)];
-      var_of[static_cast<std::size_t>(v)] = model.add_integer(
-          "v" + std::to_string(v), 0.0, upper[static_cast<std::size_t>(v)]);
+      var_of[static_cast<std::size_t>(v)] =
+          model.add_integer(0.0, upper[static_cast<std::size_t>(v)]);
       model.set_objective(var_of[static_cast<std::size_t>(v)],
                           obj[static_cast<std::size_t>(v)]);
     }

@@ -27,9 +27,9 @@ constexpr double kTol = 1e-6;
 
 TEST(Model, VariableBookkeeping) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 5.0);
-  const int y = model.add_integer("y", 0.0, 10.0);
-  const int z = model.add_binary("z");
+  const int x = model.add_continuous(0.0, 5.0);
+  const int y = model.add_integer(0.0, 10.0);
+  const int z = model.add_binary();
   EXPECT_EQ(model.num_variables(), 3);
   EXPECT_EQ(model.variable(x).type, VarType::Continuous);
   EXPECT_EQ(model.variable(y).type, VarType::Integer);
@@ -39,7 +39,7 @@ TEST(Model, VariableBookkeeping) {
 
 TEST(Model, CombinesDuplicateTerms) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 1.0);
+  const int x = model.add_continuous(0.0, 1.0);
   model.add_constraint({{x, 1.0}, {x, 2.0}}, Relation::LessEqual, 3.0);
   ASSERT_EQ(model.constraint(0).terms.size(), 1u);
   EXPECT_DOUBLE_EQ(model.constraint(0).terms[0].coeff, 3.0);
@@ -47,10 +47,10 @@ TEST(Model, CombinesDuplicateTerms) {
 
 TEST(Model, RejectsBadInput) {
   Model model;
-  EXPECT_THROW(model.add_continuous("bad", 2.0, 1.0), std::logic_error);
-  EXPECT_THROW(model.add_variable("inf", -kInfinity, 1.0, VarType::Continuous),
+  EXPECT_THROW(model.add_continuous(2.0, 1.0), std::logic_error);
+  EXPECT_THROW(model.add_variable(-kInfinity, 1.0, VarType::Continuous),
                std::logic_error);
-  const int x = model.add_continuous("x", 0.0, 1.0);
+  const int x = model.add_continuous(0.0, 1.0);
   EXPECT_THROW(model.add_constraint({{x + 5, 1.0}}, Relation::Equal, 0.0),
                std::logic_error);
   EXPECT_THROW(model.set_objective(99, 1.0), std::logic_error);
@@ -58,33 +58,12 @@ TEST(Model, RejectsBadInput) {
 
 TEST(Model, ViolationMeasuresBoundsAndRows) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 1.0);
+  const int x = model.add_continuous(0.0, 1.0);
   model.add_constraint({{x, 1.0}}, Relation::LessEqual, 0.5);
   const std::vector<double> ok{0.25};
   const std::vector<double> bad{0.9};
   EXPECT_DOUBLE_EQ(model.max_violation(ok), 0.0);
   EXPECT_NEAR(model.max_violation(bad), 0.4, 1e-12);
-}
-
-TEST(Model, ProductLinearizationIsExactAtIntegerPoints) {
-  Model model;
-  const int x = model.add_binary("x");
-  const int b = model.add_integer("b", 0.0, 7.0);
-  const int z = model.add_product(x, b);
-  // For every integer (x, b) combination, z = x*b must be the only feasible z.
-  for (const double xv : {0.0, 1.0}) {
-    for (double bv = 0.0; bv <= 7.0; ++bv) {
-      const double expected = xv * bv;
-      std::vector<double> point{xv, bv, expected};
-      EXPECT_LE(model.max_violation(point), 1e-12)
-          << "x=" << xv << " b=" << bv;
-      if (xv == 1.0) {
-        std::vector<double> wrong{xv, bv, expected + 0.5};
-        EXPECT_GT(model.max_violation(wrong), 0.1);
-      }
-      (void)z;
-    }
-  }
 }
 
 // -------------------------------------------------------------- simplex ----
@@ -93,8 +72,8 @@ TEST(Simplex, SolvesTextbookLp) {
   // max 3a + 5b  s.t. a <= 4, 2b <= 12, 3a + 2b <= 18  (Dantzig's example)
   // => min -3a - 5b, optimum at (2, 6) with value -36.
   Model model;
-  const int a = model.add_continuous("a", 0.0, kInfinity);
-  const int b = model.add_continuous("b", 0.0, kInfinity);
+  const int a = model.add_continuous(0.0, kInfinity);
+  const int b = model.add_continuous(0.0, kInfinity);
   model.set_objective(a, -3.0);
   model.set_objective(b, -5.0);
   model.add_constraint({{a, 1.0}}, Relation::LessEqual, 4.0);
@@ -110,8 +89,8 @@ TEST(Simplex, SolvesTextbookLp) {
 TEST(Simplex, HandlesEqualityAndSurplus) {
   // min x + y  s.t. x + y = 10, x >= 3, y >= 2  => 10 with slackness.
   Model model;
-  const int x = model.add_continuous("x", 0.0, kInfinity);
-  const int y = model.add_continuous("y", 0.0, kInfinity);
+  const int x = model.add_continuous(0.0, kInfinity);
+  const int y = model.add_continuous(0.0, kInfinity);
   model.set_objective(x, 1.0);
   model.set_objective(y, 1.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 10.0);
@@ -127,8 +106,8 @@ TEST(Simplex, HandlesEqualityAndSurplus) {
 TEST(Simplex, RespectsUpperBoundsWithoutRows) {
   // min -x - 2y with x in [0,3], y in [0,4], x + y <= 5 => (1,4), -9.
   Model model;
-  const int x = model.add_continuous("x", 0.0, 3.0);
-  const int y = model.add_continuous("y", 0.0, 4.0);
+  const int x = model.add_continuous(0.0, 3.0);
+  const int y = model.add_continuous(0.0, 4.0);
   model.set_objective(x, -1.0);
   model.set_objective(y, -2.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 5.0);
@@ -142,8 +121,8 @@ TEST(Simplex, RespectsUpperBoundsWithoutRows) {
 TEST(Simplex, NonzeroLowerBounds) {
   // min x + y with x >= 2, y >= 1.5, x + y >= 5 => 5 at e.g. (3.5, 1.5).
   Model model;
-  const int x = model.add_continuous("x", 2.0, kInfinity);
-  const int y = model.add_continuous("y", 1.5, kInfinity);
+  const int x = model.add_continuous(2.0, kInfinity);
+  const int y = model.add_continuous(1.5, kInfinity);
   model.set_objective(x, 1.0);
   model.set_objective(y, 1.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 5.0);
@@ -154,7 +133,7 @@ TEST(Simplex, NonzeroLowerBounds) {
 
 TEST(Simplex, DetectsInfeasibility) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 1.0);
+  const int x = model.add_continuous(0.0, 1.0);
   model.add_constraint({{x, 1.0}}, Relation::GreaterEqual, 2.0);
   const auto solution = solve_lp(model);
   EXPECT_EQ(solution.status, SolveStatus::Infeasible);
@@ -162,7 +141,7 @@ TEST(Simplex, DetectsInfeasibility) {
 
 TEST(Simplex, DetectsUnboundedness) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, kInfinity);
+  const int x = model.add_continuous(0.0, kInfinity);
   model.set_objective(x, -1.0);
   const auto solution = solve_lp(model);
   EXPECT_EQ(solution.status, SolveStatus::Unbounded);
@@ -171,8 +150,8 @@ TEST(Simplex, DetectsUnboundedness) {
 TEST(Simplex, DegenerateProblemTerminates) {
   // Classic degenerate LP (multiple constraints active at the optimum).
   Model model;
-  const int x = model.add_continuous("x", 0.0, kInfinity);
-  const int y = model.add_continuous("y", 0.0, kInfinity);
+  const int x = model.add_continuous(0.0, kInfinity);
+  const int y = model.add_continuous(0.0, kInfinity);
   model.set_objective(x, -1.0);
   model.set_objective(y, -1.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 1.0);
@@ -185,7 +164,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
 
 TEST(Simplex, BoundOverridesShrinkFeasibleRegion) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 10.0);
+  const int x = model.add_continuous(0.0, 10.0);
   model.set_objective(x, -1.0);
   const std::vector<double> lower{0.0};
   const std::vector<double> upper{4.0};
@@ -196,7 +175,7 @@ TEST(Simplex, BoundOverridesShrinkFeasibleRegion) {
 
 TEST(Simplex, CrossedOverrideBoundsAreInfeasible) {
   Model model;
-  model.add_continuous("x", 0.0, 10.0);
+  model.add_continuous(0.0, 10.0);
   const std::vector<double> lower{5.0};
   const std::vector<double> upper{4.0};
   const auto solution = solve_lp(model, lower, upper);
@@ -205,8 +184,8 @@ TEST(Simplex, CrossedOverrideBoundsAreInfeasible) {
 
 TEST(Simplex, FixedVariablesPropagate) {
   Model model;
-  const int x = model.add_continuous("x", 3.0, 3.0);
-  const int y = model.add_continuous("y", 0.0, kInfinity);
+  const int x = model.add_continuous(3.0, 3.0);
+  const int y = model.add_continuous(0.0, kInfinity);
   model.set_objective(y, 1.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 7.0);
   const auto solution = solve_lp(model);
@@ -229,8 +208,7 @@ TEST_P(SimplexRandomLp, ReturnsFeasibleOptimum) {
   std::vector<double> cost(static_cast<std::size_t>(sources * sinks));
   for (int s = 0; s < sources; ++s) {
     for (int d = 0; d < sinks; ++d) {
-      const int var = model.add_continuous(
-          "f" + std::to_string(s) + "_" + std::to_string(d), 0.0, kInfinity);
+      const int var = model.add_continuous(0.0, kInfinity);
       flow[static_cast<std::size_t>(s)][static_cast<std::size_t>(d)] = var;
       const double c = rng.uniform(1.0, 10.0);
       cost[static_cast<std::size_t>(var)] = c;
@@ -301,8 +279,8 @@ TEST(SimplexDuals, KnownShadowPrices) {
   // Optimal basis has rows 2 and 3 binding; textbook duals for the max
   // problem are (0, 3/2, 1), i.e. (0, -3/2, -1) for our minimization.
   Model model;
-  const int a = model.add_continuous("a", 0.0, kInfinity);
-  const int b = model.add_continuous("b", 0.0, kInfinity);
+  const int a = model.add_continuous(0.0, kInfinity);
+  const int b = model.add_continuous(0.0, kInfinity);
   model.set_objective(a, -3.0);
   model.set_objective(b, -5.0);
   model.add_constraint({{a, 1.0}}, Relation::LessEqual, 4.0);
@@ -320,8 +298,8 @@ TEST(SimplexDuals, EqualityRowShadowPrice) {
   // min x + 2y s.t. x + y = 10, x <= 6. Optimum x=6, y=4, obj 14.
   // Raising the rhs by 1 adds one more y: dObj/drhs = 2.
   Model model;
-  const int x = model.add_continuous("x", 0.0, 6.0);
-  const int y = model.add_continuous("y", 0.0, kInfinity);
+  const int x = model.add_continuous(0.0, 6.0);
+  const int y = model.add_continuous(0.0, kInfinity);
   model.set_objective(x, 1.0);
   model.set_objective(y, 2.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 10.0);
@@ -344,7 +322,7 @@ TEST_P(DualPerturbation, DualsPredictRhsSensitivity) {
   constexpr int kRows = 4;
   Model model;
   for (int v = 0; v < kVars; ++v) {
-    model.add_continuous("v" + std::to_string(v), 0.0, rng.uniform(2.0, 6.0));
+    model.add_continuous(0.0, rng.uniform(2.0, 6.0));
     model.set_objective(v, rng.uniform(-2.0, 2.0));
   }
   std::vector<double> rhs(kRows);
@@ -371,7 +349,7 @@ TEST_P(DualPerturbation, DualsPredictRhsSensitivity) {
       Model copy;
       for (int v = 0; v < kVars; ++v) {
         const auto& info = model.variable(v);
-        copy.add_continuous(info.name, info.lower, info.upper);
+        copy.add_continuous(info.lower, info.upper);
         copy.set_objective(v, info.objective);
       }
       for (int rr = 0; rr < kRows; ++rr) {
@@ -406,9 +384,9 @@ TEST(BranchAndBound, SolvesKnapsack) {
   // max 60a + 100b + 120c s.t. 10a + 20b + 30c <= 50, binary.
   // Optimum: b + c = 220.
   Model model;
-  const int a = model.add_binary("a");
-  const int b = model.add_binary("b");
-  const int c = model.add_binary("c");
+  const int a = model.add_binary();
+  const int b = model.add_binary();
+  const int c = model.add_binary();
   model.set_objective(a, -60.0);
   model.set_objective(b, -100.0);
   model.set_objective(c, -120.0);
@@ -426,8 +404,8 @@ TEST(BranchAndBound, IntegerVariablesRoundCorrectly) {
   // min -x - y s.t. 2x + y <= 7.3, x + 3y <= 9.7, x,y integer >= 0.
   // LP optimum is fractional; integer optimum is checked by enumeration.
   Model model;
-  const int x = model.add_integer("x", 0.0, 10.0);
-  const int y = model.add_integer("y", 0.0, 10.0);
+  const int x = model.add_integer(0.0, 10.0);
+  const int y = model.add_integer(0.0, 10.0);
   model.set_objective(x, -1.0);
   model.set_objective(y, -1.0);
   model.add_constraint({{x, 2.0}, {y, 1.0}}, Relation::LessEqual, 7.3);
@@ -450,14 +428,14 @@ TEST(BranchAndBound, IntegerVariablesRoundCorrectly) {
 TEST(BranchAndBound, InfeasibleIntegerProblem) {
   // 0.4 <= x <= 0.6 has no integer point.
   Model model;
-  model.add_integer("x", 0.4, 0.6);
+  model.add_integer(0.4, 0.6);
   const auto solution = solve_milp(model);
   EXPECT_EQ(solution.status, SolveStatus::Infeasible);
 }
 
 TEST(BranchAndBound, PureLpPassesThrough) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 2.5);
+  const int x = model.add_continuous(0.0, 2.5);
   model.set_objective(x, -1.0);
   const auto solution = solve_milp(model);
   ASSERT_EQ(solution.status, SolveStatus::Optimal);
@@ -466,14 +444,24 @@ TEST(BranchAndBound, PureLpPassesThrough) {
 
 TEST(BranchAndBound, ProductBehavesInOptimization) {
   // min loss: pick model (binary x1/x2) and batch z to cover demand 5 with
-  // capacity favoring batching; z_i = x_i * b_i linearized via bounds.
+  // capacity favoring batching; z_i = x_i * b_i linearized by its McCormick
+  // envelope, exact for binary x and b in [0, U]:
+  //   z <= U x,   z <= b,   z >= b - U (1 - x).
   Model model;
-  const int x1 = model.add_binary("x1");
-  const int x2 = model.add_binary("x2");
-  const int b1 = model.add_integer("b1", 0.0, 8.0);
-  const int b2 = model.add_integer("b2", 0.0, 8.0);
-  const int z1 = model.add_product(x1, b1);
-  const int z2 = model.add_product(x2, b2);
+  const auto product = [&model](int x, int b, double upper) {
+    const int z = model.add_continuous(0.0, upper);
+    model.add_constraint({{z, 1.0}, {x, -upper}}, Relation::LessEqual, 0.0);
+    model.add_constraint({{z, 1.0}, {b, -1.0}}, Relation::LessEqual, 0.0);
+    model.add_constraint({{z, 1.0}, {b, -1.0}, {x, -upper}},
+                         Relation::GreaterEqual, -upper);
+    return z;
+  };
+  const int x1 = model.add_binary();
+  const int x2 = model.add_binary();
+  const int b1 = model.add_integer(0.0, 8.0);
+  const int b2 = model.add_integer(0.0, 8.0);
+  const int z1 = product(x1, b1, 8.0);
+  const int z2 = product(x2, b2, 8.0);
   // Cover exactly 5 requests.
   model.add_constraint({{z1, 1.0}, {z2, 1.0}}, Relation::Equal, 5.0);
   // Capacity: model 1 cheap but lossy; model 2 accurate but heavy.
@@ -503,7 +491,7 @@ TEST(BranchAndBound, NodeBudgetReturnsIncumbent) {
   util::Xoshiro256StarStar rng(99);
   std::vector<Term> row;
   for (int i = 0; i < 12; ++i) {
-    const int v = model.add_binary("v" + std::to_string(i));
+    const int v = model.add_binary();
     vars.push_back(v);
     model.set_objective(v, -rng.uniform(1.0, 2.0));
     row.push_back({v, rng.uniform(1.0, 4.0)});
@@ -528,7 +516,7 @@ TEST_P(MilpBruteForce, MatchesExhaustiveSearch) {
   Model model;
   std::vector<double> obj(kVars);
   for (int j = 0; j < kVars; ++j) {
-    model.add_integer("v" + std::to_string(j), 0.0, kUpper);
+    model.add_integer(0.0, kUpper);
     obj[static_cast<std::size_t>(j)] = rng.uniform(-5.0, 5.0);
     model.set_objective(j, obj[static_cast<std::size_t>(j)]);
   }
@@ -594,8 +582,8 @@ TEST(SimplexScaling, TinyUniformScalingStillPivots) {
   // misreported the problem as Unbounded.
   constexpr double kScale = 1e-10;
   Model model;
-  const int a = model.add_continuous("a", 0.0, kInfinity);
-  const int b = model.add_continuous("b", 0.0, kInfinity);
+  const int a = model.add_continuous(0.0, kInfinity);
+  const int b = model.add_continuous(0.0, kInfinity);
   model.set_objective(a, -3.0);
   model.set_objective(b, -5.0);
   model.add_constraint({{a, 1.0 * kScale}}, Relation::LessEqual, 4.0 * kScale);
@@ -616,8 +604,8 @@ TEST(SimplexScaling, HugeRhsPhaseOneIsNotSpuriouslyInfeasible) {
   // feasibility verdict must scale with |b|; an absolute 1e-6 cutoff reads
   // that residue as infeasibility.
   Model model;
-  const int x = model.add_continuous("x", 0.0, kInfinity);
-  const int y = model.add_continuous("y", 0.0, kInfinity);
+  const int x = model.add_continuous(0.0, kInfinity);
+  const int y = model.add_continuous(0.0, kInfinity);
   model.set_objective(x, 1.0);
   model.set_objective(y, 2.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::Equal, 3.0e9);
@@ -635,8 +623,8 @@ TEST(SimplexScaling, HugeCoefficientRowsKeepScaledDuals) {
   // deflates by the same factor. Pivot eligibility must track the column
   // magnitude or the mixed-scale ratio test picks noise pivots.
   Model model;
-  const int a = model.add_continuous("a", 0.0, kInfinity);
-  const int b = model.add_continuous("b", 0.0, kInfinity);
+  const int a = model.add_continuous(0.0, kInfinity);
+  const int b = model.add_continuous(0.0, kInfinity);
   model.set_objective(a, -3.0);
   model.set_objective(b, -5.0);
   model.add_constraint({{a, 1.0}}, Relation::LessEqual, 4.0);
@@ -657,10 +645,10 @@ TEST(SimplexCycling, BealeExampleTerminatesUnderBlandFallback) {
   // -0.05 = (0.04, 0, 1, 0), within a pivot budget far below the automatic
   // limit.
   Model model;
-  const int x1 = model.add_continuous("x1", 0.0, kInfinity);
-  const int x2 = model.add_continuous("x2", 0.0, kInfinity);
-  const int x3 = model.add_continuous("x3", 0.0, kInfinity);
-  const int x4 = model.add_continuous("x4", 0.0, kInfinity);
+  const int x1 = model.add_continuous(0.0, kInfinity);
+  const int x2 = model.add_continuous(0.0, kInfinity);
+  const int x3 = model.add_continuous(0.0, kInfinity);
+  const int x4 = model.add_continuous(0.0, kInfinity);
   model.set_objective(x1, -0.75);
   model.set_objective(x2, 150.0);
   model.set_objective(x3, -0.02);
@@ -705,7 +693,7 @@ struct SmallLp {
     for (int j = 0; j < kEnumVars; ++j) {
       const auto jj = static_cast<std::size_t>(j);
       const int var =
-          model.add_continuous("x" + std::to_string(j), lo[jj], hi[jj]);
+          model.add_continuous(lo[jj], hi[jj]);
       model.set_objective(var, cost[jj]);
     }
     for (int i = 0; i < kEnumRows; ++i) {

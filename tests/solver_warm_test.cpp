@@ -47,9 +47,7 @@ Model random_lp(std::uint64_t seed) {
   std::vector<std::vector<int>> flow(static_cast<std::size_t>(sources));
   for (int s = 0; s < sources; ++s) {
     for (int d = 0; d < sinks; ++d) {
-      const int var = model.add_continuous(
-          "f" + std::to_string(s) + "_" + std::to_string(d), 0.0,
-          rng.uniform(8.0, 25.0));
+      const int var = model.add_continuous(0.0, rng.uniform(8.0, 25.0));
       flow[static_cast<std::size_t>(s)].push_back(var);
       model.set_objective(var, rng.uniform(1.0, 10.0));
     }
@@ -87,7 +85,7 @@ Model random_milp(std::uint64_t seed) {
   const int n = 6;
   std::vector<int> vars;
   for (int j = 0; j < n; ++j) {
-    vars.push_back(model.add_integer("x" + std::to_string(j), 0.0, 3.0));
+    vars.push_back(model.add_integer(0.0, 3.0));
     model.set_objective(vars.back(), -rng.uniform(1.0, 6.0));
   }
   for (int c = 0; c < 3; ++c) {
@@ -118,8 +116,7 @@ Model degenerate_transport_lp(std::uint64_t seed, std::vector<double>& recost) {
   for (int s = 0; s < sources; ++s) {
     for (int d = 0; d < sinks; ++d) {
       const int var = model.add_continuous(
-          "f" + std::to_string(s) + "_" + std::to_string(d), 0.0,
-          static_cast<double>(rng.uniform_int(1, 5)));
+          0.0, static_cast<double>(rng.uniform_int(1, 5)));
       model.set_objective(var, cost());
     }
   }
@@ -195,8 +192,8 @@ TEST(WarmStart, UnflippableDualInfeasibleStartRepairsWarm) {
   // min 2x + y s.t. x + y >= 5, x in [0, inf), y in [0, 10]: the optimal
   // basis has y basic at 5 and x nonbasic at its lower bound.
   Model model;
-  const int x = model.add_continuous("x", 0.0, kInfinity);
-  const int y = model.add_continuous("y", 0.0, 10.0);
+  const int x = model.add_continuous(0.0, kInfinity);
+  const int y = model.add_continuous(0.0, 10.0);
   model.set_objective(x, 2.0);
   model.set_objective(y, 1.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 5.0);
@@ -274,7 +271,7 @@ TEST(WarmStart, ShapeMismatchFallsBackToCold) {
   ASSERT_EQ(donor.status, SolveStatus::Optimal);
 
   Model other = random_lp(4);
-  other.add_continuous("extra", 0.0, 1.0);  // different shape
+  other.add_continuous(0.0, 1.0);  // different shape
   const Solution sol = solve_lp(other, {}, {}, {}, &donor.basis, false);
   EXPECT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_FALSE(sol.warm_started);
@@ -285,8 +282,8 @@ TEST(WarmStart, SingularBasisFallsBackToCold) {
   // [[1,1],[1,1]], which is singular — the warm path must detect it during
   // refactorization and fall back without changing the answer.
   Model model;
-  const int x = model.add_continuous("x", 0.0, 5.0);
-  const int y = model.add_continuous("y", 0.0, 5.0);
+  const int x = model.add_continuous(0.0, 5.0);
+  const int y = model.add_continuous(0.0, 5.0);
   model.set_objective(x, -1.0);
   model.set_objective(y, -2.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 1.0);
@@ -303,8 +300,8 @@ TEST(WarmStart, SingularBasisFallsBackToCold) {
 
 TEST(WarmStart, DuplicateBasicColumnsRejected) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 5.0);
-  const int y = model.add_continuous("y", 0.0, 5.0);
+  const int x = model.add_continuous(0.0, 5.0);
+  const int y = model.add_continuous(0.0, 5.0);
   model.set_objective(x, -1.0);
   model.set_objective(y, -1.0);
   model.add_constraint({{x, 1.0}}, Relation::LessEqual, 2.0);
@@ -321,8 +318,8 @@ TEST(WarmStart, DuplicateBasicColumnsRejected) {
 
 TEST(WarmStart, InfeasibleChildIsDetectedOnWarmPath) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 10.0);
-  const int y = model.add_continuous("y", 0.0, 10.0);
+  const int x = model.add_continuous(0.0, 10.0);
+  const int y = model.add_continuous(0.0, 10.0);
   model.set_objective(x, 1.0);
   model.set_objective(y, 1.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 8.0);
@@ -442,8 +439,8 @@ TEST(BranchAndBound, IncumbentPrunesSiblingBeforeItsLpIsSolved) {
   // The first child returns the integral -1; with a 50% gap that incumbent
   // prunes the sibling (bound -1.5) when it is popped, before its LP runs.
   Model model;
-  const int x = model.add_binary("x");
-  const int y = model.add_binary("y");
+  const int x = model.add_binary();
+  const int y = model.add_binary();
   model.set_objective(x, -1.0);
   model.set_objective(y, -1.0);
   model.add_constraint({{x, 2.0}, {y, 2.0}}, Relation::LessEqual, 3.0);
@@ -463,7 +460,7 @@ TEST(BranchAndBound, SeedCandidateBecomesInitialIncumbent) {
   Model model;
   std::vector<Term> terms;
   for (int j = 0; j < 4; ++j) {
-    const int v = model.add_integer("x" + std::to_string(j), 0.0, 3.0);
+    const int v = model.add_integer(0.0, 3.0);
     model.set_objective(v, -1.0);
     terms.push_back({v, 1.0});
   }
@@ -637,8 +634,8 @@ TEST(WarmAccounting, SingularSeedChargesTheColdSolveOnce) {
   // counts exactly one cold solve) and charge the aborted factorization's
   // eliminations to the cold Solution exactly once.
   Model model;
-  const int x = model.add_continuous("x", 0.0, 5.0);
-  const int y = model.add_continuous("y", 0.0, 5.0);
+  const int x = model.add_continuous(0.0, 5.0);
+  const int y = model.add_continuous(0.0, 5.0);
   model.set_objective(x, -1.0);
   model.set_objective(y, -2.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 1.0);
@@ -701,8 +698,8 @@ TEST(WarmAccounting, PhaseTwoLimitIsItsOwnGiveUpReason) {
 TEST(WarmAccounting, MilpSumsGiveUpsOfItsNodeLps) {
   // The root LP's seed basis is singular; the MILP reports that one give-up.
   Model model;
-  const int x = model.add_binary("x");
-  const int y = model.add_binary("y");
+  const int x = model.add_binary();
+  const int y = model.add_binary();
   model.set_objective(x, -1.0);
   model.set_objective(y, -2.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::LessEqual, 1.0);
@@ -835,8 +832,8 @@ TEST(LiveState, ChildrenResumeWithoutRefactorizing) {
   // y at 1 and x at 0.75, so it branches once; both children are integral
   // (x = 0: -2, x = 1: -4) and the tree is exactly root + two children.
   Model model;
-  const int x = model.add_binary("x");
-  const int y = model.add_continuous("y", 0.0, 1.0);
+  const int x = model.add_binary();
+  const int y = model.add_continuous(0.0, 1.0);
   model.set_objective(x, -3.0);
   model.set_objective(y, -2.0);
   model.add_constraint({{x, 2.0}, {y, 1.0}}, Relation::LessEqual, 2.5);
@@ -874,8 +871,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LiveStateRandomMilp, ::testing::Range(1, 21));
 
 TEST(LiveState, InfeasibleChildReturnsThroughResume) {
   Model model;
-  const int x = model.add_continuous("x", 0.0, 10.0);
-  const int y = model.add_continuous("y", 0.0, 10.0);
+  const int x = model.add_continuous(0.0, 10.0);
+  const int y = model.add_continuous(0.0, 10.0);
   model.set_objective(x, 1.0);
   model.set_objective(y, 2.0);
   model.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::GreaterEqual, 8.0);
@@ -944,7 +941,7 @@ TEST(LiveState, DeepSearchHoldsAtMostTheCap) {
   Model model;
   std::vector<Term> terms;
   for (int j = 0; j < 24; ++j) {
-    const int v = model.add_binary("x" + std::to_string(j));
+    const int v = model.add_binary();
     model.set_objective(v, rng.uniform(1.0, 10.0));
     terms.push_back({v, 2.0});
   }
