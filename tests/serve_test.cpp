@@ -33,12 +33,15 @@ device::ClusterSpec small_cluster(double tau = 6.0) {
 }
 
 /// Serves all local demand with variant 0 (batch == demand, capped at 16).
-/// Stateless, so the slot simulator and the serve engine reach identical
-/// decisions when fed identical demand.
+/// A positive `kernel` fixes every launch's kernel instead, so a burst of at
+/// least 1.5x it engages the adaptive batcher's growth mode. Stateless, so
+/// the slot simulator and the serve engine reach identical decisions when
+/// fed identical demand.
 class LocalGreedyScheduler : public sim::Scheduler {
  public:
-  explicit LocalGreedyScheduler(const device::ClusterSpec& cluster)
-      : cluster_(cluster) {}
+  explicit LocalGreedyScheduler(const device::ClusterSpec& cluster,
+                                int kernel = 0)
+      : cluster_(cluster), kernel_(kernel) {}
   [[nodiscard]] std::string name() const override { return "local-greedy"; }
   [[nodiscard]] sim::SlotDecision decide(const sim::SlotState& state) override {
     sim::SlotDecision decision(cluster_.num_apps(),
@@ -50,7 +53,8 @@ class LocalGreedyScheduler : public sim::Scheduler {
         const auto take = std::min<std::int64_t>(demand, 16);
         decision.served(i, 0, k) = take;
         decision.kernel(i, 0, k) =
-            static_cast<int>(std::max<std::int64_t>(take, 1));
+            kernel_ > 0 ? kernel_
+                        : static_cast<int>(std::max<std::int64_t>(take, 1));
         decision.drops(i, k) = demand - take;
       }
     }
@@ -59,6 +63,7 @@ class LocalGreedyScheduler : public sim::Scheduler {
 
  private:
   const device::ClusterSpec& cluster_;
+  int kernel_;
 };
 
 /// Replays a fixed decision every slot.
@@ -706,7 +711,8 @@ TEST_F(ServeEngineFixture, BacklogGrowsBatchesBeyondTheKernelPrior) {
 TEST_F(ServeEngineFixture, AdaptiveReplayIsDeterministic) {
   // A seeded burst trace replayed twice (and across thread counts) with
   // adaptation on must reproduce identical seal decisions, per-request
-  // records, metrics, and the exported CSV, byte for byte.
+  // records, metrics, and the exported CSV, byte for byte. Kernels of 2
+  // under bursts of 16 served requests make the batcher grow.
   workload::Trace trace(6, cluster_.num_apps(), cluster_.num_devices());
   for (int t = 0; t < trace.slots(); ++t) {
     for (int i = 0; i < cluster_.num_apps(); ++i) {
@@ -720,7 +726,7 @@ TEST_F(ServeEngineFixture, AdaptiveReplayIsDeterministic) {
     config.threads = threads;
     config.keep_records = true;
     config.adaptive.enabled = true;
-    LocalGreedyScheduler scheduler(cluster_);
+    LocalGreedyScheduler scheduler(cluster_, /*kernel=*/2);
     ServeEngine engine(cluster_, trace, config);
     metrics::RunMetrics metrics;
     std::vector<SlotServeResult> results;
@@ -759,6 +765,7 @@ TEST_F(ServeEngineFixture, AdaptiveReplayIsDeterministic) {
   for (int reason = 0; reason < kNumSealReasons; ++reason) {
     EXPECT_EQ(m1.batch_seals(reason), m2.batch_seals(reason));
   }
+  EXPECT_GT(m1.batch_seals(static_cast<int>(SealReason::kGrowth)), 0);
   EXPECT_DOUBLE_EQ(m1.total_loss(), m2.total_loss());
   const double horizon_s = cluster_.tau_s() * trace.slots();
   EXPECT_DOUBLE_EQ(m1.goodput_under_slo(horizon_s),
@@ -1115,9 +1122,9 @@ TEST_F(ServeEngineFixture, SteadyStateHotPathIsAllocationFree) {
 }
 
 TEST_F(ServeEngineFixture, AdaptiveSteadyStateStaysAllocationFree) {
-  // Same assertion with adaptive batching on: the batcher's availability
-  // scratch is engine-owned, so growth-mode planning is also alloc-free
-  // once warm.
+  // Same assertion with adaptive batching on and kernels of 2 under bursts
+  // of 16 served requests: the batcher's availability scratch is
+  // engine-owned, so growth-mode planning is also alloc-free once warm.
   ASSERT_TRUE(util::alloc_counting_active());
   workload::Trace trace(12, cluster_.num_apps(), cluster_.num_devices());
   for (int t = 0; t < trace.slots(); ++t) {
@@ -1132,12 +1139,13 @@ TEST_F(ServeEngineFixture, AdaptiveSteadyStateStaysAllocationFree) {
   config.adaptive.enabled = true;
   config.adaptive.max_batch = 16;
   ServeEngine engine(cluster_, trace, config);
-  LocalGreedyScheduler scheduler(cluster_);
+  LocalGreedyScheduler scheduler(cluster_, /*kernel=*/2);
   metrics::RunMetrics metrics;
   for (int t = 0; t < trace.slots(); ++t) {
     EXPECT_EQ(engine.step(scheduler, &metrics).hot_allocs, 0)
         << "slot " << t;
   }
+  EXPECT_GT(metrics.batch_seals(static_cast<int>(SealReason::kGrowth)), 0);
 }
 
 // --------------------------------------- threaded determinism, hard mode ----
