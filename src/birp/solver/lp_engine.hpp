@@ -3,7 +3,7 @@
 // An optimal solve can move its live state out as an LpState: the standard
 // form's immutable part (CSC matrix, scales, rhs, dual anchors), the mutable
 // point (bounds, column states and values, basic column per row) and the
-// factorized basis with its eta updates. A branch-and-bound child differs
+// factorized basis with its updates. A branch-and-bound child differs
 // from its parent by one bound, so it resumes from that state — new
 // structural bounds, each nonbasic column parked at its bound, basic values
 // recomputed through the inherited LU — instead of rebuilding the form and
@@ -40,7 +40,7 @@ struct LpState {
   std::vector<VarState> state;
   std::vector<double> value;
   std::vector<int> basis;  ///< basic column per row
-  BasisLu lu;              ///< factorization of `basis`, eta updates included
+  BasisLu lu;              ///< factorization of `basis`, updates included
 };
 
 /// solve_lp with the live-state handoff: `resume`, when non-null, is the

@@ -86,8 +86,8 @@ struct Solution {
   double best_bound = 0.0;              ///< proven lower bound (MILP only)
   bool warm_started = false;       ///< LP: solved from a warm basis (no Phase I)
   std::int64_t factor_pivots = 0;  ///< eliminations spent refactorizing bases
-  /// The factor_pivots that cost an FTRAN and an eta (structural columns);
-  /// the rest are slack/artificial singletons pivoted in place.
+  /// The factor_pivots of basic columns with more than one nonzero
+  /// (structural columns); the rest are slack/artificial singletons.
   std::int64_t structural_factor_pivots = 0;
   std::int64_t btran_solves = 0;  ///< B^{-T} solves (duals and pivot rows)
   std::int64_t warm_lp_solves = 0;  ///< MILP: node LPs served by the warm path
