@@ -66,9 +66,10 @@ void BM_SlotProblemLp(benchmark::State& state) {
 BENCHMARK(BM_SlotProblemLp)->Unit(benchmark::kMillisecond);
 
 void BM_SlotProblemLpWarm(benchmark::State& state) {
-  // Arg 0: cold two-phase solve. Arg 1: warm re-solve from the problem's own
-  // optimal basis (the cross-slot case: consecutive slot LPs share structure,
-  // so the previous basis refactorizes and needs few or no pivots).
+  // Arg 0: cold solve from the all-logical basis. Arg 1: warm re-solve from
+  // the problem's own optimal basis (the cross-slot case: consecutive slot
+  // LPs share structure, so the previous basis refactorizes and needs few or
+  // no pivots).
   const bool warm = state.range(0) == 1;
   const auto cluster = birp::device::ClusterSpec::paper_large();
   birp::util::Grid2<std::int64_t> demand(cluster.num_apps(),

@@ -2,8 +2,8 @@
 //
 // Replays slot sequences through BirpScheduler::decide under three solver
 // arms —
-//   cold-serial   warm starts off (the pre-warm-start solver, kept as the
-//                 comparison baseline)
+//   cold-serial   warm starts off: every node LP starts from the
+//                 all-logical basis (the comparison baseline)
 //   warm-serial   node LPs resume their parent's live LP state
 //                 (factorization included) + cross-slot warm starts
 //   sparse-large  a synthetic 100-edge x 20-app cluster scheduled the way
@@ -31,7 +31,10 @@
 // BTRANs per simplex pivot (under 1.16: 1.37 on the --quick run while the
 // dual repair solved for its duals on every pivot, 0.95 since it keeps its
 // reduced costs between pivots), warm-serial's cold LPs (at most 1: the
-// first slot's root, which has no basis to start from) and the sparse-large
+// first slot's root, which has no basis to start from), cold-serial's
+// simplex pivots per cold LP (under 862 on the --quick run: midway between
+// the 1186 of primal Phase I over artificial columns and the 538 of the dual
+// repair from the all-logical basis that replaced it) and the sparse-large
 // decide p95 (under 1000 ms).
 #include <string>
 #include <vector>
@@ -166,7 +169,7 @@ int main(int argc, char** argv) {
   const double factor_ratio = birp::bench::ratio(
       warm.number("factor_pivots"), warm.number("simplex_pivots"));
   // The same, counting only the eliminations of basic columns with more
-  // than one nonzero (singleton slacks and artificials cost nothing).
+  // than one nonzero (singleton logicals cost nothing).
   const double structural_ratio = birp::bench::ratio(
       warm.number("structural_factor_pivots"), warm.number("simplex_pivots"));
   // B^{-T} solves per simplex pivot: Phase II prices from one BTRAN of the
@@ -174,10 +177,15 @@ int main(int argc, char** argv) {
   // (its reduced costs are updated along that row).
   const double btran_ratio = birp::bench::ratio(warm.number("btran_solves"),
                                                 warm.number("simplex_pivots"));
+  // What one LP from the all-logical basis costs: the dual repair to a
+  // feasible basis, then Phase II.
+  const double cold_pivots_per_lp = birp::bench::ratio(
+      cold.number("simplex_pivots"), cold.number("cold_lp_solves"));
   report.result("pivot_reduction_vs_cold", {reduction, 2})
       .result("warm_factor_pivots_per_pivot", {factor_ratio, 2})
       .result("warm_structural_factor_pivots_per_pivot", {structural_ratio, 2})
-      .result("warm_btran_per_pivot", {btran_ratio, 2});
+      .result("warm_btran_per_pivot", {btran_ratio, 2})
+      .result("cold_pivots_per_cold_lp", {cold_pivots_per_lp, 1});
   report.gate("warm-serial pivot reduction vs cold", reduction, ">=", 2.0);
   report.gate("warm-serial factor pivots per simplex pivot", factor_ratio,
               "<", 11.0);
@@ -188,6 +196,8 @@ int main(int argc, char** argv) {
   // from; a second cold LP means a warm attempt was abandoned.
   report.gate("warm-serial cold LPs", warm.number("cold_lp_solves"), "<=",
               1.0);
+  report.gate("cold-serial simplex pivots per cold LP", cold_pivots_per_lp,
+              "<", 862.0);
   report.gate("sparse-large decide_ms_p95",
               report.find("sparse-large").number("decide_ms_p95"), "<",
               1000.0);

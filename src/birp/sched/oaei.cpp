@@ -296,8 +296,10 @@ void OaeiScheduler::observe(const sim::SlotFeedback& feedback) {
     if (predicted < 0.1) continue;  // too little signal this slot
     const double observed = feedback.busy_s[static_cast<std::size_t>(k)];
     auto& factor = capacity_factor_[static_cast<std::size_t>(k)];
-    const double sample =
-        std::clamp(observed / predicted * factor, 0.25, 4.0);
+    // The prediction is the unscaled serial time, so the ratio alone is
+    // the capacity sample (scaling it by the factor again would compound
+    // any persistent bias geometrically).
+    const double sample = std::clamp(observed / predicted, 0.25, 4.0);
     factor = (1.0 - kCapacitySmoothing) * factor + kCapacitySmoothing * sample;
   }
 }

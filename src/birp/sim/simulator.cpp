@@ -80,6 +80,7 @@ double Simulator::execute_edge(int k,
   rng.shuffle(order);
 
   double cursor_s = 0.0;
+  double busy_s = 0.0;  // launch durations only, not idle import waits
   std::int64_t imports_scheduled = 0;
   for (const std::size_t at : order) {
     const Job& job = jobs[at];
@@ -115,6 +116,7 @@ double Simulator::execute_edge(int k,
 
       const double start_s = std::max(cursor_s, ready_s);
       cursor_s = start_s + duration_s;
+      busy_s += duration_s;
 
       const double completion_tau = cursor_s / tau;
       const double slo = cluster_.zoo().app(job.app).slo_fraction;
@@ -142,7 +144,7 @@ double Simulator::execute_edge(int k,
   }
 
   // Dropped requests at this edge are charged in step().
-  result.feedback.busy_s[static_cast<std::size_t>(k)] = cursor_s;
+  result.feedback.busy_s[static_cast<std::size_t>(k)] = busy_s;
   return loss;
 }
 

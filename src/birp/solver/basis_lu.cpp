@@ -598,6 +598,12 @@ void BasisLu::btran(std::span<double> y) const {
   }
 }
 
+bool BasisLu::accepts_pivot(std::span<const double> alpha, int pivot_row) {
+  double col_max = 0.0;
+  for (const double a : alpha) col_max = std::max(col_max, std::abs(a));
+  return std::abs(alpha[at(pivot_row)]) > kPivotTolerance * col_max;
+}
+
 bool BasisLu::update(std::span<const double> alpha, int pivot_row) {
   const int m = rows_;
   // The spike the last FTRAN kept belongs to alpha only if that FTRAN wrote
@@ -605,12 +611,10 @@ bool BasisLu::update(std::span<const double> alpha, int pivot_row) {
   const bool kept =
       spike_.source == alpha.data() && spike_.size == alpha.size();
   spike_.source = nullptr;
-  double col_max = 0.0;
-  for (const double a : alpha) col_max = std::max(col_max, std::abs(a));
-  const double pivot = alpha[at(pivot_row)];
-  if (std::abs(pivot) <= kPivotTolerance * col_max) {
+  if (!accepts_pivot(alpha, pivot_row)) {
     return false;  // relatively too small to divide by: refactorize instead
   }
+  const double pivot = alpha[at(pivot_row)];
   const int r = pivot_row;  // U's row and column to replace
   dense_.resize(at(m));        // sized after a copy; zero between uses
   spike_rows_.resize(at(m));

@@ -64,8 +64,8 @@ inline constexpr std::int64_t kGrowthLimit = 3;
 
 class BasisLu {
  public:
-  /// Resets to the identity basis of `rows` rows (the cold Phase I start:
-  /// every initial basic column is a unit vector after the row flips).
+  /// Resets to the identity basis of `rows` rows (the all-logical start:
+  /// row i's logical is the unit column e_i).
   void reset_identity(int rows);
 
   /// Factorizes the basis {basic_cols} from scratch. On success fills
@@ -89,9 +89,14 @@ class BasisLu {
   /// FTRAN is `alpha`. When the latest ftran() wrote `alpha`'s buffer, the
   /// spike it kept is used; otherwise the spike is rebuilt as U·alpha.
   /// Returns false, leaving the factorization unchanged, when the pivot
-  /// element is too small relative to the column's magnitude or the updated
-  /// U would be unstable; the caller should refactorize instead.
+  /// element is refused by accepts_pivot() or the updated U would be
+  /// unstable; the caller should refactorize instead.
   [[nodiscard]] bool update(std::span<const double> alpha, int pivot_row);
+
+  /// True when `alpha[pivot_row]` is large enough, relative to
+  /// max_i |alpha_i|, for update() to divide by.
+  [[nodiscard]] static bool accepts_pivot(std::span<const double> alpha,
+                                          int pivot_row);
 
   /// True once kRefactorInterval updates have been applied since the last
   /// factorization, or U and the row etas have outgrown the fresh factors.
@@ -107,8 +112,8 @@ class BasisLu {
     return factor_pivots_;
   }
   /// The eliminations among factor_pivots() whose basic column has more
-  /// than one nonzero; the rest are unit-like singletons (slacks,
-  /// artificials).
+  /// than one nonzero; the rest are unit-like singletons (logicals and
+  /// single-row structurals).
   [[nodiscard]] std::int64_t structural_factor_pivots() const noexcept {
     return structural_factor_pivots_;
   }

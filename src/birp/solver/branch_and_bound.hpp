@@ -16,8 +16,8 @@
 // one new bound instead of rebuilding and refactorizing; the state is freed
 // once both children have been popped, and at most a fixed number (64) are
 // held at once. Children beyond that cap warm-start from the parent's
-// optimal Basis (see simplex.hpp); any failed warm attempt falls back to a
-// cold solve transparently.
+// optimal Basis (see simplex.hpp); any failed warm attempt restarts from
+// the all-logical basis transparently.
 // Parallelism lives one level up, in cluster::CellScheduler, which solves
 // independent cells concurrently.
 #pragma once
@@ -50,8 +50,9 @@ struct BranchAndBoundOptions {
   IncumbentHeuristic incumbent_heuristic;
 
   /// Warm-start child node LPs from their parent's live LP state or optimal
-  /// basis (and the root LP from `root_basis`). Falls back to cold solves
-  /// transparently; disable only for A/B measurement.
+  /// basis (and the root LP from `root_basis`). A failed attempt restarts
+  /// from the all-logical basis transparently; disable only for A/B
+  /// measurement (every node LP then starts from the logical basis).
   bool warm_start = true;
   /// Optional basis seeding the root relaxation (cross-slot warm start).
   /// Not owned; must outlive the solve. Ignored unless warm_start is set.

@@ -7,10 +7,10 @@
 // from its parent by one bound, so it resumes from that state — new
 // structural bounds, each nonbasic column parked at its bound, basic values
 // recomputed through the inherited LU — instead of rebuilding the form and
-// refactorizing. A resumed attempt that gives up falls back straight to the
-// cold solve; the Basis rebuild serves only calls without a resume state
-// (the root LP's cross-slot warm start and children past branch-and-bound's
-// state cap).
+// refactorizing. A resumed attempt that gives up restarts straight from the
+// all-logical basis; the Basis rebuild serves only calls without a resume
+// state (the root LP's cross-slot warm start and children past
+// branch-and-bound's state cap).
 #pragma once
 
 #include <memory>
@@ -30,7 +30,7 @@ namespace birp::solver {
 inline constexpr double kLpTolerance = 1e-7;
 
 /// The live state of an optimal solve (see the header comment). `form` is
-/// shared, never copied: its lower/upper/state/value/basis arrays are empty
+/// shared, never copied: its lower/upper/state/value arrays are empty
 /// because those live here, per solve. A default-constructed LpState (null
 /// form) holds nothing.
 struct LpState {

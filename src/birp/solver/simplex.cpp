@@ -37,13 +37,25 @@ constexpr double kRatioTie = 1e-11;
 constexpr double kDualPickTie = 1e-9;
 
 /// Cost perturbation of the dual repair, relative to 1 + |c_j|. Each
-/// nonbasic column's repair cost moves this far (times an index-hash spread
-/// in [1, 2)) toward its dual-feasible side, so the repair's dual ratios are
-/// distinct and positive instead of tied at zero — the dual degeneracy that
-/// made slot-problem repairs cycle until their budget ran out. Ten times
-/// kLpTolerance, so the perturbed reduced costs clear it; small enough that
-/// Phase II removes the perturbation in a few pivots.
-constexpr double kRepairPerturbation = 1e-6;
+/// nonbasic column with a nonzero cost has its repair cost moved this far
+/// (times an index-hash spread in [1, 2)) toward its dual-feasible side, so
+/// the repair's dual ratios are distinct and positive instead of tied at
+/// zero — the dual degeneracy that made slot-problem repairs cycle until
+/// their budget ran out. Phase II prices with the true costs and removes
+/// the perturbation. Zero-cost columns stay unperturbed: a positive repair
+/// cost on the slot problem's deployment binaries, flows and working-set
+/// columns steers the repair to the vertex with the least of each, the
+/// fractional deployment x = z / cap, whose rounding plans worse (on
+/// bench_cluster's synthetic clusters goodput fell 2-6 points). The size is
+/// measured: at 1e-6, 3 of 60 synthetic monolithic cold slot LPs (24-70
+/// edges) still cycled in the repair to the full pivot limit, and the
+/// 100-edge ones took 2,277-2,726 pivots against 1,823-1,957 at 5e-5; the
+/// Phase II that removes the larger perturbation took 7 pivots (0 at 1e-6)
+/// over bench_solver --quick's 94 logical starts.
+constexpr double kRepairPerturbation = 5e-5;
+
+/// Floor of a dual pricing weight, against a tiny entering pivot's update.
+constexpr double kMinEdgeWeight = 1e-6;
 
 /// Consecutive degenerate pivots before pricing switches to Bland's rule.
 constexpr int kStallThreshold = 40;
@@ -88,38 +100,38 @@ struct LpWork {
 /// entering column, whose spike the update then reuses.
 class RevisedSimplex {
  public:
-  RevisedSimplex(const Model& model, std::span<const double> lower_override,
-                 std::span<const double> upper_override,
-                 SimplexOptions options)
-      : model_(model), options_(options) {
-    adopt(build_standard_form(model, lower_override, upper_override));
-    init();
-    lu_.reset_identity(form_->rows);
-    // Cold start: every initial basic column is a unit vector after the
-    // row flips, so the basis is the identity and needs no factorization.
-  }
-
-  /// Warm construction from a prior basis; check warm_ok() before solving.
+  /// Starts from `warm`, refactorized against the current bounds, or from
+  /// the all-logical basis when `warm` is null: that basis is the identity,
+  /// so it needs no factorization and always starts. Check started()
+  /// before solving.
   RevisedSimplex(const Model& model, std::span<const double> lower_override,
                  std::span<const double> upper_override, SimplexOptions options,
-                 const Basis& warm)
-      : model_(model), options_(options) {
-    StandardForm form =
-        build_standard_form(model, lower_override, upper_override, warm);
+                 const Basis* warm)
+      : model_(model), options_(options), logical_start_(warm == nullptr) {
+    const Basis logical =
+        logical_start_
+            ? Basis::logical(model.num_variables(), model.num_constraints())
+            : Basis{};
+    StandardForm form = build_standard_form(model, lower_override,
+                                            upper_override,
+                                            logical_start_ ? logical : *warm);
     if (!form.ok) return;
-    const std::vector<int> basic_cols = std::move(form.basic_cols);
+    std::vector<int> basic_cols = std::move(form.basic_cols);
     adopt(std::move(form));
     init();
-    if (!lu_.factorize(*form_, basic_cols, basis_)) {
-      return;  // singular: cold fallback
+    if (logical_start_) {
+      lu_.reset_identity(form_->rows);
+      basis_ = std::move(basic_cols);
+    } else if (!lu_.factorize(*form_, basic_cols, basis_)) {
+      return;  // singular
     }
     recompute_basic_values();
-    warm_ok_ = true;
+    started_ = true;
   }
 
   /// Resumed construction from a parent solve's live state (same model):
   /// the parent's form, point and factorization with this LP's structural
-  /// bounds applied. Always warm_ok(); nothing is refactorized.
+  /// bounds applied. Always started(); nothing is refactorized.
   RevisedSimplex(const Model& model, std::span<const double> lower_override,
                  std::span<const double> upper_override, SimplexOptions options,
                  const LpState& parent)
@@ -136,7 +148,7 @@ class RevisedSimplex {
     init();
     // Park every nonbasic structural at its (new) bound; a column recorded
     // AtUpper whose upper bound is now infinite rests at its lower bound,
-    // as in the warm build. Slack and artificial bounds never change.
+    // as in the form build. Logical bounds never change.
     for (int j = 0; j < form_->structural; ++j) {
       const auto jj = static_cast<std::size_t>(j);
       const double lo = lower_override.empty() ? model.variable(j).lower
@@ -150,22 +162,26 @@ class RevisedSimplex {
       value_[jj] = state_[jj] == VarState::AtUpper ? upper_[jj] : lower_[jj];
     }
     recompute_basic_values();
-    warm_ok_ = true;
+    started_ = true;
   }
 
-  Solution solve();
-  /// Warm solve: dual repair + Phase II. nullopt asks the caller to fall
-  /// back to the cold path; give_ups() then says why.
-  std::optional<Solution> solve_warm();
+  /// Dual repair, then Phase II. A warm start that gives up returns
+  /// nullopt, and give_ups() says why; the logical start never gives up.
+  std::optional<Solution> solve();
 
-  [[nodiscard]] bool warm_ok() const noexcept { return warm_ok_; }
+  [[nodiscard]] bool started() const noexcept { return started_; }
   /// Why a warm attempt was abandoned: a basis that never factorized
-  /// (!warm_ok()), or whatever made solve_warm() return nullopt.
+  /// (!started()), or whatever made solve() return nullopt.
   [[nodiscard]] WarmGiveUps give_ups() const noexcept {
-    if (!warm_ok_) return WarmGiveUps{.singular = 1};
+    if (!started_) return WarmGiveUps{.singular = 1};
     return give_ups_;
   }
-  [[nodiscard]] Basis extract_basis() const;
+  [[nodiscard]] Basis extract_basis() const {
+    Basis basis;
+    basis.structural.assign(state_.begin(), state_.begin() + form_->structural);
+    basis.basic = basis_;  // column n + i is row i's logical, as in Basis
+    return basis;
+  }
   [[nodiscard]] LpWork work() const noexcept {
     return {iterations_, lu_.factor_pivots(), lu_.structural_factor_pivots(),
             btran_solves_};
@@ -187,7 +203,6 @@ class RevisedSimplex {
     upper_ = std::move(form.upper);
     state_ = std::move(form.state);
     value_ = std::move(form.value);
-    basis_ = std::move(form.basis);
     form_ = std::make_shared<const StandardForm>(std::move(form));
   }
 
@@ -202,6 +217,9 @@ class RevisedSimplex {
     work_.assign(static_cast<std::size_t>(form_->rows), 0.0);
     row_alpha_.assign(static_cast<std::size_t>(form_->cols), 0.0);
     row_ratio_.assign(static_cast<std::size_t>(form_->cols), 0.0);
+    // Exact for the logical basis (B = I); a warm basis starts from the
+    // same reference weights and the updates refine them.
+    edge_weight_.assign(static_cast<std::size_t>(form_->cols), 1.0);
   }
 
   [[nodiscard]] double column_dot(int col,
@@ -287,7 +305,8 @@ class RevisedSimplex {
     }
   }
 
-  [[nodiscard]] std::vector<double> phase2_costs() const {
+  /// The true objective per column (zero on the logicals).
+  [[nodiscard]] std::vector<double> objective_costs() const {
     std::vector<double> costs(static_cast<std::size_t>(form_->cols), 0.0);
     for (int j = 0; j < form_->structural; ++j) {
       costs[static_cast<std::size_t>(j)] = model_.variable(j).objective;
@@ -347,9 +366,40 @@ class RevisedSimplex {
     }
   }
 
+  /// Edge weights after `enter` replaces the basic column of `leave_row`.
+  /// Row i of the new B^{-1} is row i - (alpha_i / alpha_r) row r, and the
+  /// dual Devex update (Forrest & Goldfarb 1992) keeps the larger of its old
+  /// weight and that term's, which needs no B^{-1} rho solve; the new row r
+  /// is row r / alpha_r.
+  void update_edge_weights(int leave_row, int enter) {
+    const double alpha_r = alpha_[static_cast<std::size_t>(leave_row)];
+    const double w_r = edge_weight_[static_cast<std::size_t>(
+        basis_[static_cast<std::size_t>(leave_row)])];
+    for (int i = 0; i < form_->rows; ++i) {
+      const double a = alpha_[static_cast<std::size_t>(i)];
+      if (i == leave_row || a == 0.0) continue;
+      const double ratio = a / alpha_r;
+      double& w = edge_weight_[static_cast<std::size_t>(
+          basis_[static_cast<std::size_t>(i)])];
+      w = std::max(w, ratio * ratio * w_r);
+    }
+    edge_weight_[static_cast<std::size_t>(enter)] =
+        std::max(w_r / (alpha_r * alpha_r), kMinEdgeWeight);
+  }
+
   SolveStatus iterate(const std::vector<double>& costs);
   Repair dual_repair(const std::vector<double>& costs);
-  void finish(Solution& result, const std::vector<double>& costs);
+  /// A Solution with `status` and this engine's work charged; Optimal
+  /// also fills the values, objective and duals.
+  Solution result(SolveStatus status, const std::vector<double>& costs);
+  /// A warm start gives up (nullopt, `reason` recorded); the logical start,
+  /// which nothing backs up, reports IterationLimit instead.
+  std::optional<Solution> give_up(WarmGiveUps reason,
+                                  const std::vector<double>& costs) {
+    if (logical_start_) return result(SolveStatus::IterationLimit, costs);
+    give_ups_ = reason;
+    return std::nullopt;
+  }
 
   const Model& model_;
   SimplexOptions options_;
@@ -371,12 +421,14 @@ class RevisedSimplex {
   std::vector<double> repair_d_;  // reduced costs under repair_costs_ (cols)
   bool repair_d_valid_ = false;   // repair_d_ matches the current basis
   std::vector<int> candidates_;   // entering candidates, ascending (dual repair)
+  std::vector<double> edge_weight_;  // dual pricing weight per basic column
   std::vector<int> basic_cols_scratch_;
 
   std::int64_t iterations_ = 0;
   std::int64_t btran_solves_ = 0;
   std::int64_t iteration_limit_ = 0;
-  bool warm_ok_ = false;
+  bool logical_start_ = false;  ///< started from the all-logical basis
+  bool started_ = false;
   WarmGiveUps give_ups_;
 };
 
@@ -400,7 +452,7 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
       if (sj == VarState::Basic) continue;
       const double lo = lower_[static_cast<std::size_t>(j)];
       const double hi = upper_[static_cast<std::size_t>(j)];
-      if (lo == hi) continue;  // fixed (includes retired artificials)
+      if (lo == hi) continue;  // fixed (= row logicals, pinned columns)
       const double d = costs[static_cast<std::size_t>(j)] - column_dot(j, y_);
       double dir = 0.0;
       if (sj == VarState::AtLower && d < -kLpTolerance) dir = 1.0;
@@ -485,42 +537,46 @@ SolveStatus RevisedSimplex::iterate(const std::vector<double>& costs) {
 
 RevisedSimplex::Repair RevisedSimplex::dual_repair(
     const std::vector<double>& costs) {
-  // Tight budget, separate from the global pivot limit: a genuinely warm
-  // basis repairs in far fewer pivots than a cold solve takes, so once the
-  // repair rivals a cold solve's cost (or, despite the cost perturbation,
-  // stalls on degeneracy) it is cheaper to give up early and fall back than
-  // to grind to the full limit.
+  // A warm start gets a tight budget, separate from the global pivot limit:
+  // a genuinely warm basis repairs in far fewer pivots than the logical
+  // start takes, so once the repair rivals that cost (or, despite the cost
+  // perturbation, stalls on degeneracy) it is cheaper to give up early and
+  // restart from the logical basis than to grind to the full limit. The
+  // logical start has nothing to fall back on and gets the full limit.
   const std::int64_t repair_limit =
-      std::min(iteration_limit_, iterations_ + form_->rows + 100);
+      logical_start_
+          ? iteration_limit_
+          : std::min(iteration_limit_, iterations_ + form_->rows + 100);
   while (true) {
     if (++iterations_ > repair_limit) return Repair::Stall;
     if (lu_.should_refactorize() && !refactorize()) {
       return Repair::Singular;  // numerically singular basis: distrust it
     }
 
-    // --- Leaving row: the basic variable with the largest bound violation.
-    // sigma = +1 when it must decrease (above upper), -1 when it must
-    // increase (below lower). A later row must beat the pick by the
-    // kDualPickTie margin, so near-tied violations resolve to the smallest
-    // row.
+    // --- Leaving row, by dual steepest-edge pricing with Devex weights: the
+    // largest squared bound violation over its weight, which approximates
+    // the squared norm of that row of B^{-1}. sigma = +1 when the basic
+    // variable must decrease (above upper), -1 when it must increase (below
+    // lower). A later row must beat the pick by the kDualPickTie margin, so
+    // near-tied scores resolve to the smallest row.
     int leave_row = -1;
-    double best_viol = kLpTolerance;
+    double best_viol = 0.0;
+    double best_score = 0.0;
     double sigma = 0.0;
     for (int i = 0; i < form_->rows; ++i) {
       const int bvar = basis_[static_cast<std::size_t>(i)];
       const double v = value_[static_cast<std::size_t>(bvar)];
       const double above = v - upper_[static_cast<std::size_t>(bvar)];
       const double below = lower_[static_cast<std::size_t>(bvar)] - v;
-      const double tie = kDualPickTie * (1.0 + best_viol);
-      if (above > best_viol + tie) {
-        best_viol = above;
+      const double viol = std::max(above, below);
+      if (viol <= kLpTolerance) continue;
+      const double score =
+          viol * viol / edge_weight_[static_cast<std::size_t>(bvar)];
+      if (score > best_score * (1.0 + kDualPickTie)) {
+        best_score = score;
+        best_viol = viol;
         leave_row = i;
-        sigma = 1.0;
-      }
-      if (below > best_viol + tie) {
-        best_viol = below;
-        leave_row = i;
-        sigma = -1.0;
+        sigma = above > below ? 1.0 : -1.0;
       }
     }
     if (leave_row < 0) return Repair::Done;  // primal feasible
@@ -544,6 +600,11 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     std::fill(work_.begin(), work_.end(), 0.0);
     work_[static_cast<std::size_t>(leave_row)] = 1.0;
     btran(work_);
+    // The leaving row's weight is reset to ||rho||^2, its exact value.
+    double rho_norm2 = 0.0;
+    for (const double r : work_) rho_norm2 += r * r;
+    edge_weight_[static_cast<std::size_t>(
+        basis_[static_cast<std::size_t>(leave_row)])] = rho_norm2;
     double row_scale = 0.0;
     candidates_.clear();
     for (int j = 0; j < form_->cols; ++j) {
@@ -553,7 +614,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       const double alpha = column_dot(j, work_);
       row_alpha_[jj] = alpha;
       row_scale = std::max(row_scale, std::abs(alpha));
-      if (lower_[jj] == upper_[jj]) continue;  // fixed (artificials)
+      if (lower_[jj] == upper_[jj]) continue;  // fixed: cannot move
       if (sj == VarState::AtLower) {
         if (sigma * alpha <= 0.0) continue;  // moving up must shrink the violation
       } else {
@@ -593,13 +654,19 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     // flip back and forth forever. Flips leave the basis — and therefore
     // every candidate's alpha and reduced cost — unchanged, so the ratios
     // computed above stay valid throughout the cascade.
+    // A candidate dropped as numerically untrustworthy proves nothing, so
+    // a row that runs out of candidates after one was dropped is numerical
+    // trouble (Singular), not an infeasibility proof.
     double remaining = best_viol;
+    bool distrusted = false;
     while (true) {
       double cur_best = kInfinity;
       for (const int j : candidates_) {
         cur_best = std::min(cur_best, row_ratio_[static_cast<std::size_t>(j)]);
       }
-      if (cur_best == kInfinity) return Repair::Infeasible;
+      if (cur_best == kInfinity) {
+        return distrusted ? Repair::Singular : Repair::Infeasible;
+      }
       const double ratio_window = cur_best + kDualPickTie * (1.0 + cur_best);
       int enter = -1;
       double enter_dir = 0.0;
@@ -621,15 +688,20 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       ftran_column(enter);
       const double alpha = alpha_[static_cast<std::size_t>(leave_row)];
       const double gain = sigma * alpha * enter_dir;
-      if (gain <= 0.0) {
-        // The FTRANed pivot disagrees in sign with the rho-dot estimate
-        // (cancellation in one of the two): distrust this candidate.
-        row_ratio_[static_cast<std::size_t>(enter)] = kInfinity;
-        continue;
-      }
-      const double step = remaining / gain;  // > 0
+      const double step = remaining / gain;  // > 0 when gain is
       const double range = upper_[static_cast<std::size_t>(enter)] -
                            lower_[static_cast<std::size_t>(enter)];
+      // Distrust the candidate when the FTRANed pivot disagrees in sign
+      // with the rho-dot estimate (cancellation in one of the two), or when
+      // a basis change would pivot on an entry the LU update refuses as
+      // too small against its column: the basis it makes is numerically
+      // singular.
+      if (gain <= 0.0 ||
+          (step <= range && !BasisLu::accepts_pivot(alpha_, leave_row))) {
+        row_ratio_[static_cast<std::size_t>(enter)] = kInfinity;
+        distrusted = true;
+        continue;
+      }
       if (step <= range) {
         // --- Basis change: the violating variable leaves exactly at the
         // bound it violated; the entering variable absorbs the step. The
@@ -644,6 +716,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
           repair_d_[jj] -= theta * row_alpha_[jj];
         }
         const int leaving = basis_[static_cast<std::size_t>(leave_row)];
+        update_edge_weights(leave_row, enter);
         if (!change_basis(leave_row, enter, enter_dir, step, sigma > 0.0)) {
           return Repair::Singular;  // numerically singular basis
         }
@@ -663,22 +736,26 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
   }
 }
 
-void RevisedSimplex::finish(Solution& result,
-                            const std::vector<double>& costs) {
-  result.status = SolveStatus::Optimal;
+Solution RevisedSimplex::result(SolveStatus status,
+                               const std::vector<double>& costs) {
+  Solution result;
+  result.status = status;
+  result.warm_started = !logical_start_;
+  if (status != SolveStatus::Optimal) {
+    work().charge(result);
+    return result;
+  }
 
-  // Constraint duals: every row's slack/artificial anchor appears only in
-  // that row with stored coefficient +1 and zero phase-2 cost, so its
-  // reduced cost is -y_i; undo the row flips to express the dual against
-  // the model's orientation. (Equivalently: duals[i] = dual_sign_i * y_i.)
+  // Constraint duals: row i's logical is the unit column e_i with zero
+  // cost, so its reduced cost is -y_i; undo the row flips to express the
+  // dual against the model's orientation.
+  recompute_basic_values();
   compute_duals(costs);
   result.duals.resize(static_cast<std::size_t>(form_->rows));
   for (int i = 0; i < form_->rows; ++i) {
-    const int anchor = form_->dual_col[static_cast<std::size_t>(i)];
-    const double d = costs[static_cast<std::size_t>(anchor)] -
-                     column_dot(anchor, y_);
     result.duals[static_cast<std::size_t>(i)] =
-        form_->dual_sign[static_cast<std::size_t>(i)] * -d;
+        form_->dual_sign[static_cast<std::size_t>(i)] *
+        y_[static_cast<std::size_t>(i)];
   }
 
   result.values.resize(static_cast<std::size_t>(form_->structural));
@@ -692,86 +769,14 @@ void RevisedSimplex::finish(Solution& result,
     result.values[static_cast<std::size_t>(j)] = v;
   }
   result.objective = model_.objective_value(result.values);
-}
-
-Solution RevisedSimplex::solve() {
-  Solution result;
-
-  // ---- Phase I: minimize the sum of artificial variables. ----
-  std::vector<double> phase1(static_cast<std::size_t>(form_->cols), 0.0);
-  for (int j = form_->artificial_begin; j < form_->cols; ++j) {
-    phase1[static_cast<std::size_t>(j)] = 1.0;
-  }
-
-  bool need_phase1 = false;
-  for (int i = 0; i < form_->rows; ++i) {
-    if (value_[static_cast<std::size_t>(
-            basis_[static_cast<std::size_t>(i)])] > kLpTolerance) {
-      need_phase1 = true;
-      break;
-    }
-  }
-  if (need_phase1) {
-    const SolveStatus status = iterate(phase1);
-    // Phase I is bounded below by zero, so Unbounded cannot legitimately
-    // occur; treat it as a numerical failure surfaced as IterationLimit.
-    if (status == SolveStatus::IterationLimit ||
-        status == SolveStatus::Unbounded) {
-      result.status = SolveStatus::IterationLimit;
-      work().charge(result);
-      return result;
-    }
-    recompute_basic_values();
-    double infeasibility = 0.0;
-    for (int j = form_->artificial_begin; j < form_->cols; ++j) {
-      if (state_[static_cast<std::size_t>(j)] == VarState::Basic ||
-          value_[static_cast<std::size_t>(j)] != 0.0) {
-        infeasibility += value_[static_cast<std::size_t>(j)];
-      }
-    }
-    // Scale-relative verdict (with the tolerance itself as the absolute
-    // floor): an absolute cutoff here turns Phase I rounding noise into
-    // spurious Infeasible results once |b| is large, and matches the
-    // historical 1e-6 cutoff for O(1)-scaled problems.
-    if (infeasibility >
-        10.0 * kLpTolerance * (1.0 + form_->rhs_scale)) {
-      result.status = SolveStatus::Infeasible;
-      work().charge(result);
-      return result;
-    }
-  }
-
-  // Retire artificials: they may remain basic at value zero (degenerate /
-  // redundant rows) but are fixed so they can never re-enter or move.
-  for (int j = form_->artificial_begin; j < form_->cols; ++j) {
-    lower_[static_cast<std::size_t>(j)] = 0.0;
-    upper_[static_cast<std::size_t>(j)] = 0.0;
-    if (state_[static_cast<std::size_t>(j)] != VarState::Basic) {
-      value_[static_cast<std::size_t>(j)] = 0.0;
-      state_[static_cast<std::size_t>(j)] = VarState::AtLower;
-    }
-  }
-
-  // ---- Phase II: the real objective. ----
-  const std::vector<double> costs = phase2_costs();
-  const SolveStatus status = iterate(costs);
-  if (status == SolveStatus::Unbounded ||
-      status == SolveStatus::IterationLimit) {
-    result.status = status;
-    work().charge(result);
-    return result;
-  }
-
-  recompute_basic_values();
-  finish(result, costs);
   work().charge(result);
   return result;
 }
 
-std::optional<Solution> RevisedSimplex::solve_warm() {
-  const std::vector<double> costs = phase2_costs();
+std::optional<Solution> RevisedSimplex::solve() {
+  const std::vector<double> costs = objective_costs();
 
-  // Primal feasibility of the refactorized basis under the current bounds.
+  // Primal feasibility of the starting basis under the current bounds.
   double primal_viol = 0.0;
   for (int i = 0; i < form_->rows; ++i) {
     const int bvar = basis_[static_cast<std::size_t>(i)];
@@ -784,18 +789,21 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
 
   if (primal_viol > kLpTolerance) {
     // Dual repair needs a dual-feasible start. A parent-optimal basis under
-    // unchanged costs has one by construction; when the costs moved since
-    // the seed basis was optimal (a new slot's demand re-weights the
-    // objective), restore it the boxed-variable way: bound-flip every
-    // nonbasic variable whose reduced cost has the wrong sign. A variable
-    // with an infinite opposite bound cannot be flipped; its *repair* cost
-    // is shifted instead so that its reduced cost is zero (cost shifting).
-    // Every nonbasic repair cost is then perturbed toward its dual-feasible
-    // side (kRepairPerturbation), which breaks the zero-ratio ties of a
-    // dual-degenerate start. The repair runs on these costs alone: primal
-    // feasibility, and the row proof behind an Infeasible verdict, do not
-    // depend on the costs, and Phase II below prices with the true costs,
-    // so statuses and optima are those of the true LP.
+    // unchanged costs has one by construction, and so does the logical
+    // basis of an LP whose costs are all nonnegative (every slot problem's).
+    // Otherwise — the costs moved since the seed basis was optimal (a new
+    // slot's demand re-weights the objective), or the logical start of an
+    // LP with negative costs — restore it the boxed-variable way:
+    // bound-flip every nonbasic variable whose reduced cost has the wrong
+    // sign. A variable with an infinite opposite bound cannot be flipped;
+    // its *repair* cost is shifted instead so that its reduced cost is zero
+    // (cost shifting). Every nonbasic repair cost of a costed column is then
+    // perturbed toward its dual-feasible side (kRepairPerturbation), which
+    // breaks the zero-ratio ties of a dual-degenerate start. The repair runs on these
+    // costs alone: primal feasibility, and the row proof behind an
+    // Infeasible verdict, do not depend on the costs, and Phase II below
+    // prices with the true costs, so statuses and optima are those of the
+    // true LP.
     compute_duals(costs);
     repair_costs_.assign(costs.begin(), costs.end());
     repair_d_.assign(static_cast<std::size_t>(form_->cols), 0.0);
@@ -804,7 +812,7 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
       const auto jj = static_cast<std::size_t>(j);
       const auto sj = state_[jj];
       if (sj == VarState::Basic) continue;
-      if (lower_[jj] == upper_[jj]) continue;  // fixed (artificials)
+      if (lower_[jj] == upper_[jj]) continue;  // fixed: cannot move
       const double d = costs[jj] - column_dot(j, y_);
       const bool at_lower = sj == VarState::AtLower;
       if (at_lower ? d < -kLpTolerance : d > kLpTolerance) {
@@ -817,8 +825,11 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
           repair_costs_[jj] -= d;  // shifted: reduced cost zero
         }
       }
-      const double step = kRepairPerturbation * (1.0 + std::abs(costs[jj])) *
-                          perturbation_spread(j);
+      const double step = costs[jj] == 0.0
+                              ? 0.0
+                              : kRepairPerturbation *
+                                    (1.0 + std::abs(costs[jj])) *
+                                    perturbation_spread(j);
       repair_costs_[jj] += state_[jj] == VarState::AtLower ? step : -step;
       // The duals of the true and the repair costs agree (basic columns keep
       // their true cost), so the repair's reduced cost is d plus the shift.
@@ -828,18 +839,11 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
     if (flipped) recompute_basic_values();
     switch (dual_repair(repair_costs_)) {
       case Repair::Stall:
-        give_ups_.repair_stall = 1;
-        return std::nullopt;  // distrust the basis, cold retry
+        return give_up({.repair_stall = 1}, costs);
       case Repair::Singular:
-        give_ups_.singular = 1;
-        return std::nullopt;
-      case Repair::Infeasible: {
-        Solution result;
-        result.status = SolveStatus::Infeasible;
-        work().charge(result);
-        result.warm_started = true;
-        return result;
-      }
+        return give_up({.singular = 1}, costs);
+      case Repair::Infeasible:
+        return result(SolveStatus::Infeasible, costs);
       case Repair::Done:
         break;
     }
@@ -849,43 +853,9 @@ std::optional<Solution> RevisedSimplex::solve_warm() {
   // every iteration, so any drift accumulated during repair is corrected).
   const SolveStatus status = iterate(costs);
   if (status == SolveStatus::IterationLimit) {
-    give_ups_.phase2_limit = 1;
-    return std::nullopt;
+    return give_up({.phase2_limit = 1}, costs);
   }
-
-  Solution result;
-  result.warm_started = true;
-  if (status == SolveStatus::Unbounded) {
-    result.status = SolveStatus::Unbounded;
-    work().charge(result);
-    return result;
-  }
-  recompute_basic_values();
-  finish(result, costs);
-  work().charge(result);
-  return result;
-}
-
-Basis RevisedSimplex::extract_basis() const {
-  Basis basis;
-  basis.structural.assign(static_cast<std::size_t>(form_->structural),
-                          VarState::AtLower);
-  for (int j = 0; j < form_->structural; ++j) {
-    basis.structural[static_cast<std::size_t>(j)] =
-        state_[static_cast<std::size_t>(j)];
-  }
-  basis.basic.assign(static_cast<std::size_t>(form_->rows), -1);
-  for (int i = 0; i < form_->rows; ++i) {
-    const int col = basis_[static_cast<std::size_t>(i)];
-    if (col < form_->structural) {
-      basis.basic[static_cast<std::size_t>(i)] = col;
-    } else if (col < form_->artificial_begin) {
-      basis.basic[static_cast<std::size_t>(i)] =
-          form_->structural + form_->slack_row[static_cast<std::size_t>(col)];
-    }
-    // Artificial columns stay encoded as -1.
-  }
-  return basis;
+  return result(status, costs);
 }
 
 }  // namespace
@@ -919,18 +889,10 @@ Solution solve_lp_live(const Model& model, std::span<const double> lower,
     }
   }
 
-  // Hands an optimal engine's basis and live state to the caller.
-  const auto release = [&](RevisedSimplex& engine, Solution& solution) {
-    if (solution.status != SolveStatus::Optimal) return;
-    if (emit_basis) solution.basis = engine.extract_basis();
-    if (keep != nullptr) *keep = std::move(engine).release_state();
-  };
-
-  // Warm attempt first: the resumed parent state, else the Basis rebuild.
-  // Any rejection (shape mismatch, singular basis, stalled repair, Phase II
-  // limit) falls through to the cold two-phase solve. Accounting:
-  //  - exactly one of {warm, cold} serves each call: warm_started is true
-  //    iff a warm engine (resumed or rebuilt) produced the Solution, and
+  // One engine per attempt: the resumed parent state or the Basis rebuild
+  // first, then the all-logical basis, which always answers. Accounting:
+  //  - exactly one attempt serves each call: warm_started is true iff a
+  //    warm engine (resumed or rebuilt) produced the Solution, and
   //    branch-and-bound counts warm_lp_solves/cold_lp_solves off that flag,
   //    so a rejected seed counts one cold solve and no warm one;
   //  - an abandoned attempt's work (iterations, factorization pivots,
@@ -941,37 +903,36 @@ Solution solve_lp_live(const Model& model, std::span<const double> lower,
   LpWork wasted;
   WarmGiveUps give_ups;
   const auto attempt = [&](RevisedSimplex& engine) -> std::optional<Solution> {
-    if (engine.warm_ok()) {
-      if (auto solution = engine.solve_warm()) {
-        wasted.charge(*solution);
-        release(engine, *solution);
-        return solution;
-      }
+    std::optional<Solution> solution;
+    if (engine.started()) solution = engine.solve();
+    if (!solution) {
+      wasted += engine.work();
+      give_ups += engine.give_ups();
+      return std::nullopt;
     }
-    wasted += engine.work();
-    give_ups += engine.give_ups();
-    return std::nullopt;
+    wasted.charge(*solution);
+    solution->warm_give_ups = give_ups;
+    if (solution->status == SolveStatus::Optimal) {
+      if (emit_basis) solution->basis = engine.extract_basis();
+      if (keep != nullptr) *keep = std::move(engine).release_state();
+    }
+    return solution;
   };
   if (resume != nullptr) {
     RevisedSimplex engine(model, lower, upper, options, *resume);
     if (auto solution = attempt(engine)) return *std::move(solution);
     // A Basis rebuild would restart from the basis this attempt started
     // from and almost always stall in the same dual repair that made it
-    // give up, so go straight to the cold solve.
+    // give up, so go straight to the logical basis.
     warm_start = nullptr;
   }
   if (warm_start != nullptr && !warm_start->empty() &&
       warm_start->matches(model.num_variables(), model.num_constraints())) {
-    RevisedSimplex engine(model, lower, upper, options, *warm_start);
+    RevisedSimplex engine(model, lower, upper, options, warm_start);
     if (auto solution = attempt(engine)) return *std::move(solution);
   }
-
-  RevisedSimplex engine(model, lower, upper, options);
-  Solution solution = engine.solve();
-  wasted.charge(solution);
-  solution.warm_give_ups = give_ups;
-  release(engine, solution);
-  return solution;
+  RevisedSimplex engine(model, lower, upper, options, nullptr);
+  return *attempt(engine);
 }
 
 }  // namespace birp::solver

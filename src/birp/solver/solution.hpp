@@ -12,29 +12,43 @@ enum class VarState : std::uint8_t { Basic, AtLower, AtUpper };
 
 /// Compact snapshot of an optimal simplex basis, used to warm-start later
 /// solves of structurally identical problems (branch-and-bound children,
-/// consecutive scheduling slots). Layout-independent: slack columns are
-/// identified by their constraint row, not by tableau position.
+/// consecutive scheduling slots).
 struct Basis {
-  /// State of each structural (model) variable. Slack states need no
-  /// storage: a slack is either in `basic` or rests at its lower bound.
+  /// State of each structural (model) variable. Logical states need no
+  /// storage: a logical is either in `basic` or rests at zero.
   std::vector<VarState> structural;
-  /// Basic column per row: j in [0, n) is structural j; n + i is the slack
-  /// of constraint i; -1 marks a degenerate row whose basic column was an
-  /// artificial (re-created as a fixed zero column on warm start).
+  /// Basic column per row: j in [0, n) is structural j; n + i is the
+  /// logical (slack, surplus, or fixed zero column of an = row) of
+  /// constraint i.
   std::vector<int> basic;
+
+  /// The all-logical basis of a model with `num_vars` variables and
+  /// `num_rows` constraints: every structural at its lower bound, row i's
+  /// logical basic in row i. Every cold solve starts here.
+  [[nodiscard]] static Basis logical(int num_vars, int num_rows) {
+    Basis basis;
+    basis.structural.assign(static_cast<std::size_t>(num_vars),
+                            VarState::AtLower);
+    basis.basic.resize(static_cast<std::size_t>(num_rows));
+    for (int i = 0; i < num_rows; ++i) {
+      basis.basic[static_cast<std::size_t>(i)] = num_vars + i;
+    }
+    return basis;
+  }
 
   [[nodiscard]] bool empty() const noexcept { return basic.empty(); }
   /// Shape check against a model with `num_vars` variables and `num_rows`
-  /// constraints; warm starts are rejected (cold fallback) otherwise.
+  /// constraints; a warm start from a basis of another shape is skipped.
   [[nodiscard]] bool matches(int num_vars, int num_rows) const noexcept {
     return structural.size() == static_cast<std::size_t>(num_vars) &&
            basic.size() == static_cast<std::size_t>(num_rows);
   }
 };
 
-/// Warm attempts abandoned for the cold two-phase solve, by reason. On an LP
-/// Solution at most one count is 1 (one attempt per call); a MILP Solution
-/// sums its node LPs' counts, and BirpScheduler sums its slots'.
+/// Warm attempts abandoned for a restart from the all-logical basis, by
+/// reason. On an LP Solution at most one count is 1 (one warm attempt per
+/// call); a MILP Solution sums its node LPs' counts, and BirpScheduler sums
+/// its slots'.
 struct WarmGiveUps {
   /// The seed basis was malformed or singular, or a refactorization during
   /// the dual repair found it singular.
@@ -84,15 +98,16 @@ struct Solution {
   std::int64_t simplex_iterations = 0;  ///< total pivots across all LP solves
   std::int64_t nodes_explored = 0;      ///< branch-and-bound nodes (MILP only)
   double best_bound = 0.0;              ///< proven lower bound (MILP only)
-  bool warm_started = false;       ///< LP: solved from a warm basis (no Phase I)
+  bool warm_started = false;  ///< LP: served from a warm (non-logical) basis
   std::int64_t factor_pivots = 0;  ///< eliminations spent refactorizing bases
   /// The factor_pivots of basic columns with more than one nonzero
-  /// (structural columns); the rest are slack/artificial singletons.
+  /// (structural columns); the rest are logical and other singletons.
   std::int64_t structural_factor_pivots = 0;
   std::int64_t btran_solves = 0;  ///< B^{-T} solves (duals and pivot rows)
   std::int64_t warm_lp_solves = 0;  ///< MILP: node LPs served by the warm path
-  std::int64_t cold_lp_solves = 0;  ///< MILP: node LPs solved from scratch
-  WarmGiveUps warm_give_ups;  ///< warm attempts abandoned for a cold solve
+  /// MILP: node LPs served from the all-logical basis.
+  std::int64_t cold_lp_solves = 0;
+  WarmGiveUps warm_give_ups;  ///< warm attempts abandoned for a logical start
 
   [[nodiscard]] bool usable() const noexcept {
     return status == SolveStatus::Optimal || status == SolveStatus::Feasible;

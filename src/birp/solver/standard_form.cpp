@@ -7,238 +7,49 @@
 #include "birp/util/check.hpp"
 
 namespace birp::solver {
-namespace {
-
-/// Scatter per-column (row, value) buckets into the CSC arrays and record
-/// the per-column infinity norms.
-void flatten_columns(
-    StandardForm& form,
-    const std::vector<std::vector<std::pair<int, double>>>& columns) {
-  form.col_start.assign(static_cast<std::size_t>(form.cols) + 1, 0);
-  std::size_t nnz = 0;
-  for (int j = 0; j < form.cols; ++j) {
-    nnz += columns[static_cast<std::size_t>(j)].size();
-  }
-  form.row_index.reserve(nnz);
-  form.values.reserve(nnz);
-  form.col_scale.assign(static_cast<std::size_t>(form.cols), 0.0);
-  for (int j = 0; j < form.cols; ++j) {
-    form.col_start[static_cast<std::size_t>(j)] =
-        static_cast<int>(form.row_index.size());
-    double scale = 0.0;
-    for (const auto& [row, coeff] : columns[static_cast<std::size_t>(j)]) {
-      form.row_index.push_back(row);
-      form.values.push_back(coeff);
-      scale = std::max(scale, std::abs(coeff));
-    }
-    form.col_scale[static_cast<std::size_t>(j)] = scale;
-  }
-  form.col_start[static_cast<std::size_t>(form.cols)] =
-      static_cast<int>(form.row_index.size());
-  form.rhs_scale = 0.0;
-  for (const double b : form.rhs) {
-    form.rhs_scale = std::max(form.rhs_scale, std::abs(b));
-  }
-}
-
-void init_shared(StandardForm& form) {
-  const auto cols = static_cast<std::size_t>(form.cols);
-  form.rhs.assign(static_cast<std::size_t>(form.rows), 0.0);
-  form.lower.assign(cols, 0.0);
-  form.upper.assign(cols, kInfinity);
-  form.state.assign(cols, VarState::AtLower);
-  form.value.assign(cols, 0.0);
-  form.basis.assign(static_cast<std::size_t>(form.rows), -1);
-  form.slack_row.assign(cols, -1);
-  form.dual_col.assign(static_cast<std::size_t>(form.rows), -1);
-  form.dual_sign.assign(static_cast<std::size_t>(form.rows), 1.0);
-}
-
-}  // namespace
-
-StandardForm build_standard_form(const Model& model,
-                                 std::span<const double> lower_override,
-                                 std::span<const double> upper_override) {
-  StandardForm form;
-  const int m = model.num_constraints();
-  const int n_struct = model.num_variables();
-  form.rows = m;
-  form.structural = n_struct;
-
-  // Starting point: every structural variable at its (overridden) lower
-  // bound. Residuals against that point decide which rows need an
-  // artificial; inequality rows whose slack absorbs the residual start with
-  // the slack basic, which removes the vast majority of Phase I work.
-  std::vector<double> start_value(static_cast<std::size_t>(n_struct));
-  for (int j = 0; j < n_struct; ++j) {
-    const double lo = lower_override.empty()
-                          ? model.variable(j).lower
-                          : lower_override[static_cast<std::size_t>(j)];
-    util::check(std::isfinite(lo), "simplex requires finite lower bounds");
-    start_value[static_cast<std::size_t>(j)] = lo;
-  }
-
-  int slack_count = 0;
-  for (const auto& constraint : model.constraints()) {
-    if (constraint.relation != Relation::Equal) ++slack_count;
-  }
-  form.artificial_begin = n_struct + slack_count;
-
-  std::vector<double> residual(static_cast<std::size_t>(m));
-  std::vector<bool> needs_artificial(static_cast<std::size_t>(m), false);
-  int artificial_count = 0;
-  for (int i = 0; i < m; ++i) {
-    const auto& constraint = model.constraint(i);
-    double r = constraint.rhs;
-    for (const auto& term : constraint.terms) {
-      r -= term.coeff * start_value[static_cast<std::size_t>(term.var)];
-    }
-    residual[static_cast<std::size_t>(i)] = r;
-    bool slack_ok = false;
-    switch (constraint.relation) {
-      case Relation::LessEqual:
-        slack_ok = r >= 0.0;  // slack in [0, inf)
-        break;
-      case Relation::GreaterEqual:
-        slack_ok = r <= 0.0;  // surplus absorbs -residual
-        break;
-      case Relation::Equal:
-        slack_ok = false;  // no slack column: always needs an artificial
-        break;
-    }
-    if (!slack_ok) {
-      needs_artificial[static_cast<std::size_t>(i)] = true;
-      ++artificial_count;
-    }
-  }
-  form.cols = form.artificial_begin + artificial_count;
-  init_shared(form);
-
-  // Structural bounds (with branch-and-bound overrides), nonbasic at lower.
-  for (int j = 0; j < n_struct; ++j) {
-    const double hi = upper_override.empty()
-                          ? model.variable(j).upper
-                          : upper_override[static_cast<std::size_t>(j)];
-    form.lower[static_cast<std::size_t>(j)] =
-        start_value[static_cast<std::size_t>(j)];
-    form.upper[static_cast<std::size_t>(j)] = hi;
-    form.value[static_cast<std::size_t>(j)] =
-        start_value[static_cast<std::size_t>(j)];
-  }
-
-  // Row orientation: >= rows are flipped so the surplus has coefficient +1;
-  // artificial rows are flipped again where needed so the Phase I start is
-  // nonnegative. The combined sign is applied to every stored coefficient
-  // (including the slack, which is written between the two flips) and
-  // remembered in dual_sign so duals can be reported against the model's
-  // orientation.
-  std::vector<std::vector<std::pair<int, double>>> columns(
-      static_cast<std::size_t>(form.cols));
-  int slack = n_struct;
-  int artificial = form.artificial_begin;
-  for (int i = 0; i < m; ++i) {
-    const auto& constraint = model.constraint(i);
-    const double flip1 =
-        constraint.relation == Relation::GreaterEqual ? -1.0 : 1.0;
-    double r = flip1 * residual[static_cast<std::size_t>(i)];
-    double flip2 = 1.0;
-    if (needs_artificial[static_cast<std::size_t>(i)] && r < 0.0) {
-      flip2 = -1.0;
-      r = -r;
-    }
-    const double sign = flip1 * flip2;
-    for (const auto& term : constraint.terms) {
-      if (term.coeff == 0.0) continue;
-      columns[static_cast<std::size_t>(term.var)].emplace_back(
-          i, sign * term.coeff);
-    }
-    form.rhs[static_cast<std::size_t>(i)] = sign * constraint.rhs;
-    form.dual_sign[static_cast<std::size_t>(i)] = sign;
-
-    int slack_col = -1;
-    if (constraint.relation != Relation::Equal) {
-      slack_col = slack++;
-      columns[static_cast<std::size_t>(slack_col)].emplace_back(i, flip2);
-      form.slack_row[static_cast<std::size_t>(slack_col)] = i;
-    }
-    if (!needs_artificial[static_cast<std::size_t>(i)]) {
-      // Slack absorbs the residual (>= 0 after the flip): basic immediately.
-      form.basis[static_cast<std::size_t>(i)] = slack_col;
-      form.state[static_cast<std::size_t>(slack_col)] = VarState::Basic;
-      form.value[static_cast<std::size_t>(slack_col)] = r;
-      form.dual_col[static_cast<std::size_t>(i)] = slack_col;
-      continue;
-    }
-    const int art_col = artificial++;
-    columns[static_cast<std::size_t>(art_col)].emplace_back(i, 1.0);
-    form.basis[static_cast<std::size_t>(i)] = art_col;
-    form.state[static_cast<std::size_t>(art_col)] = VarState::Basic;
-    form.value[static_cast<std::size_t>(art_col)] = r;
-    // The artificial anchors the dual: it appears only in this row with
-    // stored coefficient +1 and phase-2 cost 0, so y_i = -d_artificial.
-    form.dual_col[static_cast<std::size_t>(i)] = art_col;
-    form.slack_row[static_cast<std::size_t>(art_col)] = i;
-  }
-
-  flatten_columns(form, columns);
-  form.ok = true;
-  return form;
-}
 
 StandardForm build_standard_form(const Model& model,
                                  std::span<const double> lower_override,
                                  std::span<const double> upper_override,
-                                 const Basis& warm) {
+                                 const Basis& start) {
   StandardForm form;
   const int m = model.num_constraints();
-  const int n_struct = model.num_variables();
+  const int n = model.num_variables();
   form.rows = m;
-  form.structural = n_struct;
-  if (!warm.matches(n_struct, m)) return form;  // ok stays false
+  form.structural = n;
+  if (!start.matches(n, m)) return form;  // ok stays false
+  form.cols = n + m;
+  const auto cols = static_cast<std::size_t>(form.cols);
+  form.rhs.assign(static_cast<std::size_t>(m), 0.0);
+  form.lower.assign(cols, 0.0);
+  form.upper.assign(cols, kInfinity);
+  form.state.assign(cols, VarState::AtLower);
+  form.value.assign(cols, 0.0);
+  form.dual_sign.assign(static_cast<std::size_t>(m), 1.0);
 
-  // Layout: slack per inequality row (same order as the cold path), then one
-  // artificial per equality row (the dual anchor) or per row whose recorded
-  // basic column was an artificial. All artificials are fixed at [0, 0]; the
-  // warm path never runs Phase I.
-  std::vector<int> slack_col(static_cast<std::size_t>(m), -1);
-  std::vector<int> art_col(static_cast<std::size_t>(m), -1);
-  int slack_count = 0;
-  for (int i = 0; i < m; ++i) {
-    if (model.constraint(i).relation != Relation::Equal) {
-      slack_col[static_cast<std::size_t>(i)] = n_struct + slack_count;
-      ++slack_count;
-    }
-  }
-  form.artificial_begin = n_struct + slack_count;
-  int artificial_count = 0;
-  for (int i = 0; i < m; ++i) {
-    const bool is_equal = model.constraint(i).relation == Relation::Equal;
-    if (is_equal || warm.basic[static_cast<std::size_t>(i)] < 0) {
-      art_col[static_cast<std::size_t>(i)] =
-          form.artificial_begin + artificial_count;
-      ++artificial_count;
-    }
-  }
-  form.cols = form.artificial_begin + artificial_count;
-  init_shared(form);
-
-  for (int j = 0; j < n_struct; ++j) {
-    const double lo = lower_override.empty()
-                          ? model.variable(j).lower
-                          : lower_override[static_cast<std::size_t>(j)];
-    const double hi = upper_override.empty()
-                          ? model.variable(j).upper
-                          : upper_override[static_cast<std::size_t>(j)];
+  // Structural bounds (with branch-and-bound overrides) and the recorded
+  // nonbasic states (the basic list below overrides). A variable recorded
+  // AtUpper whose current upper bound is infinite rests at its lower bound.
+  for (int j = 0; j < n; ++j) {
+    const auto jj = static_cast<std::size_t>(j);
+    const double lo =
+        lower_override.empty() ? model.variable(j).lower : lower_override[jj];
+    const double hi =
+        upper_override.empty() ? model.variable(j).upper : upper_override[jj];
     util::check(std::isfinite(lo), "simplex requires finite lower bounds");
-    form.lower[static_cast<std::size_t>(j)] = lo;
-    form.upper[static_cast<std::size_t>(j)] = hi;
+    form.lower[jj] = lo;
+    form.upper[jj] = hi;
+    const bool at_upper =
+        start.structural[jj] == VarState::AtUpper && std::isfinite(hi);
+    form.state[jj] = at_upper ? VarState::AtUpper : VarState::AtLower;
+    form.value[jj] = at_upper ? hi : lo;
   }
 
-  // Fill coefficients. Only the deterministic >= flip is applied (the cold
-  // path's residual-dependent flips exist to make Phase I starts positive,
-  // which the warm path does not need).
+  // Coefficients: a >= row is flipped so its surplus logical has
+  // coefficient +1; dual_sign remembers the flip so duals can be reported
+  // against the model's orientation. An = row's logical is fixed at zero.
   std::vector<std::vector<std::pair<int, double>>> columns(
-      static_cast<std::size_t>(form.cols));
+      static_cast<std::size_t>(n));
   for (int i = 0; i < m; ++i) {
     const auto& constraint = model.constraint(i);
     const double sign =
@@ -250,56 +61,47 @@ StandardForm build_standard_form(const Model& model,
     }
     form.rhs[static_cast<std::size_t>(i)] = sign * constraint.rhs;
     form.dual_sign[static_cast<std::size_t>(i)] = sign;
-    const int sc = slack_col[static_cast<std::size_t>(i)];
-    if (sc >= 0) {
-      columns[static_cast<std::size_t>(sc)].emplace_back(i, 1.0);
-      form.slack_row[static_cast<std::size_t>(sc)] = i;
+    if (constraint.relation == Relation::Equal) {
+      form.upper[static_cast<std::size_t>(n + i)] = 0.0;
     }
-    const int ac = art_col[static_cast<std::size_t>(i)];
-    if (ac >= 0) {
-      columns[static_cast<std::size_t>(ac)].emplace_back(i, 1.0);
-      form.upper[static_cast<std::size_t>(ac)] = 0.0;  // fixed at zero
-      form.slack_row[static_cast<std::size_t>(ac)] = i;
-    }
-    // Dual anchor: slack where one exists, artificial for equality rows.
-    form.dual_col[static_cast<std::size_t>(i)] = sc >= 0 ? sc : ac;
   }
 
-  // Nonbasic starting point from the recorded states (the basic list below
-  // overrides). A variable recorded AtUpper whose current upper bound is
-  // infinite is parked at its lower bound instead.
-  for (int j = 0; j < n_struct; ++j) {
-    const bool at_upper =
-        warm.structural[static_cast<std::size_t>(j)] == VarState::AtUpper &&
-        std::isfinite(form.upper[static_cast<std::size_t>(j)]);
-    form.state[static_cast<std::size_t>(j)] =
-        at_upper ? VarState::AtUpper : VarState::AtLower;
-    form.value[static_cast<std::size_t>(j)] =
-        at_upper ? form.upper[static_cast<std::size_t>(j)]
-                 : form.lower[static_cast<std::size_t>(j)];
+  // CSC arrays and per-column infinity norms; each logical is a unit column.
+  std::size_t nnz = static_cast<std::size_t>(m);
+  for (const auto& column : columns) nnz += column.size();
+  form.col_start.reserve(cols + 1);
+  form.row_index.reserve(nnz);
+  form.values.reserve(nnz);
+  form.col_scale.assign(cols, 1.0);
+  for (int j = 0; j < form.cols; ++j) {
+    form.col_start.push_back(static_cast<int>(form.row_index.size()));
+    if (j >= n) {
+      form.row_index.push_back(j - n);
+      form.values.push_back(1.0);
+      continue;
+    }
+    double scale = 0.0;
+    for (const auto& [row, coeff] : columns[static_cast<std::size_t>(j)]) {
+      form.row_index.push_back(row);
+      form.values.push_back(coeff);
+      scale = std::max(scale, std::abs(coeff));
+    }
+    form.col_scale[static_cast<std::size_t>(j)] = scale;
   }
+  form.col_start.push_back(static_cast<int>(form.row_index.size()));
 
-  // Decode the basic column list; reject malformed bases (out-of-range
-  // entries, slack of an equality row, duplicates).
+  // Decode the basic column list; reject out-of-range entries and
+  // duplicates.
   form.basic_cols.assign(static_cast<std::size_t>(m), -1);
   for (int i = 0; i < m; ++i) {
-    const int code = warm.basic[static_cast<std::size_t>(i)];
-    int col = -1;
-    if (code < 0) {
-      col = art_col[static_cast<std::size_t>(i)];
-    } else if (code < n_struct) {
-      col = code;
-    } else if (code - n_struct < m) {
-      col = slack_col[static_cast<std::size_t>(code - n_struct)];
-    }
-    if (col < 0 || form.state[static_cast<std::size_t>(col)] == VarState::Basic) {
-      return form;  // invalid or duplicate: cold fallback (ok stays false)
+    const int col = start.basic[static_cast<std::size_t>(i)];
+    if (col < 0 || col >= form.cols ||
+        form.state[static_cast<std::size_t>(col)] == VarState::Basic) {
+      return form;  // ok stays false
     }
     form.state[static_cast<std::size_t>(col)] = VarState::Basic;
     form.basic_cols[static_cast<std::size_t>(i)] = col;
   }
-
-  flatten_columns(form, columns);
   form.ok = true;
   return form;
 }

@@ -1,18 +1,15 @@
 // Standard-form construction for the LP engine (simplex.cpp).
 //
-// The engine solves a standard form with columns ordered [structural |
-// slack/surplus | artificial] and rows flipped so every initial basic
-// variable has coefficient +1. This module builds that form — as a
-// compressed-sparse-column snapshot plus the starting point — and decodes a
-// recorded Basis into column indices (the warm build);
+// The engine solves a standard form with columns ordered [structural | one
+// logical per row]: the logical of row i is column n + i, with coefficient
+// +1 in row i only. A <= row's logical is its slack in [0, inf); a >= row is
+// flipped so its surplus becomes that +1 logical, also in [0, inf); an =
+// row's logical is fixed at [0, 0] and only anchors the row's dual. This
+// module builds that form — a compressed-sparse-column snapshot plus the
+// starting point — from a Basis, and decodes the Basis into the column
+// indices the engine factorizes. The all-logical basis (Basis::logical) is
+// the identity, which is how every cold solve starts;
 // RevisedSimplex::extract_basis is the matching encoder.
-//
-// Two build modes mirror the two solve paths:
-//  - cold: Phase I start. Inequality rows whose slack absorbs the residual
-//    begin with the slack basic; every other row gets an artificial.
-//  - warm: rebuild a caller Basis against the current bounds. Artificials
-//    exist only as fixed [0,0] dual anchors for equality rows (and rows
-//    whose recorded basic column was an artificial); Phase I never runs.
 #pragma once
 
 #include <span>
@@ -24,12 +21,11 @@
 namespace birp::solver {
 
 /// Standard-form snapshot: CSC matrix, bounds, starting point, and the
-/// layout bookkeeping (dual anchors, row orientation signs).
+/// row orientation signs.
 struct StandardForm {
-  int rows = 0;             ///< constraints m
-  int cols = 0;             ///< structural + slack + artificial columns
-  int structural = 0;       ///< model variables
-  int artificial_begin = 0; ///< first artificial column index
+  int rows = 0;        ///< constraints m
+  int cols = 0;        ///< structural + logical columns (n + m)
+  int structural = 0;  ///< model variables n
 
   // CSC matrix of the full standard form (row flips applied). Row indices
   // within a column are strictly increasing.
@@ -41,29 +37,20 @@ struct StandardForm {
   std::vector<double> lower;    ///< per column
   std::vector<double> upper;    ///< per column
   std::vector<VarState> state;  ///< starting state per column
-  std::vector<double> value;    ///< starting value per column
-  std::vector<int> basis;       ///< starting basic column per row (cold only;
-                                ///< -1 per row on the warm path until the
-                                ///< caller factorizes `basic_cols`)
-  std::vector<int> dual_col;    ///< slack/artificial anchoring row i's dual
-  std::vector<double> dual_sign;///< cumulative row flips vs model orientation
-  std::vector<int> slack_row;   ///< slack/artificial column -> row (-1 else)
+  std::vector<double> value;    ///< starting value per column (nonbasic)
+  std::vector<double> dual_sign;///< -1 for a flipped >= row, else +1
 
-  /// Warm path only: the decoded basic column of each row of the caller's
-  /// Basis, in Basis row order. Empty on the cold path.
+  /// The decoded basic column of each row of the starting Basis, in Basis
+  /// row order; the engine factorizes it.
   std::vector<int> basic_cols;
 
-  // Scale statistics for relative tolerances (see simplex.hpp): per-column
-  // infinity norm of the standard-form matrix and the rhs infinity norm.
-  // Absolute cutoffs (1e-12 tie windows, the 1e-6 Phase-I infeasibility
-  // threshold) misfire once coefficients leave the O(1) range; every
-  // tolerance comparison in the engine is scaled by these.
+  // Per-column infinity norm of the standard-form matrix: pivot tolerances
+  // (basis_lu.hpp) are relative to it, because absolute cutoffs misfire
+  // once coefficients leave the O(1) range.
   std::vector<double> col_scale;
-  double rhs_scale = 0.0;
 
-  /// Warm build validity: false when the recorded basis is malformed
-  /// (out-of-range entry, slack of an equality row, duplicate column).
-  /// The cold build is always ok.
+  /// False when the starting basis is malformed (wrong shape, out-of-range
+  /// entry, duplicate column). Basis::logical is always well formed.
   bool ok = false;
 
   [[nodiscard]] int column_nnz(int j) const noexcept {
@@ -72,16 +59,12 @@ struct StandardForm {
   }
 };
 
-/// Cold build: Phase I starting basis. `lower_override`/`upper_override`
-/// are the branch-and-bound bound overrides (empty means model bounds).
+/// Builds the standard form starting from `start` (a previous optimal
+/// basis, or Basis::logical for a cold start). `lower_override` /
+/// `upper_override` are the branch-and-bound bound overrides (empty means
+/// model bounds). Check `.ok` before using the result.
 [[nodiscard]] StandardForm build_standard_form(
     const Model& model, std::span<const double> lower_override,
-    std::span<const double> upper_override);
-
-/// Warm build from a recorded basis. Check `.ok`; when false the caller
-/// must fall back to the cold path. `warm` must already shape-match.
-[[nodiscard]] StandardForm build_standard_form(
-    const Model& model, std::span<const double> lower_override,
-    std::span<const double> upper_override, const Basis& warm);
+    std::span<const double> upper_override, const Basis& start);
 
 }  // namespace birp::solver

@@ -400,7 +400,7 @@ TEST(ControlPlane, StormDecisionStreamDigestIsPinned) {
   }
   EXPECT_GE(plane.repartitions(), 1);
   EXPECT_GT(balancer.moved_total(), 0);
-  EXPECT_EQ(digest.get(), 0x4236099cfafcb375ULL) << std::hex << digest.get();
+  EXPECT_EQ(digest.get(), 0x699204441277b401ULL) << std::hex << digest.get();
 }
 
 // ---------------------------------------------------------------- watchdog ----

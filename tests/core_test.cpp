@@ -396,7 +396,7 @@ TEST(GoldenDecisions, OnlinePaperLargeDigestIsPinned) {
   }
   EXPECT_GT(dropped, 0);
   EXPECT_EQ(scheduler.fallback_count(), 0);
-  EXPECT_EQ(digest.get(), 0x425a966183c7730fULL) << std::hex << digest.get();
+  EXPECT_EQ(digest.get(), 0x83d1b68368d62c9aULL) << std::hex << digest.get();
 }
 
 TEST(BirpScheduler, NameOverride) {

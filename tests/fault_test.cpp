@@ -551,7 +551,7 @@ TEST(GoldenRuns, SimulatorBirpWithFaultsDigestIsPinned) {
   testutil::hash_metrics(digest, metrics);
   EXPECT_GT(retried, 0);
   EXPECT_EQ(metrics.total_requests(), run.trace.total());
-  EXPECT_EQ(digest.get(), 0xadd6dca8e89eb18dULL) << std::hex << digest.get();
+  EXPECT_EQ(digest.get(), 0x86eafd2454306c4dULL) << std::hex << digest.get();
 }
 
 TEST(GoldenRuns, ServeEngineBirpWithFaultsDigestIsPinned) {
@@ -585,7 +585,7 @@ TEST(GoldenRuns, ServeEngineBirpWithFaultsDigestIsPinned) {
   }
   testutil::hash_metrics(digest, metrics);
   EXPECT_GT(retried, 0);
-  EXPECT_EQ(digest.get(), 0x847c982657de482bULL) << std::hex << digest.get();
+  EXPECT_EQ(digest.get(), 0x6e78829107097c28ULL) << std::hex << digest.get();
 }
 
 TEST(GoldenRuns, SimulatorBackoffFailoverDigestIsPinned) {
@@ -625,7 +625,7 @@ TEST(GoldenRuns, SimulatorBackoffFailoverDigestIsPinned) {
   EXPECT_GT(retried, 0);
   EXPECT_GT(whole.retries(), 0);
   EXPECT_EQ(whole.total_requests(), run.trace.total());
-  EXPECT_EQ(digest.get(), 0x6aa4da76f14da59bULL) << std::hex << digest.get();
+  EXPECT_EQ(digest.get(), 0xfea50e75d11b3a86ULL) << std::hex << digest.get();
 }
 
 // -------------------------------------------------- scheduler liveness ----

@@ -360,7 +360,7 @@ TEST(GoldenRuns, SimulatorMaxCarryoverDigestIsPinned) {
   EXPECT_GT(failed, 0);
   EXPECT_GT(dropped, failed);  // some sheds were deferred, not failed
   EXPECT_EQ(metrics.total_requests(), trace.total());
-  EXPECT_EQ(digest.get(), 0xab54a6bf4e95f9e6ULL) << std::hex << digest.get();
+  EXPECT_EQ(digest.get(), 0x4df3547584d1bbcaULL) << std::hex << digest.get();
 }
 
 TEST_F(SimulatorFixture, SeedChangesNoise) {

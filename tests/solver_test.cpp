@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -603,10 +604,11 @@ TEST(SimplexScaling, TinyUniformScalingStillPivots) {
 }
 
 TEST(SimplexScaling, HugeRhsPhaseOneIsNotSpuriouslyInfeasible) {
-  // Equality rows at |b| ~ 3e9 force Phase I through artificials whose
-  // retirement leaves rounding residue proportional to the rhs norm. The
-  // feasibility verdict must scale with |b|; an absolute 1e-6 cutoff reads
-  // that residue as infeasibility.
+  // Equality rows at |b| ~ 3e9: the all-logical start violates both by the
+  // full rhs, and the dual repair must drive both fixed logicals out of the
+  // basis and report a feasible point, not read the rounding residue left at
+  // this scale as an infeasible row. (The name is from the two-phase engine,
+  // whose Phase I verdict once used an absolute 1e-6 cutoff here.)
   Model model;
   const int x = model.add_continuous(0.0, kInfinity);
   const int y = model.add_continuous(0.0, kInfinity);
@@ -672,12 +674,15 @@ TEST(SimplexCycling, BealeExampleTerminatesUnderBlandFallback) {
 
 // ------------------------------------------- vertex-enumeration oracle ----
 
-// Small box-bounded LPs checked against exhaustive vertex enumeration, which
-// shares no code with the simplex engine: every n-subset of {rows, lower
-// bounds, upper bounds} is tried as the active set, each n x n system is
-// solved by partial-pivot elimination below, and the best feasible vertex is
-// the reference optimum. The box makes the polytope bounded and pointed, so
-// it has an optimal vertex whenever it is nonempty.
+// Small LPs checked against exhaustive enumeration, which shares no code
+// with the simplex engine: every n-subset of {rows, lower bounds, finite
+// upper bounds} is tried as the active set, each n x n system is solved by
+// partial-pivot elimination below, and the best feasible vertex is the
+// reference optimum. Every lower bound is finite, so the polyhedron is
+// pointed: it has a vertex whenever it is nonempty, and an optimal vertex
+// unless the objective is unbounded below. Some columns have no upper bound;
+// unboundedness is decided by enumerating the extreme rays of the recession
+// cone the same way (see enumerate_vertices).
 
 constexpr int kEnumVars = 4;
 constexpr int kEnumRows = 3;
@@ -685,7 +690,7 @@ constexpr int kEnumRows = 3;
 struct SmallLp {
   std::vector<double> cost;                 ///< per variable
   std::vector<double> lower;                ///< per variable (finite)
-  std::vector<double> upper;                ///< per variable (finite)
+  std::vector<double> upper;                ///< per variable (maybe inf)
   std::vector<std::vector<double>> coeff;   ///< rows x vars, dense
   std::vector<Relation> relation;           ///< per row
   std::vector<double> rhs;                  ///< per row
@@ -715,7 +720,10 @@ struct SmallLp {
 
 /// Draws coefficients on a 0.5 grid (zeros and negatives included) and rows
 /// of all three relations, with right-hand sides placed around a random
-/// point of the box so that both feasible and infeasible draws occur.
+/// point of the box so that both feasible and infeasible draws occur. A
+/// separate stream then lifts about 30% of the upper bounds to infinity and
+/// makes some of those columns recession rays, so that unbounded draws
+/// occur too.
 SmallLp random_small_lp(std::uint64_t seed) {
   util::Xoshiro256StarStar rng(seed * 7919 + 3);
   const auto grid = [&](double lo, double hi) {
@@ -748,6 +756,30 @@ SmallLp random_small_lp(std::uint64_t seed) {
     lp.rhs.push_back(relation == Relation::LessEqual      ? activity + slack
                      : relation == Relation::GreaterEqual ? activity - slack
                                                           : activity + 0.5 * slack);
+  }
+  util::Xoshiro256StarStar open_rng(seed * 104729 + 11);
+  for (int j = 0; j < kEnumVars; ++j) {
+    const auto jj = static_cast<std::size_t>(j);
+    if (open_rng.uniform() >= 0.3) continue;
+    lp.upper[jj] = kInfinity;
+    bool in_equality = false;
+    for (int i = 0; i < kEnumRows; ++i) {
+      in_equality = in_equality ||
+                    (lp.relation[static_cast<std::size_t>(i)] == Relation::Equal &&
+                     lp.coeff[static_cast<std::size_t>(i)][jj] != 0.0);
+    }
+    if (in_equality || open_rng.uniform() >= 0.6) continue;
+    // A ray column: e_j is a recession direction (each inequality's
+    // coefficient signed to fit its relation). The rhs moves with the
+    // coefficient, so the anchor keeps its slack.
+    for (int i = 0; i < kEnumRows; ++i) {
+      const auto ii = static_cast<std::size_t>(i);
+      double& a = lp.coeff[ii][jj];
+      const double fitted =
+          lp.relation[ii] == Relation::GreaterEqual ? std::abs(a) : -std::abs(a);
+      lp.rhs[ii] += (fitted - a) * anchor[jj];
+      a = fitted;
+    }
   }
   return lp;
 }
@@ -783,69 +815,149 @@ bool solve_dense(std::vector<std::vector<double>> m, std::vector<double> b,
 
 struct EnumeratedOptimum {
   bool feasible = false;
+  bool unbounded = false;  ///< feasible, with an improving recession ray
   double objective = kInfinity;
 };
 
-/// Best feasible vertex of `lp` under the bounds `lower`/`upper`.
-EnumeratedOptimum enumerate_vertices(const SmallLp& lp,
-                                     const std::vector<double>& lower,
-                                     const std::vector<double>& upper) {
-  // Candidate active constraints: rows, then lower bounds, then upper bounds.
-  constexpr int kCandidates = kEnumRows + 2 * kEnumVars;
-  std::vector<std::vector<double>> normal;
-  std::vector<double> level;
-  for (int i = 0; i < kEnumRows; ++i) {
-    normal.push_back(lp.coeff[static_cast<std::size_t>(i)]);
-    level.push_back(lp.rhs[static_cast<std::size_t>(i)]);
-  }
-  for (const auto* bound : {&lower, &upper}) {
-    for (int j = 0; j < kEnumVars; ++j) {
-      std::vector<double> unit(kEnumVars, 0.0);
-      unit[static_cast<std::size_t>(j)] = 1.0;
-      normal.push_back(std::move(unit));
-      level.push_back((*bound)[static_cast<std::size_t>(j)]);
-    }
-  }
-
-  EnumeratedOptimum best;
+/// Minimum of c·x over the points x with `normal[c]·x = level[c]` for some
+/// kEnumVars of the candidates (always including the first `required`) and
+/// `admissible(x)`; infinity when no such point exists.
+double best_active_set_point(
+    const std::vector<std::vector<double>>& normal,
+    const std::vector<double>& level, int required,
+    const std::vector<double>& cost,
+    const std::function<bool(const std::vector<double>&)>& admissible) {
+  const int candidates = static_cast<int>(normal.size());
+  const int required_mask = (1 << required) - 1;
+  double best = kInfinity;
   std::vector<double> x;
-  for (int mask = 0; mask < (1 << kCandidates); ++mask) {
-    if (std::popcount(static_cast<unsigned>(mask)) != kEnumVars) continue;
+  for (int mask = 0; mask < (1 << candidates); ++mask) {
+    if (std::popcount(static_cast<unsigned>(mask)) != kEnumVars ||
+        (mask & required_mask) != required_mask) {
+      continue;
+    }
     std::vector<std::vector<double>> m;
     std::vector<double> b;
-    for (int c = 0; c < kCandidates; ++c) {
+    for (int c = 0; c < candidates; ++c) {
       if ((mask >> c & 1) == 0) continue;
       m.push_back(normal[static_cast<std::size_t>(c)]);
       b.push_back(level[static_cast<std::size_t>(c)]);
     }
-    if (!solve_dense(std::move(m), std::move(b), x)) continue;
-    bool feasible = true;
-    for (int j = 0; j < kEnumVars && feasible; ++j) {
-      const auto jj = static_cast<std::size_t>(j);
-      feasible = x[jj] >= lower[jj] - 1e-9 && x[jj] <= upper[jj] + 1e-9;
+    if (!solve_dense(std::move(m), std::move(b), x) || !admissible(x)) {
+      continue;
     }
-    for (int i = 0; i < kEnumRows && feasible; ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      double activity = 0.0;
-      for (int j = 0; j < kEnumVars; ++j) {
-        activity += lp.coeff[ii][static_cast<std::size_t>(j)] *
-                    x[static_cast<std::size_t>(j)];
-      }
-      const double tol = 1e-9 * (1.0 + std::abs(lp.rhs[ii]));
-      switch (lp.relation[ii]) {
-        case Relation::LessEqual: feasible = activity <= lp.rhs[ii] + tol; break;
-        case Relation::GreaterEqual: feasible = activity >= lp.rhs[ii] - tol; break;
-        case Relation::Equal: feasible = std::abs(activity - lp.rhs[ii]) <= tol; break;
-      }
-    }
-    if (!feasible) continue;
     double objective = 0.0;
     for (int j = 0; j < kEnumVars; ++j) {
-      objective += lp.cost[static_cast<std::size_t>(j)] * x[static_cast<std::size_t>(j)];
+      objective += cost[static_cast<std::size_t>(j)] * x[static_cast<std::size_t>(j)];
     }
-    best.feasible = true;
-    best.objective = std::min(best.objective, objective);
+    best = std::min(best, objective);
   }
+  return best;
+}
+
+/// Row i's activity a_i·x.
+double row_activity(const SmallLp& lp, int i, const std::vector<double>& x) {
+  double activity = 0.0;
+  for (int j = 0; j < kEnumVars; ++j) {
+    activity += lp.coeff[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] *
+                x[static_cast<std::size_t>(j)];
+  }
+  return activity;
+}
+
+/// Best feasible vertex of `lp` under the bounds `lower`/`upper`, and
+/// whether the objective is unbounded below.
+EnumeratedOptimum enumerate_vertices(const SmallLp& lp,
+                                     const std::vector<double>& lower,
+                                     const std::vector<double>& upper) {
+  const auto unit = [](int j) {
+    std::vector<double> e(kEnumVars, 0.0);
+    e[static_cast<std::size_t>(j)] = 1.0;
+    return e;
+  };
+
+  // Vertices. Candidate active constraints: rows, lower bounds, finite
+  // upper bounds.
+  std::vector<std::vector<double>> normal(lp.coeff.begin(), lp.coeff.end());
+  std::vector<double> level(lp.rhs.begin(), lp.rhs.end());
+  for (int j = 0; j < kEnumVars; ++j) {
+    normal.push_back(unit(j));
+    level.push_back(lower[static_cast<std::size_t>(j)]);
+    if (std::isfinite(upper[static_cast<std::size_t>(j)])) {
+      normal.push_back(unit(j));
+      level.push_back(upper[static_cast<std::size_t>(j)]);
+    }
+  }
+  EnumeratedOptimum best;
+  best.objective =
+      best_active_set_point(normal, level, 0, lp.cost, [&](const auto& x) {
+        for (int j = 0; j < kEnumVars; ++j) {
+          const auto jj = static_cast<std::size_t>(j);
+          if (x[jj] < lower[jj] - 1e-9 || x[jj] > upper[jj] + 1e-9) return false;
+        }
+        for (int i = 0; i < kEnumRows; ++i) {
+          const auto ii = static_cast<std::size_t>(i);
+          const double activity = row_activity(lp, i, x);
+          const double tol = 1e-9 * (1.0 + std::abs(lp.rhs[ii]));
+          switch (lp.relation[ii]) {
+            case Relation::LessEqual:
+              if (activity > lp.rhs[ii] + tol) return false;
+              break;
+            case Relation::GreaterEqual:
+              if (activity < lp.rhs[ii] - tol) return false;
+              break;
+            case Relation::Equal:
+              if (std::abs(activity - lp.rhs[ii]) > tol) return false;
+              break;
+          }
+        }
+        return true;
+      });
+  best.feasible = std::isfinite(best.objective);
+  if (!best.feasible) return best;
+
+  // Recession rays: r >= 0 (finite lower bounds), r_j = 0 where u_j is
+  // finite, and each row's homogeneous sign. The cone is pointed, so the
+  // section sum_j r_j = 1 is a polytope whose vertices are its extreme rays;
+  // the LP is unbounded iff one of them has c·r < 0. Candidates: the
+  // section (in every active set), rows, r_j = 0.
+  std::vector<std::vector<double>> ray_normal{std::vector<double>(kEnumVars, 1.0)};
+  std::vector<double> ray_level{1.0};
+  for (int i = 0; i < kEnumRows; ++i) {
+    ray_normal.push_back(lp.coeff[static_cast<std::size_t>(i)]);
+    ray_level.push_back(0.0);
+  }
+  for (int j = 0; j < kEnumVars; ++j) {
+    ray_normal.push_back(unit(j));
+    ray_level.push_back(0.0);
+  }
+  const double best_ray = best_active_set_point(
+      ray_normal, ray_level, 1, lp.cost, [&](const auto& r) {
+        double sum = 0.0;
+        for (int j = 0; j < kEnumVars; ++j) {
+          const auto jj = static_cast<std::size_t>(j);
+          if (r[jj] < -1e-9) return false;
+          if (std::isfinite(upper[jj]) && r[jj] > 1e-9) return false;
+          sum += r[jj];
+        }
+        if (std::abs(sum - 1.0) > 1e-9) return false;
+        for (int i = 0; i < kEnumRows; ++i) {
+          const double activity = row_activity(lp, i, r);
+          switch (lp.relation[static_cast<std::size_t>(i)]) {
+            case Relation::LessEqual:
+              if (activity > 1e-9) return false;
+              break;
+            case Relation::GreaterEqual:
+              if (activity < -1e-9) return false;
+              break;
+            case Relation::Equal:
+              if (std::abs(activity) > 1e-9) return false;
+              break;
+          }
+        }
+        return true;
+      });
+  best.unbounded = best_ray < -1e-9;
   return best;
 }
 
@@ -865,6 +977,9 @@ void expect_matches_enumeration(const SmallLp& lp,
   ASSERT_EQ(solution.status == SolveStatus::Infeasible, !reference.feasible)
       << "status " << to_string(solution.status);
   if (!reference.feasible) return;
+  ASSERT_EQ(solution.status == SolveStatus::Unbounded, reference.unbounded)
+      << "status " << to_string(solution.status);
+  if (reference.unbounded) return;
   ASSERT_EQ(solution.status, SolveStatus::Optimal);
   const double scale = 1.0 + std::abs(reference.objective);
   EXPECT_NEAR(solution.objective, reference.objective, 1e-9 * scale);
@@ -899,9 +1014,34 @@ void expect_matches_enumeration(const SmallLp& lp,
     if (x < upper[jj] - kDualTol) {
       EXPECT_GE(reduced, -kDualTol) << "column " << j;
     }
-    dual_objective += reduced >= 0.0 ? reduced * lower[jj] : reduced * upper[jj];
+    dual_objective += reduced >= 0.0 || !std::isfinite(upper[jj])
+                          ? reduced * lower[jj]
+                          : reduced * upper[jj];
   }
   EXPECT_NEAR(dual_objective, reference.objective, 1e-9 * scale);
+}
+
+/// Tightens column j's bounds past its value at a first optimum, the way a
+/// branch-and-bound child does, so that the re-solve must leave that
+/// vertex: the half of the box the value lies in is cut away, and a column
+/// with no upper bound that sits within 1 of its lower bound gets its lower
+/// bound raised past the value instead. Every cut clears the value by at
+/// least a quarter (finite bounds are at least 1 apart).
+void tighten_past(std::vector<double>& lower, std::vector<double>& upper,
+                  std::size_t j, const std::vector<double>& values) {
+  const double x = values[j];
+  const bool cut_above = std::isfinite(upper[j]) ? x - lower[j] >= upper[j] - x
+                                                 : x - lower[j] >= 1.0;
+  if (cut_above) {
+    upper[j] = lower[j] + 0.5 * (x - lower[j]);
+  } else if (std::isfinite(upper[j])) {
+    lower[j] = x + 0.5 * (upper[j] - x);
+  } else {
+    lower[j] = x + 1.0;
+  }
+  EXPECT_TRUE(x > upper[j] + 0.25 || x < lower[j] - 0.25)
+      << "column " << j << " at " << x << " is not cut off by [" << lower[j]
+      << ", " << upper[j] << "]";
 }
 
 class LpVertexEnumeration : public ::testing::TestWithParam<int> {};
@@ -927,13 +1067,8 @@ TEST_P(LpVertexEnumeration, WarmSolveMatchesEnumeration) {
 
   std::vector<double> lower = lp.lower;
   std::vector<double> upper = lp.upper;
-  const auto j = static_cast<std::size_t>(GetParam() % kEnumVars);
-  const double x = first.values[j];
-  if (x - lower[j] >= upper[j] - x) {
-    upper[j] = lower[j] + 0.5 * (x - lower[j]);
-  } else {
-    lower[j] = x + 0.5 * (upper[j] - x);
-  }
+  tighten_past(lower, upper, static_cast<std::size_t>(GetParam() % kEnumVars),
+               first.values);
 
   const Solution from_basis =
       solve_lp(model, lower, upper, {}, &first.basis, false);
@@ -962,13 +1097,9 @@ TEST_P(LpVertexEnumeration, ReweightedWarmSolveMatchesEnumeration) {
   for (double& c : reweighted.cost) c = rng.uniform(-4.0, 4.0);
   std::vector<double> lower = lp.lower;
   std::vector<double> upper = lp.upper;
-  const auto j = static_cast<std::size_t>((GetParam() + 1) % kEnumVars);
-  const double x = first.values[j];
-  if (x - lower[j] >= upper[j] - x) {
-    upper[j] = lower[j] + 0.5 * (x - lower[j]);
-  } else {
-    lower[j] = x + 0.5 * (upper[j] - x);
-  }
+  tighten_past(lower, upper,
+               static_cast<std::size_t>((GetParam() + 1) % kEnumVars),
+               first.values);
 
   const Solution warm = solve_lp(reweighted.build(lp.lower, lp.upper), lower,
                                  upper, {}, &first.basis, false);
@@ -982,33 +1113,44 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LpVertexEnumeration, ::testing::Range(1, 33));
 
 TEST(LpVertexEnumeration, SeedsDrawFeasibleAndInfeasibleLps) {
   // The oracle is only as good as its instances: the seeds above must
-  // exercise both verdicts.
-  int feasible = 0;
+  // exercise every verdict — optimal, infeasible and unbounded.
+  int optimal = 0;
   int infeasible = 0;
+  int unbounded = 0;
   for (int seed = 1; seed < 33; ++seed) {
     const SmallLp lp = random_small_lp(static_cast<std::uint64_t>(seed));
-    (enumerate_vertices(lp, lp.lower, lp.upper).feasible ? feasible
-                                                         : infeasible)++;
+    const EnumeratedOptimum reference =
+        enumerate_vertices(lp, lp.lower, lp.upper);
+    if (!reference.feasible) {
+      ++infeasible;
+    } else if (reference.unbounded) {
+      ++unbounded;
+    } else {
+      ++optimal;
+    }
   }
-  EXPECT_GE(feasible, 16);
+  EXPECT_GE(optimal, 16);
   EXPECT_GE(infeasible, 4);
+  EXPECT_GE(unbounded, 3);
 }
 
 // ---------------------------------------------------- BasisLu updates ----
 
 TEST(BasisLu, RandomBoxUpdatesMatchBasisAndFreshFactorization) {
   // Seeded column-replacement sequences from each random box LP's cold
-  // starting basis: after every Forrest–Tomlin update, B·(B⁻¹x) = x,
-  // Bᵀ·(B⁻ᵀy) = y, and FTRAN/BTRAN equal a fresh factorization's.
+  // starting basis (all logical): after every Forrest–Tomlin update,
+  // B·(B⁻¹x) = x, Bᵀ·(B⁻ᵀy) = y, and FTRAN/BTRAN equal a fresh
+  // factorization's.
   int applied = 0;
   for (int seed = 1; seed < 33; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const SmallLp lp = random_small_lp(static_cast<std::uint64_t>(seed));
     const StandardForm form =
-        build_standard_form(lp.build(lp.lower, lp.upper), {}, {});
+        build_standard_form(lp.build(lp.lower, lp.upper), {}, {},
+                            Basis::logical(kEnumVars, kEnumRows));
     BasisLu lu;
     std::vector<int> basis_of_row;
-    ASSERT_TRUE(lu.factorize(form, form.basis, basis_of_row));
+    ASSERT_TRUE(lu.factorize(form, form.basic_cols, basis_of_row));
     applied += testutil::check_column_replacements(
         form, lu, basis_of_row, static_cast<std::uint64_t>(seed), 24);
   }
@@ -1185,9 +1327,9 @@ TEST(BasisLu, SingularBasisIsRejected) {
                        1.0);
   model.add_constraint({{b, 1.0}, {c, 1.0}, {d, 1.0}}, Relation::LessEqual,
                        1.0);
-  const StandardForm form = build_standard_form(model, {}, {});
-  int slack0 = form.structural;  // the slack of row 0
-  while (form.slack_row[static_cast<std::size_t>(slack0)] != 0) ++slack0;
+  const StandardForm form =
+      build_standard_form(model, {}, {}, Basis::logical(4, 3));
+  const int slack0 = form.structural;  // the slack (logical) of row 0
 
   BasisLu lu;
   std::vector<int> basis_of_row;
