@@ -217,20 +217,8 @@ Partition partition_affinity(const util::Grid2<double>& affinity,
 Partition partition_cluster(const device::ClusterSpec& cluster,
                             const util::Grid2<double>* links,
                             const PartitionConfig& config) {
-  if (config.custom_cost) {
-    const int K = cluster.num_devices();
-    util::Grid2<double> affinity(K, K, 0.0);
-    for (int a = 0; a < K; ++a) {
-      for (int b = a + 1; b < K; ++b) {
-        const double w = std::max(0.0, config.custom_cost(a, b));
-        affinity(a, b) = w;
-        affinity(b, a) = w;
-      }
-    }
-    return partition_affinity(affinity, config);
-  }
-  const auto affinity = build_affinity(cluster, links, config.objective);
-  return partition_affinity(affinity, config);
+  return partition_affinity(build_affinity(cluster, links, config.objective),
+                            config);
 }
 
 double cut_weight(const Partition& partition,

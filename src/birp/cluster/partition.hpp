@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "birp/device/cluster.hpp"
@@ -39,15 +38,9 @@ enum class PartitionObjective {
   kAffinity,
 };
 
-/// Pluggable symmetric pair cost; returns the affinity weight of keeping
-/// devices a and b in the same cell (>= 0).
-using PairCost = std::function<double(int a, int b)>;
-
 struct PartitionConfig {
   int cells = 1;
   PartitionObjective objective = PartitionObjective::kBandwidth;
-  /// Overrides `objective` when set (the pluggable cost hook).
-  PairCost custom_cost;
   /// Seeds the initial cell centers; refinement is seed-free.
   std::uint64_t seed = 0xce11;
 };
@@ -76,12 +69,12 @@ struct Partition {
     PartitionObjective objective);
 
 /// Partitions the nodes of `affinity` (a symmetric K x K weight matrix)
-/// into config.cells cells.
+/// into config.cells cells; `config.objective` is unread (the matrix is the
+/// cost), so any pair cost partitions through here.
 [[nodiscard]] Partition partition_affinity(const util::Grid2<double>& affinity,
                                            const PartitionConfig& config);
 
-/// Convenience: build_affinity + partition_affinity (custom_cost, when set,
-/// replaces the built-in objective when forming the matrix).
+/// Convenience: build_affinity + partition_affinity.
 [[nodiscard]] Partition partition_cluster(const device::ClusterSpec& cluster,
                                           const util::Grid2<double>* links,
                                           const PartitionConfig& config);

@@ -1,7 +1,6 @@
 #include "birp/core/birp_scheduler.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "birp/util/check.hpp"
 
@@ -74,23 +73,8 @@ void BirpScheduler::invalidate_warm_start() {
   prev_values_.clear();
 }
 
-BirpScheduler::SlotProblem BirpScheduler::build_problem(
-    const sim::SlotState& state) {
+BuiltProblem BirpScheduler::build_problem(const sim::SlotState& state) {
   slot_ = state.slot;
-  // Beliefs are fixed for the slot, but build, heuristic and extract look
-  // them up thousands of times (each online lookup computes three LCB
-  // paddings), so tabulate them once in [device][app][variant] order.
-  believed_.resize(static_cast<std::size_t>(cluster_.num_devices()) *
-                   static_cast<std::size_t>(cluster_.num_apps()) *
-                   static_cast<std::size_t>(cluster_.zoo().max_variants()));
-  for (int k = 0; k < cluster_.num_devices(); ++k) {
-    for (int i = 0; i < cluster_.num_apps(); ++i) {
-      for (int j = 0; j < cluster_.zoo().num_variants(i); ++j) {
-        believed_[estimator_index(k, i, j)] = believed_tir(k, i, j);
-      }
-    }
-  }
-
   // Graceful degradation: when the heartbeat view reports down edges, the
   // slot problem is rebuilt with their capacity masked to zero, so the IP
   // redistributes around the failure instead of planning work it will lose.
@@ -102,23 +86,20 @@ BirpScheduler::SlotProblem BirpScheduler::build_problem(
     options.avoid_import = state.hints->avoid_import;
     options.variant_cap = state.hints->variant_cap;
   }
-  BuiltProblem problem = build_slot_problem(
-      cluster_, state.demand, state.previous, believed_lookup(), options);
-  return {std::move(options), std::move(problem)};
+  return build_slot_problem(cluster_, state.demand, state.previous,
+                            believed_lookup(), options);
 }
 
 TirLookup BirpScheduler::believed_lookup() const {
-  return [this](int k, int i, int j) {
-    return believed_[estimator_index(k, i, j)];
-  };
+  return [this](int k, int i, int j) { return believed_tir(k, i, j); };
 }
 
 sim::SlotDecision BirpScheduler::fallback_plan(
-    const SlotProblem& slot, const sim::SlotState& state) const {
+    const BuiltProblem& problem, const sim::SlotState& state) const {
   const std::vector<double> zero(
-      static_cast<std::size_t>(slot.problem.model.num_variables()), 0.0);
-  return heuristic_decision(slot.problem, zero, cluster_, state.demand,
-                            state.previous, believed_lookup(), slot.options);
+      static_cast<std::size_t>(problem.model.num_variables()), 0.0);
+  return heuristic_decision(problem, zero, cluster_, state.demand,
+                            state.previous);
 }
 
 sim::SlotDecision BirpScheduler::plan_without_solver(
@@ -127,10 +108,7 @@ sim::SlotDecision BirpScheduler::plan_without_solver(
 }
 
 sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
-  const SlotProblem slot = build_problem(state);
-  const BuiltProblem& problem = slot.problem;
-  const ProblemOptions& options = slot.options;
-  const TirLookup lookup = believed_lookup();
+  const BuiltProblem problem = build_problem(state);
 
   // The BIRP-aware round-and-repair heuristic seeds branch-and-bound with
   // feasible incumbents, keeping the per-slot solve real-time.
@@ -138,7 +116,7 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
   solver_options.incumbent_heuristic =
       [&](std::span<const double> lp_values) {
         return heuristic_incumbent(problem, lp_values, cluster_, state.demand,
-                                   state.previous, lookup, options);
+                                   state.previous, {}, {});
       };
   if (solver_options.warm_start) {
     // Cross-slot warm start: seed the root relaxation with the previous
@@ -154,7 +132,7 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
         static_cast<std::size_t>(problem.model.num_variables())) {
       solver_options.seed_candidate =
           heuristic_incumbent(problem, prev_values_, cluster_, state.demand,
-                              state.previous, lookup, options);
+                              state.previous, {}, {});
     }
   }
   const solver::Solution solution =
@@ -171,7 +149,7 @@ sim::SlotDecision BirpScheduler::decide(const sim::SlotState& state) {
   if (!solution.basis.empty()) prev_basis_ = solution.basis;
   if (!solution.usable()) {
     ++fallbacks_;
-    return fallback_plan(slot, state);
+    return fallback_plan(problem, state);
   }
   prev_values_ = solution.values;
   return extract_decision(problem, solution, cluster_, state.demand);

@@ -116,28 +116,20 @@ class BirpScheduler : public sim::Scheduler {
   }
 
  private:
-  /// The slot problem decide solves, with the options it was built under.
-  struct SlotProblem {
-    ProblemOptions options;
-    BuiltProblem problem;
-  };
-
   [[nodiscard]] std::size_t estimator_index(int device, int app,
                                             int variant) const;
-  /// Tabulates this slot's beliefs and builds its problem; options come
-  /// from the liveness mask and the guard hints.
-  [[nodiscard]] SlotProblem build_problem(const sim::SlotState& state);
-  /// Lookup into the beliefs build_problem tabulated.
+  /// Builds this slot's problem from the believed TIR; options come from
+  /// the liveness mask and the guard hints.
+  [[nodiscard]] BuiltProblem build_problem(const sim::SlotState& state);
+  /// believed_tir() as a TirLookup.
   [[nodiscard]] TirLookup believed_lookup() const;
   /// heuristic_decision from the all-zero LP point.
   [[nodiscard]] sim::SlotDecision fallback_plan(
-      const SlotProblem& slot, const sim::SlotState& state) const;
+      const BuiltProblem& problem, const sim::SlotState& state) const;
 
   const device::ClusterSpec& cluster_;
   BirpConfig config_;
   std::vector<TirEstimator> estimators_;  ///< [device][app][variant], online
-  /// This slot's believed_tir() table, same layout; refilled by decide.
-  std::vector<device::TirParams> believed_;
   /// Cross-slot warm-start state: the previous slot's root-relaxation basis
   /// and usable decision. The basis is reused only when the new slot problem
   /// has the same shape. Each unusable (app, variant, edge) — a down edge or

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "birp/sim/validate.hpp"
@@ -21,22 +22,18 @@ int launch_kernel_cap(const device::ClusterSpec& cluster, int max_batch,
   return std::min({max_batch, beta, mem_cap});
 }
 
-BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
-                                const util::Grid2<std::int64_t>& demand,
-                                const sim::SlotDecision* previous,
-                                const TirLookup& tir,
-                                const ProblemOptions& options) {
+BuiltProblem build_from_terms(const device::ClusterSpec& cluster,
+                              const util::Grid2<std::int64_t>& demand,
+                              const sim::SlotDecision* previous,
+                              util::Grid3<DeploymentTerms> terms,
+                              const ProblemOptions& options) {
   const int I = cluster.num_apps();
   const int K = cluster.num_devices();
   const int Jmax = cluster.zoo().max_variants();
   util::check(demand.rows() == I && demand.cols() == K,
-              "build_slot_problem: demand shape mismatch");
-  util::check(options.max_batch >= 1, "build_slot_problem: bad max_batch");
-
-  const auto gamma_of = [&](int k, int i, int j) {
-    return options.gamma_lookup ? options.gamma_lookup(k, i, j)
-                                : cluster.gamma_s(k, i, j);
-  };
+              "build_from_terms: demand shape mismatch");
+  util::check(terms.dim0() == I && terms.dim1() == Jmax && terms.dim2() == K,
+              "build_from_terms: terms shape mismatch");
 
   BuiltProblem built{solver::Model{},
                      util::Grid3<int>(I, Jmax, K, -1),
@@ -45,7 +42,7 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
                      util::Grid2<int>(I, K, -1),
                      util::Grid2<int>(I, K, -1),
                      std::vector<int>(static_cast<std::size_t>(K), -1),
-                     util::Grid3<int>(I, Jmax, K, 1)};
+                     std::move(terms)};
   auto& model = built.model;
 
   // Peak working-set variable per edge (Eq. 6 with time-sliced execution:
@@ -62,20 +59,21 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
     for (int j = 0; j < J; ++j) {
       const auto& variant = cluster.zoo().variant(i, j);
       for (int k = 0; k < K; ++k) {
-        const int batch_cap = launch_kernel_cap(
-            cluster, options.max_batch, tir(k, i, j).beta, k, i, j);
-        // A down edge has zero serving capacity: z's bound collapses and the
-        // deployment binary is pinned off below. A variant above the
-        // degradation-ladder cap is pinned the same way on every edge.
-        const bool usable = options.is_up(k) && options.variant_allowed(i, j);
-        const int serve_cap =
-            usable ? batch_cap * std::max(1, options.launch_multiplier) : 0;
-        built.kernel_cap(i, j, k) = batch_cap;
+        auto& t = built.terms(i, j, k);
+        t.reserve_mb =
+            variant.intermediate_mb * static_cast<double>(t.kernel_cap);
+        // Eq. 9's switch term [x_t - x_{t-1}]+: newly deployed models ship
+        // compressed weights; retained deployments are free. At t = 0 (no
+        // previous slot) models are staged before the experiment starts,
+        // matching the paper's P1 formulation (Eq. 13) where the switch
+        // term is absent.
+        t.switch_mb = previous != nullptr && !previous->deployed(i, j, k)
+                          ? variant.compressed_mb
+                          : 0.0;
         built.x(i, j, k) = model.add_binary();
-        built.z(i, j, k) =
-            model.add_integer(0.0, static_cast<double>(serve_cap));
+        built.z(i, j, k) = model.add_integer(0.0, t.serve_cap);
         model.set_objective(built.z(i, j, k), variant.loss);
-        if (!usable) {
+        if (!t.usable) {
           model.add_constraint({{built.x(i, j, k), 1.0}},
                                solver::Relation::LessEqual, 0.0);
         }
@@ -84,9 +82,9 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
         // x*b product exact without a bilinear term). z >= x (Eq. 4's
         // b >= x) is omitted: x = 1 with z = 0 only adds cost, so no
         // optimal solution uses it.
-        model.add_constraint({{built.z(i, j, k), 1.0},
-                              {built.x(i, j, k), -static_cast<double>(serve_cap)}},
-                             solver::Relation::LessEqual, 0.0);
+        model.add_constraint(
+            {{built.z(i, j, k), 1.0}, {built.x(i, j, k), -t.serve_cap}},
+            solver::Relation::LessEqual, 0.0);
       }
     }
   }
@@ -140,35 +138,21 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
     for (int i = 0; i < I; ++i) {
       const int J = cluster.zoo().num_variants(i);
       for (int j = 0; j < J; ++j) {
-        const auto& variant = cluster.zoo().variant(i, j);
-        memory.push_back({built.x(i, j, k), variant.weights_mb});
+        const auto& t = built.terms(i, j, k);
+        memory.push_back(
+            {built.x(i, j, k), cluster.zoo().variant(i, j).weights_mb});
         // w_k >= mu_ij * kernel_cap_ijk * x_ijk : a deployed model reserves
         // its full-batch activation buffer (serving runtimes preallocate at
         // the maximum launch size), so the peak is per-deployment constant
         // rather than per-request.
-        model.add_constraint(
-            {{built.x(i, j, k),
-              variant.intermediate_mb *
-                  static_cast<double>(built.kernel_cap(i, j, k))},
-             {built.w[static_cast<std::size_t>(k)], -1.0}},
-            solver::Relation::LessEqual, 0.0);
-
+        model.add_constraint({{built.x(i, j, k), t.reserve_mb},
+                              {built.w[static_cast<std::size_t>(k)], -1.0}},
+                             solver::Relation::LessEqual, 0.0);
         // Eq. 25: x * h(b) = gamma * [(1 - eta) z + eta x].
-        const auto believed = tir(k, i, j);
-        const double gamma = gamma_of(k, i, j);
-        compute.push_back({built.z(i, j, k), gamma * (1.0 - believed.eta)});
-        compute.push_back({built.x(i, j, k), gamma * believed.eta});
-
-        // Eq. 9's switch term [x_t - x_{t-1}]+: newly deployed models ship
-        // compressed weights; retained deployments are free. At t = 0
-        // (no previous slot) models are staged before the experiment starts,
-        // matching the paper's P1 formulation (Eq. 13) where the switch
-        // term is absent.
-        const bool was_deployed =
-            previous == nullptr || previous->deployed(i, j, k);
-        if (!was_deployed) {
-          network.push_back({built.x(i, j, k), variant.compressed_mb});
-        }
+        compute.push_back({built.z(i, j, k), t.slope_s});
+        compute.push_back({built.x(i, j, k), t.fixed_s});
+        // Zero coefficients (retained deployments) are dropped by the model.
+        network.push_back({built.x(i, j, k), t.switch_mb});
       }
       const double zeta = cluster.zoo().app(i).request_mb;
       network.push_back({built.e(i, k), zeta});
@@ -183,6 +167,44 @@ BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
   }
 
   return built;
+}
+
+BuiltProblem build_slot_problem(const device::ClusterSpec& cluster,
+                                const util::Grid2<std::int64_t>& demand,
+                                const sim::SlotDecision* previous,
+                                const TirLookup& tir,
+                                const ProblemOptions& options) {
+  const int I = cluster.num_apps();
+  const int K = cluster.num_devices();
+  util::check(options.max_batch >= 1, "build_slot_problem: bad max_batch");
+
+  util::Grid3<DeploymentTerms> terms(I, cluster.zoo().max_variants(), K);
+  for (int i = 0; i < I; ++i) {
+    for (int j = 0; j < cluster.zoo().num_variants(i); ++j) {
+      for (int k = 0; k < K; ++k) {
+        const device::TirParams believed = tir(k, i, j);
+        const double eta = believed.eta;
+        const double gamma = options.gamma_lookup
+                                 ? options.gamma_lookup(k, i, j)
+                                 : cluster.gamma_s(k, i, j);
+        auto& t = terms(i, j, k);
+        // A down edge has zero serving capacity: z's bound collapses and the
+        // deployment binary is pinned off. A variant above the
+        // degradation-ladder cap is pinned the same way on every edge.
+        t.usable = options.is_up(k) && options.variant_allowed(i, j);
+        t.kernel_cap = launch_kernel_cap(cluster, options.max_batch,
+                                         believed.beta, k, i, j);
+        t.serve_cap = t.usable ? static_cast<double>(
+                                     t.kernel_cap *
+                                     std::max(1, options.launch_multiplier))
+                               : 0.0;
+        t.slope_s = gamma * (1.0 - eta);
+        t.fixed_s = gamma * eta;
+      }
+    }
+  }
+  return build_from_terms(cluster, demand, previous, std::move(terms),
+                          options);
 }
 
 namespace {
@@ -201,9 +223,7 @@ sim::SlotDecision heuristic_decision(const BuiltProblem& problem,
                                      std::span<const double> lp_values,
                                      const device::ClusterSpec& cluster,
                                      const util::Grid2<std::int64_t>& demand,
-                                     const sim::SlotDecision* previous,
-                                     const TirLookup& tir,
-                                     const ProblemOptions& options) {
+                                     const sim::SlotDecision* previous) {
   const int I = cluster.num_apps();
   const int K = cluster.num_devices();
   util::check(lp_values.size() ==
@@ -232,88 +252,60 @@ sim::SlotDecision heuristic_decision(const BuiltProblem& problem,
         sim::decision_network_mb(cluster, decision, previous, k);
   }
 
-  const auto serve_cap = [&](int k, int i, int j) {
-    return problem.kernel_cap(i, j, k) *
-           std::max(1, options.launch_multiplier);
-  };
-  const auto gamma_of = [&](int k, int i, int j) {
-    return options.gamma_lookup ? options.gamma_lookup(k, i, j)
-                                : cluster.gamma_s(k, i, j);
-  };
-  const auto marginal_s = [&](int k, int i, int j) {
-    return gamma_of(k, i, j) * (1.0 - tir(k, i, j).eta);
-  };
-  const auto fixed_s = [&](int k, int i, int j) {
-    return gamma_of(k, i, j) * tir(k, i, j).eta;
-  };
-  const auto switch_mb = [&](int k, int i, int j) {
-    const bool pays = previous != nullptr && !previous->deployed(i, j, k);
-    return pays ? cluster.zoo().variant(i, j).compressed_mb : 0.0;
-  };
-
-  // Activation reservation of a deployment: full-batch buffer (matches the
-  // model's W >= mu * kernel_cap * x rows).
-  const auto reserve_mb = [&](int k, int i, int j) {
-    return cluster.zoo().variant(i, j).intermediate_mb *
-           static_cast<double>(problem.kernel_cap(i, j, k));
-  };
-
   // How many extra requests (i, j, k) can absorb under every budget.
   const auto headroom = [&](int k, int i, int j) -> std::int64_t {
-    if (!options.is_up(k)) return 0;  // down edge: nothing serves here
-    if (!options.variant_allowed(i, j)) return 0;  // above the ladder cap
+    const auto& t = problem.terms(i, j, k);
+    if (!t.usable) return 0;  // down edge or above the ladder cap
     const auto& b = budget[static_cast<std::size_t>(k)];
-    const auto& variant = cluster.zoo().variant(i, j);
     const auto z = decision.served(i, j, k);
     const bool fresh = z == 0;
     const double weights_after =
-        b.weights_mb + (fresh ? variant.weights_mb : 0.0);
+        b.weights_mb + (fresh ? cluster.zoo().variant(i, j).weights_mb : 0.0);
     const double peak_after =
-        fresh ? std::max(b.peak_mb, reserve_mb(k, i, j)) : b.peak_mb;
+        fresh ? std::max(b.peak_mb, t.reserve_mb) : b.peak_mb;
     if (weights_after + peak_after > cluster.memory_mb(k) + 1e-9) return 0;
     // Only deployments that actually ship weights consume network budget;
     // a pre-existing flow-rounding overshoot (repaired by the validator
     // afterwards) must not veto free deployments.
-    const double switch_cost = fresh ? switch_mb(k, i, j) : 0.0;
+    const double switch_cost = fresh ? t.switch_mb : 0.0;
     if (switch_cost > 0.0 &&
         b.network_mb + switch_cost > cluster.network_mb(k) + 1e-9) {
       return 0;
     }
-    const auto by_cap = static_cast<std::int64_t>(serve_cap(k, i, j)) - z;
-    const double compute_left = cluster.tau_s() - b.compute_s -
-                                (fresh ? fixed_s(k, i, j) : 0.0);
-    const auto by_compute = static_cast<std::int64_t>(
-        std::floor(compute_left / marginal_s(k, i, j)));
+    const auto by_cap = static_cast<std::int64_t>(t.serve_cap) - z;
+    const double compute_left =
+        cluster.tau_s() - b.compute_s - (fresh ? t.fixed_s : 0.0);
+    const auto by_compute =
+        static_cast<std::int64_t>(std::floor(compute_left / t.slope_s));
     return std::max<std::int64_t>(0, std::min(by_cap, by_compute));
   };
   const auto commit = [&](int k, int i, int j, std::int64_t add) {
+    const auto& t = problem.terms(i, j, k);
     auto& b = budget[static_cast<std::size_t>(k)];
-    const auto& variant = cluster.zoo().variant(i, j);
     const auto z = decision.served(i, j, k);
     if (z == 0) {
-      b.weights_mb += variant.weights_mb;
-      b.network_mb += switch_mb(k, i, j);
-      b.compute_s += fixed_s(k, i, j);
+      b.weights_mb += cluster.zoo().variant(i, j).weights_mb;
+      b.network_mb += t.switch_mb;
+      b.compute_s += t.fixed_s;
     }
-    b.compute_s += marginal_s(k, i, j) * static_cast<double>(add);
+    b.compute_s += t.slope_s * static_cast<double>(add);
     decision.served(i, j, k) = z + add;
-    decision.kernel(i, j, k) = static_cast<int>(std::min<std::int64_t>(
-        z + add, problem.kernel_cap(i, j, k)));
-    b.peak_mb = std::max(b.peak_mb, reserve_mb(k, i, j));
-    (void)variant;
+    decision.kernel(i, j, k) =
+        static_cast<int>(std::min<std::int64_t>(z + add, t.kernel_cap));
+    b.peak_mb = std::max(b.peak_mb, t.reserve_mb);
   };
   const auto release = [&](int k, int i, int j, std::int64_t remove) {
+    const auto& t = problem.terms(i, j, k);
     auto& b = budget[static_cast<std::size_t>(k)];
-    const auto& variant = cluster.zoo().variant(i, j);
     const auto z = decision.served(i, j, k) - remove;
     decision.served(i, j, k) = z;
-    decision.kernel(i, j, k) = static_cast<int>(std::min<std::int64_t>(
-        z, problem.kernel_cap(i, j, k)));
-    b.compute_s -= marginal_s(k, i, j) * static_cast<double>(remove);
+    decision.kernel(i, j, k) =
+        static_cast<int>(std::min<std::int64_t>(z, t.kernel_cap));
+    b.compute_s -= t.slope_s * static_cast<double>(remove);
     if (z == 0) {
-      b.weights_mb -= variant.weights_mb;
-      b.network_mb -= switch_mb(k, i, j);
-      b.compute_s -= fixed_s(k, i, j);
+      b.weights_mb -= cluster.zoo().variant(i, j).weights_mb;
+      b.network_mb -= t.switch_mb;
+      b.compute_s -= t.fixed_s;
     }
     // Peak may shrink when a deployment empties: recompute exactly.
     double peak = 0.0;
@@ -321,7 +313,7 @@ sim::SlotDecision heuristic_decision(const BuiltProblem& problem,
       const int J = cluster.zoo().num_variants(ii);
       for (int jj = 0; jj < J; ++jj) {
         if (decision.served(ii, jj, k) > 0) {
-          peak = std::max(peak, reserve_mb(k, ii, jj));
+          peak = std::max(peak, problem.terms(ii, jj, k).reserve_mb);
         }
       }
     }
@@ -430,16 +422,16 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
                                         const device::ClusterSpec& cluster,
                                         const util::Grid2<std::int64_t>& demand,
                                         const sim::SlotDecision* previous,
-                                        const TirLookup& tir,
-                                        const ProblemOptions& options) {
+                                        const TirLookup& /*tir*/,
+                                        const ProblemOptions& /*options*/) {
   const int I = cluster.num_apps();
   const int K = cluster.num_devices();
   if (lp_values.size() !=
       static_cast<std::size_t>(problem.model.num_variables())) {
     return {};
   }
-  const sim::SlotDecision decision = heuristic_decision(
-      problem, lp_values, cluster, demand, previous, tir, options);
+  const sim::SlotDecision decision =
+      heuristic_decision(problem, lp_values, cluster, demand, previous);
 
   // Serialize into model-variable values. Each edge's peak working set is
   // recomputed from the final decision: the validator may have adjusted it.
@@ -457,9 +449,7 @@ std::vector<double> heuristic_incumbent(const BuiltProblem& problem,
         if (z > 0) {
           double& peak = values[static_cast<std::size_t>(
               problem.w[static_cast<std::size_t>(k)])];
-          peak = std::max(peak,
-                          cluster.zoo().variant(i, j).intermediate_mb *
-                              static_cast<double>(problem.kernel_cap(i, j, k)));
+          peak = std::max(peak, problem.terms(i, j, k).reserve_mb);
         }
       }
     }
@@ -496,7 +486,7 @@ sim::SlotDecision extract_decision(const BuiltProblem& problem,
         const auto served = static_cast<std::int64_t>(std::llround(raw));
         decision.served(i, j, k) = std::max<std::int64_t>(0, served);
         decision.kernel(i, j, k) = static_cast<int>(std::min<std::int64_t>(
-            decision.served(i, j, k), problem.kernel_cap(i, j, k)));
+            decision.served(i, j, k), problem.terms(i, j, k).kernel_cap));
       }
     }
   }
@@ -572,8 +562,8 @@ sim::SlotDecision extract_decision(const BuiltProblem& problem,
         for (int j = J - 1; j >= 0 && excess > 0; --j) {
           const auto cut = std::min(excess, decision.served(i, j, k));
           decision.served(i, j, k) -= cut;
-          decision.kernel(i, j, k) =
-              static_cast<int>(decision.served(i, j, k));
+          decision.kernel(i, j, k) = static_cast<int>(std::min<std::int64_t>(
+              decision.served(i, j, k), problem.terms(i, j, k).kernel_cap));
           excess -= cut;
         }
         served_total = available;

@@ -16,6 +16,14 @@
 // Constraints: conservation (Eq. 3+5), per-app flow balance, memory (Eq. 6),
 // linearized compute (Eq. 25), network (Eq. 13/14 depending on x^{t-1}).
 // Objective: Σ loss_{ij} z_{ijk} + Σ penalty_i d_{ik}   (Eq. 10).
+//
+// Every coefficient that depends on the deployment (i, j, k) — its serve
+// cap, compute slope and fixed charge, activation reservation and switch
+// cost — lives in one DeploymentTerms table. build_slot_problem fills it
+// from the believed TIR (batched execution); sched::OaeiScheduler fills it
+// with serial batch-1 terms. build_from_terms turns either table into the
+// same variables and rows, and the round-and-repair heuristic budgets with
+// the same table.
 #pragma once
 
 #include <cstdint>
@@ -98,6 +106,31 @@ struct ProblemOptions {
   }
 };
 
+/// The slot problem's coefficients for one deployment (app i, variant j,
+/// edge k). The caller of build_from_terms fills the first five fields; the
+/// builder derives reserve_mb and switch_mb.
+struct DeploymentTerms {
+  /// May deploy at all: false pins x to 0 (a down edge, or a variant above
+  /// the degradation-ladder cap).
+  bool usable = false;
+  /// Per-launch batch cap, used when converting served counts into launch
+  /// sizes.
+  int kernel_cap = 1;
+  /// Most requests served per slot: z's upper bound and the big-M of
+  /// z <= serve_cap * x.
+  double serve_cap = 0.0;
+  /// Compute seconds per served request, gamma * (1 - eta) (Eq. 25).
+  double slope_s = 0.0;
+  /// Compute seconds charged once a deployment is open, gamma * eta.
+  double fixed_s = 0.0;
+  /// Activation reservation mu * kernel_cap (the W >= mu * kernel_cap * x
+  /// rows).
+  double reserve_mb = 0.0;
+  /// Network cost of deploying: the compressed weights when the previous
+  /// slot did not deploy (i, j, k), else 0.
+  double switch_mb = 0.0;
+};
+
 /// A built model plus the variable index maps needed to read a solution.
 struct BuiltProblem {
   solver::Model model;
@@ -107,9 +140,8 @@ struct BuiltProblem {
   util::Grid2<int> m;  ///< [app][device] -> import var index
   util::Grid2<int> d;  ///< [app][device] -> drop var index
   std::vector<int> w;  ///< [device] -> peak working-set var index (Eq. 6')
-  /// Per-launch kernel batch cap (launch_kernel_cap) used when converting
-  /// served counts into launch sizes.
-  util::Grid3<int> kernel_cap;
+  /// [app][variant][device] -> the coefficients the model was built from.
+  util::Grid3<DeploymentTerms> terms;
 };
 
 /// Per-launch kernel cap of variant j of app i on edge k: the smallest of
@@ -121,8 +153,21 @@ struct BuiltProblem {
                                     int max_batch, int beta, int k, int i,
                                     int j);
 
-/// Builds the slot problem. `previous` may be null (slot 0): all deployments
-/// then pay the model-switch network cost, matching P1ᵗ.
+/// Builds the slot model from a filled `terms` table ([app][variant][device],
+/// shaped like BuiltProblem::x): the one owner of the variable layout and
+/// of the conservation, flow-balance, peak/memory, compute and network
+/// rows. `options` contributes only the flow caps (redistribution switch,
+/// liveness, import avoidance). `previous` may be null (slot 0): nothing
+/// then pays a switch cost.
+[[nodiscard]] BuiltProblem build_from_terms(
+    const device::ClusterSpec& cluster,
+    const util::Grid2<std::int64_t>& demand,
+    const sim::SlotDecision* previous, util::Grid3<DeploymentTerms> terms,
+    const ProblemOptions& options);
+
+/// Builds BIRP's slot problem: fills the terms from `tir` (called once per
+/// deployment) and `options`, then calls build_from_terms. `previous` may
+/// be null (slot 0), matching P1ᵗ.
 [[nodiscard]] BuiltProblem build_slot_problem(
     const device::ClusterSpec& cluster,
     const util::Grid2<std::int64_t>& demand,
@@ -131,29 +176,31 @@ struct BuiltProblem {
 
 /// Round-and-repair planner: keeps the flows of the LP point `lp_values`
 /// (rounded and matched), rebuilds each edge's serving plan under memory,
-/// believed-compute and network budgets (the LP's variant allocation first,
-/// then the lightest variants, then accuracy upgrades), and ends with
-/// sim::validate_and_repair. Down edges and variants above the ladder cap
-/// serve nothing. From the all-zero point it plans no flows and serves each
-/// region locally: the slot's fallback when the MILP returns nothing usable
-/// or is not run at all.
+/// believed-compute and network budgets read from `problem.terms` (the LP's
+/// variant allocation first, then the lightest variants, then accuracy
+/// upgrades), and ends with sim::validate_and_repair. Unusable deployments
+/// (down edges, variants above the ladder cap) serve nothing. From the
+/// all-zero point it plans no flows and serves each region locally: the
+/// slot's fallback when the MILP returns nothing usable or is not run at
+/// all.
 [[nodiscard]] sim::SlotDecision heuristic_decision(
     const BuiltProblem& problem, std::span<const double> lp_values,
     const device::ClusterSpec& cluster,
     const util::Grid2<std::int64_t>& demand,
-    const sim::SlotDecision* previous, const TirLookup& tir,
-    const ProblemOptions& options);
+    const sim::SlotDecision* previous);
 
 /// Problem-specific primal heuristic for the branch-and-bound solver:
 /// heuristic_decision's plan as model-variable values, or an empty vector
 /// when `lp_values` does not match the problem. This is what makes the
-/// per-slot MILP solvable in real time at small node budgets.
+/// per-slot MILP solvable in real time at small node budgets. The last two
+/// parameters are unread (the terms table carries the beliefs and options);
+/// they keep the signature perfbench/loop/replay.cpp calls.
 [[nodiscard]] std::vector<double> heuristic_incumbent(
     const BuiltProblem& problem, std::span<const double> lp_values,
     const device::ClusterSpec& cluster,
     const util::Grid2<std::int64_t>& demand,
-    const sim::SlotDecision* previous, const TirLookup& tir,
-    const ProblemOptions& options);
+    const sim::SlotDecision* previous, const TirLookup& /*tir*/,
+    const ProblemOptions& /*options*/);
 
 /// Converts a MILP solution into an executable SlotDecision: rounds the
 /// integer variables, reconstructs sparse flows from the aggregated

@@ -1,7 +1,6 @@
 #include "birp/sched/oaei.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -17,134 +16,34 @@ constexpr double kCapacitySmoothing = 0.2;
 /// Seed of the randomized-rounding stream.
 constexpr std::uint64_t kRoundingSeed = 0x0ae1;
 
-/// Builds OAEI's serial-execution LP into the shared BuiltProblem shape so
-/// core::extract_decision can read the solution. Differences from BIRP's
-/// problem: x is relaxed to [0,1]; z carries served counts with a big-M link
-/// (serial execution has no per-deployment batch cap); memory charges
-/// batch-1 intermediates; compute charges gamma per request with the learned
-/// capacity factor (no TIR speedup — execution is serial).
-core::BuiltProblem build_oaei_problem(
+/// OAEI's serial-execution terms for the shared slot model: every launch is
+/// batch 1 with no TIR speedup, so compute is gamma per request scaled by
+/// the learned capacity factor, with no fixed charge; a deployment may serve
+/// up to its app's cluster-wide demand (no batch cap); every deployment is
+/// usable (OAEI does not read the liveness mask or the ladder caps).
+util::Grid3<core::DeploymentTerms> serial_terms(
     const device::ClusterSpec& cluster,
     const util::Grid2<std::int64_t>& demand,
-    const sim::SlotDecision* previous,
     const std::vector<double>& capacity_factor) {
   const int I = cluster.num_apps();
   const int K = cluster.num_devices();
-  const int Jmax = cluster.zoo().max_variants();
-
-  core::BuiltProblem built{solver::Model{},
-                           util::Grid3<int>(I, Jmax, K, -1),
-                           util::Grid3<int>(I, Jmax, K, -1),
-                           util::Grid2<int>(I, K, -1),
-                           util::Grid2<int>(I, K, -1),
-                           util::Grid2<int>(I, K, -1),
-                           std::vector<int>(static_cast<std::size_t>(K), -1),
-                           // Serial execution: every launch is batch 1.
-                           util::Grid3<int>(I, Jmax, K, 1)};
-  auto& model = built.model;
-
-  // Peak working-set per edge (serial execution -> batch-1 footprints).
-  for (int k = 0; k < K; ++k) {
-    built.w[static_cast<std::size_t>(k)] =
-        model.add_continuous(0.0, solver::kInfinity);
-  }
-
-  // Cluster-wide demand per app bounds any single deployment's share.
-  std::vector<double> app_demand(static_cast<std::size_t>(I), 0.0);
+  util::Grid3<core::DeploymentTerms> terms(I, cluster.zoo().max_variants(), K);
   for (int i = 0; i < I; ++i) {
-    for (int k = 0; k < K; ++k) {
-      app_demand[static_cast<std::size_t>(i)] +=
-          static_cast<double>(demand(i, k));
-    }
-  }
-
-  for (int i = 0; i < I; ++i) {
-    const int J = cluster.zoo().num_variants(i);
-    for (int j = 0; j < J; ++j) {
-      const auto& variant = cluster.zoo().variant(i, j);
+    double app_demand = 0.0;
+    for (int k = 0; k < K; ++k) app_demand += static_cast<double>(demand(i, k));
+    for (int j = 0; j < cluster.zoo().num_variants(i); ++j) {
       for (int k = 0; k < K; ++k) {
-        built.x(i, j, k) = model.add_continuous(0.0, 1.0);
-        built.z(i, j, k) = model.add_continuous(
-            0.0, app_demand[static_cast<std::size_t>(i)]);
-        model.set_objective(built.z(i, j, k), variant.loss);
-        // n <= D_i * x : serving requires deployment.
-        model.add_constraint(
-            {{built.z(i, j, k), 1.0},
-             {built.x(i, j, k), -app_demand[static_cast<std::size_t>(i)]}},
-            solver::Relation::LessEqual, 0.0);
+        auto& t = terms(i, j, k);
+        t.usable = true;
+        t.kernel_cap = 1;
+        t.serve_cap = app_demand;
+        t.slope_s = cluster.gamma_s(k, i, j) *
+                    capacity_factor[static_cast<std::size_t>(k)];
+        t.fixed_s = 0.0;
       }
     }
   }
-  for (int i = 0; i < I; ++i) {
-    // Drops are priced as in BIRP's slot problem.
-    const double penalty =
-        core::kDropPenaltyFactor * cluster.zoo().worst_loss(i);
-    for (int k = 0; k < K; ++k) {
-      built.e(i, k) =
-          model.add_continuous(0.0, static_cast<double>(demand(i, k)));
-      built.m(i, k) = model.add_continuous(0.0, solver::kInfinity);
-      built.d(i, k) = model.add_continuous(0.0, solver::kInfinity);
-      model.set_objective(built.d(i, k), penalty);
-    }
-  }
-
-  for (int i = 0; i < I; ++i) {
-    const int J = cluster.zoo().num_variants(i);
-    for (int k = 0; k < K; ++k) {
-      std::vector<solver::Term> terms;
-      for (int j = 0; j < J; ++j) terms.push_back({built.z(i, j, k), 1.0});
-      terms.push_back({built.d(i, k), 1.0});
-      terms.push_back({built.e(i, k), 1.0});
-      terms.push_back({built.m(i, k), -1.0});
-      model.add_constraint(terms, solver::Relation::Equal,
-                           static_cast<double>(demand(i, k)));
-    }
-  }
-  for (int i = 0; i < I; ++i) {
-    std::vector<solver::Term> terms;
-    for (int k = 0; k < K; ++k) {
-      terms.push_back({built.e(i, k), 1.0});
-      terms.push_back({built.m(i, k), -1.0});
-    }
-    model.add_constraint(terms, solver::Relation::Equal, 0.0);
-  }
-
-  for (int k = 0; k < K; ++k) {
-    std::vector<solver::Term> memory;
-    std::vector<solver::Term> compute;
-    std::vector<solver::Term> network;
-    for (int i = 0; i < I; ++i) {
-      const int J = cluster.zoo().num_variants(i);
-      for (int j = 0; j < J; ++j) {
-        const auto& variant = cluster.zoo().variant(i, j);
-        memory.push_back({built.x(i, j, k), variant.weights_mb});
-        // Serial launches: batch-1 activations, only the largest alive.
-        model.add_constraint({{built.x(i, j, k), variant.intermediate_mb},
-                              {built.w[static_cast<std::size_t>(k)], -1.0}},
-                             solver::Relation::LessEqual, 0.0);
-        compute.push_back({built.z(i, j, k),
-                           cluster.gamma_s(k, i, j) *
-                               capacity_factor[static_cast<std::size_t>(k)]});
-        // t = 0: models staged before the experiment (P1 / Eq. 13).
-        const bool was_deployed =
-            previous == nullptr || previous->deployed(i, j, k);
-        if (!was_deployed) {
-          network.push_back({built.x(i, j, k), variant.compressed_mb});
-        }
-      }
-      const double zeta = cluster.zoo().app(i).request_mb;
-      network.push_back({built.e(i, k), zeta});
-      network.push_back({built.m(i, k), zeta});
-    }
-    memory.push_back({built.w[static_cast<std::size_t>(k)], 1.0});
-    model.add_constraint(memory, solver::Relation::LessEqual,
-                         cluster.memory_mb(k));
-    model.add_constraint(compute, solver::Relation::LessEqual,
-                         cluster.tau_s());
-    model.add_constraint(network, solver::Relation::LessEqual,
-                         cluster.network_mb(k));
-  }
-  return built;
+  return terms;
 }
 
 }  // namespace
@@ -164,8 +63,10 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
   const int I = cluster_.num_apps();
   const int K = cluster_.num_devices();
 
-  core::BuiltProblem problem = build_oaei_problem(
-      cluster_, state.demand, state.previous, capacity_factor_);
+  // Only the LP relaxation is solved, so x's and z's integrality is unread.
+  const core::BuiltProblem problem = core::build_from_terms(
+      cluster_, state.demand, state.previous,
+      serial_terms(cluster_, state.demand, capacity_factor_), {});
   const solver::Solution relaxed = solver::solve_lp(problem.model);
 
   sim::SlotDecision decision(I, cluster_.zoo().max_variants(), K);
@@ -205,11 +106,9 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
         lower[static_cast<std::size_t>(xv)] = 0.0;
         upper[static_cast<std::size_t>(xv)] = 0.0;
       }
-      if (state.demand(i, k) <= 0 && relaxed.values.empty()) continue;
 
       // Sampling order: draw versions without replacement, probability
       // proportional to the LP weight, until one fits.
-      std::vector<int> order;
       std::vector<double> weight(static_cast<std::size_t>(J), 0.0);
       double total = 0.0;
       for (int j = 0; j < J; ++j) {
@@ -241,20 +140,17 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
         used[static_cast<std::size_t>(j)] = true;
         total -= weight[static_cast<std::size_t>(j)];
 
-        const auto& variant = cluster_.zoo().variant(i, j);
+        const auto& t = problem.terms(i, j, k);
         const auto kk = static_cast<std::size_t>(k);
-        const double new_weights = weights_used[kk] + variant.weights_mb;
-        const double new_peak =
-            std::max(peak_mu[kk], variant.intermediate_mb);
-        const bool was_deployed =
-            state.previous == nullptr || state.previous->deployed(i, j, k);
-        const double net_cost = was_deployed ? 0.0 : variant.compressed_mb;
+        const double new_weights =
+            weights_used[kk] + cluster_.zoo().variant(i, j).weights_mb;
+        const double new_peak = std::max(peak_mu[kk], t.reserve_mb);
         if (new_weights + new_peak > cluster_.memory_mb(k)) continue;
-        if (net_cost > network_left[kk]) continue;
+        if (t.switch_mb > network_left[kk]) continue;
 
         weights_used[kk] = new_weights;
         peak_mu[kk] = new_peak;
-        network_left[kk] -= net_cost;
+        network_left[kk] -= t.switch_mb;
         const int xv = problem.x(i, j, k);
         lower[static_cast<std::size_t>(xv)] = 1.0;
         upper[static_cast<std::size_t>(xv)] = 1.0;
@@ -271,15 +167,14 @@ sim::SlotDecision OaeiScheduler::decide(const sim::SlotState& state) {
 
   decision = core::extract_decision(problem, fixed, cluster_, state.demand);
 
-  // Serial execution: every request is its own batch-1 launch, and the
-  // predicted busy time per edge feeds the capacity learner.
+  // Serial execution (extract sized every launch at the kernel cap of 1):
+  // the predicted busy time per edge feeds the capacity learner.
   std::fill(predicted_busy_s_.begin(), predicted_busy_s_.end(), 0.0);
   for (int i = 0; i < I; ++i) {
     const int J = cluster_.zoo().num_variants(i);
     for (int j = 0; j < J; ++j) {
       for (int k = 0; k < K; ++k) {
         if (decision.served(i, j, k) > 0) {
-          decision.kernel(i, j, k) = 1;
           predicted_busy_s_[static_cast<std::size_t>(k)] +=
               cluster_.gamma_s(k, i, j) *
               static_cast<double>(decision.served(i, j, k));

@@ -8,7 +8,11 @@
 //     no TIR speedup is available (the core difference from BIRP);
 //   * model-version selection per (app, edge) balancing loss vs latency;
 //   * fractional relaxation + randomized rounding of the deployment
-//     variables, then a second solve with deployments fixed;
+//     variables, then a second solve with deployments fixed. The relaxation
+//     is BIRP's slot problem (core::build_from_terms) under serial terms:
+//     kernel cap 1, serve cap the app's cluster-wide demand, compute gamma
+//     per request with no fixed charge, every deployment usable. Its LP
+//     differs from BIRP's relaxation in those terms only;
 //   * online learning of effective edge capacity: an EWMA factor per edge
 //     corrects the believed serial latencies from observed busy time.
 #pragma once

@@ -207,13 +207,19 @@ Solution branch_and_bound(const Model& model,
   std::int64_t next_id = 1;
 
   std::int64_t nodes = 0;
-  std::int64_t total_pivots = 0;
-  std::int64_t total_factor_pivots = 0;
-  std::int64_t total_structural_factor_pivots = 0;
-  std::int64_t total_btran_solves = 0;
-  std::int64_t warm_solves = 0;
-  std::int64_t cold_solves = 0;
-  WarmGiveUps give_ups;
+  // The node LPs' work, summed in one tally and charged to whichever
+  // result the search returns.
+  Solution work;
+  const auto charge = [&](Solution& result) {
+    result.nodes_explored = nodes;
+    result.simplex_iterations = work.simplex_iterations;
+    result.factor_pivots = work.factor_pivots;
+    result.structural_factor_pivots = work.structural_factor_pivots;
+    result.btran_solves = work.btran_solves;
+    result.warm_lp_solves = work.warm_lp_solves;
+    result.cold_lp_solves = work.cold_lp_solves;
+    result.warm_give_ups = work.warm_give_ups;
+  };
   bool any_lp_budget_hit = false;
   // Tightest lower bound among subtrees dropped unsolved (LP budget hit).
   // A node's `bound` is its parent's LP objective, which bounds the whole
@@ -246,16 +252,12 @@ Solution branch_and_bound(const Model& model,
     Solution lp = solve_lp_live(model, lower, upper, options.lp, start, emit,
                                 resume.get(),
                                 options.warm_start ? &live : nullptr);
-    total_pivots += lp.simplex_iterations;
-    total_factor_pivots += lp.factor_pivots;
-    total_structural_factor_pivots += lp.structural_factor_pivots;
-    total_btran_solves += lp.btran_solves;
-    give_ups += lp.warm_give_ups;
-    if (lp.warm_started) {
-      ++warm_solves;
-    } else {
-      ++cold_solves;
-    }
+    work.simplex_iterations += lp.simplex_iterations;
+    work.factor_pivots += lp.factor_pivots;
+    work.structural_factor_pivots += lp.structural_factor_pivots;
+    work.btran_solves += lp.btran_solves;
+    work.warm_give_ups += lp.warm_give_ups;
+    ++(lp.warm_started ? work.warm_lp_solves : work.cold_lp_solves);
 
     if (lp.status == SolveStatus::Infeasible) continue;
     if (lp.status == SolveStatus::Unbounded) {
@@ -263,12 +265,7 @@ Solution branch_and_bound(const Model& model,
       // ill-posed; deeper nodes inherit the verdict.
       Solution result;
       result.status = SolveStatus::Unbounded;
-      result.nodes_explored = nodes;
-      result.simplex_iterations = total_pivots;
-      result.factor_pivots = total_factor_pivots;
-      result.structural_factor_pivots = total_structural_factor_pivots;
-      result.btran_solves = total_btran_solves;
-      result.warm_give_ups = give_ups;
+      charge(result);
       return result;
     }
     if (lp.status == SolveStatus::IterationLimit) {
@@ -338,14 +335,7 @@ Solution branch_and_bound(const Model& model,
     open.push(std::move(up));
   }
 
-  incumbent.nodes_explored = nodes;
-  incumbent.simplex_iterations = total_pivots;
-  incumbent.factor_pivots = total_factor_pivots;
-  incumbent.structural_factor_pivots = total_structural_factor_pivots;
-  incumbent.btran_solves = total_btran_solves;
-  incumbent.warm_lp_solves = warm_solves;
-  incumbent.cold_lp_solves = cold_solves;
-  incumbent.warm_give_ups = give_ups;
+  charge(incumbent);
   incumbent.basis = std::move(root_basis_out);
 
   // The proven bound over everything not explored: the open frontier (the

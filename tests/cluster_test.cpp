@@ -193,24 +193,19 @@ TEST(Partition, SixPassRefinementInstanceIsPinned) {
 }
 
 TEST(Partition, CustomCostRecoversBlockStructure) {
-  // Two 6-device blocks with affinity only inside a block: the partitioner
-  // must find the zero-cut split through the pluggable cost hook.
-  const auto config = small_topology_config(12, 2);
-  const auto topology = workload::generate_topology(config);
-  const auto cluster = workload::make_cluster(topology, config);
-  PartitionConfig pc;
-  pc.cells = 2;
-  pc.custom_cost = [](int a, int b) {
-    return (a < 6) == (b < 6) ? 1.0 : 0.0;
-  };
-  const auto partition = partition_cluster(cluster, nullptr, pc);
-  expect_valid_partition(partition, 12, 2);
+  // Two 6-device blocks with affinity only inside a block: a custom pair
+  // cost, given to the partitioner as its matrix, must yield the zero-cut
+  // split.
   util::Grid2<double> affinity(12, 12, 0.0);
   for (int a = 0; a < 12; ++a) {
     for (int b = 0; b < 12; ++b) {
       if (a != b && (a < 6) == (b < 6)) affinity(a, b) = 1.0;
     }
   }
+  PartitionConfig pc;
+  pc.cells = 2;
+  const auto partition = partition_affinity(affinity, pc);
+  expect_valid_partition(partition, 12, 2);
   EXPECT_DOUBLE_EQ(cut_weight(partition, affinity), 0.0);
 }
 

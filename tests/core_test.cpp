@@ -220,7 +220,7 @@ TEST_F(ProblemFixture, BatchAndServeCapsRespectBelievedBeta) {
             cluster_.zoo().variant(i, j).intermediate_mb));
         const int kernel_cap = std::min(
             {16, cluster_.oracle_tir(k, i, j).beta, std::max(1, mem_cap)});
-        EXPECT_EQ(built.kernel_cap(i, j, k), kernel_cap);
+        EXPECT_EQ(built.terms(i, j, k).kernel_cap, kernel_cap);
         // Served requests per slot: up to launch_multiplier launches of the
         // per-launch cap.
         const auto& var = built.model.variable(built.z(i, j, k));
@@ -309,6 +309,41 @@ TEST_F(ProblemFixture, HeuristicObjectiveNearLpBound) {
   const double obj = built.model.objective_value(candidate);
   EXPECT_GE(obj, lp.objective - 1e-6);          // bound holds
   EXPECT_LE(obj, lp.objective * 1.6 + 1.0);     // and is not far off
+}
+
+TEST_F(ProblemFixture, HeuristicHonoursLivenessAndLadderCap) {
+  // Edge 1 down and every app capped at variant 0: from the zero point (the
+  // fallback) and from the LP point (B&B's incumbents) the candidate must
+  // satisfy the model and serve nothing on the down edge or above the cap.
+  ProblemOptions options;
+  options.edge_up.assign(static_cast<std::size_t>(cluster_.num_devices()), 1);
+  options.edge_up[1] = 0;
+  options.variant_cap.assign(static_cast<std::size_t>(cluster_.num_apps()), 0);
+  const auto built =
+      build_slot_problem(cluster_, demand_, nullptr, lookup_, options);
+  const auto lp = solver::solve_lp(built.model);
+  ASSERT_TRUE(lp.usable());
+  const std::vector<double> zero(
+      static_cast<std::size_t>(built.model.num_variables()), 0.0);
+  for (const auto& point : {zero, lp.values}) {
+    const auto candidate = heuristic_incumbent(built, point, cluster_, demand_,
+                                               nullptr, lookup_, options);
+    ASSERT_FALSE(candidate.empty());
+    EXPECT_LE(built.model.max_violation(candidate), 1e-6);
+    double served = 0.0;
+    for (int i = 0; i < cluster_.num_apps(); ++i) {
+      for (int j = 0; j < cluster_.zoo().num_variants(i); ++j) {
+        for (int k = 0; k < cluster_.num_devices(); ++k) {
+          const double z = candidate[static_cast<std::size_t>(built.z(i, j, k))];
+          served += z;
+          if (k == 1 || j > 0) {
+            EXPECT_EQ(z, 0.0) << "i=" << i << " j=" << j << " k=" << k;
+          }
+        }
+      }
+    }
+    EXPECT_GT(served, 0.0);  // the live edges still serve
+  }
 }
 
 // -------------------------------------------------------- birp scheduler ----

@@ -438,6 +438,23 @@ TEST(BranchAndBound, InfeasibleIntegerProblem) {
   EXPECT_EQ(solution.status, SolveStatus::Infeasible);
 }
 
+TEST(BranchAndBound, UnboundedMilpChargesItsLpSolves) {
+  // min -x - y with x - y <= 0.5 and x integer: the root relaxation is
+  // unbounded, so the search stops after one node and one LP, and that LP
+  // is counted as warm or cold like on any other exit.
+  Model model;
+  const int x = model.add_integer(0.0, kInfinity);
+  const int y = model.add_continuous(0.0, kInfinity);
+  model.set_objective(x, -1.0);
+  model.set_objective(y, -1.0);
+  model.add_constraint({{x, 1.0}, {y, -1.0}}, Relation::LessEqual, 0.5);
+  const auto solution = solve_milp(model);
+  ASSERT_EQ(solution.status, SolveStatus::Unbounded);
+  EXPECT_EQ(solution.nodes_explored, 1);
+  EXPECT_GT(solution.simplex_iterations, 0);
+  EXPECT_EQ(solution.warm_lp_solves + solution.cold_lp_solves, 1);
+}
+
 TEST(BranchAndBound, PureLpPassesThrough) {
   Model model;
   const int x = model.add_continuous(0.0, 2.5);
