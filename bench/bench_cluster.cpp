@@ -10,9 +10,11 @@
 // thread parallelism, is the headline: the speedup holds even on one core,
 // and cores only widen it.
 //
-// The 16-cell arm runs at cell_threads 1 and 8 and the two decision streams
+// The 16-cell arm runs at cell_threads 0, 1 and 8 and the decision streams
 // are compared bit-for-bit — the subsystem's defining property (decisions
-// are a function of the partition, never of the thread count).
+// are a function of the partition, never of the thread count). The calling
+// thread solves cells alongside the cell_threads pool workers, so t0 is the
+// caller alone, t1 runs two solvers and t8 nine.
 //
 // Writes its report as JSON with --json PATH; CI runs `bench_cluster --quick
 // --check --json` and archives the JSON. The committed BENCH_cluster.json at
@@ -20,7 +22,8 @@
 // unless, at the fixed geometry (100 edges, 20,000-pivot budget),
 //   * 16-cell decide wall-time beats monolithic by >= 3x,
 //   * sharded goodput is within 5% of monolithic,
-//   * 16-cell decisions are bit-identical at 1 vs 8 cell threads.
+//   * 16-cell decisions are bit-identical at 0 vs 8 and 1 vs 8 cell
+//     threads.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -104,6 +107,7 @@ int main(int argc, char** argv) {
   };
   run_arm("monolithic", /*cells=*/1, /*threads=*/0);
   if (!flags.quick) run_arm("4-cell", 4, kThreads);
+  const auto t0 = run_arm("16-cell/t0", 16, 0);
   const auto t1 = run_arm("16-cell/t1", 16, 1);
   const auto tn = run_arm("16-cell/t" + std::to_string(kThreads), 16, kThreads);
 
@@ -114,12 +118,17 @@ int main(int argc, char** argv) {
   const double goodput_gap =
       birp::bench::ratio(sharded.number("goodput") - mono.number("goodput"),
                          mono.number("goodput"));
+  const bool caller_only_identical = birp::bench::streams_equal(t0, tn);
   const bool bit_identical = birp::bench::streams_equal(t1, tn);
   report.result("speedup_16c_vs_mono", {speedup, 2})
       .result("goodput_gap_vs_mono", {goodput_gap, 4})
-      .result("bit_identical_across_threads", bit_identical);
+      .result("bit_identical_across_threads",
+              caller_only_identical && bit_identical);
   report.gate("16-cell decide speedup vs monolithic", speedup, ">=", 3.0);
   report.gate("|goodput gap vs monolithic|", std::abs(goodput_gap), "<=", 0.05);
+  report.gate("16-cell decisions t0 == t" + std::to_string(kThreads),
+              caller_only_identical,
+              caller_only_identical ? "bit-identical" : "differ");
   report.gate("16-cell decisions t1 == t" + std::to_string(kThreads),
               bit_identical, bit_identical ? "bit-identical" : "differ");
   return report.finish(flags);

@@ -1,18 +1,31 @@
 #include "birp/cluster/cell_scheduler.hpp"
 
-#include <future>
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "birp/util/check.hpp"
 
 namespace birp::cluster {
 
+std::vector<int> longest_first(const std::vector<std::int64_t>& pivots) {
+  std::vector<int> order(pivots.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&pivots](int a, int b) {
+    return pivots[static_cast<std::size_t>(a)] >
+           pivots[static_cast<std::size_t>(b)];
+  });
+  return order;
+}
+
 CellScheduler::CellScheduler(const device::ClusterSpec& cluster,
-                             Partition partition, CellSchedulerConfig config)
+                             Partition partition, CellSchedulerConfig config,
+                             std::unique_ptr<runtime::ThreadPool> pool)
     : cluster_(cluster),
       partition_(std::move(partition)),
       config_(std::move(config)),
-      balancer_(cluster, config_.balancer, partition_.cells()) {
+      balancer_(cluster, config_.balancer, partition_.cells()),
+      pool_(std::move(pool)) {
   const int K = cluster_.num_devices();
   util::check(partition_.devices() == K,
               "CellScheduler: partition does not cover the cluster");
@@ -42,13 +55,14 @@ CellScheduler::CellScheduler(const device::ClusterSpec& cluster,
             ? core::BirpScheduler::offline(*specs_.back(), config_.birp)
             : core::BirpScheduler(*specs_.back(), config_.birp)));
   }
-  if (config_.cell_threads > 0 && partition_.cells() > 1) {
+  if (pool_ == nullptr && config_.cell_threads > 0 && partition_.cells() > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(
         static_cast<std::size_t>(config_.cell_threads));
   }
   prev_scratch_.resize(static_cast<std::size_t>(partition_.cells()));
   hints_scratch_.resize(static_cast<std::size_t>(partition_.cells()));
   last_pivots_.assign(static_cast<std::size_t>(partition_.cells()), 0);
+  slot_pivots_.assign(static_cast<std::size_t>(partition_.cells()), 0);
   last_fallbacks_.assign(static_cast<std::size_t>(partition_.cells()), 0);
   strikes_.assign(static_cast<std::size_t>(partition_.cells()), 0);
   degraded_until_.assign(static_cast<std::size_t>(partition_.cells()), 0);
@@ -156,8 +170,9 @@ sim::SlotDecision CellScheduler::decide(const sim::SlotState& state) {
     }
   }
 
-  // 3. Solve cells — concurrently when a pool exists. Each future is
-  //    collected in cell order, so the merge below is order-deterministic.
+  // 3. Solve cells: the pool workers and the calling thread claim them
+  //    longest-first by last slot's pivots. Each result lands in its own
+  //    cell's slot, so the merge below is order-deterministic.
   //    Watchdog-degraded cells skip their MILP and answer with the fallback
   //    planner.
   std::vector<std::uint8_t> degraded(static_cast<std::size_t>(cells), 0);
@@ -167,30 +182,22 @@ sim::SlotDecision CellScheduler::decide(const sim::SlotState& state) {
           state.slot < degraded_until_[static_cast<std::size_t>(c)] ? 1 : 0;
     }
   }
-  const auto solve_cell = [this, &cell_states, &degraded](int c) {
-    auto& cell = *cells_[static_cast<std::size_t>(c)];
-    const auto& cell_state = cell_states[static_cast<std::size_t>(c)];
-    return degraded[static_cast<std::size_t>(c)] != 0
-               ? cell.plan_without_solver(cell_state)
-               : cell.decide(cell_state);
-  };
   std::vector<sim::SlotDecision> cell_decisions(
       static_cast<std::size_t>(cells));
+  const auto solve_cell = [this, &cell_states, &degraded,
+                           &cell_decisions](int c) {
+    auto& cell = *cells_[static_cast<std::size_t>(c)];
+    const auto& cell_state = cell_states[static_cast<std::size_t>(c)];
+    cell_decisions[static_cast<std::size_t>(c)] =
+        degraded[static_cast<std::size_t>(c)] != 0
+            ? cell.plan_without_solver(cell_state)
+            : cell.decide(cell_state);
+  };
+  const std::vector<int> order = longest_first(slot_pivots_);
   if (pool_ != nullptr) {
-    std::vector<std::future<sim::SlotDecision>> futures(
-        static_cast<std::size_t>(cells));
-    for (int c = 0; c < cells; ++c) {
-      futures[static_cast<std::size_t>(c)] =
-          pool_->submit([&solve_cell, c]() { return solve_cell(c); });
-    }
-    for (int c = 0; c < cells; ++c) {
-      cell_decisions[static_cast<std::size_t>(c)] =
-          futures[static_cast<std::size_t>(c)].get();
-    }
+    pool_->run_claimed(order, solve_cell);
   } else {
-    for (int c = 0; c < cells; ++c) {
-      cell_decisions[static_cast<std::size_t>(c)] = solve_cell(c);
-    }
+    for (const int c : order) solve_cell(c);
   }
 
   // 4. Merge in fixed cell order.
@@ -229,36 +236,38 @@ sim::SlotDecision CellScheduler::decide(const sim::SlotState& state) {
     merged.flows.push_back(sim::Flow{move.app, move.from, move.to, move.count});
   }
 
-  // 5. Watchdog bookkeeping, in fixed cell order after every solve joined.
-  //    The deltas come from the solver's deterministic counters, so the
-  //    trip/recover schedule is bit-identical at any cell_threads.
-  if (config_.watchdog.enabled) {
-    for (int c = 0; c < cells; ++c) {
-      if (degraded[static_cast<std::size_t>(c)] != 0) {
-        ++degraded_cell_slots_;
-        continue;
-      }
-      const std::int64_t pivots =
-          cells_[static_cast<std::size_t>(c)]->total_pivots();
-      const std::int64_t fallbacks =
-          cells_[static_cast<std::size_t>(c)]->fallback_count();
-      const bool overrun =
-          pivots - last_pivots_[static_cast<std::size_t>(c)] >
-              config_.watchdog.pivot_budget ||
-          fallbacks > last_fallbacks_[static_cast<std::size_t>(c)];
-      last_pivots_[static_cast<std::size_t>(c)] = pivots;
-      last_fallbacks_[static_cast<std::size_t>(c)] = fallbacks;
-      if (!overrun) {
-        strikes_[static_cast<std::size_t>(c)] = 0;
-        continue;
-      }
-      if (++strikes_[static_cast<std::size_t>(c)] >=
-          config_.watchdog.strike_threshold) {
-        degraded_until_[static_cast<std::size_t>(c)] =
-            state.slot + 1 + config_.watchdog.degraded_slots;
-        strikes_[static_cast<std::size_t>(c)] = 0;
-        ++watchdog_trips_;
-      }
+  // 5. Pivot and watchdog bookkeeping, in fixed cell order after every
+  //    solve joined. The deltas come from the solver's deterministic
+  //    counters, so the next claim order and the watchdog's trip/recover
+  //    schedule are bit-identical at any cell_threads.
+  for (int c = 0; c < cells; ++c) {
+    const std::int64_t pivots =
+        cells_[static_cast<std::size_t>(c)]->total_pivots();
+    slot_pivots_[static_cast<std::size_t>(c)] =
+        pivots - last_pivots_[static_cast<std::size_t>(c)];
+    last_pivots_[static_cast<std::size_t>(c)] = pivots;
+    if (!config_.watchdog.enabled) continue;
+    if (degraded[static_cast<std::size_t>(c)] != 0) {
+      ++degraded_cell_slots_;  // no solve, so no pivots either
+      continue;
+    }
+    const std::int64_t fallbacks =
+        cells_[static_cast<std::size_t>(c)]->fallback_count();
+    const bool overrun =
+        slot_pivots_[static_cast<std::size_t>(c)] >
+            config_.watchdog.pivot_budget ||
+        fallbacks > last_fallbacks_[static_cast<std::size_t>(c)];
+    last_fallbacks_[static_cast<std::size_t>(c)] = fallbacks;
+    if (!overrun) {
+      strikes_[static_cast<std::size_t>(c)] = 0;
+      continue;
+    }
+    if (++strikes_[static_cast<std::size_t>(c)] >=
+        config_.watchdog.strike_threshold) {
+      degraded_until_[static_cast<std::size_t>(c)] =
+          state.slot + 1 + config_.watchdog.degraded_slots;
+      strikes_[static_cast<std::size_t>(c)] = 0;
+      ++watchdog_trips_;
     }
   }
   return merged;

@@ -9,10 +9,15 @@
 //   2. the slot state is sliced per cell — demand submatrix, the previous
 //      decision restricted to cell devices, edge_up subvector, guard hints
 //      subgrid — against each cell's own sub-ClusterSpec;
-//   3. cells solve concurrently on an optional runtime::ThreadPool, each
-//      with its own warm-start basis, TIR estimators, and fault mask (a
-//      watchdog-degraded cell skips its MILP and answers with the fallback
-//      planner, BirpScheduler::plan_without_solver);
+//   3. cells solve concurrently, each with its own warm-start basis, TIR
+//      estimators, and fault mask (a watchdog-degraded cell skips its MILP
+//      and answers with the fallback planner,
+//      BirpScheduler::plan_without_solver). The cell_threads pool workers
+//      plus the calling thread claim cells longest-first — by descending
+//      simplex pivots of the previous slot, ties by cell index
+//      (longest_first) — through runtime::ThreadPool::run_claimed, so the
+//      costliest cell starts at once and the caller solves instead of
+//      waiting; each result lands in its own cell's slot;
 //   4. cell decisions merge back into one global SlotDecision in fixed cell
 //      order, with balancer moves appended as real inter-cell Flows so
 //      conservation and network accounting stay exact under
@@ -20,7 +25,9 @@
 //
 // Determinism: cells are independent given their slices, the inner solver
 // is deterministic, and the merge order is fixed, so decisions are
-// bit-identical at any cell_threads. With k = 1 and the balancer idle the
+// bit-identical at any cell_threads. The claim order only decides which
+// cell starts first, and it is itself a function of the deterministic
+// pivot counters. With k = 1 and the balancer idle the
 // wrapper is a byte-identical pass-through of the wrapped BirpScheduler.
 #pragma once
 
@@ -65,9 +72,10 @@ struct CellSchedulerConfig {
   /// Per-cell scheduler configuration (shared by every cell).
   core::BirpConfig birp;
   BalancerConfig balancer;
-  /// Worker threads for solving cells concurrently; 0 solves every cell on
-  /// the calling thread. Purely a latency knob: decisions are bit-identical
-  /// at any value.
+  /// Pool workers that solve cells alongside the calling thread: N workers
+  /// plus the caller, so 1 already solves two cells at a time; 0 solves
+  /// every cell on the calling thread. Purely a latency knob: decisions are
+  /// bit-identical at any value.
   int cell_threads = 0;
   /// Construct cells as BIRP-OFF (oracle TIR) instead of online BIRP.
   bool offline = false;
@@ -76,11 +84,20 @@ struct CellSchedulerConfig {
   std::string name_override;
 };
 
+/// Claim order for the cell solves: cells by descending `pivots` (each
+/// cell's simplex pivots in the previous slot), ties by cell index, so an
+/// all-zero history gives index order.
+[[nodiscard]] std::vector<int> longest_first(
+    const std::vector<std::int64_t>& pivots);
+
 class CellScheduler : public sim::Scheduler {
  public:
-  /// `partition` must cover exactly the devices of `cluster`.
+  /// `partition` must cover exactly the devices of `cluster`. `pool`, when
+  /// given, is adopted as the cell pool instead of spawning a new one (a
+  /// repartition hands over its predecessor's, see release_pool()).
   CellScheduler(const device::ClusterSpec& cluster, Partition partition,
-                CellSchedulerConfig config = {});
+                CellSchedulerConfig config = {},
+                std::unique_ptr<runtime::ThreadPool> pool = nullptr);
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] sim::SlotDecision decide(const sim::SlotState& state) override;
@@ -112,6 +129,12 @@ class CellScheduler : public sim::Scheduler {
   [[nodiscard]] int local_index(int device) const {
     return local_of_[static_cast<std::size_t>(device)];
   }
+  /// Gives up the cell pool (null if none), so a rebuilt scheduler reuses
+  /// the workers instead of joining them and spawning new ones. This
+  /// scheduler then solves every cell on the calling thread.
+  [[nodiscard]] std::unique_ptr<runtime::ThreadPool> release_pool() noexcept {
+    return std::move(pool_);
+  }
 
   /// Watchdog diagnostics: breaker trips and cell-slots served degraded.
   [[nodiscard]] std::int64_t watchdog_trips() const noexcept {
@@ -141,9 +164,11 @@ class CellScheduler : public sim::Scheduler {
   /// (previous, hints) stay valid while cells solve on pool workers.
   std::vector<sim::SlotDecision> prev_scratch_;
   std::vector<sim::SchedulerHints> hints_scratch_;
-  // Watchdog state (all updated in fixed cell order after the solves join,
-  // from deterministic solver counters — bit-identical at any cell_threads).
+  // Pivot and watchdog state (all updated in fixed cell order after the
+  // solves join, from deterministic solver counters — bit-identical at any
+  // cell_threads).
   std::vector<std::int64_t> last_pivots_;
+  std::vector<std::int64_t> slot_pivots_;  ///< previous slot's, per cell
   std::vector<std::int64_t> last_fallbacks_;
   std::vector<int> strikes_;
   std::vector<int> degraded_until_;  ///< cell skips its MILP while slot <

@@ -194,8 +194,10 @@ void ControlPlane::repartition(const sim::SlotState& state) {
     }
   }
 
-  auto rebuilt =
-      std::make_unique<CellScheduler>(cluster_, std::move(next), config_.cell);
+  // The rebuilt scheduler adopts the current one's cell pool: no worker is
+  // joined or spawned inside the repartition.
+  auto rebuilt = std::make_unique<CellScheduler>(
+      cluster_, std::move(next), config_.cell, inner_->release_pool());
 
   // State handoff, in fixed device order. TIR/MAB observations are the
   // expensive thing to lose — they carry over per edge. Warm-start bases

@@ -25,7 +25,9 @@
 //      estimator state is exported from the old cells and imported into the
 //      new ones, the balancer's pressure EMAs carry over membership-weighted,
 //      and warm-start bases are dropped (new subclusters, stale bases; the
-//      first solve per cell is cold, which is slower, never wrong).
+//      first solve per cell is cold, which is slower, never wrong). The
+//      cell thread pool is handed over too, so a repartition neither joins
+//      nor spawns threads.
 //
 // Determinism: health state, triggers, and the new partition are pure
 // functions of the slot inputs in fixed edge/cell order; wall clock is

@@ -60,6 +60,51 @@ void ThreadPool::enqueue(std::function<void()> task) {
   work_available_.notify_one();
 }
 
+void ThreadPool::claim_loop(ClaimJob& job) {
+  const std::size_t n = job.order.size();
+  for (std::size_t pos = job.cursor.fetch_add(1); pos < n;
+       pos = job.cursor.fetch_add(1)) {
+    try {
+      job.call(job.fn, job.order[pos]);
+    } catch (...) {
+      job.cursor.store(n);  // no further claims
+      const std::scoped_lock lock(job.mutex);
+      if (!job.error) job.error = std::current_exception();
+    }
+  }
+}
+
+void ThreadPool::run_claimed_erased(std::span<const int> order,
+                                    void (*call)(void*, int), void* fn) {
+  auto job = std::make_shared<ClaimJob>();
+  job->order = order;
+  job->call = call;
+  job->fn = fn;
+  const std::size_t helpers =
+      order.empty() ? 0 : std::min(workers_.size(), order.size() - 1);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    try {
+      enqueue([job] {
+        {
+          const std::scoped_lock lock(job->mutex);
+          if (job->closed) return;
+          ++job->inside;
+        }
+        claim_loop(*job);
+        const std::scoped_lock lock(job->mutex);
+        if (--job->inside == 0 && job->closed) job->left.notify_one();
+      });
+    } catch (...) {
+      break;  // shut down (or out of memory): the caller claims the rest
+    }
+  }
+  claim_loop(*job);
+  std::unique_lock lock(job->mutex);
+  job->closed = true;
+  job->left.wait(lock, [&job] { return job->inside == 0; });
+  if (job->error) std::rethrow_exception(job->error);
+}
+
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mutex_);
   idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });

@@ -4,8 +4,14 @@
 // scheduler's per-cell solves concurrently, and parallelizes experiment
 // sweeps (the Fig. 4 / Fig. 5 epsilon grids run one full simulation per
 // grid point). The slot simulator runs its edges inline and uses no pool.
-// Tasks are type-erased closures; submit() returns a std::future for the
-// result.
+// Two ways in:
+//   * submit(): one type-erased task per call, a std::future for the
+//     result (the serving engine's edges, the sweeps);
+//   * run_claimed(): a fork-join over a list of indices (the cell solves).
+//     The workers and the calling thread claim the indices one at a time,
+//     in list order, from a shared cursor, so the caller works instead of
+//     blocking, and a list sorted longest-first is list-scheduled (the LPT
+//     rule). One task per helping worker, not one per index.
 //
 // Wakeup path: an idle worker first spins for a bounded number of
 // iterations on an atomic pending-task counter before parking on the
@@ -22,10 +28,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -77,10 +85,47 @@ class ThreadPool {
     return future;
   }
 
+  /// Fork-join: runs fn(order[n]) exactly once for every n. Up to
+  /// min(size(), order.size() - 1) workers and the calling thread claim the
+  /// positions one at a time from an atomic cursor, so positions start in
+  /// `order`'s order. Returns only after every helper that entered the
+  /// claim loop has left it; a helper that had not started by then never
+  /// calls fn, so a pool busy with other work cannot deadlock the call (the
+  /// caller runs every position itself). The first exception fn throws
+  /// stops further claims and is rethrown after that point, when no helper
+  /// still touches the caller's frame. Safe to call from inside a task.
+  template <typename Fn>
+  void run_claimed(std::span<const int> order, Fn&& fn) {
+    run_claimed_erased(
+        order,
+        [](void* f, int index) {
+          (*static_cast<std::remove_reference_t<Fn>*>(f))(index);
+        },
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+  }
+
   /// Blocks until every task submitted so far has finished.
   void wait_idle();
 
  private:
+  /// State shared by the participants of one run_claimed() call. Helpers
+  /// hold it by shared_ptr, so one that starts after the call returned
+  /// still finds it alive, sees `closed` and leaves without calling fn.
+  struct ClaimJob {
+    std::span<const int> order;
+    void (*call)(void*, int) = nullptr;
+    void* fn = nullptr;
+    std::atomic<std::size_t> cursor{0};
+    std::mutex mutex;
+    std::condition_variable left;
+    int inside = 0;       ///< helpers inside the claim loop
+    bool closed = false;  ///< the caller is done: no helper may enter
+    std::exception_ptr error;
+  };
+
+  void run_claimed_erased(std::span<const int> order,
+                          void (*call)(void*, int), void* fn);
+  static void claim_loop(ClaimJob& job);
   void enqueue(std::function<void()> task);
   void worker_loop();
   /// Bounded lock-free wait for the pending counter to go nonzero (or for

@@ -323,6 +323,8 @@ TEST(ControlPlane, BitIdenticalAcrossCellAndSimThreadsUnderStorm) {
     cp.cell.watchdog.degraded_slots = 2;
     return ControlPlane(cluster, &topology.link_mbps, cp);
   };
+  // Caller only, caller + one worker, more workers than cells.
+  auto plane_zero = make_plane(0);
   auto plane_one = make_plane(1);
   auto plane_many = make_plane(8);
 
@@ -330,21 +332,32 @@ TEST(ControlPlane, BitIdenticalAcrossCellAndSimThreadsUnderStorm) {
   sc.fault_plan = plan;
   sc.failover.enabled = true;
 
+  sim::Simulator sim_zero(cluster, trace, sc);
   sim::Simulator sim_one(cluster, trace, sc);
   sim::Simulator sim_many(cluster, trace, sc);
+  metrics::RunMetrics m_zero;
   metrics::RunMetrics m_one;
   metrics::RunMetrics m_many;
   for (int t = 0; t < trace.slots(); ++t) {
+    const auto z = sim_zero.step(plane_zero, &m_zero);
     const auto a = sim_one.step(plane_one, &m_one);
     const auto b = sim_many.step(plane_many, &m_many);
+    expect_decisions_equal(z.decision, a.decision);
     expect_decisions_equal(a.decision, b.decision);
   }
+  sim_zero.finish(plane_zero, m_zero);
   sim_one.finish(plane_one, m_one);
   sim_many.finish(plane_many, m_many);
+  EXPECT_EQ(m_zero.total_requests(), trace.total());
   EXPECT_EQ(m_one.total_requests(), trace.total());
   EXPECT_EQ(m_many.total_requests(), trace.total());
+  EXPECT_EQ(plane_zero.repartitions(), plane_one.repartitions());
   EXPECT_EQ(plane_one.repartitions(), plane_many.repartitions());
+  EXPECT_EQ(plane_zero.scheduler().watchdog_trips(),
+            plane_many.scheduler().watchdog_trips());
+  EXPECT_EQ(m_zero.retries(), m_one.retries());
   EXPECT_EQ(m_one.retries(), m_many.retries());
+  EXPECT_EQ(m_zero.orphan_dropped(), m_one.orphan_dropped());
   EXPECT_EQ(m_one.orphan_dropped(), m_many.orphan_dropped());
 }
 

@@ -481,33 +481,46 @@ class ShardedFixture : public ::testing::Test {
   std::optional<workload::Trace> trace_;
 };
 
+TEST(CellDispatch, LongestFirstByLastSlotPivotsTiesByIndex) {
+  EXPECT_EQ(longest_first({}), std::vector<int>{});
+  EXPECT_EQ(longest_first({0, 0, 0, 0}), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(longest_first({5, 90, 12, 90, 0, 12}),
+            (std::vector<int>{1, 3, 2, 5, 0, 4}));
+  EXPECT_EQ(longest_first({1, 2, 3}), (std::vector<int>{2, 1, 0}));
+}
+
+/// cell_threads values the bit-identity tests sweep: caller only, caller +
+/// one worker, caller + three, and more workers than cells.
+constexpr int kCellThreadCounts[] = {0, 1, 3, 8};
+
 TEST_F(ShardedFixture, DecisionsBitIdenticalAcrossCellThreadCounts) {
   // The defining property: for a fixed partition, cell_threads is purely a
-  // latency knob. Run the full simulated horizon (with feedback, faults off)
-  // at 1 and at 8 threads and demand bit-equal outcomes.
+  // latency knob. Run the full simulated horizon (with feedback, so the
+  // claim order follows last slot's pivots, faults off) at every thread
+  // count and demand bit-equal outcomes.
   CellSchedulerConfig serial;
   serial.cell_threads = 0;
-  CellSchedulerConfig parallel;
-  parallel.cell_threads = 8;
   const auto m1 = run(serial);
-  const auto m2 = run(parallel);
-  EXPECT_DOUBLE_EQ(m1.total_loss(), m2.total_loss());
-  EXPECT_EQ(m1.total_requests(), m2.total_requests());
-  EXPECT_EQ(m1.slo_failures(), m2.slo_failures());
-  EXPECT_EQ(m1.dropped(), m2.dropped());
-  EXPECT_DOUBLE_EQ(m1.latency_quantile(0.5), m2.latency_quantile(0.5));
-  EXPECT_DOUBLE_EQ(m1.latency_quantile(0.99), m2.latency_quantile(0.99));
-  EXPECT_DOUBLE_EQ(m1.total_energy_j(), m2.total_energy_j());
+  for (const int threads : kCellThreadCounts) {
+    SCOPED_TRACE(threads);
+    CellSchedulerConfig parallel;
+    parallel.cell_threads = threads;
+    const auto m2 = run(parallel);
+    EXPECT_DOUBLE_EQ(m1.total_loss(), m2.total_loss());
+    EXPECT_EQ(m1.total_requests(), m2.total_requests());
+    EXPECT_EQ(m1.slo_failures(), m2.slo_failures());
+    EXPECT_EQ(m1.dropped(), m2.dropped());
+    EXPECT_DOUBLE_EQ(m1.latency_quantile(0.5), m2.latency_quantile(0.5));
+    EXPECT_DOUBLE_EQ(m1.latency_quantile(0.99), m2.latency_quantile(0.99));
+    EXPECT_DOUBLE_EQ(m1.total_energy_j(), m2.total_energy_j());
+  }
 }
 
 TEST_F(ShardedFixture, FirstDecisionBitIdenticalAcrossThreads) {
   // Decision-level (not just metric-level) equality for one slot.
   CellSchedulerConfig serial;
   serial.cell_threads = 0;
-  CellSchedulerConfig parallel;
-  parallel.cell_threads = 8;
   CellScheduler a(cluster_, partition_, serial);
-  CellScheduler b(cluster_, partition_, parallel);
   sim::SlotState state;
   state.slot = 0;
   state.demand = util::Grid2<std::int64_t>(cluster_.num_apps(),
@@ -517,7 +530,14 @@ TEST_F(ShardedFixture, FirstDecisionBitIdenticalAcrossThreads) {
       state.demand(i, k) = trace_->at(0, i, k);
     }
   }
-  expect_decisions_equal(a.decide(state), b.decide(state));
+  const auto expected = a.decide(state);
+  for (const int threads : kCellThreadCounts) {
+    SCOPED_TRACE(threads);
+    CellSchedulerConfig parallel;
+    parallel.cell_threads = threads;
+    CellScheduler b(cluster_, partition_, parallel);
+    expect_decisions_equal(expected, b.decide(state));
+  }
 }
 
 TEST_F(ShardedFixture, MergedDecisionConservesSkewedDemandEndToEnd) {

@@ -1,7 +1,12 @@
-// Tests for the runtime thread pool (+ spin-then-park wakeup).
+// Tests for the runtime thread pool (+ spin-then-park wakeup and the
+// claimed fork-join).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -167,6 +172,99 @@ TEST(ThreadPoolShutdown, NonEmptyQueueIsDrainedNotDropped) {
   pool.shutdown();  // returns only after the backlog ran
   EXPECT_EQ(done.load(), 9);
   for (auto& future : futures) EXPECT_NO_THROW(future.get());
+}
+
+// ------------------------------------------------------ claimed fork-join ----
+
+std::vector<int> iota_order(int n) {
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  return order;
+}
+
+TEST(ThreadPoolClaimed, RunsEveryIndexExactlyOnce) {
+  // n = 0, n < size() and n >> size(), over a permuted order.
+  ThreadPool pool(4);
+  for (const int n : {0, 1, 3, 500}) {
+    std::vector<int> order = iota_order(n);
+    std::reverse(order.begin(), order.end());
+    std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+    pool.run_claimed(order, [&runs](int index) {
+      runs[static_cast<std::size_t>(index)].fetch_add(
+          1, std::memory_order_relaxed);
+    });
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(runs[static_cast<std::size_t>(i)].load(), 1)
+          << "n=" << n << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolClaimed, CallerAloneFinishesWhenEveryWorkerIsBlocked) {
+  // Every worker parks on a gate task, so no helper can start: the call
+  // must still complete, on the calling thread alone.
+  ThreadPool pool(2);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::vector<std::future<void>> blockers;
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    blockers.push_back(pool.submit([opened] { opened.wait(); }));
+  }
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> ran;
+  pool.run_claimed(iota_order(16), [&](int index) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ran.push_back(index);
+  });
+  EXPECT_EQ(ran, iota_order(16));  // claimed in list order
+  gate.set_value();
+  for (auto& blocker : blockers) blocker.get();
+  pool.wait_idle();  // the stale helpers leave without calling fn
+}
+
+TEST(ThreadPoolClaimed, ExceptionSurfacesAfterEveryHelperReturned) {
+  // Position 0 throws once another participant is inside fn; helpers
+  // dwell in every index they claim, while the caller does not. A call
+  // that rethrew before joining would return with helpers still inside.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> inside{0};
+  int inside_at_throw = -1;
+  try {
+    pool.run_claimed(iota_order(64), [&](int index) {
+      if (index == 0) {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (inside.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        throw std::runtime_error("cell 0");
+      }
+      inside.fetch_add(1);
+      if (std::this_thread::get_id() != caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      inside.fetch_sub(1);
+    });
+    ADD_FAILURE() << "run_claimed swallowed the exception";
+  } catch (const std::runtime_error& error) {
+    inside_at_throw = inside.load();
+    EXPECT_EQ(std::string(error.what()), "cell 0");
+  }
+  EXPECT_EQ(inside_at_throw, 0);  // no participant still inside fn
+}
+
+TEST(ThreadPoolClaimed, WorksFromInsideATaskAndAfterShutdown) {
+  ThreadPool pool(2);
+  std::atomic<int> sum{0};
+  auto nested = pool.submit([&] {
+    pool.run_claimed(iota_order(10), [&sum](int index) { sum += index; });
+  });
+  nested.get();
+  EXPECT_EQ(sum.load(), 45);
+  pool.shutdown();  // no helper can be submitted: the caller runs all
+  pool.run_claimed(iota_order(10), [&sum](int index) { sum += index; });
+  EXPECT_EQ(sum.load(), 90);
 }
 
 // --------------------------------------------------- spin-then-park wakeup ----
