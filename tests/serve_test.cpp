@@ -1224,6 +1224,52 @@ TEST_F(ServeEngineFixture, BitIdenticalAcrossThreadsWithFaultsAndGuard) {
   EXPECT_EQ(csv1.str(), csv2.str());
 }
 
+TEST(ServeEngine, ReadmittedCohortLeadsItsCell) {
+  // Edge 1 is down in slot 0, so its region's 12 requests are orphaned and
+  // re-admitted in slot 1 across the three live edges. A re-admitted
+  // request has waited since its failure: it arrives at the slot start with
+  // a seq after its cell's trace arrivals and leads the cell, so the
+  // scheduler's serve-local share takes it before any fresh arrival. Each
+  // cell's demand (14 fresh + 4 re-admitted) exceeds the 16 served, so the
+  // two planned drops per cell must be fresh arrivals.
+  const auto cluster = small_cluster();
+  workload::Trace trace(2, cluster.num_apps(), cluster.num_devices());
+  for (int k = 0; k < cluster.num_devices(); ++k) {
+    trace.set(0, 0, k, 12);
+    trace.set(1, 0, k, 14);
+  }
+  ServeConfig config;
+  config.noise_sigma = 0.0;
+  config.keep_records = true;
+  config.fault_plan.add_down(1, 0, 1);
+  config.failover.enabled = true;
+  LocalGreedyScheduler scheduler(cluster);
+  ServeEngine engine(cluster, trace, config);
+  (void)engine.step(scheduler);
+  const auto slot1 = engine.step(scheduler);
+  std::int64_t cohort = 0;
+  for (int k = 0; k < cluster.num_devices(); ++k) {
+    const std::int64_t fresh = trace.at(1, 0, k);
+    bool fresh_seen = false;
+    for (const auto& record : slot1.records) {
+      if (record.item.origin != k) continue;
+      const bool readmitted = record.item.seq >= fresh;
+      if (!readmitted) {
+        fresh_seen = fresh_seen || record.outcome == Outcome::kServed;
+        continue;
+      }
+      ++cohort;
+      EXPECT_EQ(record.item.arrival_s, 0.0);
+      EXPECT_EQ(record.outcome, Outcome::kServed) << "edge " << k;
+      EXPECT_EQ(record.served_on, k);
+      EXPECT_FALSE(fresh_seen) << "a fresh arrival was admitted first, edge "
+                               << k;
+    }
+  }
+  EXPECT_EQ(cohort, 12);
+  EXPECT_EQ(slot1.planned_drops, 2 * cluster.num_devices());
+}
+
 TEST_F(ServeEngineFixture, AdaptiveBeatsFixedOnSlotBoundaryBursts) {
   // Bursty demand against a small kernel prior: the fixed rule pays six
   // formation waits per burst, the adaptive rule drains each burst in a
