@@ -75,8 +75,9 @@ int stats(const std::string& path) {
 
 // Expands a slot trace into the per-request arrival stream the serving
 // runtime (birp/serve) replays, and dumps it as CSV — the deterministic
-// inverse of the slot aggregation. Writes to stdout when no output path is
-// given.
+// inverse of the slot aggregation. Rows are cell-major within each slot:
+// one run per (app, device) cell, offsets ascending within a run. Writes to
+// stdout when no output path is given.
 int requests(const std::string& path, const std::string& out_path, double tau,
              std::uint64_t seed) {
   std::ifstream in(path);

@@ -26,6 +26,15 @@ void append_unserved(std::vector<RequestRecord>& records,
   }
 }
 
+/// An edge's admission order: (available_s, app, origin, seq) is unique per
+/// request, so the sorted stream does not depend on how it was assembled.
+bool by_availability(const ServeItem& a, const ServeItem& b) {
+  if (a.available_s != b.available_s) return a.available_s < b.available_s;
+  if (a.app != b.app) return a.app < b.app;
+  if (a.origin != b.origin) return a.origin < b.origin;
+  return a.seq < b.seq;
+}
+
 }  // namespace
 
 ServeEngine::ServeEngine(const device::ClusterSpec& cluster,
@@ -93,33 +102,10 @@ bool ServeEngine::admission_gate_thunk(const void* ctx, const ServeItem& item,
       item.available_s, shard.cursor_s, buffered_ahead);
 }
 
-void ServeEngine::build_edge_inputs(
-    const std::vector<workload::Arrival>& arrivals,
-    const sim::SlotDecision& decision) {
+void ServeEngine::build_edge_inputs(const sim::SlotDecision& decision) {
   const int I = cluster_.num_apps();
   const int K = cluster_.num_devices();
-
-  // Per-(app, origin) arrival lists, in arrival order. All containers here
-  // are persistent scratch: cleared, never shrunk, so the per-slot path
-  // stops allocating once every cell has seen its high-water arrival count.
   auto& cells = cells_scratch_;
-  for (auto& list : cells) list.clear();
-  for (const auto& a : arrivals) {
-    ServeItem item;
-    item.app = a.app;
-    item.origin = a.device;
-    item.seq = a.seq;
-    item.arrival_s = a.offset_s;
-    item.available_s = a.offset_s;
-    cells[cell(a.app, a.device)].push_back(item);
-  }
-  for (auto& list : cells) {
-    std::sort(list.begin(), list.end(),
-              [](const ServeItem& a, const ServeItem& b) {
-                if (a.arrival_s != b.arrival_s) return a.arrival_s < b.arrival_s;
-                return a.seq < b.seq;
-              });
-  }
 
   for (auto& input : inputs_) {
     input.stream.clear();
@@ -191,17 +177,6 @@ void ServeEngine::build_edge_inputs(
         inputs_[static_cast<std::size_t>(k)].planned_drops.push_back(list[at]);
       }
     }
-  }
-
-  for (auto& input : inputs_) {
-    std::sort(input.stream.begin(), input.stream.end(),
-              [](const ServeItem& a, const ServeItem& b) {
-                if (a.available_s != b.available_s)
-                  return a.available_s < b.available_s;
-                if (a.app != b.app) return a.app < b.app;
-                if (a.origin != b.origin) return a.origin < b.origin;
-                return a.seq < b.seq;
-              });
   }
 }
 
@@ -402,20 +377,36 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
   sim::SlotState state = driver_.begin_slot(hints);
   const int t = state.slot;
 
-  // Demand is derived from the arrivals (not read from the trace) so the
-  // scheduler sees exactly what the request stream contains.
-  auto arrivals = workload::slot_arrivals(trace_, t, tau, config_.seed);
-  for (const auto& a : arrivals) ++state.demand(a.app, a.device);
+  // Per-(app, origin) arrival lists, copied from slot_arrivals' runs in
+  // (arrival_s, seq) order; demand is counted from them, so the scheduler
+  // sees exactly what the request stream contains. Persistent scratch:
+  // cleared, never shrunk.
+  auto& cells = cells_scratch_;
+  for (auto& list : cells) list.clear();
+  for (const auto& a : workload::slot_arrivals(trace_, t, tau, config_.seed)) {
+    ++state.demand(a.app, a.device);
+    cells[cell(a.app, a.device)].push_back(
+        ServeItem{a.app, a.device, a.seq, a.offset_s, a.offset_s});
+  }
   if (const auto* readmit = driver_.readmissions()) {
     // Orphans whose backoff window elapsed re-enter as synthetic arrivals:
     // available at the slot start (they have been waiting since their
     // failure), with fresh sequence numbers after the cell's real arrivals.
+    // Rotated in behind any real arrival at exactly 0, they lead the cell.
     for (int i = 0; i < I; ++i) {
       for (int k = 0; k < K; ++k) {
         const std::int64_t count = (*readmit)(i, k);
+        if (count <= 0) continue;
+        auto& list = cells[cell(i, k)];
+        const auto real = static_cast<std::ptrdiff_t>(list.size());
         for (std::int64_t r = 0; r < count; ++r) {
-          arrivals.push_back({t, i, k, state.demand(i, k) + r, 0.0});
+          list.push_back(ServeItem{i, k, state.demand(i, k) + r, 0.0, 0.0});
         }
+        const auto cohort = list.begin() + real;
+        const auto lead = std::partition_point(
+            list.begin(), cohort,
+            [](const ServeItem& item) { return item.arrival_s <= 0.0; });
+        std::rotate(lead, cohort, list.end());
         state.demand(i, k) += count;
       }
     }
@@ -423,7 +414,7 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
 
   SlotServeResult result;
   driver_.decide(scheduler, state, result);
-  build_edge_inputs(arrivals, result.decision);
+  build_edge_inputs(result.decision);
 
   // Orphans: a down edge loses its whole stream (nothing executes there) and
   // its region's planned drops (the region is dark, not shed); a live edge
@@ -457,13 +448,16 @@ SlotServeResult ServeEngine::step(sim::Scheduler& scheduler,
 
   // Execute the live edges concurrently, each into its own shard; outcomes
   // merge deterministically below. Down edges execute nothing this slot.
-  // inputs_ is not touched again until every future has completed.
+  // Each task sorts its edge's stream first; the key is unique per request,
+  // so sorting after the dead-origin strip gives the order sorting before it
+  // would. inputs_ is not touched again until every future has completed.
   std::vector<std::future<void>> futures(static_cast<std::size_t>(K));
   for (int k = 0; k < K; ++k) {
     if (!is_up(k)) continue;
     futures[static_cast<std::size_t>(k)] = pool_.submit([this, k, &result] {
-      execute_edge(k, result.decision,
-                   inputs_[static_cast<std::size_t>(k)].stream);
+      auto& stream = inputs_[static_cast<std::size_t>(k)].stream;
+      std::sort(stream.begin(), stream.end(), by_availability);
+      execute_edge(k, result.decision, stream);
     });
   }
 

@@ -8,17 +8,18 @@
 // re-admission, decide + validate/repair, orphan resolution, observe, the
 // horizon flush); the engine owns its execute half:
 //
-//   1. expand the slot's trace cells into arrivals (workload::slot_arrivals)
-//      plus synthetic arrivals for failover re-admissions, and derive
-//      SlotState.demand from them; the guard's hints steer the decision and
-//      serve as the failover avoid mask;
+//   1. copy the slot's cell-major arrival runs (workload::slot_arrivals)
+//      into per-(app, origin) lists, rotate failover re-admissions to the
+//      front of theirs, and derive SlotState.demand from the lists; the
+//      guard's hints steer the decision and serve as the failover avoid mask;
 //   2. split each cell's arrivals into serve-local / redistribute / shed
 //      streams according to the repaired decision; redistributed requests
 //      reach their serving edge after the wireless transfer schedule;
-//   3. per edge, admit requests chronologically into a bounded admission
-//      queue (drop/backpressure policy), assemble batches of the decided
-//      kernel size with a max-wait timeout for partial batches, and execute
-//      them on the edge's accelerator using ground-truth TIR plus noise;
+//   3. per edge, on its own worker, sort the edge's stream by availability,
+//      admit requests chronologically into a bounded admission queue
+//      (drop/backpressure policy), assemble batches of the decided kernel
+//      size with a max-wait timeout for partial batches, and execute them
+//      on the edge's accelerator using ground-truth TIR plus noise;
 //   4. record per-request queueing delay, batch-formation wait, execution
 //      latency, and SLO hit/miss, fold the outcomes into the guard, and
 //      hand busy-time + TIR observations back through the driver.
@@ -151,7 +152,7 @@ class ServeEngine {
  private:
   /// The serve-here stream of one edge plus what the decision shed there.
   struct EdgeInput {
-    std::vector<ServeItem> stream;        ///< sorted by availability
+    std::vector<ServeItem> stream;        ///< sorted on the edge's worker
     std::vector<ServeItem> planned_drops; ///< rejected at arrival
   };
 
@@ -209,10 +210,9 @@ class ServeEngine {
   static bool admission_gate_thunk(const void* ctx, const ServeItem& item,
                                    std::int64_t buffered_ahead);
 
-  /// Fills inputs_ (reused across slots); the transfer schedule runs at
-  /// each edge's bandwidth this slot.
-  void build_edge_inputs(const std::vector<workload::Arrival>& arrivals,
-                         const sim::SlotDecision& decision);
+  /// Fills inputs_ from cells_scratch_ (both reused across slots); the
+  /// transfer schedule runs at each edge's bandwidth this slot.
+  void build_edge_inputs(const sim::SlotDecision& decision);
 
   /// Serves one edge's slot into shards_[k].outcome (clearing it first).
   void execute_edge(int k, const sim::SlotDecision& decision,
@@ -234,6 +234,7 @@ class ServeEngine {
   std::vector<EdgeShard> shards_;
   /// Per-slot scratch for build_edge_inputs / step, reused across slots.
   std::vector<EdgeInput> inputs_;
+  /// Arrivals per (app, origin) cell, in (arrival_s, seq) order.
   std::vector<std::vector<ServeItem>> cells_scratch_;
   std::vector<std::size_t> cursor_scratch_;
   std::vector<std::vector<ServeItem>> imports_scratch_;

@@ -2,11 +2,11 @@
 //
 // The serve hot path claims to be allocation-free in steady state; this
 // instrument is how that claim is asserted rather than assumed. Targets
-// that opt in (serve_test, util_test, bench_serve) compile
-// util/alloc_hook.cpp with -DBIRP_COUNT_ALLOCS, which replaces the global
-// operator new/delete with forwarding versions that bump the thread-local
-// counters declared here. Everything below is always compiled into
-// birp_util, so code can query the counters unconditionally;
+// that opt in (util_test, solver_test, serve_test, workload_test,
+// bench_serve) compile util/alloc_hook.cpp with -DBIRP_COUNT_ALLOCS, which
+// replaces the global operator new/delete with forwarding versions that
+// bump the thread-local counters declared here. Everything below is always
+// compiled into birp_util, so code can query the counters unconditionally;
 // alloc_counting_active() reports whether a hook is actually installed in
 // this executable (false in production builds, where the counters simply
 // stay zero).

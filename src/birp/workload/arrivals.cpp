@@ -26,30 +26,25 @@ std::vector<Arrival> slot_arrivals(const Trace& trace, int slot, double tau_s,
   util::check(slot >= 0 && slot < trace.slots(), "slot_arrivals: bad slot");
   util::check(tau_s > 0.0, "slot_arrivals: tau must be positive");
   std::vector<Arrival> arrivals;
+  arrivals.reserve(static_cast<std::size_t>(trace.slot_total(slot)));
   for (int i = 0; i < trace.apps(); ++i) {
     for (int k = 0; k < trace.devices(); ++k) {
       const auto count = trace.at(slot, i, k);
       if (count <= 0) continue;
       util::Xoshiro256StarStar rng(seed ^ cell_stream(slot, i, k));
-      std::vector<double> offsets;
-      offsets.reserve(static_cast<std::size_t>(count));
+      const auto run = static_cast<std::ptrdiff_t>(arrivals.size());
       for (std::int64_t r = 0; r < count; ++r) {
-        offsets.push_back(rng.uniform(0.0, tau_s));
+        arrivals.push_back(Arrival{slot, i, k, 0, rng.uniform(0.0, tau_s)});
       }
-      std::sort(offsets.begin(), offsets.end());
-      for (std::int64_t r = 0; r < count; ++r) {
-        arrivals.push_back(Arrival{slot, i, k, r,
-                                   offsets[static_cast<std::size_t>(r)]});
-      }
+      // Records of one run differ only in their offsets until seq is
+      // assigned, so ties need no tie-break.
+      const auto begin = arrivals.begin() + run;
+      std::sort(begin, arrivals.end(), [](const Arrival& a, const Arrival& b) {
+        return a.offset_s < b.offset_s;
+      });
+      for (std::int64_t r = 0; r < count; ++r) begin[r].seq = r;
     }
   }
-  std::sort(arrivals.begin(), arrivals.end(),
-            [](const Arrival& a, const Arrival& b) {
-              if (a.offset_s != b.offset_s) return a.offset_s < b.offset_s;
-              if (a.app != b.app) return a.app < b.app;
-              if (a.device != b.device) return a.device < b.device;
-              return a.seq < b.seq;
-            });
   return arrivals;
 }
 

@@ -3,10 +3,10 @@
 // The slot trace only says "r requests of app i arrived at edge k during
 // slot t"; the serving runtime (birp/serve) needs *when* inside the slot
 // each request arrived. This module expands each (slot, app, device) count
-// into sorted uniform arrival offsets over [0, tau), drawn from a
+// into a run of sorted uniform arrival offsets over [0, tau), drawn from a
 // per-(slot, app, device) forked RNG stream so the expansion is
-// deterministic, independent of iteration order, and stable when other
-// cells of the trace change.
+// deterministic and stable when other cells of the trace change. A slot is
+// laid out cell-major, run after run, and never sorted slot-wide.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +29,10 @@ struct Arrival {
   friend bool operator==(const Arrival&, const Arrival&) = default;
 };
 
-/// Expands one slot of `trace` into timestamped arrivals, sorted by
-/// (offset_s, app, device, seq). `seed` selects the expansion; the same
-/// (trace cell, seed) always yields the same offsets.
+/// Expands one slot of `trace` into timestamped arrivals in cell-major
+/// runs: (app, device) order, offsets ascending within a run, seq 0..n-1
+/// along it. One allocation per call. `seed` selects the expansion; the
+/// same (trace cell, seed) always yields the same offsets.
 [[nodiscard]] std::vector<Arrival> slot_arrivals(const Trace& trace, int slot,
                                                  double tau_s,
                                                  std::uint64_t seed);
@@ -42,7 +43,7 @@ struct Arrival {
                                                    std::uint64_t seed);
 
 /// CSV round-trip: header "slot,app,device,seq,offset_s"; one row per
-/// request. Inverse of read_arrivals_csv.
+/// request, in order (cell-major within each slot for expand_arrivals).
 void write_arrivals_csv(std::ostream& out, const std::vector<Arrival>& arrivals);
 [[nodiscard]] std::vector<Arrival> read_arrivals_csv(const std::string& text);
 
