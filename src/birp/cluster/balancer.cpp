@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "birp/util/check.hpp"
 
@@ -158,6 +159,26 @@ void InterCellBalancer::record_decision(int cell, std::int64_t demand,
 void InterCellBalancer::record_busy(int cell, double busy_fraction) {
   auto& p = pressure_[static_cast<std::size_t>(cell)];
   p.busy += kEmaAlpha * (busy_fraction - p.busy);
+}
+
+void InterCellBalancer::recut(const std::vector<int>& old_cell_of,
+                              const Partition& next) {
+  std::vector<CellPressure> blended(static_cast<std::size_t>(next.cells()));
+  for (int c = 0; c < next.cells(); ++c) {
+    const auto& members = next.members[static_cast<std::size_t>(c)];
+    auto& p = blended[static_cast<std::size_t>(c)];
+    for (const int k : members) {
+      const auto& old =
+          pressure_[static_cast<std::size_t>(
+              old_cell_of[static_cast<std::size_t>(k)])];
+      p.shed += old.shed;
+      p.busy += old.busy;
+    }
+    p.shed /= static_cast<double>(members.size());
+    p.busy /= static_cast<double>(members.size());
+  }
+  pressure_ = std::move(blended);
+  moved_total_ = 0;
 }
 
 }  // namespace birp::cluster

@@ -10,7 +10,9 @@
 // app's demand, within kNetworkFraction of the endpoints' network budget.
 // The CellScheduler materializes each move as an inter-cell Flow in the
 // merged decision, so global conservation and network accounting stay exact
-// under sim::validate_and_repair.
+// under sim::validate_and_repair. When the CellScheduler re-cuts its cells,
+// recut() carries the pressure over membership-weighted: each new cell starts
+// from the mean pressure of the old cells its members came from.
 //
 // Everything here is O(cells + devices + apps) straight-line arithmetic in
 // a fixed order — deterministic at any thread count by construction.
@@ -71,12 +73,11 @@ class InterCellBalancer {
   [[nodiscard]] const CellPressure& pressure(int cell) const {
     return pressure_[static_cast<std::size_t>(cell)];
   }
-  /// Installs a pressure state wholesale (control-plane handoff: carrying
-  /// the smoothed signals across a repartition instead of restarting the
-  /// EMAs from zero).
-  void set_pressure(int cell, const CellPressure& pressure) {
-    pressure_[static_cast<std::size_t>(cell)] = pressure;
-  }
+  /// Re-cut handoff (CellScheduler::repartition): each cell of `next` takes
+  /// the mean pressure of its members' cells under `old_cell_of`, summed in
+  /// member order, so the smoothed signals keep steering instead of
+  /// restarting from zero. moved_total() restarts at zero.
+  void recut(const std::vector<int>& old_cell_of, const Partition& next);
   [[nodiscard]] std::int64_t moved_total() const noexcept {
     return moved_total_;
   }

@@ -19,18 +19,21 @@ std::vector<int> longest_first(const std::vector<std::int64_t>& pivots) {
 }
 
 CellScheduler::CellScheduler(const device::ClusterSpec& cluster,
-                             Partition partition, CellSchedulerConfig config,
-                             std::unique_ptr<runtime::ThreadPool> pool)
+                             Partition partition, CellSchedulerConfig config)
     : cluster_(cluster),
       partition_(std::move(partition)),
       config_(std::move(config)),
-      balancer_(cluster, config_.balancer, partition_.cells()),
-      pool_(std::move(pool)) {
+      balancer_(cluster, config_.balancer, partition_.cells()) {
+  build_cells();
+}
+
+void CellScheduler::build_cells() {
   const int K = cluster_.num_devices();
+  const int cells = partition_.cells();
   util::check(partition_.devices() == K,
               "CellScheduler: partition does not cover the cluster");
   local_of_.assign(static_cast<std::size_t>(K), -1);
-  for (int c = 0; c < partition_.cells(); ++c) {
+  for (int c = 0; c < cells; ++c) {
     const auto& members = partition_.members[static_cast<std::size_t>(c)];
     util::check(!members.empty(), "CellScheduler: empty cell");
     for (int local = 0; local < static_cast<int>(members.size()); ++local) {
@@ -45,9 +48,9 @@ CellScheduler::CellScheduler(const device::ClusterSpec& cluster,
                 "CellScheduler: orphan device outside every cell");
   }
 
-  specs_.reserve(static_cast<std::size_t>(partition_.cells()));
-  cells_.reserve(static_cast<std::size_t>(partition_.cells()));
-  for (int c = 0; c < partition_.cells(); ++c) {
+  specs_.clear();
+  cells_.clear();
+  for (int c = 0; c < cells; ++c) {
     specs_.push_back(std::make_unique<device::ClusterSpec>(cluster_.subcluster(
         partition_.members[static_cast<std::size_t>(c)])));
     cells_.push_back(std::make_unique<core::BirpScheduler>(
@@ -55,17 +58,42 @@ CellScheduler::CellScheduler(const device::ClusterSpec& cluster,
             ? core::BirpScheduler::offline(*specs_.back(), config_.birp)
             : core::BirpScheduler(*specs_.back(), config_.birp)));
   }
-  if (pool_ == nullptr && config_.cell_threads > 0 && partition_.cells() > 1) {
+  if (pool_ == nullptr && config_.cell_threads > 0 && cells > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(
         static_cast<std::size_t>(config_.cell_threads));
   }
-  prev_scratch_.resize(static_cast<std::size_t>(partition_.cells()));
-  hints_scratch_.resize(static_cast<std::size_t>(partition_.cells()));
-  last_pivots_.assign(static_cast<std::size_t>(partition_.cells()), 0);
-  slot_pivots_.assign(static_cast<std::size_t>(partition_.cells()), 0);
-  last_fallbacks_.assign(static_cast<std::size_t>(partition_.cells()), 0);
-  strikes_.assign(static_cast<std::size_t>(partition_.cells()), 0);
-  degraded_until_.assign(static_cast<std::size_t>(partition_.cells()), 0);
+  const auto n = static_cast<std::size_t>(cells);
+  prev_scratch_.assign(n, sim::SlotDecision{});
+  hints_scratch_.assign(n, sim::SchedulerHints{});
+  last_pivots_.assign(n, 0);
+  slot_pivots_.assign(n, 0);
+  last_fallbacks_.assign(n, 0);
+  strikes_.assign(n, 0);
+  degraded_until_.assign(n, 0);
+  watchdog_trips_ = 0;
+  degraded_cell_slots_ = 0;
+}
+
+void CellScheduler::repartition(Partition next) {
+  // The old cells, and the sub-specs they reference, stay alive until every
+  // device's estimators have moved to its new cell.
+  const auto old_specs = std::move(specs_);
+  const auto old_cells = std::move(cells_);
+  const auto old_local_of = std::move(local_of_);
+  const Partition old = std::exchange(partition_, std::move(next));
+  build_cells();
+  for (int k = 0; k < cluster_.num_devices(); ++k) {
+    const auto dk = static_cast<std::size_t>(k);
+    cells_[static_cast<std::size_t>(partition_.cell_of[dk])]
+        ->import_device_estimators(
+            local_of_[dk],
+            old_cells[static_cast<std::size_t>(old.cell_of[dk])]
+                ->export_device_estimators(old_local_of[dk]));
+  }
+  for (const auto& cell : old_cells) {
+    retired_fallbacks_ += cell->fallback_count();
+  }
+  balancer_.recut(old.cell_of, partition_);
 }
 
 std::string CellScheduler::name() const {
@@ -307,7 +335,7 @@ void CellScheduler::observe(const sim::SlotFeedback& feedback) {
 }
 
 std::int64_t CellScheduler::fallback_count() const noexcept {
-  std::int64_t total = 0;
+  std::int64_t total = retired_fallbacks_;
   for (const auto& cell : cells_) total += cell->fallback_count();
   return total;
 }

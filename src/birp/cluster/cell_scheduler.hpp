@@ -29,6 +29,16 @@
 // cell starts first, and it is itself a function of the deterministic
 // pivot counters. With k = 1 and the balancer idle the
 // wrapper is a byte-identical pass-through of the wrapped BirpScheduler.
+//
+// Re-cutting: repartition(next) rebuilds the cells in place for a new
+// partition (the self-healing ControlPlane calls it when edges fail or
+// recover). Every device's TIR/MAB estimators move from its old cell to its
+// new one, the balancer's pressure carries over membership-weighted, and the
+// cell pool stays. The new cells start with no warm-start basis (their first
+// solve is cold: slower, never wrong), and the per-cell solver counters,
+// watchdog counters, pivot history and strikes restart from zero, so the
+// claim order after a re-cut is index order. fallback_count() keeps the
+// retired cells' fallbacks.
 #pragma once
 
 #include <cstdint>
@@ -92,17 +102,19 @@ struct CellSchedulerConfig {
 
 class CellScheduler : public sim::Scheduler {
  public:
-  /// `partition` must cover exactly the devices of `cluster`. `pool`, when
-  /// given, is adopted as the cell pool instead of spawning a new one (a
-  /// repartition hands over its predecessor's, see release_pool()).
+  /// `partition` must cover exactly the devices of `cluster`.
   CellScheduler(const device::ClusterSpec& cluster, Partition partition,
-                CellSchedulerConfig config = {},
-                std::unique_ptr<runtime::ThreadPool> pool = nullptr);
+                CellSchedulerConfig config = {});
+
+  /// Re-cuts the cells in place for `next`, which must cover exactly the
+  /// devices of the cluster (see the header comment for what carries over
+  /// and what restarts).
+  void repartition(Partition next);
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] sim::SlotDecision decide(const sim::SlotState& state) override;
   void observe(const sim::SlotFeedback& feedback) override;
-  /// Sum of the cells' solver-fallback slot counts.
+  /// Solver-fallback slot count of every cell, retired ones included.
   [[nodiscard]] std::int64_t fallback_count() const noexcept override;
 
   [[nodiscard]] const Partition& partition() const noexcept {
@@ -116,24 +128,9 @@ class CellScheduler : public sim::Scheduler {
   [[nodiscard]] const core::BirpScheduler& cell(int c) const {
     return *cells_[static_cast<std::size_t>(c)];
   }
-
-  // --- Control-plane hooks (birp/cluster/control_plane) --------------------
-  /// Mutable access for scheduler-state handoff during live repartitioning.
-  [[nodiscard]] core::BirpScheduler& cell_mutable(int c) {
-    return *cells_[static_cast<std::size_t>(c)];
-  }
-  [[nodiscard]] InterCellBalancer& balancer_mutable() noexcept {
-    return balancer_;
-  }
   /// Parent device index -> index within its cell.
   [[nodiscard]] int local_index(int device) const {
     return local_of_[static_cast<std::size_t>(device)];
-  }
-  /// Gives up the cell pool (null if none), so a rebuilt scheduler reuses
-  /// the workers instead of joining them and spawning new ones. This
-  /// scheduler then solves every cell on the calling thread.
-  [[nodiscard]] std::unique_ptr<runtime::ThreadPool> release_pool() noexcept {
-    return std::move(pool_);
   }
 
   /// Watchdog diagnostics: breaker trips and cell-slots served degraded.
@@ -145,6 +142,10 @@ class CellScheduler : public sim::Scheduler {
   }
 
  private:
+  /// Validates partition_ and builds what it determines: local_of_, one
+  /// sub-spec and BirpScheduler per cell, the pool if it is wanted and
+  /// missing, and zeroed per-cell bookkeeping and watchdog counters.
+  void build_cells();
   /// Restriction of a full-cluster decision to `members` (local indexing);
   /// keeps only flows with both endpoints inside the cell.
   [[nodiscard]] sim::SlotDecision restrict_decision(
@@ -174,6 +175,8 @@ class CellScheduler : public sim::Scheduler {
   std::vector<int> degraded_until_;  ///< cell skips its MILP while slot <
   std::int64_t watchdog_trips_ = 0;
   std::int64_t degraded_cell_slots_ = 0;
+  /// Fallbacks of the cells retired by repartition().
+  std::int64_t retired_fallbacks_ = 0;
 };
 
 }  // namespace birp::cluster

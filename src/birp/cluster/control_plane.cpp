@@ -21,20 +21,19 @@ ControlPlane::ControlPlane(const device::ClusterSpec& cluster,
                            ControlPlaneConfig config)
     : cluster_(cluster),
       config_(std::move(config)),
-      health_(cluster.num_devices(), config_.health) {
+      affinity_(build_affinity(cluster, links)),
+      health_(cluster.num_devices(), config_.health),
+      inner_(cluster, plan_partition(), config_.cell) {
   util::check(config_.churn_threshold >= 1,
               "ControlPlane: churn_threshold must be >= 1");
   util::check(config_.cooldown_slots >= 0,
               "ControlPlane: cooldown_slots must be >= 0");
-  affinity_ = build_affinity(cluster_, links, config_.partition.objective);
-  inner_ = std::make_unique<CellScheduler>(cluster_, plan_partition(),
-                                           config_.cell);
   snapshot_baseline();
 }
 
 std::string ControlPlane::name() const {
   if (!config_.name_override.empty()) return config_.name_override;
-  return "BIRP-CP/" + std::to_string(inner_->cells());
+  return "BIRP-CP/" + std::to_string(inner_.cells());
 }
 
 Partition ControlPlane::plan_partition() const {
@@ -87,37 +86,14 @@ Partition ControlPlane::plan_partition() const {
         cell_of[static_cast<std::size_t>(best)];
   }
 
-  // Re-canonicalize (members sorted, cells ordered by smallest member): the
-  // dead-edge attachment can move a cell's smallest device.
-  const int cells = on_live.cells();
-  std::vector<std::vector<int>> members(static_cast<std::size_t>(cells));
-  for (int k = 0; k < K; ++k) {
-    members[static_cast<std::size_t>(cell_of[static_cast<std::size_t>(k)])]
-        .push_back(k);
-  }
-  std::vector<int> order;
-  order.reserve(static_cast<std::size_t>(cells));
-  for (int c = 0; c < cells; ++c) order.push_back(c);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return members[static_cast<std::size_t>(a)].front() <
-           members[static_cast<std::size_t>(b)].front();
-  });
-  Partition result;
-  result.cell_of.assign(static_cast<std::size_t>(K), -1);
-  result.members.reserve(static_cast<std::size_t>(cells));
-  for (const int c : order) {
-    const int id = static_cast<int>(result.members.size());
-    for (const int k : members[static_cast<std::size_t>(c)]) {
-      result.cell_of[static_cast<std::size_t>(k)] = id;
-    }
-    result.members.push_back(std::move(members[static_cast<std::size_t>(c)]));
-  }
-  return result;
+  // Re-canonicalize: the dead-edge attachment can move a cell's smallest
+  // device.
+  return canonicalize(std::move(cell_of), on_live.cells());
 }
 
 void ControlPlane::snapshot_baseline() {
   live_at_cut_ = health_.live_mask();
-  const Partition& partition = inner_->partition();
+  const Partition& partition = inner_.partition();
   cell_live_at_cut_.assign(static_cast<std::size_t>(partition.cells()), 0);
   for (int c = 0; c < partition.cells(); ++c) {
     for (const int k : partition.members[static_cast<std::size_t>(c)]) {
@@ -130,7 +106,7 @@ void ControlPlane::snapshot_baseline() {
 
 bool ControlPlane::should_repartition(int slot) const {
   if (slot - last_repartition_slot_ < config_.cooldown_slots) return false;
-  const Partition& partition = inner_->partition();
+  const Partition& partition = inner_.partition();
 
   // Trigger 1: a cell lost too much of the live membership it was cut with.
   for (int c = 0; c < partition.cells(); ++c) {
@@ -158,10 +134,10 @@ bool ControlPlane::should_repartition(int slot) const {
   // Trigger 3: the balancer's smoothed shed pressure is lopsided — the cut
   // no longer matches where the load lands.
   if (partition.cells() >= 2) {
-    double lo = inner_->balancer().pressure(0).shed;
+    double lo = inner_.balancer().pressure(0).shed;
     double hi = lo;
     for (int c = 1; c < partition.cells(); ++c) {
-      const double shed = inner_->balancer().pressure(c).shed;
+      const double shed = inner_.balancer().pressure(c).shed;
       lo = std::min(lo, shed);
       hi = std::max(hi, shed);
     }
@@ -173,7 +149,7 @@ bool ControlPlane::should_repartition(int slot) const {
 void ControlPlane::repartition(const sim::SlotState& state) {
   const auto start = std::chrono::steady_clock::now();
   Partition next = plan_partition();
-  const Partition& current = inner_->partition();
+  const Partition& current = inner_.partition();
   if (next.cell_of == current.cell_of) {
     // Same cut — nothing to hand off. Re-arm against the current live view
     // so the same stale baseline cannot re-fire every cooldown window.
@@ -194,78 +170,42 @@ void ControlPlane::repartition(const sim::SlotState& state) {
     }
   }
 
-  // The rebuilt scheduler adopts the current one's cell pool: no worker is
-  // joined or spawned inside the repartition.
-  auto rebuilt = std::make_unique<CellScheduler>(
-      cluster_, std::move(next), config_.cell, inner_->release_pool());
-
-  // State handoff, in fixed device order. TIR/MAB observations are the
-  // expensive thing to lose — they carry over per edge. Warm-start bases
-  // describe the old subclusters; the fresh cells start cold (and we make
-  // that explicit), which costs one slow solve per cell, never a wrong one.
-  for (int k = 0; k < cluster_.num_devices(); ++k) {
-    const int old_cell = current.cell_of[static_cast<std::size_t>(k)];
-    const int new_cell =
-        rebuilt->partition().cell_of[static_cast<std::size_t>(k)];
-    rebuilt->cell_mutable(new_cell).import_device_estimators(
-        rebuilt->local_index(k),
-        inner_->cell(old_cell).export_device_estimators(inner_->local_index(k)));
-  }
-  for (int c = 0; c < rebuilt->cells(); ++c) {
-    rebuilt->cell_mutable(c).invalidate_warm_start();
-    rebuilt->cell_mutable(c).set_slot(state.slot);
-  }
-  // Balancer pressure carries over membership-weighted, so the smoothed
-  // shed/busy signals keep steering instead of restarting from zero.
-  for (int c = 0; c < rebuilt->cells(); ++c) {
-    const auto& members =
-        rebuilt->partition().members[static_cast<std::size_t>(c)];
-    CellPressure blended;
-    for (const int k : members) {
-      const auto& old = inner_->balancer().pressure(
-          current.cell_of[static_cast<std::size_t>(k)]);
-      blended.shed += old.shed;
-      blended.busy += old.busy;
-    }
-    blended.shed /= static_cast<double>(members.size());
-    blended.busy /= static_cast<double>(members.size());
-    rebuilt->balancer_mutable().set_pressure(c, blended);
-  }
-
-  inner_ = std::move(rebuilt);
+  inner_.repartition(std::move(next));
   snapshot_baseline();
   last_repartition_slot_ = state.slot;
-  ++repartitions_;
-  requests_at_risk_ += at_risk;
   const double latency_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count();
-  repartition_latency_ms_.push_back(latency_ms);
-  repartition_at_risk_.push_back(at_risk);
+  recuts_.push_back(Recut{latency_ms, at_risk});
+}
+
+std::int64_t ControlPlane::requests_at_risk() const noexcept {
+  std::int64_t total = 0;
+  for (const Recut& recut : recuts_) total += recut.at_risk;
+  return total;
 }
 
 sim::SlotDecision ControlPlane::decide(const sim::SlotState& state) {
   health_.observe(state.slot, state.edge_up);
   if (should_repartition(state.slot)) repartition(state);
-  return inner_->decide(state);
+  return inner_.decide(state);
 }
 
 void ControlPlane::observe(const sim::SlotFeedback& feedback) {
-  inner_->observe(feedback);
+  inner_.observe(feedback);
 }
 
 std::int64_t ControlPlane::fallback_count() const noexcept {
-  return inner_->fallback_count();
+  return inner_.fallback_count();
 }
 
 void ControlPlane::export_metrics(metrics::RunMetrics& metrics) const {
   for (const FailureEvent& e : health_.events()) {
     if (e.closed()) metrics.record_failure_event(e.mttr_slots());
   }
-  for (std::size_t r = 0; r < repartition_latency_ms_.size(); ++r) {
-    metrics.record_repartition(repartition_latency_ms_[r],
-                               repartition_at_risk_[r]);
+  for (const Recut& recut : recuts_) {
+    metrics.record_repartition(recut.latency_ms, recut.at_risk);
   }
 }
 

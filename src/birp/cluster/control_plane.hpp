@@ -20,14 +20,14 @@
 //   3. on trigger, live-repartitions: the partitioner re-runs on the
 //      surviving subgraph, dead edges are attached to their highest-affinity
 //      live neighbor's cell (they must live somewhere — demand in their
-//      region keeps arriving), the partition is re-canonicalized, and a new
-//      CellScheduler is built with explicit state handoff — per-edge TIR/MAB
-//      estimator state is exported from the old cells and imported into the
-//      new ones, the balancer's pressure EMAs carry over membership-weighted,
-//      and warm-start bases are dropped (new subclusters, stale bases; the
-//      first solve per cell is cold, which is slower, never wrong). The
-//      cell thread pool is handed over too, so a repartition neither joins
-//      nor spawns threads.
+//      region keeps arriving), the partition is canonicalized, and, unless
+//      the cut is unchanged, CellScheduler::repartition re-cuts the cells in
+//      place. That is the whole handoff: per-edge TIR/MAB estimators move to
+//      the new cells, the balancer's pressure EMAs carry over
+//      membership-weighted, the cell pool stays, and each new cell's first
+//      solve is cold (new subclusters have no basis yet; slower, never
+//      wrong). The control plane keeps only what it owns: health, triggers,
+//      the cut, and a per-re-cut log of latency and requests at risk.
 //
 // Determinism: health state, triggers, and the new partition are pure
 // functions of the slot inputs in fixed edge/cell order; wall clock is
@@ -36,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +50,7 @@
 namespace birp::cluster {
 
 struct ControlPlaneConfig {
-  /// Configuration for the wrapped CellScheduler (rebuilt on repartition).
+  /// Configuration for the wrapped CellScheduler.
   CellSchedulerConfig cell;
   /// How to cut (and re-cut) the partition.
   PartitionConfig partition;
@@ -79,18 +78,16 @@ class ControlPlane : public sim::Scheduler {
     return health_;
   }
   [[nodiscard]] const CellScheduler& scheduler() const noexcept {
-    return *inner_;
+    return inner_;
   }
   [[nodiscard]] const Partition& partition() const noexcept {
-    return inner_->partition();
+    return inner_.partition();
   }
   [[nodiscard]] std::int64_t repartitions() const noexcept {
-    return repartitions_;
+    return static_cast<std::int64_t>(recuts_.size());
   }
   /// Total slot demand at edges whose cell changed, summed over handoffs.
-  [[nodiscard]] std::int64_t requests_at_risk() const noexcept {
-    return requests_at_risk_;
-  }
+  [[nodiscard]] std::int64_t requests_at_risk() const noexcept;
 
   /// Folds the run's control-plane measurements into `metrics`: one
   /// record_failure_event per *closed* health event (MTTR), one
@@ -110,17 +107,19 @@ class ControlPlane : public sim::Scheduler {
   ControlPlaneConfig config_;
   util::Grid2<double> affinity_;  ///< full-cluster affinity matrix, fixed
   HealthTracker health_;
-  std::unique_ptr<CellScheduler> inner_;
+  CellScheduler inner_;
   /// Debounced live mask at the last cut, per edge, and per-cell live counts
   /// at the cut (the live-fraction trigger's denominator).
   std::vector<std::uint8_t> live_at_cut_;
   std::vector<int> cell_live_at_cut_;
   int last_repartition_slot_ = 0;
-  std::int64_t repartitions_ = 0;
-  std::int64_t requests_at_risk_ = 0;
-  /// Per-repartition measurements, paired by index (for export_metrics).
-  std::vector<double> repartition_latency_ms_;
-  std::vector<std::int64_t> repartition_at_risk_;
+  /// One record per re-cut: wall-clock latency and this slot's demand at
+  /// edges that changed cells.
+  struct Recut {
+    double latency_ms = 0.0;
+    std::int64_t at_risk = 0;
+  };
+  std::vector<Recut> recuts_;
 };
 
 }  // namespace birp::cluster

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "birp/util/check.hpp"
@@ -17,9 +16,8 @@ constexpr double kBalanceTolerance = 0.15;
 /// Maximum Kernighan–Lin refinement sweeps (each sweep visits every node).
 constexpr int kRefinePasses = 6;
 
-/// Canonical form: member lists sorted ascending, cells ordered by smallest
-/// member, cell_of relabeled to match. Makes partitions comparable with ==
-/// and independent of the growth/refinement visit order.
+}  // namespace
+
 Partition canonicalize(std::vector<int> cell_of, int cells) {
   const int K = static_cast<int>(cell_of.size());
   std::vector<std::vector<int>> members(static_cast<std::size_t>(cells));
@@ -44,11 +42,8 @@ Partition canonicalize(std::vector<int> cell_of, int cells) {
   return result;
 }
 
-}  // namespace
-
 util::Grid2<double> build_affinity(const device::ClusterSpec& cluster,
-                                   const util::Grid2<double>* links,
-                                   PartitionObjective objective) {
+                                   const util::Grid2<double>* links) {
   const int K = cluster.num_devices();
   if (links != nullptr) {
     util::check(links->rows() == K && links->cols() == K,
@@ -63,24 +58,8 @@ util::Grid2<double> build_affinity(const device::ClusterSpec& cluster,
               : std::min(cluster.device(a).bandwidth_mbps,
                          cluster.device(b).bandwidth_mbps);
       if (mbps <= 0.0) continue;  // no link, no affinity
-      double weight = 0.0;
-      switch (objective) {
-        case PartitionObjective::kBalanced:
-          weight = 1.0;
-          break;
-        case PartitionObjective::kBandwidth:
-          weight = mbps;
-          break;
-        case PartitionObjective::kAffinity:
-          // Heterogeneous pairs attract: a fast edge in-cell is what a slow
-          // edge's overload needs, and the link bandwidth scales how much
-          // of that help is actually deliverable per slot.
-          weight = mbps * (1.0 + std::abs(cluster.device(a).accel_speed -
-                                          cluster.device(b).accel_speed));
-          break;
-      }
-      affinity(a, b) = weight;
-      affinity(b, a) = weight;
+      affinity(a, b) = mbps;
+      affinity(b, a) = mbps;
     }
   }
   return affinity;
@@ -217,7 +196,7 @@ Partition partition_affinity(const util::Grid2<double>& affinity,
 Partition partition_cluster(const device::ClusterSpec& cluster,
                             const util::Grid2<double>* links,
                             const PartitionConfig& config) {
-  return partition_affinity(build_affinity(cluster, links, config.objective),
+  return partition_affinity(build_affinity(cluster, links),
                             config);
 }
 

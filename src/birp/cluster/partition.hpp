@@ -1,5 +1,6 @@
-// Deterministic, seeded graph partitioner over the cluster's
-// bandwidth/affinity graph.
+// Deterministic, seeded graph partitioner over the cluster's bandwidth
+// graph. There is one cost family: a pair's affinity is its link bandwidth in
+// Mbps (min endpoint uplink when no link matrix is given).
 //
 // A thousand-edge cluster cannot be scheduled by one global slot MILP; the
 // established decomposition (METIS-style k-way edge-cut, cf. the npu_compiler
@@ -13,7 +14,8 @@
 // cells requires). Refinement stops after 6 sweeps or the first sweep that
 // moves nothing. Deterministic in (graph, config): no iteration order
 // depends on hashing or thread count, and the result is canonicalized
-// (members sorted, cells ordered by smallest member).
+// (members sorted, cells ordered by smallest member; canonicalize() is public
+// for partitions assembled elsewhere, such as the control plane's re-cut).
 #pragma once
 
 #include <cstdint>
@@ -24,23 +26,8 @@
 
 namespace birp::cluster {
 
-/// Built-in edge-cost families for the affinity graph.
-enum class PartitionObjective {
-  /// Unit edge weights: the cut minimizes crossing pair count, so the
-  /// partition is shaped by the balance constraint alone.
-  kBalanced,
-  /// Pairwise link bandwidth: high-bandwidth pairs stay in one cell, so the
-  /// cheap redistribution paths survive sharding.
-  kBandwidth,
-  /// Bandwidth x device heterogeneity: pairs with dissimilar accelerator
-  /// speeds attract (a fast edge in-cell is exactly what a slow edge's
-  /// overload needs), weighted by the link that would carry the traffic.
-  kAffinity,
-};
-
 struct PartitionConfig {
   int cells = 1;
-  PartitionObjective objective = PartitionObjective::kBandwidth;
   /// Seeds the initial cell centers; refinement is seed-free.
   std::uint64_t seed = 0xce11;
 };
@@ -60,17 +47,18 @@ struct Partition {
   }
 };
 
-/// Builds the affinity matrix for `cluster` under `objective`. `links` is
-/// the optional pairwise inter-edge bandwidth graph (workload::Topology);
-/// null falls back to min(endpoint uplink) for every pair — a complete
-/// graph, which keeps the partitioner meaningful for link-less specs.
+/// Builds the affinity matrix for `cluster`: each pair's link bandwidth in
+/// Mbps, so high-bandwidth pairs stay in one cell and the cheap
+/// redistribution paths survive sharding. `links` is the optional pairwise
+/// inter-edge bandwidth graph (workload::Topology); null falls back to
+/// min(endpoint uplink) for every pair — a complete graph, which keeps the
+/// partitioner meaningful for link-less specs.
 [[nodiscard]] util::Grid2<double> build_affinity(
-    const device::ClusterSpec& cluster, const util::Grid2<double>* links,
-    PartitionObjective objective);
+    const device::ClusterSpec& cluster, const util::Grid2<double>* links);
 
 /// Partitions the nodes of `affinity` (a symmetric K x K weight matrix)
-/// into config.cells cells; `config.objective` is unread (the matrix is the
-/// cost), so any pair cost partitions through here.
+/// into config.cells cells; the matrix is the cost, so any pair cost
+/// partitions through here.
 [[nodiscard]] Partition partition_affinity(const util::Grid2<double>& affinity,
                                            const PartitionConfig& config);
 
@@ -78,6 +66,11 @@ struct Partition {
 [[nodiscard]] Partition partition_cluster(const device::ClusterSpec& cluster,
                                           const util::Grid2<double>* links,
                                           const PartitionConfig& config);
+
+/// Canonical form of the cell assignment `cell_of` over `cells` non-empty
+/// cells: member lists sorted ascending, cells ordered by smallest member,
+/// cell_of relabeled to match. Makes partitions comparable with ==.
+[[nodiscard]] Partition canonicalize(std::vector<int> cell_of, int cells);
 
 /// Total affinity weight crossing cells (each unordered pair once) — the
 /// quantity refinement minimizes; exposed for tests and benches.

@@ -68,11 +68,6 @@ void BirpScheduler::import_device_estimators(
                 static_cast<std::ptrdiff_t>(estimator_index(device, 0, 0)));
 }
 
-void BirpScheduler::invalidate_warm_start() {
-  prev_basis_ = solver::Basis{};
-  prev_values_.clear();
-}
-
 BuiltProblem BirpScheduler::build_problem(const sim::SlotState& state) {
   slot_ = state.slot;
   // Graceful degradation: when the heartbeat view reports down edges, the

@@ -77,13 +77,6 @@ class BirpScheduler : public sim::Scheduler {
   /// offline mode or when `state` is empty; the slice size must match.
   void import_device_estimators(int device,
                                 const std::vector<TirEstimator>& state);
-  /// Drops the cross-slot warm-start basis and seed decision. Called after a
-  /// handoff: the carried state describes a different subcluster, so reusing
-  /// it would be wrong (the next solve starts cold, which is merely slower).
-  void invalidate_warm_start();
-  /// Sets the MAB slot clock (confidence-bound widths grow with ln(t)), so
-  /// imported estimators keep aging on the global clock after a handoff.
-  void set_slot(int slot) noexcept { slot_ = slot; }
 
   /// Cumulative solver diagnostics.
   [[nodiscard]] std::int64_t total_nodes() const noexcept {

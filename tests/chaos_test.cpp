@@ -243,7 +243,7 @@ TEST(ControlPlane, EstimatorStateSurvivesRepartition) {
   }
   ASSERT_GE(plane.repartitions(), 1);
 
-  // Re-export from the rebuilt scheduler: bit-for-bit the same beliefs.
+  // Re-export from the re-cut cells: bit-for-bit the same beliefs.
   const int c = plane.partition().cell_of[static_cast<std::size_t>(probe)];
   const auto carried = plane.scheduler().cell(c).export_device_estimators(
       plane.scheduler().local_index(probe));
@@ -256,6 +256,119 @@ TEST(ControlPlane, EstimatorStateSurvivesRepartition) {
     EXPECT_DOUBLE_EQ(a.eta, b.eta);
     EXPECT_EQ(a.beta, b.beta);
     EXPECT_DOUBLE_EQ(a.c, b.c);
+  }
+}
+
+TEST(ControlPlane, FallbackCountSurvivesRepartition) {
+  // The RepartitionsOnCrashAndAgainOnRecovery run with no node budget: every
+  // cell solve falls back, so the run's fallbacks are its cell-slots,
+  // including those of the cells each re-cut retired.
+  const auto config = small_topology_config(12, 3);
+  const auto topology = workload::generate_topology(config);
+  const auto cluster = workload::make_cluster(topology, config);
+  workload::GeneratorConfig gc;
+  gc.slots = 24;
+  gc.mean_per_edge = 5.0;
+  const auto trace = workload::generate(cluster, gc);
+  sim::SimulatorConfig sc;
+  sc.fault_plan = fault::FaultPlan::single_edge_crash(2, 6, 14);
+  sc.fault_plan.add_down(3, 6, 14);
+
+  auto cp = fast_config(3);
+  cp.cell.birp.solver.max_nodes = 0;
+  ControlPlane plane(cluster, &topology.link_mbps, cp);
+  const auto metrics_run = sim::Simulator(cluster, trace, sc).run(plane);
+  EXPECT_GE(plane.repartitions(), 1);
+  EXPECT_EQ(metrics_run.solver_fallbacks(), 24 * 3);
+  EXPECT_EQ(plane.fallback_count(), 24 * 3);
+}
+
+TEST(CellScheduler, RepartitionRestartsCountersAndCarriesEstimators) {
+  // The contract a per-slot counter delta relies on: after repartition every
+  // solver, watchdog and balancer counter restarts from zero, fallbacks
+  // accumulate across the re-cut, and each device's estimators move intact.
+  const auto config = small_topology_config(12, 3);
+  const auto topology = workload::generate_topology(config);
+  const auto cluster = workload::make_cluster(topology, config);
+  const int K = cluster.num_devices();
+  PartitionConfig pc;
+  pc.cells = 3;
+  CellSchedulerConfig cc;
+  cc.birp.solver.lp.max_iterations = 1;  // every solve pivots, then falls back
+  cc.watchdog.enabled = true;
+  cc.watchdog.strike_threshold = 1;
+  cc.watchdog.degraded_slots = 1;
+  CellScheduler scheduler(
+      cluster, partition_cluster(cluster, &topology.link_mbps, pc), cc);
+
+  for (int t = 0; t < 6; ++t) {
+    auto state = uniform_state(cluster, t, 1);
+    for (int i = 0; i < cluster.num_apps(); ++i) {
+      for (int k = 0; k < K; ++k) state.demand(i, k) = 1 + 3 * k;  // skewed
+    }
+    (void)scheduler.decide(state);
+    sim::SlotFeedback feedback;
+    feedback.slot = t;
+    feedback.busy_s.assign(static_cast<std::size_t>(K), 0.0);
+    for (int k = 0; k < K; ++k) {
+      feedback.observations.push_back({k, 0, 0, 2 + k % 3, 1.0 + 0.1 * k});
+    }
+    scheduler.observe(feedback);
+  }
+  std::int64_t pivots = 0;
+  for (int c = 0; c < scheduler.cells(); ++c) {
+    pivots += scheduler.cell(c).total_pivots();
+  }
+  ASSERT_GT(pivots, 0);
+  ASSERT_GT(scheduler.fallback_count(), 0);
+  ASSERT_GT(scheduler.watchdog_trips(), 0);
+  ASSERT_GT(scheduler.degraded_cell_slots(), 0);
+  ASSERT_GT(scheduler.balancer().moved_total(), 0);
+
+  std::vector<std::vector<core::TirEstimator>> before;
+  for (int k = 0; k < K; ++k) {
+    const int c = scheduler.partition().cell_of[static_cast<std::size_t>(k)];
+    before.push_back(scheduler.cell(c).export_device_estimators(
+        scheduler.local_index(k)));
+    ASSERT_GT(before.back()[0].within_count() +
+                  before.back()[0].beyond_count(),
+              0);
+  }
+  const std::int64_t fallbacks = scheduler.fallback_count();
+
+  std::vector<int> cell_of(static_cast<std::size_t>(K));
+  for (int k = 0; k < K; ++k) cell_of[static_cast<std::size_t>(k)] = k % 3;
+  Partition next = canonicalize(cell_of, 3);
+  ASSERT_NE(next.cell_of, scheduler.partition().cell_of);
+  scheduler.repartition(next);
+
+  EXPECT_EQ(scheduler.partition().cell_of, next.cell_of);
+  for (int c = 0; c < scheduler.cells(); ++c) {
+    const auto& cell = scheduler.cell(c);
+    EXPECT_EQ(cell.total_pivots(), 0);
+    EXPECT_EQ(cell.total_nodes(), 0);
+    EXPECT_EQ(cell.warm_lp_solves(), 0);
+    EXPECT_EQ(cell.cold_lp_solves(), 0);
+  }
+  EXPECT_EQ(scheduler.watchdog_trips(), 0);
+  EXPECT_EQ(scheduler.degraded_cell_slots(), 0);
+  EXPECT_EQ(scheduler.balancer().moved_total(), 0);
+  EXPECT_EQ(scheduler.fallback_count(), fallbacks);
+  for (int k = 0; k < K; ++k) {
+    const int c = next.cell_of[static_cast<std::size_t>(k)];
+    const auto carried = scheduler.cell(c).export_device_estimators(
+        scheduler.local_index(k));
+    const auto& was = before[static_cast<std::size_t>(k)];
+    ASSERT_EQ(carried.size(), was.size()) << "device " << k;
+    for (std::size_t e = 0; e < carried.size(); ++e) {
+      EXPECT_EQ(carried[e].within_count(), was[e].within_count());
+      EXPECT_EQ(carried[e].beyond_count(), was[e].beyond_count());
+      const auto a = carried[e].mean_estimate();
+      const auto b = was[e].mean_estimate();
+      EXPECT_EQ(a.eta, b.eta);
+      EXPECT_EQ(a.beta, b.beta);
+      EXPECT_EQ(a.c, b.c);
+    }
   }
 }
 

@@ -149,8 +149,7 @@ TEST(Partition, RefinementNeverWorsensTheCut) {
   const auto config = small_topology_config(36, 2);
   const auto topology = workload::generate_topology(config);
   const auto cluster = workload::make_cluster(topology, config);
-  const auto affinity = build_affinity(cluster, &topology.link_mbps,
-                                       PartitionObjective::kBandwidth);
+  const auto affinity = build_affinity(cluster, &topology.link_mbps);
   PartitionConfig pc;
   pc.cells = 4;
   const auto partition = partition_affinity(affinity, pc);
@@ -210,17 +209,27 @@ TEST(Partition, CustomCostRecoversBlockStructure) {
 }
 
 TEST(Partition, ObjectivesProduceValidPartitions) {
+  // One cost family: a pair's affinity is its link Mbps, or the smaller
+  // endpoint uplink when there is no link matrix. Both partition validly.
   const auto config = small_topology_config(24, 2);
   const auto topology = workload::generate_topology(config);
   const auto cluster = workload::make_cluster(topology, config);
-  for (const auto objective :
-       {PartitionObjective::kBalanced, PartitionObjective::kBandwidth,
-        PartitionObjective::kAffinity}) {
+  const auto linked = build_affinity(cluster, &topology.link_mbps);
+  const auto uplinks = build_affinity(cluster, nullptr);
+  for (int a = 0; a < 24; ++a) {
+    for (int b = 0; b < 24; ++b) {
+      const double link = topology.link_mbps(a, b);
+      const double uplink = std::min(cluster.device(a).bandwidth_mbps,
+                                     cluster.device(b).bandwidth_mbps);
+      EXPECT_EQ(linked(a, b), a != b && link > 0.0 ? link : 0.0);
+      EXPECT_EQ(uplinks(a, b), a != b && uplink > 0.0 ? uplink : 0.0);
+    }
+  }
+  const util::Grid2<double>* const no_links = nullptr;
+  for (const auto* links : {&topology.link_mbps, no_links}) {
     PartitionConfig pc;
     pc.cells = 3;
-    pc.objective = objective;
-    expect_valid_partition(
-        partition_cluster(cluster, &topology.link_mbps, pc), 24, 3);
+    expect_valid_partition(partition_cluster(cluster, links, pc), 24, 3);
   }
 }
 
