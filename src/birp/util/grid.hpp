@@ -2,6 +2,7 @@
 // scheduler decision tensors (x, b, y in the paper's notation).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "birp/util/check.hpp"
@@ -25,6 +26,14 @@ class Grid2 {
   [[nodiscard]] T& operator()(int r, int c) { return data_[index(r, c)]; }
   [[nodiscard]] const T& operator()(int r, int c) const {
     return data_[index(r, c)];
+  }
+
+  /// Row r as one contiguous run of cols() values.
+  [[nodiscard]] std::span<T> row(int r) {
+    return {&(*this)(r, 0), static_cast<std::size_t>(cols_)};
+  }
+  [[nodiscard]] std::span<const T> row(int r) const {
+    return {&(*this)(r, 0), static_cast<std::size_t>(cols_)};
   }
 
   void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
@@ -63,6 +72,14 @@ class Grid3 {
   }
   [[nodiscard]] const T& operator()(int a, int b, int c) const {
     return data_[index(a, b, c)];
+  }
+
+  /// The dim2() values of (a, b), contiguous (the last index is fastest).
+  [[nodiscard]] std::span<T> run(int a, int b) {
+    return {&(*this)(a, b, 0), static_cast<std::size_t>(d2_)};
+  }
+  [[nodiscard]] std::span<const T> run(int a, int b) const {
+    return {&(*this)(a, b, 0), static_cast<std::size_t>(d2_)};
   }
 
   void fill(T value) { std::fill(data_.begin(), data_.end(), value); }
