@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "birp/util/check.hpp"
+
 namespace birp::metrics {
 
 RunMetrics::RunMetrics(int expected_slots) {
@@ -16,17 +18,37 @@ void RunMetrics::record_request(double completion_tau, bool met_slo) {
   if (!met_slo) ++slo_failures_;
 }
 
-void RunMetrics::record_dropped() {
-  ++total_requests_;
-  ++slo_failures_;
-  ++dropped_;
+void RunMetrics::record_served(std::span<const double> completion_tau,
+                               std::span<const double> queue_wait_tau,
+                               std::span<const double> dispatch_wait_tau,
+                               std::span<const double> exec_tau,
+                               std::span<const double> admit_to_launch_tau,
+                               std::int64_t slo_misses) {
+  util::check(queue_wait_tau.size() == completion_tau.size() &&
+                  dispatch_wait_tau.size() == completion_tau.size() &&
+                  exec_tau.size() == completion_tau.size() &&
+                  admit_to_launch_tau.size() == completion_tau.size(),
+              "record_served: sample spans differ in length");
+  completion_.add_all(completion_tau);
+  queue_wait_.add_all(queue_wait_tau);
+  dispatch_wait_.add_all(dispatch_wait_tau);
+  exec_latency_.add_all(exec_tau);
+  admit_to_launch_.add_all(admit_to_launch_tau);
+  total_requests_ += static_cast<std::int64_t>(completion_tau.size());
+  slo_failures_ += slo_misses;
 }
 
-void RunMetrics::record_queue_drop() {
-  ++total_requests_;
-  ++slo_failures_;
-  ++dropped_;
-  ++queue_dropped_;
+void RunMetrics::record_dropped(std::int64_t count) {
+  total_requests_ += count;
+  slo_failures_ += count;
+  dropped_ += count;
+}
+
+void RunMetrics::record_queue_drop(std::int64_t count) {
+  total_requests_ += count;
+  slo_failures_ += count;
+  dropped_ += count;
+  queue_dropped_ += count;
 }
 
 void RunMetrics::record_orphan_drop() {
@@ -36,11 +58,11 @@ void RunMetrics::record_orphan_drop() {
   ++orphan_dropped_;
 }
 
-void RunMetrics::record_deadline_shed() {
-  ++total_requests_;
-  ++slo_failures_;
-  ++dropped_;
-  ++deadline_shed_;
+void RunMetrics::record_deadline_shed(std::int64_t count) {
+  total_requests_ += count;
+  slo_failures_ += count;
+  dropped_ += count;
+  deadline_shed_ += count;
 }
 
 void RunMetrics::record_breaker_events(std::int64_t trips,

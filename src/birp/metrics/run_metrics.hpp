@@ -22,21 +22,32 @@ class RunMetrics {
   /// Records one request's completion time (in units of tau). `met_slo` is
   /// false when the request finished after its SLO or was dropped.
   void record_request(double completion_tau, bool met_slo);
-  /// Records a request that was never served (counts as an SLO failure and
-  /// does not contribute a completion-time sample).
-  void record_dropped();
-  /// Records a request rejected by admission-queue backpressure (birp/serve).
-  /// Counts exactly once as a drop and an SLO failure — a queue drop must
-  /// never additionally be recorded through record_dropped().
-  void record_queue_drop();
+  /// Records served requests in bulk: one sample per request in every span
+  /// (all of one length), appended in order, and how many of them missed
+  /// their SLO. The same as record_request, record_request_waits and
+  /// record_admit_to_launch once per request.
+  void record_served(std::span<const double> completion_tau,
+                     std::span<const double> queue_wait_tau,
+                     std::span<const double> dispatch_wait_tau,
+                     std::span<const double> exec_tau,
+                     std::span<const double> admit_to_launch_tau,
+                     std::int64_t slo_misses);
+  /// Records `count` requests that were never served (each counts as an
+  /// SLO failure and contributes no completion-time sample).
+  void record_dropped(std::int64_t count = 1);
+  /// Records `count` requests rejected by admission-queue backpressure
+  /// (birp/serve). Each counts exactly once as a drop and an SLO failure —
+  /// a queue drop must never additionally be recorded through
+  /// record_dropped().
+  void record_queue_drop(std::int64_t count = 1);
   /// Records a request terminally lost to an edge failure (orphaned with the
   /// failover retry budget exhausted, or failover disabled). Counts exactly
   /// once as a drop and an SLO failure, like record_queue_drop().
   void record_orphan_drop();
-  /// Records a request shed at enqueue by the deadline-aware admission
-  /// controller (birp/guard). Counts exactly once as a drop and an SLO
-  /// failure, like record_queue_drop().
-  void record_deadline_shed();
+  /// Records `count` requests shed at enqueue by the deadline-aware
+  /// admission controller (birp/guard). Each counts exactly once as a drop
+  /// and an SLO failure, like record_queue_drop().
+  void record_deadline_shed(std::int64_t count = 1);
   /// Records one slot's circuit-breaker transitions (birp/guard).
   void record_breaker_events(std::int64_t trips, std::int64_t reopens,
                              std::int64_t probes, std::int64_t recoveries);

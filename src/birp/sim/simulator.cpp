@@ -149,7 +149,7 @@ double Simulator::execute_edge(int k,
 }
 
 SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
-  SlotState state = driver_.begin_slot();
+  SlotState& state = driver_.begin_slot();
   const int t = state.slot;
   const int I = cluster_.num_apps();
   const int K = cluster_.num_devices();

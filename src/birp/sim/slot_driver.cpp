@@ -14,18 +14,20 @@ SlotDriver::SlotDriver(const device::ClusterSpec& cluster,
       plan_(std::move(plan)),
       failover_(failover, cluster.num_apps(), cluster.num_devices()),
       orphan_drops_(cluster.num_apps(), cluster.num_devices(), 0) {
+  state_.demand =
+      util::Grid2<std::int64_t>(cluster.num_apps(), cluster.num_devices(), 0);
   util::check(trace.apps() == cluster.num_apps(),
               "SlotDriver: trace apps != cluster apps");
   util::check(trace.devices() == cluster.num_devices(),
               "SlotDriver: trace devices != cluster devices");
 }
 
-SlotState SlotDriver::begin_slot(const SchedulerHints* hints) {
+SlotState& SlotDriver::begin_slot(const SchedulerHints* hints) {
   util::check(slot_ < horizon_, "SlotDriver: horizon exhausted");
   const int K = cluster_.num_devices();
-  SlotState state;
+  SlotState& state = state_;
   state.slot = slot_;
-  state.demand = util::Grid2<std::int64_t>(cluster_.num_apps(), K, 0);
+  state.demand.fill(0);
   state.previous = previous_.has_value() ? &previous_.value() : nullptr;
   state.hints = hints;
   readmit_ = nullptr;

@@ -66,8 +66,9 @@ class SlotDriver {
   /// Starts the current slot: resolves this slot's fault picture and
   /// failover re-admissions, and returns the scheduler's state with slot,
   /// liveness, hints and the previous decision set and demand zeroed
-  /// (apps x devices) for the runtime to fill.
-  SlotState begin_slot(const SchedulerHints* hints = nullptr);
+  /// (apps x devices) for the runtime to fill. The driver owns the state
+  /// and reuses it every slot.
+  SlotState& begin_slot(const SchedulerHints* hints = nullptr);
 
   /// This slot's failover re-admissions per (app, edge), to be added to
   /// demand; null when none can occur (no fault plan or failover disabled).
@@ -123,6 +124,7 @@ class SlotDriver {
   fault::FailoverPolicy failover_;
   int slot_ = 0;
   std::optional<SlotDecision> previous_;
+  SlotState state_;
   /// This slot's fault picture; all empty without a plan.
   std::vector<std::uint8_t> up_;
   std::vector<double> bandwidth_;

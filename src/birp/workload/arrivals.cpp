@@ -21,28 +21,35 @@ std::uint64_t cell_stream(int slot, int app, int device) {
 
 }  // namespace
 
+void expand_cell(int slot, int app, int device, double tau_s,
+                 std::uint64_t seed, std::span<Arrival> run) {
+  util::Xoshiro256StarStar rng(seed ^ cell_stream(slot, app, device));
+  for (auto& a : run) {
+    a = Arrival{slot, app, device, 0, rng.uniform(0.0, tau_s)};
+  }
+  // Records of one run differ only in their offsets until seq is assigned,
+  // so ties need no tie-break.
+  std::sort(run.begin(), run.end(), [](const Arrival& a, const Arrival& b) {
+    return a.offset_s < b.offset_s;
+  });
+  for (std::size_t r = 0; r < run.size(); ++r) {
+    run[r].seq = static_cast<std::int64_t>(r);
+  }
+}
+
 std::vector<Arrival> slot_arrivals(const Trace& trace, int slot, double tau_s,
                                    std::uint64_t seed) {
   util::check(slot >= 0 && slot < trace.slots(), "slot_arrivals: bad slot");
   util::check(tau_s > 0.0, "slot_arrivals: tau must be positive");
-  std::vector<Arrival> arrivals;
-  arrivals.reserve(static_cast<std::size_t>(trace.slot_total(slot)));
+  std::vector<Arrival> arrivals(
+      static_cast<std::size_t>(trace.slot_total(slot)));
+  std::size_t at = 0;
   for (int i = 0; i < trace.apps(); ++i) {
     for (int k = 0; k < trace.devices(); ++k) {
-      const auto count = trace.at(slot, i, k);
-      if (count <= 0) continue;
-      util::Xoshiro256StarStar rng(seed ^ cell_stream(slot, i, k));
-      const auto run = static_cast<std::ptrdiff_t>(arrivals.size());
-      for (std::int64_t r = 0; r < count; ++r) {
-        arrivals.push_back(Arrival{slot, i, k, 0, rng.uniform(0.0, tau_s)});
-      }
-      // Records of one run differ only in their offsets until seq is
-      // assigned, so ties need no tie-break.
-      const auto begin = arrivals.begin() + run;
-      std::sort(begin, arrivals.end(), [](const Arrival& a, const Arrival& b) {
-        return a.offset_s < b.offset_s;
-      });
-      for (std::int64_t r = 0; r < count; ++r) begin[r].seq = r;
+      const auto count = static_cast<std::size_t>(trace.at(slot, i, k));
+      expand_cell(slot, i, k, tau_s, seed,
+                  std::span(arrivals).subspan(at, count));
+      at += count;
     }
   }
   return arrivals;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,10 +30,17 @@ struct Arrival {
   friend bool operator==(const Arrival&, const Arrival&) = default;
 };
 
-/// Expands one slot of `trace` into timestamped arrivals in cell-major
-/// runs: (app, device) order, offsets ascending within a run, seq 0..n-1
-/// along it. One allocation per call. `seed` selects the expansion; the
-/// same (trace cell, seed) always yields the same offsets.
+/// Expands one (slot, app, device) cell into `run`: run.size() arrivals
+/// drawn from the cell's own RNG stream, offsets ascending, seq 0..n-1 along
+/// the run. `seed` selects the expansion; the same (cell, count, seed)
+/// always yields the same run, whatever the other cells hold, so cells can
+/// be expanded in any order or concurrently.
+void expand_cell(int slot, int app, int device, double tau_s,
+                 std::uint64_t seed, std::span<Arrival> run);
+
+/// Expands one slot of `trace` into timestamped arrivals: expand_cell over
+/// every non-empty cell, the runs laid end to end in (app, device) order.
+/// One allocation per call.
 [[nodiscard]] std::vector<Arrival> slot_arrivals(const Trace& trace, int slot,
                                                  double tau_s,
                                                  std::uint64_t seed);
