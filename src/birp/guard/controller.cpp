@@ -57,11 +57,12 @@ GuardController::GuardController(const device::ClusterSpec& cluster,
                    CircuitBreaker(config_.breaker));
   level_.assign(static_cast<std::size_t>(apps_), 0);
   calm_slots_.assign(static_cast<std::size_t>(apps_), 0);
+  hints_.avoid_import = util::Grid2<std::uint8_t>(apps_, devices_, 0);
   rebuild_hints();
 }
 
 void GuardController::rebuild_hints() {
-  hints_.avoid_import = util::Grid2<std::uint8_t>(apps_, devices_, 0);
+  hints_.avoid_import.fill(0);
   hints_.variant_cap.assign(static_cast<std::size_t>(apps_), -1);
   if (config_.breaker.enabled) {
     for (int i = 0; i < apps_; ++i) {

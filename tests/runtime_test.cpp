@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "birp/runtime/thread_pool.hpp"
+#include "birp/util/alloc_count.hpp"
 
 namespace birp::runtime {
 namespace {
@@ -265,6 +266,101 @@ TEST(ThreadPoolClaimed, WorksFromInsideATaskAndAfterShutdown) {
   pool.shutdown();  // no helper can be submitted: the caller runs all
   pool.run_claimed(iota_order(10), [&sum](int index) { sum += index; });
   EXPECT_EQ(sum.load(), 90);
+}
+
+TEST(ThreadPoolClaimed, AlongsideRunsOwnWorkOnTheCallerWhileHelpersClaim) {
+  // The helpers claim positions while the caller is still in own(): own()
+  // waits until some index ran, which only a helper can do by then.
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> ran{0};
+  std::vector<std::atomic<int>> runs(40);
+  bool own_saw_helper_work = false;
+  pool.run_claimed_alongside(
+      iota_order(40),
+      [&] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (ran.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        own_saw_helper_work = ran.load() > 0;
+      },
+      [&](int index) {
+        runs[static_cast<std::size_t>(index)].fetch_add(1);
+        ran.fetch_add(1);
+      });
+  EXPECT_TRUE(own_saw_helper_work);
+  for (const auto& count : runs) EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPoolClaimed, AlongsideRethrowsOwnExceptionAfterHelpersLeft) {
+  ThreadPool pool(2);
+  std::atomic<int> inside{0};
+  int inside_at_throw = -1;
+  try {
+    pool.run_claimed_alongside(
+        iota_order(32), [] { throw std::runtime_error("own"); },
+        [&](int) {
+          inside.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          inside.fetch_sub(1);
+        });
+    ADD_FAILURE() << "run_claimed_alongside swallowed the exception";
+  } catch (const std::runtime_error& error) {
+    inside_at_throw = inside.load();
+    EXPECT_EQ(std::string(error.what()), "own");
+  }
+  EXPECT_EQ(inside_at_throw, 0);
+}
+
+TEST(ThreadPoolClaimed, CallerRunsAloneWhenLateHelpersHoldEveryJob) {
+  // The one worker is blocked, so each call's helper stays queued and keeps
+  // its claim job. Once every job is held, a call runs on the caller alone;
+  // all of them finish, and the queued helpers later leave without work.
+  ThreadPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  auto blocker = pool.submit([opened] { opened.wait(); });
+  const auto caller = std::this_thread::get_id();
+  for (int call = 0; call < 6; ++call) {
+    std::vector<int> ran;
+    pool.run_claimed(iota_order(5), [&](int index) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ran.push_back(index);
+    });
+    EXPECT_EQ(ran, iota_order(5)) << "call " << call;
+  }
+  gate.set_value();
+  blocker.get();
+  pool.wait_idle();
+  std::atomic<int> sum{0};
+  pool.run_claimed(iota_order(10), [&sum](int index) { sum += index; });
+  EXPECT_EQ(sum.load(), 45);  // jobs are free again
+}
+
+TEST(ThreadPoolClaimed, WarmCallsDoNotAllocate) {
+  // Claim jobs are recycled and the task ring is pre-sized, so a claimed
+  // fork-join touches the heap on no thread, not even the first time.
+  ASSERT_TRUE(util::alloc_counting_active());
+  ThreadPool pool(3);
+  const auto order = iota_order(24);
+  std::atomic<std::int64_t> allocs{0};
+  std::atomic<int> sum{0};
+  const auto count_allocs = [&](int index) {
+    const auto before = util::alloc_counts().allocs;
+    sum += index;
+    allocs += util::alloc_counts().allocs - before;
+  };
+  for (int call = 0; call < 50; ++call) {
+    const auto before = util::alloc_counts().allocs;
+    pool.run_claimed(order, count_allocs);
+    pool.run_claimed_alongside(order, [] {}, count_allocs);
+    EXPECT_EQ(util::alloc_counts().allocs - before, 0) << "call " << call;
+  }
+  EXPECT_EQ(allocs.load(), 0);
+  EXPECT_EQ(sum.load(), 50 * 2 * 276);
 }
 
 // --------------------------------------------------- spin-then-park wakeup ----

@@ -13,6 +13,7 @@
 #include "fnv1a.hpp"
 #include "birp/device/cluster.hpp"
 #include "birp/metrics/report_csv.hpp"
+#include "birp/sched/greedy_local.hpp"
 #include "birp/serve/adaptive.hpp"
 #include "birp/serve/batcher.hpp"
 #include "birp/serve/engine.hpp"
@@ -22,6 +23,7 @@
 #include "birp/sim/scheduler.hpp"
 #include "birp/sim/simulator.hpp"
 #include "birp/workload/arrivals.hpp"
+#include "birp/workload/generator.hpp"
 #include "birp/workload/trace.hpp"
 
 namespace birp::serve {
@@ -1146,6 +1148,32 @@ TEST_F(ServeEngineFixture, AdaptiveSteadyStateStaysAllocationFree) {
         << "slot " << t;
   }
   EXPECT_GT(metrics.batch_seals(static_cast<int>(SealReason::kGrowth)), 0);
+}
+
+TEST_F(ServeEngineFixture, OverloadedGuardedSlotsAllocateNothingOnAnyThread) {
+  // serve_flood's shape on the small cluster: the greedy scheduler at twice
+  // the serving envelope, adaptive batching, deadline admission and queues
+  // of 32. hot_allocs covers the step thread's serve half (demand, the
+  // arrival fork, routing, the edge fork) as well as every task the pool
+  // runs, so the whole slot outside decide stays off the heap.
+  ASSERT_TRUE(util::alloc_counting_active());
+  workload::GeneratorConfig gc;
+  gc.slots = 12;
+  gc.mean_per_edge = workload::suggested_mean_per_edge(cluster_, 2.0);
+  const auto trace = workload::generate(cluster_, gc);
+  ServeConfig config;
+  config.threads = 3;
+  config.queue_capacity = 32;
+  config.adaptive.enabled = true;
+  config.guard.admission.enabled = true;
+  ServeEngine engine(cluster_, trace, config);
+  sched::GreedyLocalScheduler scheduler(cluster_);
+  metrics::RunMetrics metrics;
+  for (int t = 0; t < trace.slots(); ++t) {
+    EXPECT_EQ(engine.step(scheduler, &metrics).hot_allocs, 0)
+        << "slot " << t;
+  }
+  EXPECT_GT(metrics.queue_dropped() + metrics.deadline_shed(), 0);
 }
 
 // --------------------------------------- threaded determinism, hard mode ----
