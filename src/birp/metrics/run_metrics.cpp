@@ -1,7 +1,5 @@
 #include "birp/metrics/run_metrics.hpp"
 
-#include <algorithm>
-
 #include "birp/util/check.hpp"
 
 namespace birp::metrics {
@@ -20,19 +18,13 @@ void RunMetrics::record_request(double completion_tau, bool met_slo) {
 
 void RunMetrics::record_served(std::span<const double> completion_tau,
                                std::span<const double> queue_wait_tau,
-                               std::span<const double> dispatch_wait_tau,
-                               std::span<const double> exec_tau,
                                std::span<const double> admit_to_launch_tau,
                                std::int64_t slo_misses) {
   util::check(queue_wait_tau.size() == completion_tau.size() &&
-                  dispatch_wait_tau.size() == completion_tau.size() &&
-                  exec_tau.size() == completion_tau.size() &&
                   admit_to_launch_tau.size() == completion_tau.size(),
               "record_served: sample spans differ in length");
   completion_.add_all(completion_tau);
   queue_wait_.add_all(queue_wait_tau);
-  dispatch_wait_.add_all(dispatch_wait_tau);
-  exec_latency_.add_all(exec_tau);
   admit_to_launch_.add_all(admit_to_launch_tau);
   total_requests_ += static_cast<std::int64_t>(completion_tau.size());
   slo_failures_ += slo_misses;
@@ -51,11 +43,11 @@ void RunMetrics::record_queue_drop(std::int64_t count) {
   queue_dropped_ += count;
 }
 
-void RunMetrics::record_orphan_drop() {
-  ++total_requests_;
-  ++slo_failures_;
-  ++dropped_;
-  ++orphan_dropped_;
+void RunMetrics::record_orphan_drop(std::int64_t count) {
+  total_requests_ += count;
+  slo_failures_ += count;
+  dropped_ += count;
+  orphan_dropped_ += count;
 }
 
 void RunMetrics::record_deadline_shed(std::int64_t count) {
@@ -142,36 +134,12 @@ double RunMetrics::availability_percent() const noexcept {
   return 100.0 * static_cast<double>(up) / static_cast<double>(total);
 }
 
-void RunMetrics::record_request_waits(double queue_wait_tau,
-                                      double dispatch_wait_tau,
-                                      double exec_tau) {
-  queue_wait_.add(queue_wait_tau);
-  dispatch_wait_.add(dispatch_wait_tau);
-  exec_latency_.add(exec_tau);
-}
-
-void RunMetrics::record_admit_to_launch(double admit_to_launch_tau) {
-  admit_to_launch_.add(admit_to_launch_tau);
-}
-
-void RunMetrics::record_queue_depth(double depth) { queue_depth_.add(depth); }
-
 void RunMetrics::merge_queue_depth(const util::RunningStats& stats) {
   queue_depth_.merge(stats);
 }
 
 double RunMetrics::latency_quantile(double q) const {
   return completion_.empty() ? 0.0 : completion_.quantile(q);
-}
-
-std::vector<double> RunMetrics::latency_quantiles(
-    std::span<const double> qs) const {
-  std::vector<double> result;
-  result.reserve(qs.size());
-  // Ecdf::quantile sorts once and reads in place afterwards, so the batch
-  // form is one sort for the whole report row.
-  for (const double q : qs) result.push_back(latency_quantile(q));
-  return result;
 }
 
 void RunMetrics::record_slot_loss(double loss) {
@@ -184,63 +152,6 @@ void RunMetrics::record_edge_busy(double fraction) {
 }
 
 void RunMetrics::record_energy(double joules) { energy_j_ += joules; }
-
-void RunMetrics::merge(const RunMetrics& other) {
-  completion_.merge(other.completion_);
-  queue_wait_.merge(other.queue_wait_);
-  dispatch_wait_.merge(other.dispatch_wait_);
-  exec_latency_.merge(other.exec_latency_);
-  admit_to_launch_.merge(other.admit_to_launch_);
-
-  if (slot_loss_.size() < other.slot_loss_.size()) {
-    slot_loss_.resize(other.slot_loss_.size(), 0.0);
-  }
-  for (std::size_t t = 0; t < other.slot_loss_.size(); ++t) {
-    slot_loss_[t] += other.slot_loss_[t];
-  }
-  total_loss_ += other.total_loss_;
-
-  total_requests_ += other.total_requests_;
-  slo_failures_ += other.slo_failures_;
-  dropped_ += other.dropped_;
-  queue_dropped_ += other.queue_dropped_;
-  orphan_dropped_ += other.orphan_dropped_;
-  deadline_shed_ += other.deadline_shed_;
-  retries_ += other.retries_;
-  breaker_trips_ += other.breaker_trips_;
-  breaker_reopens_ += other.breaker_reopens_;
-  breaker_probes_ += other.breaker_probes_;
-  breaker_recoveries_ += other.breaker_recoveries_;
-  degraded_slots_ += other.degraded_slots_;
-  max_degradation_level_ =
-      std::max(max_degradation_level_, other.max_degradation_level_);
-  solver_fallbacks_ += other.solver_fallbacks_;
-  failure_events_ += other.failure_events_;
-  mttr_slots_.merge(other.mttr_slots_);
-  repartitions_ += other.repartitions_;
-  repartition_latency_ms_.merge(other.repartition_latency_ms_);
-  requests_at_risk_ += other.requests_at_risk_;
-
-  if (batch_seals_.size() < other.batch_seals_.size()) {
-    batch_seals_.resize(other.batch_seals_.size(), 0);
-  }
-  for (std::size_t r = 0; r < other.batch_seals_.size(); ++r) {
-    batch_seals_[r] += other.batch_seals_[r];
-  }
-
-  if (edge_up_slots_.size() < other.edge_up_slots_.size()) {
-    edge_up_slots_.resize(other.edge_up_slots_.size(), 0);
-    edge_down_slots_.resize(other.edge_down_slots_.size(), 0);
-  }
-  for (std::size_t k = 0; k < other.edge_up_slots_.size(); ++k) {
-    edge_up_slots_[k] += other.edge_up_slots_[k];
-    edge_down_slots_[k] += other.edge_down_slots_[k];
-  }
-
-  edge_busy_.merge(other.edge_busy_);
-  queue_depth_.merge(other.queue_depth_);
-  energy_j_ += other.energy_j_;
-}
 
 std::vector<double> RunMetrics::cumulative_loss() const {
   std::vector<double> cumulative;

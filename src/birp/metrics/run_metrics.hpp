@@ -1,9 +1,13 @@
-// Aggregated measurements of one simulation run — everything needed to
-// reproduce the paper's evaluation artifacts:
+// Aggregated measurements of one simulation or serving run — everything
+// needed to reproduce the paper's evaluation artifacts:
 //   * completion-time ECDF in units of tau     (Fig. 6a / 7a)
 //   * per-slot inference loss                  (Fig. 6b / 7b)
 //   * cumulative inference loss                (Fig. 6c / 7c)
 //   * SLO failure rate p%                      (Fig. 5, text claims)
+// plus what the benches report beside them: the serve engine's queueing
+// samples (batch-formation wait, admit-to-launch), drop, guard and fault
+// counters, busy time and energy. Latency samples stay raw, so every
+// quantile is exact; one accumulator records one whole run.
 #pragma once
 
 #include <cstdint>
@@ -22,14 +26,13 @@ class RunMetrics {
   /// Records one request's completion time (in units of tau). `met_slo` is
   /// false when the request finished after its SLO or was dropped.
   void record_request(double completion_tau, bool met_slo);
-  /// Records served requests in bulk: one sample per request in every span
-  /// (all of one length), appended in order, and how many of them missed
-  /// their SLO. The same as record_request, record_request_waits and
-  /// record_admit_to_launch once per request.
+  /// Records served requests in bulk (units of tau): one sample per request
+  /// in every span, all of one length, appended in order to completion(),
+  /// queue_wait() and admit_to_launch(); `slo_misses` of them missed their
+  /// SLO. The serve engine's recording path; throws on spans of different
+  /// lengths.
   void record_served(std::span<const double> completion_tau,
                      std::span<const double> queue_wait_tau,
-                     std::span<const double> dispatch_wait_tau,
-                     std::span<const double> exec_tau,
                      std::span<const double> admit_to_launch_tau,
                      std::int64_t slo_misses);
   /// Records `count` requests that were never served (each counts as an
@@ -40,10 +43,11 @@ class RunMetrics {
   /// a queue drop must never additionally be recorded through
   /// record_dropped().
   void record_queue_drop(std::int64_t count = 1);
-  /// Records a request terminally lost to an edge failure (orphaned with the
-  /// failover retry budget exhausted, or failover disabled). Counts exactly
-  /// once as a drop and an SLO failure, like record_queue_drop().
-  void record_orphan_drop();
+  /// Records `count` requests terminally lost to an edge failure (orphaned
+  /// with the failover retry budget exhausted, or failover disabled). Each
+  /// counts exactly once as a drop and an SLO failure, like
+  /// record_queue_drop().
+  void record_orphan_drop(std::int64_t count = 1);
   /// Records `count` requests shed at enqueue by the deadline-aware
   /// admission controller (birp/guard). Each counts exactly once as a drop
   /// and an SLO failure, like record_queue_drop().
@@ -80,22 +84,8 @@ class RunMetrics {
   /// whose cell assignment changed (requests at risk during the handoff).
   void record_repartition(double latency_ms, std::int64_t requests_at_risk);
 
-  /// Records the wait breakdown of one served request (units of tau):
-  /// batch-formation wait, dispatch wait (accelerator contention), and
-  /// execution latency. Companion to record_request for the serve engine.
-  void record_request_waits(double queue_wait_tau, double dispatch_wait_tau,
-                            double exec_tau);
-
-  /// Records one served request's admit-to-launch latency (units of tau):
-  /// from entering the admission queue (available_s) to its batch's launch
-  /// start — the serve hot path's end-to-end queueing cost, and what
-  /// BENCH_serve.json reports as p50/p99.
-  void record_admit_to_launch(double admit_to_launch_tau);
-
-  /// Records one admission-queue depth sample (requests buffered at an edge
-  /// at an admission event).
-  void record_queue_depth(double depth);
-  /// Merges a batch of depth samples accumulated elsewhere (per-edge merge).
+  /// Merges one edge's admission-queue depth samples (requests buffered at
+  /// each admission event).
   void merge_queue_depth(const util::RunningStats& stats);
 
   /// Appends the realized inference loss of one slot (sum of loss_{ij} over
@@ -104,19 +94,6 @@ class RunMetrics {
 
   /// Records one edge's accelerator busy fraction for one slot.
   void record_edge_busy(double fraction);
-
-  /// Merges `other` into this accumulator. The operation is associative and
-  /// commutative: raw latency samples are merged (never pre-computed
-  /// percentiles), so quantile queries on the merged object are exactly the
-  /// quantiles of the union sample set — cluster-level percentiles and
-  /// goodput stay exact when a run is sharded into per-cell metrics.
-  /// Per-slot losses add elementwise (shards observe the same slot clock;
-  /// the shorter series is zero-extended), and per-edge liveness counters
-  /// add index-wise (callers merging shards with cell-local edge indices
-  /// must remap first). Two counters are upper bounds after a merge of
-  /// same-slot shards rather than exact: degraded_slots() and
-  /// max_degradation_level() summarize shard-local ladder views.
-  void merge(const RunMetrics& other);
 
   /// Adds one edge-slot's energy consumption (joules).
   void record_energy(double joules);
@@ -239,19 +216,14 @@ class RunMetrics {
   /// q-quantile of the served-request latency distribution (units of tau);
   /// 0 when no request was served. p50/p95/p99 = latency_quantile(.5/.95/.99).
   [[nodiscard]] double latency_quantile(double q) const;
-  /// Batch form: one result per entry of `qs`, in order (one sort pass).
-  [[nodiscard]] std::vector<double> latency_quantiles(
-      std::span<const double> qs) const;
 
+  /// Served requests' batch-formation wait (units of tau; serve engine).
   [[nodiscard]] const util::Ecdf& queue_wait() const noexcept {
     return queue_wait_;
   }
-  [[nodiscard]] const util::Ecdf& dispatch_wait() const noexcept {
-    return dispatch_wait_;
-  }
-  [[nodiscard]] const util::Ecdf& exec_latency() const noexcept {
-    return exec_latency_;
-  }
+  /// Served requests' admit-to-launch latency (units of tau; serve engine):
+  /// from entering the admission queue to the batch's launch start, what
+  /// BENCH_serve.json reports as p50/p99.
   [[nodiscard]] const util::Ecdf& admit_to_launch() const noexcept {
     return admit_to_launch_;
   }
@@ -275,8 +247,6 @@ class RunMetrics {
  private:
   util::Ecdf completion_;
   util::Ecdf queue_wait_;
-  util::Ecdf dispatch_wait_;
-  util::Ecdf exec_latency_;
   util::Ecdf admit_to_launch_;
   std::vector<double> slot_loss_;
   double total_loss_ = 0.0;

@@ -242,9 +242,7 @@ SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
       result.slot_loss += worst * static_cast<double>(failed);
       result.dropped += failed;
       result.slo_failures += failed;
-      if (metrics != nullptr) {
-        for (std::int64_t d = 0; d < failed; ++d) metrics->record_dropped();
-      }
+      if (metrics != nullptr) metrics->record_dropped(failed);
     }
   }
 
@@ -255,9 +253,7 @@ SlotResult Simulator::step(Scheduler& scheduler, metrics::RunMetrics* metrics) {
 void Simulator::finish(Scheduler& scheduler, metrics::RunMetrics& metrics) {
   // Carryover requests still deferred at the horizon never get their retry
   // (always none outside carryover mode).
-  for (const auto carried : carried_.raw()) {
-    for (std::int64_t d = 0; d < carried; ++d) metrics.record_dropped();
-  }
+  for (const auto carried : carried_.raw()) metrics.record_dropped(carried);
   carried_.fill(0);
   driver_.finish(scheduler, metrics);
 }

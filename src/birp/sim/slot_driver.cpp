@@ -76,9 +76,7 @@ const util::Grid2<std::int64_t>& SlotDriver::resolve_orphans(
       result.slo_failures += outcome.dropped;
       if (metrics != nullptr) {
         metrics->record_retries(outcome.retried);
-        for (std::int64_t d = 0; d < outcome.dropped; ++d) {
-          metrics->record_orphan_drop();
-        }
+        metrics->record_orphan_drop(outcome.dropped);
       }
     }
   }
@@ -108,9 +106,7 @@ void SlotDriver::end_slot(Scheduler& scheduler, const SlotOutcome& result,
 
 void SlotDriver::finish(const Scheduler& scheduler,
                         metrics::RunMetrics& metrics) {
-  for (std::int64_t d = failover_.drain_pending(); d > 0; --d) {
-    metrics.record_orphan_drop();
-  }
+  metrics.record_orphan_drop(failover_.drain_pending());
   metrics.set_solver_fallbacks(scheduler.fallback_count());
 }
 

@@ -1,6 +1,9 @@
 // Tests for run metric aggregation.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "birp/metrics/run_metrics.hpp"
 
 namespace birp::metrics {
@@ -79,136 +82,72 @@ TEST(RunMetrics, CompletionEcdfReflectsSamples) {
   EXPECT_NEAR(m.completion().tail_fraction(0.9), 0.1, 1e-12);
 }
 
-// ---------------------------------------------------------------- merge ----
-
-namespace {
-
-/// Replays event `n` of a synthetic stream into `m` — the stream mixes every
-/// recordable event family so a merge test exercises all counters at once.
-void replay_event(RunMetrics& m, int n) {
-  const double latency = 0.1 + 0.01 * static_cast<double>(n % 97);
-  m.record_request(latency, n % 7 != 0);
-  m.record_request_waits(latency * 0.25, latency * 0.25, latency * 0.5);
-  switch (n % 5) {
-    case 0: m.record_dropped(); break;
-    case 1: m.record_queue_drop(); break;
-    case 2: m.record_orphan_drop(); break;
-    case 3: m.record_deadline_shed(); break;
-    default: break;
+TEST(RunMetrics, RecordServedAppendsInOrderAndCountsMisses) {
+  RunMetrics m;
+  const std::vector<double> completion = {0.4, 0.2, 0.9};
+  const std::vector<double> queue_wait = {0.1, 0.05, 0.3};
+  const std::vector<double> admit = {0.15, 0.1, 0.5};
+  m.record_served(completion, queue_wait, admit, 1);
+  m.record_served(std::vector<double>{1.2}, std::vector<double>{0.6},
+                  std::vector<double>{0.7}, 1);
+  m.record_served({}, {}, {}, 0);
+  EXPECT_EQ(m.total_requests(), 4);
+  EXPECT_EQ(m.slo_failures(), 2);
+  EXPECT_EQ(m.dropped(), 0);
+  // Spans land in call order, so each ECDF holds exactly the union.
+  EXPECT_EQ(m.completion().count(), 4u);
+  EXPECT_EQ(m.queue_wait().count(), 4u);
+  EXPECT_EQ(m.admit_to_launch().count(), 4u);
+  EXPECT_DOUBLE_EQ(m.completion().quantile(0.0), 0.2);
+  EXPECT_DOUBLE_EQ(m.completion().quantile(1.0), 1.2);
+  EXPECT_DOUBLE_EQ(m.queue_wait().quantile(0.0), 0.05);
+  EXPECT_DOUBLE_EQ(m.queue_wait().quantile(1.0), 0.6);
+  EXPECT_DOUBLE_EQ(m.admit_to_launch().quantile(0.0), 0.1);
+  EXPECT_DOUBLE_EQ(m.admit_to_launch().quantile(1.0), 0.7);
+  EXPECT_NEAR(m.completion().cdf(0.4), 0.5, 1e-12);
+  // The same requests one at a time through record_request: same counters
+  // and the same completion quantiles.
+  RunMetrics single;
+  single.record_request(0.4, false);
+  single.record_request(0.2, true);
+  single.record_request(0.9, true);
+  single.record_request(1.2, false);
+  EXPECT_EQ(single.total_requests(), m.total_requests());
+  EXPECT_EQ(single.slo_failures(), m.slo_failures());
+  for (const double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    EXPECT_DOUBLE_EQ(single.latency_quantile(q), m.latency_quantile(q));
   }
-  m.record_breaker_events(n % 2, n % 3 == 0, n % 4 == 0, n % 5 == 0);
-  m.record_degradation(n % 3, n % 4);
-  m.record_batch_seals(n % 3, 1 + n % 2);
-  m.record_retries(n % 2);
-  m.record_edge_slot(n % 4, n % 6 != 0);
-  m.record_queue_depth(static_cast<double>(n % 11));
-  m.record_edge_busy(0.01 * static_cast<double>(n % 90));
-  m.record_energy(0.5 * static_cast<double>(n % 13));
+  // Spans of different lengths are rejected before anything is recorded.
+  EXPECT_THROW(m.record_served(completion, std::vector<double>{0.1}, admit, 0),
+               std::logic_error);
+  EXPECT_THROW(m.record_served(completion, queue_wait, std::vector<double>{},
+                               0),
+               std::logic_error);
+  EXPECT_EQ(m.total_requests(), 4);
+  EXPECT_EQ(m.completion().count(), 4u);
 }
 
-void expect_same_aggregates(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.total_requests(), b.total_requests());
-  EXPECT_EQ(a.slo_failures(), b.slo_failures());
-  EXPECT_EQ(a.dropped(), b.dropped());
-  EXPECT_EQ(a.queue_dropped(), b.queue_dropped());
-  EXPECT_EQ(a.orphan_dropped(), b.orphan_dropped());
-  EXPECT_EQ(a.deadline_shed(), b.deadline_shed());
-  EXPECT_EQ(a.retries(), b.retries());
-  EXPECT_EQ(a.breaker_trips(), b.breaker_trips());
-  EXPECT_EQ(a.breaker_reopens(), b.breaker_reopens());
-  EXPECT_EQ(a.breaker_probes(), b.breaker_probes());
-  EXPECT_EQ(a.breaker_recoveries(), b.breaker_recoveries());
-  EXPECT_EQ(a.max_degradation_level(), b.max_degradation_level());
-  EXPECT_EQ(a.total_batches(), b.total_batches());
-  for (int reason = 0; reason < 4; ++reason) {
-    EXPECT_EQ(a.batch_seals(reason), b.batch_seals(reason));
+TEST(RunMetrics, CountFormsEqualRepeatedSingleRecords) {
+  RunMetrics bulk;
+  RunMetrics single;
+  bulk.record_dropped(3);
+  bulk.record_queue_drop(2);
+  bulk.record_orphan_drop(4);
+  bulk.record_deadline_shed(5);
+  bulk.record_orphan_drop(0);
+  for (int n = 0; n < 3; ++n) single.record_dropped();
+  for (int n = 0; n < 2; ++n) single.record_queue_drop();
+  for (int n = 0; n < 4; ++n) single.record_orphan_drop();
+  for (int n = 0; n < 5; ++n) single.record_deadline_shed();
+  for (const RunMetrics* m : {&bulk, &single}) {
+    EXPECT_EQ(m->total_requests(), 14);
+    EXPECT_EQ(m->slo_failures(), 14);
+    EXPECT_EQ(m->dropped(), 14);
+    EXPECT_EQ(m->queue_dropped(), 2);
+    EXPECT_EQ(m->orphan_dropped(), 4);
+    EXPECT_EQ(m->deadline_shed(), 5);
+    EXPECT_EQ(m->completion().count(), 0u);
   }
-  for (int edge = 0; edge < 4; ++edge) {
-    EXPECT_EQ(a.downtime_slots(edge), b.downtime_slots(edge));
-  }
-  EXPECT_DOUBLE_EQ(a.availability_percent(), b.availability_percent());
-  EXPECT_DOUBLE_EQ(a.total_loss(), b.total_loss());
-  EXPECT_DOUBLE_EQ(a.total_energy_j(), b.total_energy_j());
-  ASSERT_EQ(a.slot_loss().size(), b.slot_loss().size());
-  for (std::size_t t = 0; t < a.slot_loss().size(); ++t) {
-    EXPECT_DOUBLE_EQ(a.slot_loss()[t], b.slot_loss()[t]);
-  }
-  // The exactness claim: quantiles of the merged object are quantiles of
-  // the union sample set, bit for bit (raw samples merge, not percentiles).
-  for (const double q : {0.1, 0.5, 0.9, 0.95, 0.99}) {
-    EXPECT_DOUBLE_EQ(a.latency_quantile(q), b.latency_quantile(q));
-  }
-  EXPECT_EQ(a.queue_wait().count(), b.queue_wait().count());
-  EXPECT_EQ(a.dispatch_wait().count(), b.dispatch_wait().count());
-  EXPECT_EQ(a.exec_latency().count(), b.exec_latency().count());
-}
-
-}  // namespace
-
-TEST(RunMetricsMerge, ShardedEqualsMonolithicOnSplitStream) {
-  // The same 300-event stream, once into one accumulator and once striped
-  // across three shards (as the CellScheduler's per-cell metrics would be).
-  RunMetrics mono;
-  RunMetrics shard[3];
-  for (int n = 0; n < 300; ++n) {
-    replay_event(mono, n);
-    replay_event(shard[n % 3], n);
-    const double loss = 0.25 * static_cast<double>(n % 17);
-    mono.record_slot_loss(loss);
-    // Shards see the same slot clock: one shard takes the loss, the others
-    // record a zero for that slot.
-    for (int s = 0; s < 3; ++s) {
-      shard[s].record_slot_loss(s == n % 3 ? loss : 0.0);
-    }
-  }
-  RunMetrics merged;
-  for (const auto& s : shard) merged.merge(s);
-  expect_same_aggregates(merged, mono);
-}
-
-TEST(RunMetricsMerge, Associative) {
-  const auto build = [](int lo, int hi) {
-    RunMetrics m;
-    for (int n = lo; n < hi; ++n) replay_event(m, n);
-    return m;
-  };
-  // (a . b) . c
-  RunMetrics left = build(0, 50);
-  left.merge(build(50, 120));
-  left.merge(build(120, 200));
-  // a . (b . c)
-  RunMetrics right_bc = build(50, 120);
-  right_bc.merge(build(120, 200));
-  RunMetrics right = build(0, 50);
-  right.merge(right_bc);
-  expect_same_aggregates(left, right);
-}
-
-TEST(RunMetricsMerge, QuantilesExactOnDisjointRanges) {
-  // Shard A holds 1..50, shard B holds 51..100: any percentile of the merge
-  // must equal the percentile of 1..100 exactly.
-  RunMetrics a, b, mono;
-  for (int v = 1; v <= 100; ++v) {
-    (v <= 50 ? a : b).record_request(static_cast<double>(v), true);
-    mono.record_request(static_cast<double>(v), true);
-  }
-  a.merge(b);
-  for (const double q : {0.01, 0.25, 0.5, 0.75, 0.99}) {
-    EXPECT_DOUBLE_EQ(a.latency_quantile(q), mono.latency_quantile(q));
-  }
-  EXPECT_EQ(a.completion().count(), 100u);
-}
-
-TEST(RunMetricsMerge, EmptyIsIdentity) {
-  RunMetrics m, empty;
-  for (int n = 0; n < 40; ++n) replay_event(m, n);
-  RunMetrics reference;
-  for (int n = 0; n < 40; ++n) replay_event(reference, n);
-  m.merge(empty);
-  expect_same_aggregates(m, reference);
-  RunMetrics other;
-  other.merge(reference);
-  expect_same_aggregates(other, reference);
 }
 
 }  // namespace

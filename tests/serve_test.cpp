@@ -390,8 +390,8 @@ TEST_F(ServeEngineFixture, BitIdenticalAcrossThreadCounts) {
   for (const double q : {0.5, 0.95, 0.99}) {
     EXPECT_DOUBLE_EQ(m1.latency_quantile(q), m2.latency_quantile(q));
     EXPECT_DOUBLE_EQ(m1.queue_wait().quantile(q), m2.queue_wait().quantile(q));
-    EXPECT_DOUBLE_EQ(m1.exec_latency().quantile(q),
-                     m2.exec_latency().quantile(q));
+    EXPECT_DOUBLE_EQ(m1.admit_to_launch().quantile(q),
+                     m2.admit_to_launch().quantile(q));
   }
   EXPECT_EQ(m1.queue_depth().count(), m2.queue_depth().count());
   EXPECT_DOUBLE_EQ(m1.queue_depth().mean(), m2.queue_depth().mean());
@@ -451,7 +451,11 @@ TEST_F(ServeEngineFixture, BackpressureDropsAccountedExactlyOnce) {
   EXPECT_EQ(metrics.queue_dropped(), queue_drops);
   EXPECT_EQ(metrics.dropped(), queue_drops + planned);
   EXPECT_EQ(metrics.slo_failures(), late_served + queue_drops + planned);
+  // Every served request, and only those, leaves one sample of each kind.
   EXPECT_EQ(metrics.completion().count(), static_cast<std::size_t>(served));
+  EXPECT_EQ(metrics.queue_wait().count(), static_cast<std::size_t>(served));
+  EXPECT_EQ(metrics.admit_to_launch().count(),
+            static_cast<std::size_t>(served));
 }
 
 TEST_F(ServeEngineFixture, EvictOldestIsAccountedLikeRejectNewest) {
@@ -574,7 +578,7 @@ TEST_F(ServeEngineFixture, LatencyPercentilesAndDepthStatsPopulated) {
   EXPECT_LE(metrics.latency_quantile(0.5), metrics.latency_quantile(0.95));
   EXPECT_LE(metrics.latency_quantile(0.95), metrics.latency_quantile(0.99));
   EXPECT_GT(metrics.queue_depth().count(), 0u);
-  EXPECT_GT(metrics.exec_latency().count(), 0u);
+  EXPECT_GT(metrics.admit_to_launch().count(), 0u);
 }
 
 // ------------------------------------------------------- AdaptiveBatcher ----
