@@ -9,7 +9,10 @@ fault.csv and overload.csv (from --csv); missing files are skipped. A JSON
 file is either in the report schema ({"bench", "params", "arms", "results",
 "gates"}, bench/report.hpp) or in the schema the benches wrote before it; the
 old keys are mapped onto their report names below. Wall-clock values are not
-compared. The CSVs must match cell for cell. Exit status 1 on any mismatch.
+compared. A non-timing key only one of the two files has is a mismatch
+(MISSING from the new file, NEW in it), so a committed record that lacks an
+arm fails against a fresh run. The CSVs must match cell for cell. Exit status
+1 on any mismatch.
 """
 import csv
 import json
@@ -90,7 +93,11 @@ def main(old_dir, new_dir):
             elif not same(value, new[key]):
                 print(f"{name}: DIFFERS {key}: old {value} new {new[key]}")
                 failures += 1
-        added = sorted(k for k in new if k not in old)
+        added = sorted(k for k in new
+                       if k not in old and not any(t in k for t in TIMING))
+        for key in added:
+            print(f"{name}: NEW {key} (new {new[key]})")
+        failures += len(added)
         print(f"{name}.json: {checked} non-timing values compared, "
               f"{len(added)} new keys")
     for name in ("fault", "overload"):

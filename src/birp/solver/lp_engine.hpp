@@ -1,16 +1,16 @@
 // Internal LP entry point with the live-state handoff (simplex.cpp).
 //
 // An optimal solve can move its live state out as an LpState: the standard
-// form's immutable part (CSC matrix, scales, rhs, dual anchors), the mutable
-// point (bounds, column states and values, basic column per row) and the
-// factorized basis with its updates. A branch-and-bound child differs
-// from its parent by one bound, so it resumes from that state — new
+// form's immutable part (CSC matrix and its CSR copy, scales, rhs, dual
+// anchors), the mutable point (bounds, column states and values, basic column
+// per row) and the factorized basis with its updates. A branch-and-bound child
+// differs from its parent by one bound, so it resumes from that state — new
 // structural bounds, each nonbasic column parked at its bound, basic values
 // recomputed through the inherited LU — instead of rebuilding the form and
 // refactorizing. A resumed attempt that gives up restarts straight from the
-// all-logical basis; the Basis rebuild serves only calls without a resume
-// state (the root LP's cross-slot warm start and children past
-// branch-and-bound's state cap).
+// all-logical basis; the Basis rebuild serves only calls without a resume state
+// (the root LP's cross-slot warm start and children past branch-and-bound's
+// state cap).
 #pragma once
 
 #include <memory>

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -96,8 +97,14 @@ struct LpWork {
 /// pivot, refactorized on its schedule. Primal pricing recomputes
 /// duals/reduced costs from BTRAN each iteration (self-correcting, O(nnz)),
 /// while the dual repair updates its reduced costs along the pivot row and
-/// rebuilds them after each refactorization. The ratio test FTRANs the
-/// entering column, whose spike the update then reuses.
+/// rebuilds them after each refactorization. The repair forms that row
+/// row-wise from the form's CSR copy over rho's nonzeros (pivot_row), marks
+/// the columns it reaches, and then works on those touched columns only:
+/// one ascending pass takes the row scale and the entering candidates, the
+/// reduced-cost update walks them, and the next pivot re-zeroes them.
+/// column_dot stays where a dense dual vector is priced (Phase II, the
+/// repair's rebuild and the flip pass). The ratio test FTRANs the entering
+/// column, whose spike the update then reuses.
 class RevisedSimplex {
  public:
   /// Starts from `warm`, refactorized against the current bounds, or from
@@ -215,8 +222,6 @@ class RevisedSimplex {
     cb_.assign(static_cast<std::size_t>(form_->rows), 0.0);
     alpha_.assign(static_cast<std::size_t>(form_->rows), 0.0);
     work_.assign(static_cast<std::size_t>(form_->rows), 0.0);
-    row_alpha_.assign(static_cast<std::size_t>(form_->cols), 0.0);
-    row_ratio_.assign(static_cast<std::size_t>(form_->cols), 0.0);
     // Exact for the logical basis (B = I); a warm basis starts from the
     // same reference weights and the updates refine them.
     edge_weight_.assign(static_cast<std::size_t>(form_->cols), 1.0);
@@ -415,12 +420,15 @@ class RevisedSimplex {
   std::vector<double> cb_;         // basic costs scratch (rows)
   std::vector<double> alpha_;      // FTRANed entering column (rows)
   std::vector<double> work_;       // basic-value recompute scratch (rows)
-  std::vector<double> row_alpha_;  // BTRANed pivot row (cols; dual repair)
-  std::vector<double> row_ratio_;  // dual ratios per column (dual repair)
-  std::vector<double> repair_costs_;  // shifted, perturbed costs (dual repair)
+  // Dual repair scratch, sized when it starts.
+  std::vector<double> row_alpha_;  // pivot row (cols; +0 off touched_)
+  std::vector<std::uint64_t> reached_;  // columns the pivot row reached
+  std::vector<int> touched_;       // those columns, ascending
+  std::vector<double> row_ratio_;  // dual ratios per column
+  std::vector<double> repair_costs_;  // shifted, perturbed costs
   std::vector<double> repair_d_;  // reduced costs under repair_costs_ (cols)
   bool repair_d_valid_ = false;   // repair_d_ matches the current basis
-  std::vector<int> candidates_;   // entering candidates, ascending (dual repair)
+  std::vector<int> candidates_;   // entering candidates, ascending
   std::vector<double> edge_weight_;  // dual pricing weight per basic column
   std::vector<int> basic_cols_scratch_;
 
@@ -547,6 +555,13 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       logical_start_
           ? iteration_limit_
           : std::min(iteration_limit_, iterations_ + form_->rows + 100);
+  const auto cols = static_cast<std::size_t>(form_->cols);
+  row_alpha_.assign(cols, 0.0);
+  reached_.assign((cols + 63) / 64, 0);
+  touched_.resize(cols);
+  row_ratio_.resize(cols);
+  candidates_.resize(cols);
+  std::size_t touched = 0;  // columns the last pivot row reached
   while (true) {
     if (++iterations_ > repair_limit) return Repair::Stall;
     if (lu_.should_refactorize() && !refactorize()) {
@@ -593,35 +608,43 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       repair_d_valid_ = true;
     }
 
-    // --- Pivot row: rho = B^{-T} e_r gives the row of B^{-1}A via sparse
-    // dots. The same pass collects the entering candidates in ascending
-    // column order: a candidate is a nonbasic, non-fixed column that moves
-    // the violating basic variable toward its bound.
+    // --- Pivot row: rho = B^{-T} e_r, and the row of B^{-1}A formed
+    // row-wise over rho's nonzeros (pivot_row), in the bits per-column dots
+    // give. One ascending pass over the columns it reached records them,
+    // takes the row scale over the nonbasic ones and collects the entering
+    // candidates in ascending column order: a candidate is a nonbasic,
+    // non-fixed column that moves the violating basic variable toward its
+    // bound. A column the row did not reach has alpha = +0, which is
+    // neither a candidate nor part of the scale.
     std::fill(work_.begin(), work_.end(), 0.0);
     work_[static_cast<std::size_t>(leave_row)] = 1.0;
     btran(work_);
+    for (std::size_t k = 0; k < touched; ++k) {
+      row_alpha_[static_cast<std::size_t>(touched_[k])] = 0.0;
+    }
+    touched = 0;
+    double row_scale = 0.0;
+    std::size_t count = 0;
+    const double rho_norm2 =
+        pivot_row(*form_, work_, row_alpha_, reached_, [&](int j) {
+          const auto jj = static_cast<std::size_t>(j);
+          const auto sj = state_[jj];
+          const double alpha = row_alpha_[jj];
+          const bool nonbasic = sj != VarState::Basic;
+          touched_[touched++] = j;
+          row_scale = std::max(row_scale, nonbasic ? std::abs(alpha) : 0.0);
+          // Moving up (at lower) or down (at upper) must shrink the
+          // violation; a fixed column cannot move.
+          const double gain = sigma * alpha;
+          const bool shrinks =
+              sj == VarState::AtLower ? !(gain <= 0.0) : !(gain >= 0.0);
+          candidates_[count] = j;
+          count += static_cast<std::size_t>(
+              nonbasic & !(lower_[jj] == upper_[jj]) & shrinks);
+        });
     // The leaving row's weight is reset to ||rho||^2, its exact value.
-    double rho_norm2 = 0.0;
-    for (const double r : work_) rho_norm2 += r * r;
     edge_weight_[static_cast<std::size_t>(
         basis_[static_cast<std::size_t>(leave_row)])] = rho_norm2;
-    double row_scale = 0.0;
-    candidates_.clear();
-    for (int j = 0; j < form_->cols; ++j) {
-      const auto jj = static_cast<std::size_t>(j);
-      const auto sj = state_[jj];
-      if (sj == VarState::Basic) continue;
-      const double alpha = column_dot(j, work_);
-      row_alpha_[jj] = alpha;
-      row_scale = std::max(row_scale, std::abs(alpha));
-      if (lower_[jj] == upper_[jj]) continue;  // fixed: cannot move
-      if (sj == VarState::AtLower) {
-        if (sigma * alpha <= 0.0) continue;  // moving up must shrink the violation
-      } else {
-        if (sigma * alpha >= 0.0) continue;  // moving down must shrink it
-      }
-      candidates_.push_back(j);
-    }
 
     // --- Dual ratios: a candidate whose |alpha| clears the row-relative
     // pivot tolerance gets |d_j / alpha|, how far the duals can move before
@@ -632,14 +655,15 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     // break to the smallest column index (deterministic).
     const double eligible = kPivotTolerance * row_scale;
     std::size_t kept = 0;
-    for (const int j : candidates_) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const int j = candidates_[k];
       const auto jj = static_cast<std::size_t>(j);
       if (std::abs(row_alpha_[jj]) <= eligible) continue;
       row_ratio_[jj] = std::max(0.0, repair_d_[jj] / (sigma * row_alpha_[jj]));
       candidates_[kept++] = j;
     }
-    candidates_.resize(kept);
-    if (candidates_.empty()) {
+    const std::span<const int> candidates(candidates_.data(), kept);
+    if (candidates.empty()) {
       // No column can reduce the violation: this row proves the bounds
       // cannot be met (the dual is unbounded), i.e. the LP is infeasible.
       return Repair::Infeasible;
@@ -661,7 +685,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
     bool distrusted = false;
     while (true) {
       double cur_best = kInfinity;
-      for (const int j : candidates_) {
+      for (const int j : candidates) {
         cur_best = std::min(cur_best, row_ratio_[static_cast<std::size_t>(j)]);
       }
       if (cur_best == kInfinity) {
@@ -671,7 +695,7 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
       int enter = -1;
       double enter_dir = 0.0;
       double enter_alpha = 0.0;
-      for (const int j : candidates_) {
+      for (const int j : candidates) {
         if (row_ratio_[static_cast<std::size_t>(j)] > ratio_window) continue;
         const double a = std::abs(row_alpha_[static_cast<std::size_t>(j)]);
         if (a > enter_alpha * (1.0 + kDualPickTie)) {
@@ -707,11 +731,12 @@ RevisedSimplex::Repair RevisedSimplex::dual_repair(
         // bound it violated; the entering variable absorbs the step. The
         // duals move by theta * rho, so every nonbasic reduced cost (the
         // columns flipped above included) moves by -theta * alpha_rj, the
-        // entering one to zero and the leaving one to -theta.
+        // entering one to zero and the leaving one to -theta. Only the
+        // columns the pivot row reached can have alpha_rj != 0.
         const double theta = repair_d_[static_cast<std::size_t>(enter)] /
                              row_alpha_[static_cast<std::size_t>(enter)];
-        for (int j = 0; j < form_->cols; ++j) {
-          const auto jj = static_cast<std::size_t>(j);
+        for (std::size_t k = 0; k < touched; ++k) {
+          const auto jj = static_cast<std::size_t>(touched_[k]);
           if (state_[jj] == VarState::Basic || row_alpha_[jj] == 0.0) continue;
           repair_d_[jj] -= theta * row_alpha_[jj];
         }

@@ -38,18 +38,22 @@
 // which; the logical start's repair gets the whole pivot limit. Warm starts
 // are a pure optimization: statuses and objectives match the cold solve.
 //
-// The engine works over a compressed-sparse-column snapshot of the standard
-// form. The basis is held as a sparse LU factorization (basis_lu.hpp:
-// singletons peeled, Markowitz on the nucleus); each pivot is one
-// Forrest–Tomlin update of U, and the basis is refactorized when
-// BasisLu::should_refactorize fires (96 updates, or U plus the row etas past
-// three times the fresh factors). The logical basis is the identity and is
-// not factorized. Pricing, the ratio tests and the dual repair work off
-// BTRAN/FTRAN solves, so a pivot costs O(nnz) rather than O(rows * cols) —
-// this is what lets the slot problem scale to hundred-edge clusters. Phase
-// II solves for the duals afresh each iteration; the dual repair instead
-// updates its reduced costs along the pivot row it already BTRANs, and
-// rebuilds them at each refactorization.
+// The engine works over a snapshot of the standard form held by column
+// (CSC) and, for its structural part, by row (CSR). The basis is held as a
+// sparse LU factorization (basis_lu.hpp: singletons peeled, Markowitz on
+// the nucleus); each pivot is one Forrest–Tomlin update of U, and the
+// basis is refactorized when BasisLu::should_refactorize fires (96 updates,
+// or U plus the row etas past three times the fresh factors). The logical
+// basis is the identity and is not factorized. Pricing, the ratio tests and
+// the dual repair work off BTRAN/FTRAN solves, so a pivot costs O(nnz)
+// rather than O(rows * cols) — this is what lets the slot problem scale to
+// hundred-edge clusters. Phase II solves for the duals afresh each
+// iteration; the dual repair instead updates its reduced costs along the
+// pivot row it already BTRANs, and rebuilds them at each refactorization.
+// It forms that row rho^T A from the CSR copy over the rows where rho is
+// nonzero only, so its per-pivot work follows rho's nonzeros: one pass
+// over the columns the row reached takes the row scale and the entering
+// candidates, and the reduced-cost update walks only those columns.
 //
 // All pivot comparisons are scale-relative: pivot eligibility is measured
 // against the transformed column's (or row's) infinity norm, and ratio-test

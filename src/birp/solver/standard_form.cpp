@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "birp/util/check.hpp"
 
@@ -45,50 +44,66 @@ StandardForm build_standard_form(const Model& model,
     form.value[jj] = at_upper ? hi : lo;
   }
 
-  // Coefficients: a >= row is flipped so its surplus logical has
-  // coefficient +1; dual_sign remembers the flip so duals can be reported
-  // against the model's orientation. An = row's logical is fixed at zero.
-  std::vector<std::vector<std::pair<int, double>>> columns(
-      static_cast<std::size_t>(n));
+  // Coefficients, in one pass over the rows. Model::add_constraint sorts
+  // each constraint's terms by variable, merges duplicates and drops zero
+  // sums, so a constraint is a CSR row as it stands. A >= row is flipped so
+  // its surplus logical has coefficient +1; dual_sign remembers the flip so
+  // duals can be reported against the model's orientation. An = row's
+  // logical is fixed at zero. The same pass counts each column's entries.
+  std::size_t nnz = 0;
+  for (const auto& constraint : model.constraints()) {
+    nnz += constraint.terms.size();
+  }
+  form.row_start.resize(static_cast<std::size_t>(m) + 1);
+  form.row_col.resize(nnz);
+  form.row_values.resize(nnz);
+  form.col_start.assign(cols + 1, 0);
+  std::size_t p = 0;
   for (int i = 0; i < m; ++i) {
     const auto& constraint = model.constraint(i);
     const double sign =
         constraint.relation == Relation::GreaterEqual ? -1.0 : 1.0;
+    form.row_start[static_cast<std::size_t>(i)] = static_cast<int>(p);
     for (const auto& term : constraint.terms) {
-      if (term.coeff == 0.0) continue;
-      columns[static_cast<std::size_t>(term.var)].emplace_back(
-          i, sign * term.coeff);
+      form.row_col[p] = term.var;
+      form.row_values[p] = sign * term.coeff;
+      ++p;
+      ++form.col_start[static_cast<std::size_t>(term.var) + 1];
     }
+    form.col_start[static_cast<std::size_t>(n + i) + 1] = 1;
     form.rhs[static_cast<std::size_t>(i)] = sign * constraint.rhs;
     form.dual_sign[static_cast<std::size_t>(i)] = sign;
     if (constraint.relation == Relation::Equal) {
       form.upper[static_cast<std::size_t>(n + i)] = 0.0;
     }
   }
+  form.row_start[static_cast<std::size_t>(m)] = static_cast<int>(p);
 
-  // CSC arrays and per-column infinity norms; each logical is a unit column.
-  std::size_t nnz = static_cast<std::size_t>(m);
-  for (const auto& column : columns) nnz += column.size();
-  form.col_start.reserve(cols + 1);
-  form.row_index.reserve(nnz);
-  form.values.reserve(nnz);
-  form.col_scale.assign(cols, 1.0);
-  for (int j = 0; j < form.cols; ++j) {
-    form.col_start.push_back(static_cast<int>(form.row_index.size()));
-    if (j >= n) {
-      form.row_index.push_back(j - n);
-      form.values.push_back(1.0);
-      continue;
-    }
-    double scale = 0.0;
-    for (const auto& [row, coeff] : columns[static_cast<std::size_t>(j)]) {
-      form.row_index.push_back(row);
-      form.values.push_back(coeff);
-      scale = std::max(scale, std::abs(coeff));
-    }
-    form.col_scale[static_cast<std::size_t>(j)] = scale;
+  // CSC arrays by counting: scattering the rows in ascending order keeps
+  // each column's row indices increasing. Per-column infinity norms; each
+  // logical is a unit column.
+  for (std::size_t j = 0; j < cols; ++j) {
+    form.col_start[j + 1] += form.col_start[j];
   }
-  form.col_start.push_back(static_cast<int>(form.row_index.size()));
+  form.row_index.resize(nnz + static_cast<std::size_t>(m));
+  form.values.resize(nnz + static_cast<std::size_t>(m));
+  form.col_scale.assign(cols, 1.0);
+  std::fill_n(form.col_scale.begin(), n, 0.0);
+  std::vector<int> next(form.col_start.begin(), form.col_start.begin() + n);
+  for (int i = 0; i < m; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    for (auto q = static_cast<std::size_t>(form.row_start[ii]);
+         q < static_cast<std::size_t>(form.row_start[ii + 1]); ++q) {
+      const auto j = static_cast<std::size_t>(form.row_col[q]);
+      const double coeff = form.row_values[q];
+      const auto at = static_cast<std::size_t>(next[j]++);
+      form.row_index[at] = i;
+      form.values[at] = coeff;
+      form.col_scale[j] = std::max(form.col_scale[j], std::abs(coeff));
+    }
+    form.row_index[nnz + ii] = i;  // the logical n + i
+    form.values[nnz + ii] = 1.0;
+  }
 
   // Decode the basic column list; reject out-of-range entries and
   // duplicates.

@@ -1,10 +1,12 @@
 // Unit, integration, and property tests for the LP/MILP solver substrate.
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <functional>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -1174,10 +1176,15 @@ TEST(BasisLu, RandomBoxUpdatesMatchBasisAndFreshFactorization) {
   EXPECT_GE(applied, 32 * 20);  // the sequences really ran
 }
 
-// The standard form of a paper_large slot LP with its optimal basis as the
-// warm start: 353 rows, most of them slack singletons, the rest a
-// structural nucleus — the shape every BIRP refactorization sees.
-StandardForm paper_large_slot_form() {
+// A paper_large slot LP and its optimal basis: 353 rows, most of them slack
+// singletons, the rest a structural nucleus — the shape every BIRP
+// refactorization sees.
+struct SlotLp {
+  Model model;
+  Basis basis;
+};
+
+SlotLp paper_large_slot_lp() {
   const auto cluster = device::ClusterSpec::paper_large();
   const core::TirLookup lookup = [&](int k, int i, int j) {
     return cluster.oracle_tir(k, i, j);
@@ -1190,11 +1197,209 @@ StandardForm paper_large_slot_form() {
       demand(i, k) = static_cast<std::int64_t>(rng.uniform_int(2, 12));
     }
   }
-  const core::BuiltProblem problem =
+  core::BuiltProblem problem =
       core::build_slot_problem(cluster, demand, nullptr, lookup, {});
   const Solution optimal = solve_lp(problem.model, {}, {}, {}, nullptr, true);
   EXPECT_EQ(optimal.status, SolveStatus::Optimal);
-  return build_standard_form(problem.model, {}, {}, optimal.basis);
+  return {std::move(problem.model), optimal.basis};
+}
+
+// Its standard form, with the optimal basis as the warm start.
+StandardForm paper_large_slot_form() {
+  const SlotLp lp = paper_large_slot_lp();
+  return build_standard_form(lp.model, {}, {}, lp.basis);
+}
+
+// ------------------------------------------------------- standard form ----
+
+/// The form's CSC and CSR copies against each other and against `model`:
+/// the same structural entries with identical value bits, each CSR row the
+/// model's constraint (negated for a >= row), indices strictly increasing
+/// in both, col_scale each structural column's max |a|, and each logical a
+/// unit column.
+void expect_copies_agree(const Model& model, const StandardForm& form) {
+  ASSERT_TRUE(form.ok);
+  const int n = form.structural;
+  const int m = form.rows;
+  ASSERT_EQ(form.cols, n + m);
+  ASSERT_EQ(form.col_start.size(), static_cast<std::size_t>(form.cols) + 1);
+  ASSERT_EQ(form.row_start.size(), static_cast<std::size_t>(m) + 1);
+  ASSERT_EQ(form.col_start.front(), 0);
+  ASSERT_EQ(form.row_start.front(), 0);
+  ASSERT_EQ(static_cast<std::size_t>(form.col_start.back()),
+            form.row_index.size());
+  ASSERT_EQ(form.values.size(), form.row_index.size());
+  ASSERT_EQ(static_cast<std::size_t>(form.row_start.back()),
+            form.row_col.size());
+  ASSERT_EQ(form.row_values.size(), form.row_col.size());
+
+  // (column, row, value bits) of every structural entry, CSC order.
+  using Entry = std::tuple<int, int, std::uint64_t>;
+  std::vector<Entry> by_column;
+  for (int j = 0; j < form.cols; ++j) {
+    const auto jj = static_cast<std::size_t>(j);
+    double scale = 0.0;
+    for (int p = form.col_start[jj]; p < form.col_start[jj + 1]; ++p) {
+      const auto pp = static_cast<std::size_t>(p);
+      if (p > form.col_start[jj]) {
+        EXPECT_LT(form.row_index[pp - 1], form.row_index[pp])
+            << "column " << j;
+      }
+      scale = std::max(scale, std::abs(form.values[pp]));
+      if (j < n) {
+        by_column.emplace_back(j, form.row_index[pp],
+                               std::bit_cast<std::uint64_t>(form.values[pp]));
+      }
+    }
+    if (j >= n) {  // the logical of row j - n
+      ASSERT_EQ(form.column_nnz(j), 1) << "column " << j;
+      EXPECT_EQ(form.row_index[static_cast<std::size_t>(form.col_start[jj])],
+                j - n);
+      EXPECT_EQ(form.values[static_cast<std::size_t>(form.col_start[jj])],
+                1.0);
+      EXPECT_EQ(form.col_scale[jj], 1.0);
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(form.col_scale[jj]),
+                std::bit_cast<std::uint64_t>(scale))
+          << "column " << j;
+    }
+  }
+
+  std::vector<Entry> by_row;
+  for (int i = 0; i < m; ++i) {
+    const auto ii = static_cast<std::size_t>(i);
+    const auto& constraint = model.constraint(i);
+    const double sign =
+        constraint.relation == Relation::GreaterEqual ? -1.0 : 1.0;
+    ASSERT_EQ(form.row_start[ii + 1] - form.row_start[ii],
+              std::ssize(constraint.terms))
+        << "row " << i;
+    for (int p = form.row_start[ii]; p < form.row_start[ii + 1]; ++p) {
+      const auto pp = static_cast<std::size_t>(p);
+      const int j = form.row_col[pp];
+      EXPECT_TRUE(j >= 0 && j < n) << "row " << i;
+      if (p > form.row_start[ii]) {
+        EXPECT_LT(form.row_col[pp - 1], j) << "row " << i;
+      }
+      const Term& term =
+          constraint.terms[static_cast<std::size_t>(p - form.row_start[ii])];
+      EXPECT_EQ(j, term.var);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(form.row_values[pp]),
+                std::bit_cast<std::uint64_t>(sign * term.coeff));
+      by_row.emplace_back(j, i,
+                          std::bit_cast<std::uint64_t>(form.row_values[pp]));
+    }
+  }
+  std::sort(by_row.begin(), by_row.end());
+  EXPECT_EQ(by_row, by_column);
+}
+
+TEST(StandardForm, RowAndColumnCopiesAgree) {
+  {
+    SCOPED_TRACE("paper_large");
+    const SlotLp lp = paper_large_slot_lp();
+    expect_copies_agree(lp.model,
+                        build_standard_form(lp.model, {}, {}, lp.basis));
+  }
+  std::array<int, 3> relations{};
+  for (int seed = 1; seed < 33; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const SmallLp lp = random_small_lp(static_cast<std::uint64_t>(seed));
+    const Model model = lp.build(lp.lower, lp.upper);
+    expect_copies_agree(
+        model, build_standard_form(model, {}, {},
+                                   Basis::logical(kEnumVars, kEnumRows)));
+    for (const Relation relation : lp.relation) {
+      ++relations[static_cast<std::size_t>(relation)];
+    }
+  }
+  for (const int count : relations) EXPECT_GT(count, 0);  // <=, >= and =
+}
+
+TEST(StandardForm, PivotRowMatchesColumnDotsBitwise) {
+  // Seeded sparse rho over the paper_large form — exact zeros, -0.0, and
+  // denormals whose products underflow among the nonzeros — against a
+  // per-column dot over the CSC arrays: every alpha_j has the same bits,
+  // the visited columns are exactly those with a nonzero in a row where
+  // rho_i != 0, in ascending order, and the bitmap comes back clear. alpha
+  // is reset only at the visited columns between trials, as the dual
+  // repair does, so a stray write to any other column would show in the
+  // next trial.
+  const StandardForm form = paper_large_slot_form();
+  ASSERT_TRUE(form.ok);
+  const auto cols = static_cast<std::size_t>(form.cols);
+  std::vector<double> alpha(cols, 0.0);
+  std::vector<std::uint64_t> reached((cols + 63) / 64, 0);
+  util::Xoshiro256StarStar rng(17);
+  int visited_total = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const double density = trial == 0   ? 0.0
+                           : trial == 1 ? 1.0
+                                        : 0.02 * (trial % 16);
+    std::vector<double> rho(static_cast<std::size_t>(form.rows));
+    for (double& r : rho) {
+      const double u = rng.uniform();
+      if (u >= density) {
+        r = rng.uniform() < 0.5 ? -0.0 : 0.0;
+      } else if (u < 0.1 * density) {
+        r = rng.uniform(-1.0, 1.0) * 1e-310;  // denormal
+      } else {
+        r = rng.uniform(-2.0, 2.0);
+      }
+    }
+    std::vector<int> visited;
+    const double rho_norm2 = pivot_row(form, rho, alpha, reached,
+                                       [&](int j) { visited.push_back(j); });
+
+    std::vector<int> expected;
+    for (int j = 0; j < form.cols; ++j) {
+      const auto jj = static_cast<std::size_t>(j);
+      double dot = 0.0;
+      bool reaches = false;
+      for (int p = form.col_start[jj]; p < form.col_start[jj + 1]; ++p) {
+        const auto pp = static_cast<std::size_t>(p);
+        const double r = rho[static_cast<std::size_t>(form.row_index[pp])];
+        dot += form.values[pp] * r;
+        reaches = reaches || r != 0.0;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(alpha[jj]),
+                std::bit_cast<std::uint64_t>(dot))
+          << "column " << j << ": " << alpha[jj] << " vs " << dot;
+      if (reaches) expected.push_back(j);
+    }
+    EXPECT_EQ(visited, expected);
+    double norm2 = 0.0;
+    for (const double r : rho) norm2 += r * r;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rho_norm2),
+              std::bit_cast<std::uint64_t>(norm2));
+    EXPECT_TRUE(std::all_of(reached.begin(), reached.end(),
+                            [](std::uint64_t w) { return w == 0; }));
+    for (const int j : visited) alpha[static_cast<std::size_t>(j)] = 0.0;
+    visited_total += static_cast<int>(visited.size());
+  }
+  EXPECT_GT(visited_total, form.cols);  // the trials really reached columns
+}
+
+TEST(StandardForm, BuildMakesAFixedNumberOfAllocations) {
+  // The build allocates its arrays once each, whatever the model's size:
+  // no per-column scratch.
+  ASSERT_TRUE(util::alloc_counting_active());
+  const auto allocations = [](const Model& model, const Basis& basis) {
+    const util::AllocCounts before = util::alloc_counts();
+    const bool ok = build_standard_form(model, {}, {}, basis).ok;
+    const util::AllocCounts after = util::alloc_counts();
+    EXPECT_TRUE(ok);
+    return after.allocs - before.allocs;
+  };
+  const SlotLp large = paper_large_slot_lp();
+  ASSERT_GT(large.model.num_variables(), 300);
+  const SmallLp small = random_small_lp(1);
+  const std::int64_t large_allocs = allocations(large.model, large.basis);
+  EXPECT_EQ(large_allocs,
+            allocations(small.build(small.lower, small.upper),
+                        Basis::logical(kEnumVars, kEnumRows)));
+  EXPECT_LE(large_allocs, 16);
 }
 
 TEST(BasisLu, CopiedFactorizationUpdatesIndependently) {
