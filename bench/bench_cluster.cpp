@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     cc.cell_threads = threads;
     // Offline beliefs keep every arm on identical per-cell problems (no
     // online estimator state drifting with feedback ordering).
-    cc.offline = true;
+    cc.birp.online = false;
     birp::cluster::CellScheduler scheduler(
         scenario.cluster,
         birp::cluster::partition_cluster(scenario.cluster, &topology.link_mbps,

@@ -8,6 +8,7 @@
 //
 //   ./bench_crossover [--slots N] [--seed S]
 #include <iostream>
+#include <numeric>
 
 #include "common.hpp"
 #include "birp/runtime/thread_pool.hpp"
@@ -31,33 +32,32 @@ int main(int argc, char** argv) {
   const auto cluster = birp::device::ClusterSpec::paper_large();
   std::vector<Point> points(targets.size());
 
+  std::vector<int> order(targets.size());
+  std::iota(order.begin(), order.end(), 0);
   birp::runtime::ThreadPool pool;
-  std::vector<std::future<void>> futures;
-  for (std::size_t p = 0; p < targets.size(); ++p) {
-    futures.push_back(pool.submit([&, p] {
-      auto scenario = birp::bench::make_scenario(
-          birp::device::ClusterSpec::paper_large(), cli.slots, targets[p],
-          cli.seed);
-      points[p].target = targets[p];
+  pool.run_claimed(order, [&](int index) {
+    const auto p = static_cast<std::size_t>(index);
+    auto scenario = birp::bench::make_scenario(
+        birp::device::ClusterSpec::paper_large(), cli.slots, targets[p],
+        cli.seed);
+    points[p].target = targets[p];
 
-      birp::core::BirpScheduler birp_sched(scenario.cluster);
-      birp::sched::OaeiScheduler oaei_sched(scenario.cluster);
-      birp::sched::MaxScheduler max_sched(scenario.cluster);
-      {
-        birp::sim::Simulator s(scenario.cluster, scenario.trace);
-        points[p].birp = s.run(birp_sched);
-      }
-      {
-        birp::sim::Simulator s(scenario.cluster, scenario.trace);
-        points[p].oaei = s.run(oaei_sched);
-      }
-      {
-        birp::sim::Simulator s(scenario.cluster, scenario.trace);
-        points[p].max = s.run(max_sched);
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
+    birp::core::BirpScheduler birp_sched(scenario.cluster);
+    birp::sched::OaeiScheduler oaei_sched(scenario.cluster);
+    birp::sched::MaxScheduler max_sched(scenario.cluster);
+    {
+      birp::sim::Simulator s(scenario.cluster, scenario.trace);
+      points[p].birp = s.run(birp_sched);
+    }
+    {
+      birp::sim::Simulator s(scenario.cluster, scenario.trace);
+      points[p].oaei = s.run(oaei_sched);
+    }
+    {
+      birp::sim::Simulator s(scenario.cluster, scenario.trace);
+      points[p].max = s.run(max_sched);
+    }
+  });
 
   birp::util::TextTable loss({"target util", "BIRP loss/req", "OAEI loss/req",
                               "MAX loss/req", "BIRP vs OAEI"});

@@ -1,6 +1,10 @@
 // Microbenchmarks (google-benchmark): solver, simulator, and runtime hot
 // paths. These quantify the per-slot scheduling cost — the paper's
 // real-time feasibility argument for solving P1/P2 every slot.
+#include <atomic>
+#include <numeric>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "birp/core/birp_scheduler.hpp"
@@ -163,18 +167,21 @@ void BM_SimulatorSlot(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSlot)->Unit(benchmark::kMicrosecond);
 
-void BM_ThreadPoolSubmitDrain(benchmark::State& state) {
-  birp::runtime::ThreadPool pool(4);
+// One claimed fork-join of 100 trivial indices on 3 workers plus the
+// caller: the shape of serve_flood's per-slot edge fork.
+void BM_ThreadPoolFork(benchmark::State& state) {
+  birp::runtime::ThreadPool pool(3);
+  std::vector<int> order(100);
+  std::iota(order.begin(), order.end(), 0);
+  std::atomic<int> counter{0};
   for (auto _ : state) {
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 256; ++i) {
-      (void)pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.wait_idle();
-    benchmark::DoNotOptimize(counter.load());
+    pool.run_claimed(order, [&counter](int) {
+      counter.fetch_add(1, std::memory_order_relaxed);
+    });
   }
+  benchmark::DoNotOptimize(counter.load());
 }
-BENCHMARK(BM_ThreadPoolSubmitDrain)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ThreadPoolFork)->Unit(benchmark::kMicrosecond);
 
 void BM_TraceGeneration(benchmark::State& state) {
   const auto cluster = birp::device::ClusterSpec::paper_large();

@@ -143,7 +143,8 @@ int main(int argc, char** argv) {
   // blocking the slot deadline.
   cc.birp.solver.lp.max_iterations = 3000;
   cc.cell_threads = threads;
-  cc.offline = true;  // identical problems across runs, as in the other arms
+  // Identical problems across runs, as in the other arms.
+  cc.birp.online = false;
   birp::cluster::CellScheduler large(
       large_scenario.cluster,
       birp::cluster::partition_cluster(large_scenario.cluster,

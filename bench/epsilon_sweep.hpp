@@ -3,6 +3,7 @@
 // sweep cluster, one full simulation per grid point, in parallel.
 #pragma once
 
+#include <numeric>
 #include <vector>
 
 #include "birp/core/birp_scheduler.hpp"
@@ -27,8 +28,9 @@ struct SweepPoint {
 };
 
 /// Runs online BIRP at every grid point over `slots` of `trace`; grid
-/// points execute concurrently on the pool (each simulation is internally
-/// single-threaded to keep total parallelism bounded).
+/// points execute concurrently on the pool and the calling thread, each
+/// writing its own point (each simulation is internally single-threaded to
+/// keep total parallelism bounded).
 inline std::vector<SweepPoint> run_epsilon_grid(
     const device::ClusterSpec& cluster, const workload::Trace& trace,
     int slots) {
@@ -42,22 +44,18 @@ inline std::vector<SweepPoint> run_epsilon_grid(
     }
   }
 
+  std::vector<int> order(points.size());
+  std::iota(order.begin(), order.end(), 0);
   runtime::ThreadPool pool;
-  std::vector<std::future<metrics::RunMetrics>> futures;
-  futures.reserve(points.size());
-  for (const auto& point : points) {
-    futures.push_back(pool.submit([&cluster, &trace, slots, &point] {
-      core::BirpConfig config;
-      config.tuner.epsilon1 = point.epsilon1;
-      config.tuner.epsilon2 = point.epsilon2;
-      core::BirpScheduler scheduler(cluster, config);
-      sim::Simulator simulator(cluster, trace);
-      return simulator.run(scheduler, slots);
-    }));
-  }
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    points[p].metrics = futures[p].get();
-  }
+  pool.run_claimed(order, [&cluster, &trace, slots, &points](int p) {
+    auto& point = points[static_cast<std::size_t>(p)];
+    core::BirpConfig config;
+    config.tuner.epsilon1 = point.epsilon1;
+    config.tuner.epsilon2 = point.epsilon2;
+    core::BirpScheduler scheduler(cluster, config);
+    sim::Simulator simulator(cluster, trace);
+    point.metrics = simulator.run(scheduler, slots);
+  });
   return points;
 }
 

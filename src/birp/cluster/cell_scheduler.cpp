@@ -53,10 +53,8 @@ void CellScheduler::build_cells() {
   for (int c = 0; c < cells; ++c) {
     specs_.push_back(std::make_unique<device::ClusterSpec>(cluster_.subcluster(
         partition_.members[static_cast<std::size_t>(c)])));
-    cells_.push_back(std::make_unique<core::BirpScheduler>(
-        config_.offline
-            ? core::BirpScheduler::offline(*specs_.back(), config_.birp)
-            : core::BirpScheduler(*specs_.back(), config_.birp)));
+    cells_.push_back(
+        std::make_unique<core::BirpScheduler>(*specs_.back(), config_.birp));
   }
   if (pool_ == nullptr && config_.cell_threads > 0 && cells > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(
@@ -98,8 +96,8 @@ void CellScheduler::repartition(Partition next) {
 
 std::string CellScheduler::name() const {
   if (!config_.name_override.empty()) return config_.name_override;
-  return (config_.offline ? std::string("BIRP-OFF-CLUSTER/")
-                          : std::string("BIRP-CLUSTER/")) +
+  return (config_.birp.online ? std::string("BIRP-CLUSTER/")
+                              : std::string("BIRP-OFF-CLUSTER/")) +
          std::to_string(partition_.cells());
 }
 

@@ -87,8 +87,6 @@ struct CellSchedulerConfig {
   /// every cell on the calling thread. Purely a latency knob: decisions are
   /// bit-identical at any value.
   int cell_threads = 0;
-  /// Construct cells as BIRP-OFF (oracle TIR) instead of online BIRP.
-  bool offline = false;
   /// Degraded-operation watchdog (off by default).
   CellWatchdogConfig watchdog;
   std::string name_override;

@@ -149,7 +149,7 @@ ValidationReport validate_and_repair(const device::ClusterSpec& cluster,
   // edge only lowers a later edge's true cost below its tally (addition is
   // monotone), so a tally within budget is final; one over budget is
   // recomputed exactly by the repair loop. An edge no flow touches has
-  // nothing to cancel.
+  // nothing to cancel, so its tally is final: over budget, it is an overrun.
   std::vector<double> network(edges, 0.0);
   std::vector<std::uint8_t> has_flow(edges, 0);
   if (previous != nullptr) {
@@ -175,8 +175,9 @@ ValidationReport validate_and_repair(const device::ClusterSpec& cluster,
   }
   for (int k = 0; k < K; ++k) {
     const double budget = cluster.network_mb(k);
-    if (has_flow[static_cast<std::size_t>(k)] == 0 ||
-        network[static_cast<std::size_t>(k)] <= budget + 1e-9) {
+    if (network[static_cast<std::size_t>(k)] <= budget + 1e-9) continue;
+    if (has_flow[static_cast<std::size_t>(k)] == 0) {
+      ++report.network_overruns;
       continue;
     }
     while (decision_network_mb(cluster, decision, previous, k) > budget + 1e-9) {
@@ -186,7 +187,10 @@ ValidationReport validate_and_repair(const device::ClusterSpec& cluster,
         if (flow.from != k && flow.to != k) continue;
         if (victim == nullptr || flow.count > victim->count) victim = &flow;
       }
-      if (victim == nullptr) break;  // switch cost alone exceeds budget
+      if (victim == nullptr) {  // switch cost alone exceeds budget
+        ++report.network_overruns;
+        break;
+      }
       const double per_request = zoo.app(victim->app).request_mb;
       const double over =
           decision_network_mb(cluster, decision, previous, k) - budget;

@@ -22,6 +22,11 @@ struct ValidationReport {
   std::int64_t cancelled_flow = 0;    ///< flow units cancelled (network budget)
   std::int64_t evicted_served = 0;    ///< served requests lost to memory evictions
   int memory_evictions = 0;           ///< deployments evicted for memory
+  /// Edges still over their network budget (Eq. 9) after every flow
+  /// touching them was cancelled: model-switch costs alone exceed it, and
+  /// the repair never removes a deployment for the network. Not a repair,
+  /// so clean() ignores it.
+  int network_overruns = 0;
 
   /// True when the decision needed no repair beyond bookkeeping.
   [[nodiscard]] bool clean() const noexcept {

@@ -596,7 +596,9 @@ TEST_F(ShardedFixture, ReportsAggregateFallbacksAndName) {
   EXPECT_EQ(scheduler.name(), "BIRP-CLUSTER/4");
   EXPECT_EQ(scheduler.fallback_count(), 0);
   CellSchedulerConfig offline;
-  offline.offline = true;
+  offline.birp.online = false;
+  EXPECT_EQ(CellScheduler(cluster_, partition_, offline).name(),
+            "BIRP-OFF-CLUSTER/4");
   offline.name_override = "custom";
   CellScheduler named(cluster_, partition_, offline);
   EXPECT_EQ(named.name(), "custom");

@@ -1,9 +1,9 @@
-// Tests for the runtime thread pool (+ spin-then-park wakeup and the
-// claimed fork-join).
+// Tests for the runtime thread pool: the claimed fork-join, its
+// spin-then-park wakeup, and calls that find the pool's one job busy.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -18,58 +18,98 @@
 namespace birp::runtime {
 namespace {
 
+std::vector<int> iota_order(int n) {
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  return order;
+}
+
+/// Holds `pool`'s job busy: a second thread forks one position per worker
+/// plus its own, and every position waits inside fn until release().
+class WorkerBlocker {
+ public:
+  explicit WorkerBlocker(ThreadPool& pool)
+      : positions_(static_cast<int>(pool.size()) + 1) {
+    thread_ = std::thread([this, &pool] {
+      pool.run_claimed(iota_order(positions_), [this](int) {
+        inside_.fetch_add(1);
+        gate_.wait();
+      });
+    });
+    while (inside_.load() < positions_) std::this_thread::yield();
+  }
+  ~WorkerBlocker() { release(); }
+
+  void release() {
+    if (!thread_.joinable()) return;
+    gate_.count_down();
+    thread_.join();
+  }
+
+ private:
+  int positions_;
+  std::latch gate_{1};
+  std::atomic<int> inside_{0};
+  std::thread thread_;
+};
+
 TEST(ThreadPool, ExecutesSubmittedTasks) {
   ThreadPool pool(4);
-  auto future = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(future.get(), 42);
+  std::vector<int> results(8, 0);
+  pool.run_claimed(iota_order(8), [&results](int index) {
+    results[static_cast<std::size_t>(index)] = 21 * 2;
+  });
+  EXPECT_EQ(results, std::vector<int>(8, 42));
 }
 
 TEST(ThreadPool, ForwardsArguments) {
+  // fn receives order[n], not the position n.
   ThreadPool pool(2);
-  auto future = pool.submit([](int a, int b) { return a + b; }, 19, 23);
-  EXPECT_EQ(future.get(), 42);
+  const std::vector<int> order{19, 23};
+  std::atomic<int> sum{0};
+  pool.run_claimed(order, [&sum](int value) { sum += value; });
+  EXPECT_EQ(sum.load(), 42);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(2);
-  auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+  EXPECT_THROW(pool.run_claimed(iota_order(8),
+                                [](int index) {
+                                  if (index == 5) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                }),
+               std::runtime_error);
 }
 
 TEST(ThreadPool, RunsManyTasksOnAllWorkers) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 1000; ++i) {
-    futures.push_back(pool.submit([&counter] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-    }));
-  }
-  for (auto& f : futures) f.get();
+  pool.run_claimed(iota_order(1000), [&counter](int) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  });
   EXPECT_EQ(counter.load(), 1000);
 }
 
 TEST(ThreadPool, WaitIdleBlocksUntilDrained) {
+  // The fork returns only once every position has finished.
   ThreadPool pool(2);
   std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    (void)pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      done.fetch_add(1);
-    });
-  }
-  pool.wait_idle();
+  pool.run_claimed(iota_order(16), [&done](int) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    done.fetch_add(1);
+  });
   EXPECT_EQ(done.load(), 16);
 }
 
 TEST(ThreadPool, DestructorDrainsOutstandingWork) {
+  // Each pool goes right after a fork, while its workers may still be
+  // leaving the job or spinning: the destructor stops and joins them.
   std::atomic<int> done{0};
-  {
+  for (int round = 0; round < 8; ++round) {
     ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      (void)pool.submit([&done] { done.fetch_add(1); });
-    }
-  }  // destructor joins
+    pool.run_claimed(iota_order(4), [&done](int) { done.fetch_add(1); });
+  }
   EXPECT_EQ(done.load(), 32);
 }
 
@@ -79,17 +119,13 @@ TEST(ThreadPool, SizeDefaultsToHardware) {
 }
 
 TEST(ThreadPool, ActuallyParallel) {
-  // Two sleeping tasks on two workers should overlap.
+  // Two sleeping positions, one on the caller and one on a worker, should
+  // overlap.
   ThreadPool pool(2);
   const auto start = std::chrono::steady_clock::now();
-  auto a = pool.submit([] {
+  pool.run_claimed(iota_order(2), [](int) {
     std::this_thread::sleep_for(std::chrono::milliseconds(60));
   });
-  auto b = pool.submit([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  });
-  a.get();
-  b.get();
   const auto elapsed = std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -97,91 +133,17 @@ TEST(ThreadPool, ActuallyParallel) {
 }
 
 TEST(ThreadPool, EnqueueFromInsideWorkerDoesNotDeadlock) {
-  // Workers run task() with no pool lock held, so a task may submit a
-  // continuation into the same pool. Single worker on purpose: the
-  // continuation can only run after the submitting task returns.
+  // A fork from inside fn, on the caller and on the one worker, finds the
+  // job busy and runs every position on its own thread.
   ThreadPool pool(1);
-  std::atomic<int> stage{0};
-  std::future<void> inner;
-  auto outer = pool.submit([&] {
-    inner = pool.submit([&stage] { stage.store(2); });
-    stage.store(1);
+  std::atomic<int> sum{0};
+  pool.run_claimed(iota_order(2), [&](int) {
+    pool.run_claimed(iota_order(10), [&sum](int index) { sum += index; });
   });
-  outer.get();
-  inner.get();
-  EXPECT_EQ(stage.load(), 2);
-}
-
-TEST(ThreadPool, WaitIdleRacesWithProducer) {
-  // wait_idle() must be callable while another thread is still submitting:
-  // each call returns at some genuinely idle instant (queue empty, no task
-  // running) without hanging or missing wakeups.
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  constexpr int kTasks = 200;
-  std::thread producer([&] {
-    for (int i = 0; i < kTasks; ++i) {
-      (void)pool.submit([&done] { done.fetch_add(1); });
-      if (i % 16 == 0) std::this_thread::yield();
-    }
-  });
-  for (int i = 0; i < 50; ++i) pool.wait_idle();
-  producer.join();
-  pool.wait_idle();  // everything is submitted now: idle means all done
-  EXPECT_EQ(done.load(), kTasks);
-}
-
-TEST(ThreadPoolShutdown, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  EXPECT_THROW((void)pool.submit([] { return 1; }), std::runtime_error);
-}
-
-TEST(ThreadPoolShutdown, IsIdempotent) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  pool.shutdown();  // second call must be a harmless no-op
-  EXPECT_THROW((void)pool.submit([] {}), std::runtime_error);
-}
-
-TEST(ThreadPoolShutdown, DrainsPreviouslySubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  }
-  pool.shutdown();
-  for (auto& future : futures) future.get();
-  EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ThreadPoolShutdown, NonEmptyQueueIsDrainedNotDropped) {
-  // Contract: shutdown drains. Tasks already accepted run to completion
-  // even when they are still queued behind a busy worker at the moment
-  // shutdown() is called — their futures never starve.
-  ThreadPool pool(1);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  futures.push_back(pool.submit([&done] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    done.fetch_add(1);
-  }));
-  for (int i = 0; i < 8; ++i) {  // backlog sitting behind the sleeper
-    futures.push_back(pool.submit([&done] { done.fetch_add(1); }));
-  }
-  pool.shutdown();  // returns only after the backlog ran
-  EXPECT_EQ(done.load(), 9);
-  for (auto& future : futures) EXPECT_NO_THROW(future.get());
+  EXPECT_EQ(sum.load(), 90);
 }
 
 // ------------------------------------------------------ claimed fork-join ----
-
-std::vector<int> iota_order(int n) {
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
 
 TEST(ThreadPoolClaimed, RunsEveryIndexExactlyOnce) {
   // n = 0, n < size() and n >> size(), over a permuted order.
@@ -202,15 +164,10 @@ TEST(ThreadPoolClaimed, RunsEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPoolClaimed, CallerAloneFinishesWhenEveryWorkerIsBlocked) {
-  // Every worker parks on a gate task, so no helper can start: the call
-  // must still complete, on the calling thread alone.
+  // Every worker waits inside another thread's fork, so no helper can
+  // join: the call must still complete, on the calling thread alone.
   ThreadPool pool(2);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::vector<std::future<void>> blockers;
-  for (std::size_t w = 0; w < pool.size(); ++w) {
-    blockers.push_back(pool.submit([opened] { opened.wait(); }));
-  }
+  WorkerBlocker blocker(pool);
   const auto caller = std::this_thread::get_id();
   std::vector<int> ran;
   pool.run_claimed(iota_order(16), [&](int index) {
@@ -218,9 +175,6 @@ TEST(ThreadPoolClaimed, CallerAloneFinishesWhenEveryWorkerIsBlocked) {
     ran.push_back(index);
   });
   EXPECT_EQ(ran, iota_order(16));  // claimed in list order
-  gate.set_value();
-  for (auto& blocker : blockers) blocker.get();
-  pool.wait_idle();  // the stale helpers leave without calling fn
 }
 
 TEST(ThreadPoolClaimed, ExceptionSurfacesAfterEveryHelperReturned) {
@@ -253,19 +207,6 @@ TEST(ThreadPoolClaimed, ExceptionSurfacesAfterEveryHelperReturned) {
     EXPECT_EQ(std::string(error.what()), "cell 0");
   }
   EXPECT_EQ(inside_at_throw, 0);  // no participant still inside fn
-}
-
-TEST(ThreadPoolClaimed, WorksFromInsideATaskAndAfterShutdown) {
-  ThreadPool pool(2);
-  std::atomic<int> sum{0};
-  auto nested = pool.submit([&] {
-    pool.run_claimed(iota_order(10), [&sum](int index) { sum += index; });
-  });
-  nested.get();
-  EXPECT_EQ(sum.load(), 45);
-  pool.shutdown();  // no helper can be submitted: the caller runs all
-  pool.run_claimed(iota_order(10), [&sum](int index) { sum += index; });
-  EXPECT_EQ(sum.load(), 90);
 }
 
 TEST(ThreadPoolClaimed, AlongsideRunsOwnWorkOnTheCallerWhileHelpersClaim) {
@@ -316,13 +257,11 @@ TEST(ThreadPoolClaimed, AlongsideRethrowsOwnExceptionAfterHelpersLeft) {
 }
 
 TEST(ThreadPoolClaimed, CallerRunsAloneWhenLateHelpersHoldEveryJob) {
-  // The one worker is blocked, so each call's helper stays queued and keeps
-  // its claim job. Once every job is held, a call runs on the caller alone;
-  // all of them finish, and the queued helpers later leave without work.
+  // While another thread's fork holds the pool's one job, each call runs on
+  // its caller alone, in list order; once that fork is done, helpers join
+  // calls again.
   ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  auto blocker = pool.submit([opened] { opened.wait(); });
+  WorkerBlocker blocker(pool);
   const auto caller = std::this_thread::get_id();
   for (int call = 0; call < 6; ++call) {
     std::vector<int> ran;
@@ -332,17 +271,29 @@ TEST(ThreadPoolClaimed, CallerRunsAloneWhenLateHelpersHoldEveryJob) {
     });
     EXPECT_EQ(ran, iota_order(5)) << "call " << call;
   }
-  gate.set_value();
-  blocker.get();
-  pool.wait_idle();
+  blocker.release();
   std::atomic<int> sum{0};
-  pool.run_claimed(iota_order(10), [&sum](int index) { sum += index; });
-  EXPECT_EQ(sum.load(), 45);  // jobs are free again
+  std::atomic<bool> helped{false};
+  pool.run_claimed_alongside(
+      iota_order(10),
+      [&] {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (!helped.load() && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+      },
+      [&](int index) {
+        if (std::this_thread::get_id() != caller) helped.store(true);
+        sum += index;
+      });
+  EXPECT_EQ(sum.load(), 45);
+  EXPECT_TRUE(helped.load());  // the job is free again
 }
 
 TEST(ThreadPoolClaimed, WarmCallsDoNotAllocate) {
-  // Claim jobs are recycled and the task ring is pre-sized, so a claimed
-  // fork-join touches the heap on no thread, not even the first time.
+  // The pool's one job lives in the pool, so a claimed fork-join touches
+  // the heap on no thread, not even the first time.
   ASSERT_TRUE(util::alloc_counting_active());
   ThreadPool pool(3);
   const auto order = iota_order(24);
@@ -363,78 +314,112 @@ TEST(ThreadPoolClaimed, WarmCallsDoNotAllocate) {
   EXPECT_EQ(sum.load(), 50 * 2 * 276);
 }
 
-// --------------------------------------------------- spin-then-park wakeup ----
-
-TEST(ThreadPoolSpin, ConfigurationIsExposedAndClampedSane) {
-  ThreadPool defaulted(2);
-  EXPECT_EQ(defaulted.spin_iterations(), ThreadPool::kDefaultSpinIterations);
-  ThreadPool parked(2, 0);  // always park immediately (pre-spin behavior)
-  EXPECT_EQ(parked.spin_iterations(), 0);
+TEST(ThreadPoolClaimed, ConcurrentCallersEachRunEveryIndexOnce) {
+  // Two threads fork on one pool at once: whichever finds the job busy
+  // runs on its caller alone, and either way every index runs exactly once
+  // per call.
+  ThreadPool pool(3);
+  constexpr int kCalls = 2000;
+  constexpr int kIndices = 8;
+  const auto order = iota_order(kIndices);
+  std::atomic<int> wrong{0};
+  const auto fork_many = [&] {
+    std::vector<std::atomic<int>> runs(kIndices);
+    for (int call = 0; call < kCalls; ++call) {
+      for (auto& count : runs) count.store(0, std::memory_order_relaxed);
+      pool.run_claimed(order, [&runs](int index) {
+        runs[static_cast<std::size_t>(index)].fetch_add(
+            1, std::memory_order_relaxed);
+      });
+      for (const auto& count : runs) {
+        if (count.load(std::memory_order_relaxed) != 1) wrong.fetch_add(1);
+      }
+    }
+  };
+  std::thread other(fork_many);
+  fork_many();
+  other.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
+// --------------------------------------------------- spin-then-park wakeup ----
+
 TEST(ThreadPoolSpin, SpinningPoolRunsBurstsCorrectly) {
-  // Back-to-back bursts with idle gaps exercise both halves of the wakeup
+  // Back-to-back forks with idle gaps exercise both halves of the wakeup
   // path: workers caught mid-spin and workers that parked. Also the TSan
   // target for the spin fast path.
-  ThreadPool pool(4, 1 << 14);
+  ThreadPool pool(4);
   std::atomic<int> done{0};
   for (int burst = 0; burst < 20; ++burst) {
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 64; ++i) {
-      futures.push_back(pool.submit([&done] {
+    for (int fork = 0; fork < 8; ++fork) {
+      pool.run_claimed(iota_order(64), [&done](int) {
         done.fetch_add(1, std::memory_order_relaxed);
-      }));
+      });
     }
-    for (auto& f : futures) f.get();
     if (burst % 5 == 4) {
       // Let every worker exhaust its spin budget and park.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
-  EXPECT_EQ(done.load(), 20 * 64);
+  EXPECT_EQ(done.load(), 20 * 8 * 64);
 }
 
 TEST(ThreadPoolSpin, ConcurrentProducersWithSpinStayCoherent) {
-  // Multiple submitting threads against spinning workers: the pending
-  // counter and queue must never disagree (every future resolves).
-  ThreadPool pool(4, 1 << 12);
+  // Three threads fork against spinning workers: the job's seats, cursor
+  // and generation must never disagree (every position runs, every call
+  // returns).
+  ThreadPool pool(4);
   std::atomic<int> done{0};
   constexpr int kPerProducer = 500;
   std::vector<std::thread> producers;
   for (int p = 0; p < 3; ++p) {
     producers.emplace_back([&pool, &done] {
       for (int i = 0; i < kPerProducer; ++i) {
-        (void)pool.submit([&done] { done.fetch_add(1); });
+        pool.run_claimed(iota_order(4), [&done](int) { done.fetch_add(1); });
       }
     });
   }
   for (auto& t : producers) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 3 * kPerProducer);
+  EXPECT_EQ(done.load(), 3 * kPerProducer * 4);
 }
 
 TEST(ThreadPoolSpin, HandoffLatencyOrdering) {
-  // A spinning worker should pick up the next task at least as fast as a
-  // parked one (it skips the futex round trip). Medians over many handoffs
-  // with a very generous margin keep this robust on loaded CI machines.
-  const auto median_handoff_s = [](ThreadPool& pool) {
-    constexpr int kIters = 300;
+  // A spinning worker should join a fork at least as fast as a parked one
+  // (it skips the futex round trip). The handoff is the time from the call
+  // to a worker starting fn; own() waits for it, so only a worker can.
+  // Medians over many handoffs with a very generous margin keep this
+  // robust on loaded CI machines.
+  ThreadPool pool(1);
+  const auto median_handoff_s = [&pool](std::chrono::milliseconds idle) {
+    constexpr int kIters = 101;
+    const std::vector<int> order{0};
     std::vector<double> samples;
     samples.reserve(kIters);
     for (int i = 0; i < kIters; ++i) {
-      const auto submitted = std::chrono::steady_clock::now();
-      auto started = pool.submit([] {
-        return std::chrono::steady_clock::now();
-      });
+      std::this_thread::sleep_for(idle);
+      std::atomic<bool> started{false};
+      auto started_at = std::chrono::steady_clock::now();
+      const auto forked = std::chrono::steady_clock::now();
+      pool.run_claimed_alongside(
+          order,
+          [&] {
+            const auto give_up = forked + std::chrono::seconds(1);
+            while (!started.load() &&
+                   std::chrono::steady_clock::now() < give_up) {
+              std::this_thread::yield();
+            }
+          },
+          [&](int) {
+            started_at = std::chrono::steady_clock::now();
+            started.store(true);
+          });
       samples.push_back(
-          std::chrono::duration<double>(started.get() - submitted).count());
+          std::chrono::duration<double>(started_at - forked).count());
     }
     std::nth_element(samples.begin(), samples.begin() + kIters / 2,
                      samples.end());
     return samples[kIters / 2];
   };
-  ThreadPool spinning(1, 1 << 16);
-  ThreadPool parking(1, 0);
   // Ordering with slack: spinning must not be an order of magnitude worse
   // than parking (it should in fact be faster; the absolute term is a back-
   // stop against scheduler noise making the parked median tiny). Retries
@@ -443,8 +428,8 @@ TEST(ThreadPoolSpin, HandoffLatencyOrdering) {
   double park_median = 0.0;
   bool ordered = false;
   for (int attempt = 0; attempt < 3 && !ordered; ++attempt) {
-    spin_median = median_handoff_s(spinning);
-    park_median = median_handoff_s(parking);
+    spin_median = median_handoff_s(std::chrono::milliseconds(0));
+    park_median = median_handoff_s(std::chrono::milliseconds(2));
     ordered = spin_median < park_median * 8.0 + 200e-6;
   }
   EXPECT_TRUE(ordered) << "spin=" << spin_median << "s park=" << park_median

@@ -241,6 +241,51 @@ TEST_F(ValidateFixture, SwitchCostsChargedAgainstPrevious) {
   EXPECT_DOUBLE_EQ(boot, 0.0);  // t = 0: staged models, no switch cost
 }
 
+TEST_F(ValidateFixture, SwitchCostOverBudgetIsCountedNotRepaired) {
+  // Edge 0's link carries 0.75 MB a slot, less than any variant's
+  // compressed weights, so deploying a variant there that the previous slot
+  // did not deploy overruns Eq. 9 through the switch cost alone. The repair
+  // can only cancel flows: it counts the overrun and changes nothing.
+  auto profiles = device::one_of_each();
+  profiles[0].bandwidth_mbps = 1.0;
+  const device::ClusterSpec cluster(profiles, model::Zoo::small_scale(), 6.0,
+                                    0x7e57);
+  util::Grid2<std::int64_t> demand(cluster.num_apps(), cluster.num_devices(),
+                                   0);
+  const SlotDecision previous(cluster.num_apps(),
+                              cluster.zoo().max_variants(),
+                              cluster.num_devices());
+  SlotDecision decision(cluster.num_apps(), cluster.zoo().max_variants(),
+                        cluster.num_devices());
+  for (int k = 0; k < cluster.num_devices(); ++k) {
+    demand(0, k) = 2;
+    decision.served(0, 0, k) = 2;
+    decision.kernel(0, 0, k) = 2;
+  }
+  ASSERT_GT(decision_network_mb(cluster, decision, &previous, 0),
+            cluster.network_mb(0));
+  const auto digest = [](const SlotDecision& d) {
+    testutil::Fnv1a fnv;
+    testutil::hash_decision(fnv, d);
+    return fnv.get();
+  };
+  const auto before = digest(decision);
+  const auto report = validate_and_repair(cluster, demand, &previous, decision);
+  EXPECT_EQ(report.network_overruns, 1);  // the no-flow path
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(digest(decision), before);
+
+  // With a flow into edge 0 the repair cancels it and still finds the
+  // switch cost over budget: the repair loop's path counts it too.
+  demand(0, 0) = 3;
+  demand(0, 1) = 1;
+  decision.flows.push_back({0, 1, 0, 1});
+  const auto repaired =
+      validate_and_repair(cluster, demand, &previous, decision);
+  EXPECT_EQ(repaired.network_overruns, 1);
+  EXPECT_EQ(repaired.cancelled_flow, 1);
+}
+
 // ------------------------------------------------------------ simulator ----
 
 class SimulatorFixture : public ::testing::Test {
